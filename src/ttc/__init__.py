@@ -30,7 +30,6 @@ from .errors import (
     InvalidAddress,
     InvalidProvenance,
     NotLinearNondeleting,
-    PrefixConflict,
     ResourceLimit,
     TtcError,
     TtcSyntaxError,
@@ -46,7 +45,6 @@ from .machines import (
     enumerate_satisfying,
     enumerate_trees,
     identity_automaton,
-    translate_la_eager,
 )
 from .textform import Workspace, machines_equal, parse_workspace, workspaces_equal
 from .trees import (
@@ -57,11 +55,8 @@ from .trees import (
     StateOverNode,
     StateOverVariable,
     Tree,
-    nodes,
     parse_tree,
     sort_trees,
-    substitute_at,
-    substitute_leaves,
     subtree_at,
 )
 

@@ -2,13 +2,15 @@
 
 Workspace files (.ttc) define machines and chains; one command runs per
 process.  Exit status: 0 on success, 1 when a functionality check returns
-not-functional, 2 on any error.
+not-functional, 2 on any error, including an unexpected exception such as
+RecursionError on a very deep input.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import render
 from .constructions import (
@@ -229,17 +231,20 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _add_seeded_machines(workspace, args.seed)
         status, text = dispatch(args.command, args, workspace)
-    except TtcError as exc:
+        if getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (TtcError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except Exception as exc:
+        # a fault of the program, not of the input: exit 1 is reserved for a
+        # not-functional verdict, so report it as an error with its traceback
+        traceback.print_exc()
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

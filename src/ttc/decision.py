@@ -14,7 +14,7 @@ from itertools import islice
 from .constructions import BuildReport, CompositionChain, build_m, reduce_chain, wrap_trivial_lookahead
 from .errors import ValidationError
 from .machines import LookaheadTransducer, Rule, Transducer
-from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, sort_trees, subtree_at
+from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
 
 DEFAULT_OUTPUT_CAP = 10**6
 
@@ -175,7 +175,7 @@ def derivations(t: Transducer, tree: Tree):
     order; stuck markers (no applicable rule) simply stay, so a maximal
     sequence ends ground or in a stuck sentential form.
     """
-    t._check_input(tree)
+    check_ground_over(tree, t.input_alphabet)
     rule_index = {id(r): i + 1 for i, r in enumerate(t.rules)}
     start = Tree(StateOverNode(t.initial, ROOT))
 

@@ -9,10 +9,6 @@ class InvalidAddress(TtcError):
     """A node address does not denote a node of the tree at hand."""
 
 
-class PrefixConflict(TtcError):
-    """Two substitution addresses overlap (one is a prefix of the other)."""
-
-
 class AlphabetMismatch(TtcError):
     """A tree or machine uses a symbol outside the expected ranked alphabet."""
 

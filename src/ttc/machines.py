@@ -6,31 +6,27 @@ evaluation of a state on a partial tree returns the finite set of trees
 derivable from it, with placeholders turning into state-over-node markers.
 Look-ahead transducers additionally constrain each child variable with a
 state of a look-ahead automaton; a rule fires only when every child subtree
-lies in the domain of its annotation.
+lies in the domain of its annotation.  A plain rule is a look-ahead rule with
+no guard, so one evaluator and one membership test serve both kinds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import (
-    AlphabetMismatch,
-    ResourceLimit,
-    UnknownState,
-    ValidationError,
-)
+from .errors import ResourceLimit, UnknownState, ValidationError
 from .trees import (
     MARKER_TYPES,
     ROOT,
-    AnnotatedSymbol,
     NodeAddress,
     RankedAlphabet,
     StateOverNode,
     StateOverVariable,
     Tree,
+    check_ground_over,
     sort_trees,
 )
 
@@ -156,6 +152,82 @@ def _check_rhs(rhs: Tree, k: int, states, output_alphabet, where):
         _check_rhs(c, k, states, output_alphabet, where)
 
 
+# -- semantics ---------------------------------------------------------------
+#
+# ``la`` is the look-ahead automaton, or None for a plain transducer.  These
+# functions trust their input tree; the public entry points validate it.
+
+
+def _guard(la: Transducer | None, rule: Rule, node: Tree) -> bool:
+    """True iff the rule may fire at the node: always without look-ahead,
+    else iff every child lies in the domain of its look-ahead state."""
+    if la is None:
+        return True
+    memo = la._dom_memo
+    return all(_member(la, None, l, c, memo) for l, c in zip(rule.lookahead, node.children))
+
+
+def _member(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict) -> bool:
+    """True iff some ground output is derivable from q(s); memoized on (state, subtree)."""
+    key = (q, s)
+    ok = memo.get(key)
+    if ok is None:
+        ok = any(
+            _guard(la, rule, s)
+            and all(_member(base, la, q2, s.children[i], memo) for i, req in enumerate(rule.child_states) for q2 in req)
+            for rule in base.rules_for(q, s.label)
+        )
+        memo[key] = ok
+    return ok
+
+
+def _evaluate(
+    base: Transducer, la: Transducer | None, state: StateId, tree: Tree, at: NodeAddress, cap: int | None
+) -> frozenset[Tree]:
+    """The set of trees derivable from state(tree), the tree's root sitting at
+    address `at`; a marker or placeholder leaf at node v turns into q(v).
+    Memoized per call on (state, node path)."""
+    memo: dict[tuple[StateId, tuple[int, ...]], frozenset[Tree]] = {}
+
+    def eval_state(q, s, path):
+        key = (q, path)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if isinstance(s.label, MARKER_TYPES):
+            out = frozenset((Tree(StateOverNode(q, NodeAddress(path))),))
+        else:
+            acc = set()
+            for rule in base.rules_for(q, s.label):
+                if _guard(la, rule, s):
+                    acc |= expand(rule.rhs, s, path)
+                    if cap is not None and len(acc) > cap:
+                        raise ResourceLimit("output set exceeds cap %d" % cap)
+            out = frozenset(acc)
+        memo[key] = out
+        return out
+
+    def expand(node, s, path):
+        lab = node.label
+        if isinstance(lab, StateOverVariable):
+            return eval_state(lab.state, s.children[lab.index - 1], path + (lab.index,))
+        if not node.children:
+            return frozenset((node,))
+        alts = [expand(c, s, path) for c in node.children]
+        if any(not a for a in alts):
+            return frozenset()
+        count = 1
+        for a in alts:
+            count *= len(a)
+            if cap is not None and count > cap:
+                raise ResourceLimit("output set exceeds cap %d" % cap)
+        return frozenset(Tree(lab, combo) for combo in product(*alts))
+
+    out = eval_state(state, tree, at.path)
+    memo.clear()  # eval_state and expand form a cycle; free the memo now, not at the next GC
+    return out
+
+
 class Transducer:
     """Nondeterministic top-down tree transducer; immutable after construction."""
 
@@ -217,9 +289,6 @@ class Transducer:
     def rules_for(self, state: StateId, symbol) -> tuple[Rule, ...]:
         return self._by_head.get((state, symbol), ())
 
-    def rhs(self, state: StateId, symbol) -> tuple[Tree, ...]:
-        return tuple(r.rhs for r in self.rules_for(state, symbol))
-
     def is_automaton(self) -> bool:
         """True iff alphabets coincide and every rule just relabels in place."""
         if self.input_alphabet != self.output_alphabet:
@@ -253,88 +322,27 @@ class Transducer:
     # -- semantics ---------------------------------------------------------
 
     def evaluate(self, state: StateId, tree: Tree, at: NodeAddress = ROOT, cap: int | None = None) -> frozenset[Tree]:
-        """The set of trees derivable from state(tree); placeholders become q(v) markers.
+        """The set of trees derivable from state(tree), the root of tree sitting at `at`.
 
-        Any marker or placeholder leaf in the input acts as a placeholder, so
-        rule right-hand sides can be evaluated directly.  Memoized per call on
-        (state, node address).
+        The tree may be partial: any marker or placeholder leaf acts as a
+        placeholder and a state q meeting it at node v yields the marker q(v),
+        so rule right-hand sides can be evaluated directly.  The tree is
+        checked against the input alphabet before the shared evaluator runs.
         """
         if state not in self.states:
             raise UnknownState("state %s is not a state of %s" % (state, self.name))
-        memo: dict[tuple[StateId, NodeAddress], frozenset[Tree]] = {}
-
-        def eval_state(q, s, v):
-            key = (q, v)
-            if key in memo:
-                return memo[key]
-            if isinstance(s.label, MARKER_TYPES):
-                out = frozenset((Tree(StateOverNode(q, v)),))
-            else:
-                if s.label not in self.input_alphabet:
-                    raise AlphabetMismatch(
-                        "symbol %s is not in the input alphabet of %s" % (s.label, self.name)
-                    )
-                acc = set()
-                for rule in self.rules_for(q, s.label):
-                    acc |= expand(rule.rhs, s, v)
-                    if cap is not None and len(acc) > cap:
-                        raise ResourceLimit("output set exceeds cap %d" % cap)
-                out = frozenset(acc)
-            memo[key] = out
-            return out
-
-        def expand(node, s, v):
-            lab = node.label
-            if isinstance(lab, StateOverVariable):
-                return eval_state(lab.state, s.children[lab.index - 1], v.child(lab.index))
-            if not node.children:
-                return frozenset((node,))
-            alts = [expand(c, s, v) for c in node.children]
-            if any(not a for a in alts):
-                return frozenset()
-            count = 1
-            for a in alts:
-                count *= len(a)
-                if cap is not None and count > cap:
-                    raise ResourceLimit("output set exceeds cap %d" % cap)
-            return frozenset(Tree(lab, combo) for combo in product(*alts))
-
-        return eval_state(state, tree, at)
+        check_ground_over(tree, self.input_alphabet, placeholders=True)
+        return _evaluate(self, None, state, tree, at, cap)
 
     def translate(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
         """All ground output trees derivable from the initial state on a ground input."""
-        self._check_input(tree)
-        return self.evaluate(self.initial, tree, ROOT, cap=cap)
-
-    def _check_input(self, tree: Tree):
-        if isinstance(tree.label, MARKER_TYPES):
-            raise AlphabetMismatch("input tree %s is not ground" % tree)
-        if tree.label not in self.input_alphabet:
-            raise AlphabetMismatch(
-                "symbol %s is not in the input alphabet of %s" % (tree.label, self.name)
-            )
-        if self.input_alphabet.rank(tree.label) != len(tree.children):
-            raise AlphabetMismatch("arity mismatch at %s" % tree.label)
-        for c in tree.children:
-            self._check_input(c)
+        check_ground_over(tree, self.input_alphabet)
+        return _evaluate(self, None, self.initial, tree, ROOT, cap)
 
     def dom_member(self, state: StateId, tree: Tree) -> bool:
         """True iff some ground output is derivable from state(tree)."""
-        memo = self._dom_memo
-
-        def dm(q, s):
-            key = (q, s)
-            if key in memo:
-                return memo[key]
-            ok = any(
-                all(dm(q2, s.children[i]) for i, req in enumerate(rule.child_states) for q2 in req)
-                for rule in self.rules_for(q, s.label)
-            )
-            memo[key] = ok
-            return ok
-
-        self._check_input(tree)
-        return dm(state, tree)
+        check_ground_over(tree, self.input_alphabet)
+        return _member(self, None, state, tree, self._dom_memo)
 
     @cached_property
     def productive_states(self) -> frozenset[StateId]:
@@ -512,63 +520,17 @@ class LookaheadTransducer:
         )
 
     def translate_la(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
-        """Two-phase semantics, implemented lazily: a rule fires at a node iff
-        every child subtree is in the domain of its annotation."""
-        self.base._check_input(tree)
-        memo: dict[tuple[StateId, NodeAddress], frozenset[Tree]] = {}
-
-        def eval_state(q, s, v):
-            key = (q, v)
-            if key in memo:
-                return memo[key]
-            acc = set()
-            for rule in self.base.rules_for(q, s.label):
-                if all(self.la.dom_member(l, s.children[i]) for i, l in enumerate(rule.lookahead)):
-                    acc |= expand(rule.rhs, s, v)
-                    if cap is not None and len(acc) > cap:
-                        raise ResourceLimit("output set exceeds cap %d" % cap)
-            out = frozenset(acc)
-            memo[key] = out
-            return out
-
-        def expand(node, s, v):
-            lab = node.label
-            if isinstance(lab, StateOverVariable):
-                return eval_state(lab.state, s.children[lab.index - 1], v.child(lab.index))
-            if not node.children:
-                return frozenset((node,))
-            alts = [expand(c, s, v) for c in node.children]
-            if any(not a for a in alts):
-                return frozenset()
-            count = 1
-            for a in alts:
-                count *= len(a)
-                if cap is not None and count > cap:
-                    raise ResourceLimit("output set exceeds cap %d" % cap)
-            return frozenset(Tree(lab, combo) for combo in product(*alts))
-
-        return eval_state(self.base.initial, tree, ROOT)
+        """Two-phase semantics, implemented lazily by the shared evaluator: a
+        rule fires at a node iff every child subtree is in the domain of its
+        annotation, which is decided on demand and memoized on the look-ahead
+        automaton.  The input is checked once, here."""
+        check_ground_over(tree, self.input_alphabet)
+        return _evaluate(self.base, self.la, self.base.initial, tree, ROOT, cap)
 
     def dom_member(self, state: StateId, tree: Tree) -> bool:
         """Domain membership under the look-ahead semantics."""
-        memo: dict[tuple[StateId, Tree], bool] = {}
-
-        def dm(q, s):
-            key = (q, s)
-            if key in memo:
-                return memo[key]
-            ok = False
-            for rule in self.base.rules_for(q, s.label):
-                if not all(self.la.dom_member(l, s.children[i]) for i, l in enumerate(rule.lookahead)):
-                    continue
-                if all(dm(q2, s.children[i]) for i, req in enumerate(rule.child_states) for q2 in req):
-                    ok = True
-                    break
-            memo[key] = ok
-            return ok
-
-        self.base._check_input(tree)
-        return dm(state, tree)
+        check_ground_over(tree, self.input_alphabet)
+        return _member(self.base, self.la, state, tree, {})
 
     def enumerate_domain(self, max_size: int) -> list[Tree]:
         return enumerate_satisfying(
@@ -616,81 +578,6 @@ def _trim_lookahead(base: Transducer, la: Transducer) -> tuple[Transducer, Trans
     )
     la2 = Transducer(la.name, la.input_alphabet, la.output_alphabet, la_rules, la.initial, states=keep)
     return base2, la2
-
-
-def translate_la_eager(m: LookaheadTransducer, tree: Tree, size_guard: int = 12, cap: int | None = None) -> frozenset[Tree]:
-    """Eager two-phase semantics: materialize relabeled trees, then translate.
-
-    Each node child is annotated with a set of look-ahead states the automaton
-    can arrive in (any subset of the valid ones drawn from the annotations the
-    rules actually use); a rule fires when its annotation is in the recorded
-    set.  Guarded by a tree-size limit since the annotation fan-out is
-    exponential.
-    """
-    m.base._check_input(tree)
-    if tree.size > size_guard:
-        raise ResourceLimit(
-            "eager relabeling materializes only trees of size <= %d" % size_guard
-        )
-
-    ann_universe: dict[tuple[object, int], set[StateId]] = {}
-    for r in m.base.rules:
-        for i, l in enumerate(r.lookahead):
-            ann_universe.setdefault((r.symbol, i), set()).add(l)
-
-    def annotations(node) -> list[Tree]:
-        if not node.children:
-            return [Tree(AnnotatedSymbol(node.label, ()))]
-        per_child = []
-        for i, child in enumerate(node.children):
-            cands = sorted(ann_universe.get((node.label, i), ()), key=lambda s: s.name)
-            valid = [l for l in cands if m.la.dom_member(l, child)]
-            parts = [StateId.of_set(c) for n in range(len(valid) + 1) for c in combinations(valid, n)]
-            per_child.append(parts)
-        child_alts = [annotations(c) for c in node.children]
-        out = []
-        for parts_combo in product(*per_child):
-            for kids in product(*child_alts):
-                out.append(Tree(AnnotatedSymbol(node.label, parts_combo), kids))
-        return out
-
-    results: set[Tree] = set()
-    for relabeled in annotations(tree):
-        results |= _translate_annotated(m.base, relabeled, cap)
-        if cap is not None and len(results) > cap:
-            raise ResourceLimit("output set exceeds cap %d" % cap)
-    return frozenset(results)
-
-
-def _translate_annotated(base: Transducer, relabeled: Tree, cap=None) -> frozenset[Tree]:
-    """Run annotated rules over a relabeled tree; a rule fires when each of its
-    annotations is a member of the part set recorded at the node."""
-
-    def eval_state(q, s):
-        sym = s.label
-        acc = set()
-        for rule in base.rules_for(q, sym.name):
-            if all(l in sym.annotations[i].members() for i, l in enumerate(rule.lookahead)):
-                acc |= expand(rule.rhs, s)
-        return frozenset(acc)
-
-    def expand(node, s):
-        lab = node.label
-        if isinstance(lab, StateOverVariable):
-            return eval_state(lab.state, s.children[lab.index - 1])
-        if not node.children:
-            return frozenset((node,))
-        alts = [expand(c, s) for c in node.children]
-        if any(not a for a in alts):
-            return frozenset()
-        count = 1
-        for a in alts:
-            count *= len(a)
-            if cap is not None and count > cap:
-                raise ResourceLimit("output set exceeds cap %d" % cap)
-        return frozenset(Tree(lab, combo) for combo in product(*alts))
-
-    return eval_state(base.initial, relabeled)
 
 
 # -- domain enumeration ------------------------------------------------------
@@ -774,6 +661,7 @@ def enumerate_satisfying(alphabet: RankedAlphabet, atoms: Iterable[Atom], max_si
     found: set[Tree] = set()
     for n in range(1, max_size + 1):
         found |= solve(frozenset(atoms), n)
+    memo.clear()  # solve refers to itself; free the memo now, not at the next GC
     return sort_trees(found)
 
 

@@ -1,4 +1,4 @@
-"""Ranked trees, Dewey node addresses, and the substitution calculus.
+"""Ranked trees, Dewey node addresses, and ranked alphabets.
 
 Trees are immutable and hash by their canonical rendering, so two trees
 compare equal exactly when they render identically (nullary symbols render
@@ -13,13 +13,11 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping
 
 from .errors import (
     AlphabetMismatch,
     InvalidAddress,
-    PrefixConflict,
     TtcSyntaxError,
     ValidationError,
     ValidationWarning,
@@ -40,9 +38,6 @@ class NodeAddress:
 
     def child(self, i: int) -> "NodeAddress":
         return NodeAddress(self.path + (i,))
-
-    def is_prefix_of(self, other: "NodeAddress") -> bool:
-        return self.path == other.path[: len(self.path)]
 
     @classmethod
     def parse(cls, text: str) -> "NodeAddress":
@@ -144,30 +139,10 @@ class Tree:
             return False
         return all(c.is_ground() for c in self.children)
 
-    def leaves(self):
-        if not self.children:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
-
 
 def sort_trees(trees: Iterable[Tree]) -> list[Tree]:
     """Canonical output order: by size, then lexicographically on the rendering."""
     return sorted(trees, key=lambda t: (t.size, t.text))
-
-
-def nodes(t: Tree) -> set[NodeAddress]:
-    """The node set V(t): the root plus the shifted node sets of the subtrees."""
-    out = set()
-
-    def walk(node, path):
-        out.add(NodeAddress(path))
-        for i, child in enumerate(node.children, start=1):
-            walk(child, path + (i,))
-
-    walk(t, ())
-    return out
 
 
 def subtree_at(t: Tree, v: NodeAddress) -> Tree:
@@ -180,45 +155,6 @@ def subtree_at(t: Tree, v: NodeAddress) -> Tree:
             )
         node = node.children[i - 1]
     return node
-
-
-def substitute_at(t: Tree, bindings: Mapping[NodeAddress, Tree]) -> Tree:
-    """Replace the subtree rooted at each bound address; addresses must be prefix-free."""
-    paths = sorted(b.path for b in bindings)
-    for a, b in zip(paths, paths[1:]):
-        if b[: len(a)] == a:
-            raise PrefixConflict("addresses %s and %s overlap" % (".".join(map(str, a)) or "ε", ".".join(map(str, b))))
-    by_path = {b.path: repl for b, repl in bindings.items()}
-    for addr in bindings:
-        subtree_at(t, addr)  # raises InvalidAddress when absent
-
-    def go(node, path):
-        if path in by_path:
-            return by_path[path]
-        if not any(p[: len(path)] == path for p in by_path):
-            return node
-        return Tree(node.label, tuple(go(c, path + (i,)) for i, c in enumerate(node.children, start=1)))
-
-    return go(t, ())
-
-
-def substitute_leaves(t: Tree, label, replacements: Iterable[Tree]) -> set[Tree]:
-    """All trees obtained by independently replacing each leaf labeled `label`.
-
-    With no matching leaf the result is {t}; with matching leaves and an empty
-    replacement set the result is empty.
-    """
-    reps = tuple(sort_trees(set(replacements)))
-
-    def go(node):
-        if not node.children:
-            return reps if node.label == label else (node,)
-        alts = [go(c) for c in node.children]
-        if any(not a for a in alts):
-            return ()
-        return tuple(Tree(node.label, combo) for combo in product(*alts))
-
-    return set(go(t))
 
 
 class RankedAlphabet:
@@ -277,9 +213,12 @@ class RankedAlphabet:
         return "RankedAlphabet({%s})" % ", ".join("%s:%d" % (s, r) for s, r in self._ranks.items())
 
 
-def check_ground_over(t: Tree, alphabet: RankedAlphabet) -> None:
-    """Raise AlphabetMismatch unless t is a ground tree over the alphabet."""
+def check_ground_over(t: Tree, alphabet: RankedAlphabet, placeholders: bool = False) -> None:
+    """Raise AlphabetMismatch unless t is a ground tree over the alphabet; with
+    placeholders, marker and placeholder leaves are allowed as well."""
     if isinstance(t.label, MARKER_TYPES):
+        if placeholders:
+            return
         raise AlphabetMismatch("tree %s is not ground" % t)
     if t.label not in alphabet:
         raise AlphabetMismatch("symbol %s is not in the input alphabet" % (t.label,))
@@ -288,7 +227,7 @@ def check_ground_over(t: Tree, alphabet: RankedAlphabet) -> None:
             "symbol %s has rank %d but %d children" % (t.label, alphabet.rank(t.label), len(t.children))
         )
     for c in t.children:
-        check_ground_over(c, alphabet)
+        check_ground_over(c, alphabet, placeholders)
 
 
 def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:

@@ -24,7 +24,6 @@ from ttc import (
     identity_automaton,
     p_construction,
     parse_workspace,
-    translate_la_eager,
 )
 from ttc.decision import derivations
 from ttc.generate import random_chain3, random_pair
@@ -33,7 +32,7 @@ from ttc.textform import machines_equal
 from ttc.trees import parse_tree
 
 from . import pair_properties
-from .oracles import rewrite_translate
+from .oracles import rewrite_translate, translate_la_eager
 from .test_constructions import (
     A_EXPECTED,
     AHAT_EXPECTED,

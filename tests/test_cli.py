@@ -215,6 +215,12 @@ class TestErrors:
         status, _, err = run_cli(capsys, "-w", FIXTURES, "run", "--machine", "quadratic", "--input", "zz(e)")
         assert status == 2
 
+    def test_deep_input_is_an_error_not_a_verdict(self, capsys):
+        spine = "a(" * 1999 + "e" + ")" * 1999
+        status, _, err = run_cli(capsys, "-w", FIXTURES, "run", "--machine", "quadratic", "--input", spine)
+        assert status == 2
+        assert any(line.startswith("error: ") for line in err.splitlines())
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

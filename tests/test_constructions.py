@@ -454,7 +454,7 @@ class TestMixedAnnotationsAtSharedNode:
         return ws.machines["mix_t1"], ws.machines["mix_t2"]
 
     def test_mixed_instances_fire_independently(self, pair):
-        from ttc import translate_la_eager
+        from .oracles import translate_la_eager
 
         m, _ = build_m(*pair)
         s = t("c(g(e))")

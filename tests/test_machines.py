@@ -10,12 +10,11 @@ from ttc import (
     domain_automaton,
     enumerate_trees,
     p_construction,
-    translate_la_eager,
 )
 from ttc.machines import enumerate_satisfying
 from ttc.trees import NodeAddress, PlaceholderLeaf, StateOverNode, Tree, parse_tree
 
-from .oracles import rewrite_translate
+from .oracles import rewrite_translate, translate_la_eager
 
 t = parse_tree
 
@@ -72,6 +71,17 @@ class TestEvaluate:
         v = NodeAddress((2, 1))
         got = quadratic.evaluate(q, hole, v)
         assert got == frozenset((Tree(StateOverNode(q, v)),))
+
+    def test_marker_below_a_non_root_start(self, quadratic):
+        # q(a(x1)) -> a(q(x1)) moves the state from node 2 onto the hole at 2.1
+        q = StateId.base("q")
+        tree = Tree("a", (Tree(PlaceholderLeaf("h")),))
+        got = quadratic.evaluate(q, tree, at=NodeAddress((2,)))
+        assert got == frozenset((Tree("a", (Tree(StateOverNode(q, NodeAddress((2, 1)))),)),))
+
+    def test_foreign_symbol_in_partial_tree(self, quadratic):
+        with pytest.raises(AlphabetMismatch):
+            quadratic.evaluate(quadratic.initial, Tree("g", (Tree(PlaceholderLeaf("h")),)))
 
     def test_unknown_state(self, quadratic):
         from ttc import UnknownState

@@ -14,12 +14,12 @@ from ttc import (
     decide_functionality,
     decompose_la,
     enumerate_trees,
-    translate_la_eager,
+    wrap_trivial_lookahead,
 )
 from ttc.generate import random_chain3, random_pair
 
 from . import pair_properties
-from .oracles import rewrite_translate, staged_compose
+from .oracles import rewrite_translate, staged_compose, translate_la_eager
 
 PAIR_SEEDS = range(60)
 CHAIN_SEEDS = range(20)
@@ -60,6 +60,18 @@ def test_dom_member_iff_translation_nonempty(seed):
         for s in enumerate_trees(machine.input_alphabet, 4):
             for q in sorted(machine.states):
                 assert machine.dom_member(q, s) == bool(machine.evaluate(q, s))
+
+
+@pytest.mark.parametrize("seed", PAIR_SEEDS)
+def test_trivial_lookahead_matches_plain(seed):
+    """Plain and look-ahead semantics share one evaluator and one membership
+    test; a universal look-ahead guard must change neither result."""
+    for machine in random_pair(seed):
+        wrapped = wrap_trivial_lookahead(machine)
+        for s in enumerate_trees(machine.input_alphabet, 5):
+            assert wrapped.translate_la(s) == machine.translate(s), s.text
+            for q in sorted(wrapped.base.states):
+                assert wrapped.dom_member(q, s) == machine.dom_member(q, s), (q.name, s.text)
 
 
 @pytest.mark.parametrize("seed", PAIR_SEEDS)

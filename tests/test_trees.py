@@ -1,17 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ttc.errors import InvalidAddress, PrefixConflict, TtcSyntaxError
+from ttc.errors import InvalidAddress, TtcSyntaxError
 from ttc.trees import (
     NodeAddress,
-    PlaceholderLeaf,
     RankedAlphabet,
     Tree,
     ValidationWarning,
-    nodes,
     parse_tree,
-    substitute_at,
-    substitute_leaves,
     subtree_at,
 )
 
@@ -22,23 +18,6 @@ def addr(text):
 
 def t(text):
     return parse_tree(text)
-
-
-class TestNodes:
-    def test_binary_tree_addresses(self):
-        tree = t("f(a,f(a,b))")
-        assert nodes(tree) == {addr("ε"), addr("1"), addr("2"), addr("2.1"), addr("2.2")}
-
-    def test_single_leaf(self):
-        assert nodes(t("e")) == {addr("ε")}
-
-    def test_unary_chain(self):
-        assert nodes(t("a(a(e))")) == {addr("ε"), addr("1"), addr("1.1")}
-
-    def test_size_matches_node_count(self):
-        for text in ("e", "a(e)", "f(a,f(a,b))", "f(f(a,b),f(a,b))"):
-            tree = t(text)
-            assert len(nodes(tree)) == tree.size
 
 
 class TestSubtreeAt:
@@ -59,57 +38,7 @@ class TestSubtreeAt:
             subtree_at(t("f(a,b)"), addr("1.1"))
 
 
-class TestSubstituteAt:
-    def test_single(self):
-        assert substitute_at(t("f(a,b)"), {addr("1"): t("c")}) == t("f(c,b)")
-
-    def test_empty_is_identity(self):
-        tree = t("f(a,f(a,b))")
-        assert substitute_at(tree, {}) == tree
-
-    def test_two_positions(self):
-        got = substitute_at(t("f(a,f(a,b))"), {addr("2.1"): t("b"), addr("2.2"): t("a")})
-        assert got == t("f(a,f(b,a))")
-
-    def test_prefix_conflict(self):
-        with pytest.raises(PrefixConflict):
-            substitute_at(t("f(a,f(a,b))"), {addr("2"): t("a"), addr("2.1"): t("b")})
-
-    def test_unknown_address(self):
-        with pytest.raises(InvalidAddress):
-            substitute_at(t("f(a,b)"), {addr("1.1"): t("c")})
-
-    def test_round_trip(self):
-        tree = t("f(a,f(a,b))")
-        marked = substitute_at(tree, {addr("1"): t("hole1"), addr("2.2"): t("hole2")})
-        back = substitute_at(marked, {addr("1"): t("a"), addr("2.2"): t("b")})
-        assert back == tree
-
-
-class TestSubstituteLeaves:
-    def test_all_combinations(self):
-        got = substitute_leaves(t("f(a,a)"), "a", {t("b"), t("c")})
-        assert got == {t("f(b,b)"), t("f(b,c)"), t("f(c,b)"), t("f(c,c)")}
-
-    def test_no_matching_leaf(self):
-        assert substitute_leaves(t("f(b,b)"), "a", {t("c")}) == {t("f(b,b)")}
-
-    def test_empty_replacement_set(self):
-        assert substitute_leaves(t("f(a,b)"), "a", set()) == set()
-
-    def test_singleton_replacement_is_singleton(self):
-        for text in ("f(a,a)", "f(a,f(a,a))", "f(b,b)"):
-            got = substitute_leaves(t(text), "a", {t("c")})
-            assert len(got) == 1
-
-    def test_placeholder_leaf(self):
-        hole = Tree(PlaceholderLeaf("l"))
-        tree = Tree("f", (hole, Tree("b")))
-        got = substitute_leaves(tree, PlaceholderLeaf("l"), {t("c")})
-        assert got == {t("f(c,b)")}
-
-
-# random tree material for the calculus invariants
+# random tree material for the address invariants
 symbols = {"f": 2, "a": 1, "b": 0, "c": 0}
 
 
@@ -126,22 +55,17 @@ def trees(max_depth=4):
     return build(max_depth)
 
 
-@given(trees())
-def test_node_count_is_size(tree):
-    assert len(nodes(tree)) == tree.size
+def addresses(tree, path=()):
+    yield NodeAddress(path)
+    for i, child in enumerate(tree.children, start=1):
+        yield from addresses(child, path + (i,))
 
 
 @given(trees())
 def test_every_node_has_subtree(tree):
-    for v in nodes(tree):
+    for v in addresses(tree):
         sub = subtree_at(tree, v)
         assert sub.size <= tree.size
-
-
-@given(trees())
-def test_singleton_leaf_substitution(tree):
-    got = substitute_leaves(tree, "b", {Tree("c")})
-    assert len(got) == 1
 
 
 class TestParsing:
