@@ -13,7 +13,7 @@ from itertools import islice
 
 from .constructions import BuildReport, CompositionChain, build_m, reduce_chain, wrap_trivial_lookahead
 from .errors import ValidationError
-from .machines import LookaheadTransducer, Rule, Transducer
+from .machines import LookaheadTransducer, Rule, Transducer, _evaluate
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
 
 DEFAULT_OUTPUT_CAP = 10**6
@@ -26,12 +26,21 @@ def chain_outputs(chain: CompositionChain | Transducer, tree: Tree, cap: int | N
     """Left-to-right relational composition of the stage translations."""
     if isinstance(chain, Transducer):
         chain = CompositionChain((chain,))
-    outs = frozenset((tree,))
-    for stage in chain:
+    check_ground_over(tree, chain.stages[0].input_alphabet)
+    stages = [(stage, None) for stage in chain]
+    return frozenset(_outputs(stages, tree, cap, [({}, {}) for _ in stages]))
+
+
+def _outputs(stages, tree: Tree, cap: int | None, memos) -> set[Tree]:
+    """The outputs of the (base, look-ahead) stages, composed left to right,
+    on a valid input; stage i memoises in memos[i].  A chain's alphabets
+    match, so every intermediate tree is valid for the next stage."""
+    outs = (tree,)
+    for (base, la), (memo, la_memo) in zip(stages, memos):
         step = set()
         for t in outs:
-            step |= stage.translate(t, cap=cap)
-        outs = frozenset(step)
+            step.update(_evaluate(base, la, base.initial, t, cap, memo, la_memo))
+        outs = step
     return outs
 
 
@@ -60,7 +69,9 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
 
     The target is a composition chain (a bare transducer counts as a 1-chain)
     or a look-ahead transducer.  Inputs are visited in canonical order, so the
-    reported counterexample is reproducible.
+    reported counterexample is reproducible.  All inputs share one memo per
+    stage, since they share most of their subtrees; the memos are cleared
+    when the check ends, so the check keeps no memory and no machine state.
     """
     if max_size < 1:
         raise ValidationError("max_size must be >= 1")
@@ -68,31 +79,38 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
         target = CompositionChain((target,))
     if isinstance(target, LookaheadTransducer):
         candidates = target.enumerate_domain(max_size)
-        outputs_of = lambda s: target.translate_la(s, cap=output_cap)
+        stages = [(target.base, target.la)]
     else:
         first = target.stages[0]
         candidates = first.enumerate_domain(first.initial, max_size)
-        outputs_of = lambda s: chain_outputs(target, s, cap=output_cap)
+        stages = [(stage, None) for stage in target]
+    memos = [({}, {}) for _ in stages]
     inputs_checked = 0
     outputs_computed = 0
-    for s in candidates:
-        outs = outputs_of(s)
-        inputs_checked += 1
-        outputs_computed += len(outs)
-        if len(outs) > 1:
-            two = tuple(sort_trees(outs)[:2])
-            return Verdict(
-                NOT_FUNCTIONAL,
-                max_size,
-                Counterexample(s, two),
-                {"inputs_checked": inputs_checked, "outputs_computed": outputs_computed},
-            )
-    return Verdict(
-        FUNCTIONAL,
-        max_size,
-        None,
-        {"inputs_checked": inputs_checked, "outputs_computed": outputs_computed},
-    )
+    counterexample = None
+    # Popped from the end of the reversed list, so each input is freed once
+    # checked while the canonical order is kept.
+    candidates.reverse()
+    # An exception's traceback keeps this frame alive: clear the memos anyway.
+    try:
+        while candidates and counterexample is None:
+            s = candidates.pop()
+            outs = _outputs(stages, s, output_cap, memos)
+            inputs_checked += 1
+            outputs_computed += len(outs)
+            if len(outs) > 1:
+                counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
+        stats = {
+            "inputs_checked": inputs_checked,
+            "outputs_computed": outputs_computed,
+            "memo_entries": sum(len(memo) for memo, _ in memos),
+        }
+    finally:
+        for memo, la_memo in memos:
+            memo.clear()
+            la_memo.clear()
+    status = FUNCTIONAL if counterexample is None else NOT_FUNCTIONAL
+    return Verdict(status, max_size, counterexample, stats)
 
 
 def decide_functionality(chain: CompositionChain, max_size: int, output_cap: int = DEFAULT_OUTPUT_CAP) -> tuple[Verdict, list[BuildReport]]:

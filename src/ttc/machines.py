@@ -13,7 +13,6 @@ no guard, so one evaluator and one membership test serve both kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -22,6 +21,7 @@ from .trees import (
     MARKER_TYPES,
     ROOT,
     NodeAddress,
+    PlaceholderLeaf,
     RankedAlphabet,
     StateOverNode,
     StateOverVariable,
@@ -156,25 +156,47 @@ def _check_rhs(rhs: Tree, k: int, states, output_alphabet, where):
 #
 # ``la`` is the look-ahead automaton, or None for a plain transducer.  These
 # functions trust their input tree; the public entry points validate it.
+#
+# The memos belong to the caller, which keeps them for one public call, one
+# chain_outputs call or one whole check.  They are keyed on (state name,
+# subtree text), which is how StateId and Tree define equality, so equal
+# subtrees of all inputs share one entry.  Only the markers q(v) of a partial
+# tree depend on where a subtree sits, so `Transducer.evaluate` first names
+# each marker leaf by its address (`_addressed`).
 
 
-def _guard(la: Transducer | None, rule: Rule, node: Tree) -> bool:
+def _addressed(tree: Tree, path: tuple[int, ...]) -> Tree:
+    """The tree with every marker or placeholder leaf replaced by a placeholder
+    whose identifier is its address; subtrees without such leaves are
+    returned as they are."""
+    if isinstance(tree.label, MARKER_TYPES):
+        return Tree(PlaceholderLeaf(NodeAddress(path)))
+    kids = tuple(_addressed(c, path + (i,)) for i, c in enumerate(tree.children, start=1))
+    if all(k is c for k, c in zip(kids, tree.children)):
+        return tree
+    return Tree(tree.label, kids)
+
+
+def _guard(la: Transducer | None, rule: Rule, node: Tree, la_memo: dict | None) -> bool:
     """True iff the rule may fire at the node: always without look-ahead,
     else iff every child lies in the domain of its look-ahead state."""
     if la is None:
         return True
-    memo = la._dom_memo
-    return all(_member(la, None, l, c, memo) for l, c in zip(rule.lookahead, node.children))
+    for l, c in zip(rule.lookahead, node.children):
+        if not _member(la, None, l, c, la_memo, None):
+            return False
+    return True
 
 
-def _member(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict) -> bool:
-    """True iff some ground output is derivable from q(s); memoized on (state, subtree)."""
-    key = (q, s)
+def _member(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict, la_memo: dict | None) -> bool:
+    """True iff some ground output is derivable from q(s); `memo` holds the
+    answers for base, `la_memo` those for the look-ahead automaton."""
+    key = (q.name, s.text)
     ok = memo.get(key)
     if ok is None:
         ok = any(
-            _guard(la, rule, s)
-            and all(_member(base, la, q2, s.children[i], memo) for i, req in enumerate(rule.child_states) for q2 in req)
+            _guard(la, rule, s, la_memo)
+            and all(_member(base, la, q2, s.children[i], memo, la_memo) for i, req in enumerate(rule.child_states) for q2 in req)
             for rule in base.rules_for(q, s.label)
         )
         memo[key] = ok
@@ -182,50 +204,51 @@ def _member(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: 
 
 
 def _evaluate(
-    base: Transducer, la: Transducer | None, state: StateId, tree: Tree, at: NodeAddress, cap: int | None
-) -> frozenset[Tree]:
-    """The set of trees derivable from state(tree), the tree's root sitting at
-    address `at`; a marker or placeholder leaf at node v turns into q(v).
-    Memoized per call on (state, node path)."""
-    memo: dict[tuple[StateId, tuple[int, ...]], frozenset[Tree]] = {}
+    base: Transducer, la: Transducer | None, q: StateId, s: Tree, cap: int | None, memo: dict, la_memo: dict | None
+) -> tuple[Tree, ...]:
+    """The trees derivable from q(s), without repeats; a placeholder leaf named
+    by its address v (see `_addressed`) turns into q(v).  The children's
+    results go through `memo`, the result for s itself does not: a check's
+    inputs are distinct, so it would not be looked up again."""
+    lab = s.label
+    if isinstance(lab, PlaceholderLeaf):
+        return (Tree(StateOverNode(q, lab.ident)),)
+    # loops, not comprehensions, which would add a frame per input level
+    alts = []
+    for rule in base.rules_for(q, lab):
+        if _guard(la, rule, s, la_memo):
+            alts.append(_expand(base, la, rule.rhs, s, cap, memo, la_memo))
+    if len(alts) == 1:  # already without repeats; skips hashing every tree
+        return alts[0]
+    acc = set().union(*alts)
+    if cap is not None and len(acc) > cap:
+        raise ResourceLimit("output set exceeds cap %d" % cap)
+    return tuple(acc)
 
-    def eval_state(q, s, path):
-        key = (q, path)
+
+def _expand(
+    base: Transducer, la: Transducer | None, node: Tree, s: Tree, cap: int | None, memo: dict, la_memo: dict | None
+) -> tuple[Tree, ...]:
+    """The trees a right-hand side node yields at input node s, without repeats."""
+    lab = node.label
+    if isinstance(lab, StateOverVariable):
+        child = s.children[lab.index - 1]
+        key = (lab.state.name, child.text)
         out = memo.get(key)
-        if out is not None:
-            return out
-        if isinstance(s.label, MARKER_TYPES):
-            out = frozenset((Tree(StateOverNode(q, NodeAddress(path))),))
-        else:
-            acc = set()
-            for rule in base.rules_for(q, s.label):
-                if _guard(la, rule, s):
-                    acc |= expand(rule.rhs, s, path)
-                    if cap is not None and len(acc) > cap:
-                        raise ResourceLimit("output set exceeds cap %d" % cap)
-            out = frozenset(acc)
-        memo[key] = out
+        if out is None:
+            out = memo[key] = _evaluate(base, la, lab.state, child, cap, memo, la_memo)
         return out
-
-    def expand(node, s, path):
-        lab = node.label
-        if isinstance(lab, StateOverVariable):
-            return eval_state(lab.state, s.children[lab.index - 1], path + (lab.index,))
-        if not node.children:
-            return frozenset((node,))
-        alts = [expand(c, s, path) for c in node.children]
-        if any(not a for a in alts):
-            return frozenset()
-        count = 1
-        for a in alts:
-            count *= len(a)
-            if cap is not None and count > cap:
-                raise ResourceLimit("output set exceeds cap %d" % cap)
-        return frozenset(Tree(lab, combo) for combo in product(*alts))
-
-    out = eval_state(state, tree, at.path)
-    memo.clear()  # eval_state and expand form a cycle; free the memo now, not at the next GC
-    return out
+    if not node.children:
+        return (node,)
+    alts = []
+    count = 1
+    for c in node.children:
+        a = _expand(base, la, c, s, cap, memo, la_memo)
+        alts.append(a)
+        count *= len(a)
+    if cap is not None and count > cap:
+        raise ResourceLimit("output set exceeds cap %d" % cap)
+    return tuple(Tree(lab, combo) for combo in product(*alts))
 
 
 class Transducer:
@@ -253,12 +276,11 @@ class Transducer:
                 inferred |= req
         self.states = frozenset(states) if states is not None else frozenset(inferred)
         self._validate(_annotated)
-        self._by_head: dict[tuple[StateId, object], tuple[Rule, ...]] = {}
+        # keyed on state names, which hash without a call into Python
+        self._by_head: dict[tuple[str, object], tuple[Rule, ...]] = {}
         for r in self.rules:
-            key = (r.state, r.symbol)
+            key = (r.state.name, r.symbol)
             self._by_head[key] = self._by_head.get(key, ()) + (r,)
-        self._dom_memo: dict[tuple[StateId, Tree], bool] = {}
-        self._set_prod_memo: dict[frozenset, bool] = {}
 
     def _validate(self, annotated):
         if self.initial not in self.states:
@@ -287,7 +309,7 @@ class Transducer:
         return "Transducer(%s: %d states, %d rules)" % (self.name, len(self.states), len(self.rules))
 
     def rules_for(self, state: StateId, symbol) -> tuple[Rule, ...]:
-        return self._by_head.get((state, symbol), ())
+        return self._by_head.get((state.name, symbol), ())
 
     def is_automaton(self) -> bool:
         """True iff alphabets coincide and every rule just relabels in place."""
@@ -321,6 +343,10 @@ class Transducer:
 
     # -- semantics ---------------------------------------------------------
 
+    def _known(self, state: StateId) -> None:
+        if state not in self.states:
+            raise UnknownState("state %s is not a state of %s" % (state, self.name))
+
     def evaluate(self, state: StateId, tree: Tree, at: NodeAddress = ROOT, cap: int | None = None) -> frozenset[Tree]:
         """The set of trees derivable from state(tree), the root of tree sitting at `at`.
 
@@ -329,22 +355,22 @@ class Transducer:
         so rule right-hand sides can be evaluated directly.  The tree is
         checked against the input alphabet before the shared evaluator runs.
         """
-        if state not in self.states:
-            raise UnknownState("state %s is not a state of %s" % (state, self.name))
+        self._known(state)
         check_ground_over(tree, self.input_alphabet, placeholders=True)
-        return _evaluate(self, None, state, tree, at, cap)
+        return frozenset(_evaluate(self, None, state, _addressed(tree, at.path), cap, {}, None))
 
     def translate(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
         """All ground output trees derivable from the initial state on a ground input."""
         check_ground_over(tree, self.input_alphabet)
-        return _evaluate(self, None, self.initial, tree, ROOT, cap)
+        return frozenset(_evaluate(self, None, self.initial, tree, cap, {}, None))
 
     def dom_member(self, state: StateId, tree: Tree) -> bool:
         """True iff some ground output is derivable from state(tree)."""
+        self._known(state)
         check_ground_over(tree, self.input_alphabet)
-        return _member(self, None, state, tree, self._dom_memo)
+        return _member(self, None, state, tree, {}, None)
 
-    @cached_property
+    @property
     def productive_states(self) -> frozenset[StateId]:
         """Least fixpoint of: q is productive iff some rule of q has only productive rhs states.
 
@@ -385,9 +411,6 @@ class Transducer:
 
     def _set_productive(self, members: frozenset[StateId]) -> bool:
         """True iff some ground tree lies in every member's domain."""
-        memo = self._set_prod_memo
-        if members in memo:
-            return memo[members]
         universe = {members}
         stack = [members]
         alternatives: dict[frozenset, list[tuple]] = {}
@@ -412,19 +435,15 @@ class Transducer:
                 if any(all(child in productive for child in vec) for vec in alternatives[current]):
                     productive.add(current)
                     changed = True
-        for current in universe:
-            memo[current] = current in productive
         return members in productive
 
     def dom_empty(self, state: StateId) -> bool:
-        if state not in self.states:
-            raise UnknownState("state %s is not a state of %s" % (state, self.name))
+        self._known(state)
         return not self._set_productive(frozenset((state,)))
 
     def enumerate_domain(self, state: StateId, max_size: int) -> list[Tree]:
         """All ground trees of size <= max_size in dom(state), in canonical order."""
-        if state not in self.states:
-            raise UnknownState("state %s is not a state of %s" % (state, self.name))
+        self._known(state)
         return enumerate_satisfying(self.input_alphabet, ((self, state),), max_size)
 
     # -- helpers for constructions -----------------------------------------
@@ -522,15 +541,16 @@ class LookaheadTransducer:
     def translate_la(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
         """Two-phase semantics, implemented lazily by the shared evaluator: a
         rule fires at a node iff every child subtree is in the domain of its
-        annotation, which is decided on demand and memoized on the look-ahead
-        automaton.  The input is checked once, here."""
+        annotation, which is decided on demand and memoized for this call.
+        The input is checked once, here."""
         check_ground_over(tree, self.input_alphabet)
-        return _evaluate(self.base, self.la, self.base.initial, tree, ROOT, cap)
+        return frozenset(_evaluate(self.base, self.la, self.base.initial, tree, cap, {}, {}))
 
     def dom_member(self, state: StateId, tree: Tree) -> bool:
         """Domain membership under the look-ahead semantics."""
+        self.base._known(state)
         check_ground_over(tree, self.input_alphabet)
-        return _member(self.base, self.la, state, tree, {})
+        return _member(self.base, self.la, state, tree, {}, {})
 
     def enumerate_domain(self, max_size: int) -> list[Tree]:
         return enumerate_satisfying(

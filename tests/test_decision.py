@@ -1,7 +1,13 @@
+import gc
+import pickle
+import tracemalloc
+import types
+
 import pytest
 
 from ttc import (
     CompositionChain,
+    ResourceLimit,
     build_m,
     chain_outputs,
     check_functional_bounded,
@@ -9,11 +15,17 @@ from ttc import (
     enumerate_trees,
     identity_automaton,
     p_construction,
+    parse_workspace,
     reduce_chain,
     trace_derivation,
+    wrap_trivial_lookahead,
 )
+from ttc import decision
 from ttc.decision import FUNCTIONAL, NOT_FUNCTIONAL, derivations
+from ttc.generate import random_chain3, random_pair
 from ttc.trees import parse_tree
+
+from .oracles import staged_compose, translate_la_eager
 
 t = parse_tree
 
@@ -70,6 +82,102 @@ class TestCheckFunctionalBounded:
         verdict = check_functional_bounded(copy_chain, 3)
         assert verdict.stats["inputs_checked"] >= 1
         assert verdict.stats["outputs_computed"] >= 1
+        assert verdict.stats["memo_entries"] >= 1
+
+
+class TestCheckMemo:
+    """A check keeps one memo per stage across all of its inputs."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Records (input, outputs) for every input a check translates."""
+        seen = []
+        original = decision._outputs
+
+        def spy(stages, s, cap, memos):
+            outs = original(stages, s, cap, memos)
+            seen.append((s, frozenset(outs)))
+            return outs
+
+        monkeypatch.setattr(decision, "_outputs", spy)
+        return seen
+
+    def test_m_outputs_match_eager_oracle(self, checked, worked_pair, copy_pair):
+        pairs = [worked_pair, copy_pair] + [random_pair(seed) for seed in range(40)]
+        for pair in pairs:
+            m, _ = build_m(*pair)
+            checked.clear()
+            check_functional_bounded(m, 5)
+            for s, outs in checked:
+                assert outs == translate_la_eager(m, s), (m.name, s.text)
+
+    def test_chain_outputs_match_staged_rewriting(self, checked):
+        for seed in range(20):
+            chain = random_chain3(seed)
+            checked.clear()
+            check_functional_bounded(chain, 4)
+            for s, outs in checked:
+                assert outs == staged_compose(chain.stages, s), (seed, s.text)
+
+    def test_resource_limit_does_not_poison_the_next_check(self, checked):
+        # e has one output; a(e) has two, one more than the cap of 1
+        text = """
+        transducer late {
+          input { a:1, e:0 }
+          output { e:0, e2:0 }
+          initial q0
+          rules { q0(e) -> e; q0(a(x1)) -> q1(x1); q1(e) -> e | e2; q1(a(x1)) -> q1(x1); }
+        }
+        """
+        machine = parse_workspace(text).machines["late"]
+        fresh = parse_workspace(text).machines["late"]
+        for target, clean in ((machine, fresh), (wrap_trivial_lookahead(machine), wrap_trivial_lookahead(fresh))):
+            checked.clear()
+            with pytest.raises(ResourceLimit):
+                check_functional_bounded(target, 4, output_cap=1)
+            assert [s.text for s, _ in checked] == ["e"]
+            after = check_functional_bounded(target, 4)
+            assert after == check_functional_bounded(clean, 4)
+            assert after.counterexample.input == t("a(e)")
+
+    def test_check_leaves_machines_unchanged(self, worked_pair, copy_chain):
+        m, _ = build_m(*worked_pair)
+        machines = [m, m.base, m.la, *copy_chain.stages]
+        before = [pickle.dumps(vars(x)) for x in machines]
+        check_functional_bounded(m, 6)
+        check_functional_bounded(copy_chain, 4)
+        assert [pickle.dumps(vars(x)) for x in machines] == before
+
+    def test_no_closures_left_per_input(self, worked_pair):
+        m, _ = build_m(*worked_pair)
+
+        def functions_in_garbage(bound):
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                check_functional_bounded(m, bound)
+                gc.collect()
+                return sum(isinstance(x, types.FunctionType) for x in gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+
+        assert functions_in_garbage(9) == functions_in_garbage(5)
+
+    def test_check_retains_no_memory(self, worked_pair):
+        m, _ = build_m(*worked_pair)
+        check_functional_bounded(m, 3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            check_functional_bounded(m, 10)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a memo kept on the machine held about 0.06 MB here
+        assert retained < 4096
 
 
 class TestDecideFunctionality:

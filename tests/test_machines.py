@@ -5,14 +5,16 @@ from ttc import (
     LookaheadTransducer,
     StateId,
     Transducer,
+    UnknownState,
     build_hat_t1,
     build_m,
     domain_automaton,
     enumerate_trees,
     p_construction,
+    wrap_trivial_lookahead,
 )
 from ttc.machines import enumerate_satisfying
-from ttc.trees import NodeAddress, PlaceholderLeaf, StateOverNode, Tree, parse_tree
+from ttc.trees import NodeAddress, PlaceholderLeaf, StateOverNode, StateOverVariable, Tree, parse_tree
 
 from .oracles import rewrite_translate, translate_la_eager
 
@@ -84,10 +86,18 @@ class TestEvaluate:
             quadratic.evaluate(quadratic.initial, Tree("g", (Tree(PlaceholderLeaf("h")),)))
 
     def test_unknown_state(self, quadratic):
-        from ttc import UnknownState
-
         with pytest.raises(UnknownState):
             quadratic.evaluate(StateId.base("nope"), t("e"))
+
+    def test_repeated_marker_gets_distinct_addresses(self, worked_pair):
+        # p1(f(x1,x2)) -> f(p1(x1),p1(x2)) meets the equal leaves q(x1) at
+        # nodes 1 and 2; each must turn into a marker at its own address
+        _, t2 = worked_pair
+        p1 = StateId.base("p1")
+        marker = Tree(StateOverVariable(StateId.base("q"), 1))
+        got = t2.evaluate(p1, Tree("f", (marker, marker)))
+        want = Tree("f", (Tree(StateOverNode(p1, NodeAddress((1,)))), Tree(StateOverNode(p1, NodeAddress((2,))))))
+        assert got == frozenset((want,))
 
 
 class TestTranslate:
@@ -121,6 +131,13 @@ class TestDomains:
         _, t2 = copy_pair
         assert not t2.dom_member(StateId.base("q2'"), t("e3"))
         assert t2.dom_member(StateId.base("q2''"), t("e3"))
+
+    def test_unknown_state(self, quadratic):
+        nope = StateId.base("nope")
+        with pytest.raises(UnknownState):
+            quadratic.dom_member(nope, t("e"))
+        with pytest.raises(UnknownState):
+            wrap_trivial_lookahead(quadratic).dom_member(nope, t("e"))
 
     def test_quadratic_domain_is_everything(self, quadratic):
         for s in enumerate_trees(quadratic.input_alphabet, 6):
