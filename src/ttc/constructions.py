@@ -10,6 +10,7 @@ reduction that trades the last two stages of a composition for M.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable
@@ -29,6 +30,7 @@ from .machines import (
     StateId,
     Transducer,
     identity_automaton,
+    merge_vectors,
 )
 from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree, subtree_at
 
@@ -74,84 +76,87 @@ class CompositionChain:
 def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), name: str | None = None) -> Transducer:
     """Power-set automaton over t's input alphabet recognizing state-set domains.
 
-    One rule per state set S, symbol a, and choice of a non-empty subset of
-    right-hand sides per member, with child sets collecting the states that
-    occur at each variable; collapsing choices are deduplicated.  Only sets
-    reachable from {initial}, the empty set, and the seeds are materialized;
-    the empty set realizes the identity.
+    One rule per state set S, symbol a and distinct vector of child sets,
+    where each member of S contributes the child states of a non-empty
+    subset of its rules on a.  The vectors come from two deduplicating
+    folds: over a member's rules, the unions of the subsets; over the
+    members, one union per member merged.  Only sets reachable from
+    {initial}, the empty set, and the seeds are materialized; the empty set
+    realizes the identity.
+
+    Inside, a state set is an int bitmask over the states in name order.
+    RULE_CAP is checked after each member's merge, on the rules so far plus
+    the merged vectors, before any rule is built.  An intermediate merge can
+    be larger than the final one, so the cap limits the work, not only the
+    output.  Rules are emitted sorted by child-state names.
     """
     sigma = t.input_alphabet
-    known: set[frozenset[StateId]] = {frozenset()}
-    queue: list[frozenset[StateId]] = []
     ordered_seeds = sorted(
         (frozenset(s) for s in seeds), key=lambda m: sorted(x.name for x in m)
     )
-    for members in [frozenset({t.initial})] + ordered_seeds:
-        if members not in known:
-            known.add(members)
-            queue.append(members)
+    order = sorted(t.states.union(*ordered_seeds), key=lambda s: s.name)
+    bit = {q.name: 1 << i for i, q in enumerate(order)}
+    ids = {0: EMPTY_SET_STATE}
+
+    def state_of(mask: int) -> StateId:
+        sid = ids.get(mask)
+        if sid is None:
+            sid = ids[mask] = StateId.of_set(q for i, q in enumerate(order) if mask >> i & 1)
+        return sid
+
+    # (state name, symbol) -> the distinct unions of the child-state vectors
+    # of the non-empty subsets of that state's rules on that symbol
+    unions: dict[tuple[str, object], set[tuple[int, ...]]] = {}
+
+    def unions_of(q: StateId, sym) -> set[tuple[int, ...]]:
+        key = (q.name, sym)
+        sigs = unions.get(key)
+        if sigs is None:
+            sigs = unions[key] = set()
+            for r in t.rules_for(q, sym):
+                sig = tuple(sum(bit[x.name] for x in req) for req in r.child_states)
+                sigs |= merge_vectors(sigs, (sig,))
+                sigs.add(sig)
+        return sigs
 
     rules: list[Rule] = []
-    seen_rules: set[tuple] = set()
     for sym, k in sigma.items():
         rhs = Tree(sym, tuple(Tree(StateOverVariable(EMPTY_SET_STATE, i)) for i in range(1, k + 1)))
         rules.append(Rule(EMPTY_SET_STATE, sym, k, rhs))
 
+    known = {0}
+    queue: deque[int] = deque()
+    for members in [frozenset({t.initial})] + ordered_seeds:
+        mask = sum(bit[q.name] for q in members)
+        if mask not in known:
+            known.add(mask)
+            queue.append(mask)
+
     while queue:
-        members = queue.pop(0)
-        state = StateId.of_set(members)
-        ordered = sorted(members, key=lambda s: s.name)
+        state = state_of(queue.popleft())
         for sym, k in sigma.items():
-            per_member: list[list[tuple[frozenset[StateId], ...]]] = []
-            feasible = True
-            for q in ordered:
-                own = t.rules_for(q, sym)
-                if not own:
-                    feasible = False
-                    break
-                sigs: list[tuple[frozenset[StateId], ...]] = []
-                seen_sigs = set()
-                for mask in range(1, 1 << len(own)):
-                    chosen = [own[i] for i in range(len(own)) if mask >> i & 1]
-                    sig = tuple(
-                        frozenset().union(*(r.child_states[i] for r in chosen))
-                        for i in range(k)
-                    )
-                    if sig not in seen_sigs:
-                        seen_sigs.add(sig)
-                        sigs.append(sig)
-                per_member.append(sigs)
-            if not feasible:
-                continue
-            for combo in product(*per_member):
-                children = tuple(
-                    frozenset().union(*(sig[i] for sig in combo)) if combo else frozenset()
-                    for i in range(k)
-                )
-                key = (state.name, sym, tuple(StateId.of_set(c).name for c in children))
-                if key in seen_rules:
-                    continue
-                seen_rules.add(key)
-                child_ids = tuple(StateId.of_set(c) for c in children)
-                rhs = Tree(sym, tuple(Tree(StateOverVariable(cid, i + 1)) for i, cid in enumerate(child_ids)))
-                rules.append(Rule(state, sym, k, rhs))
-                if len(rules) > RULE_CAP:
+            merged = {(0,) * k}
+            for q in state.parts:
+                merged = merge_vectors(merged, unions_of(q, sym))
+                if len(rules) + len(merged) > RULE_CAP:
                     raise ResourceLimit("domain automaton exceeds %d rules" % RULE_CAP)
-                for c in children:
+            for vec in sorted(merged, key=lambda vec: [state_of(c).name for c in vec]):
+                rhs = Tree(sym, tuple(Tree(StateOverVariable(state_of(c), i)) for i, c in enumerate(vec, start=1)))
+                rules.append(Rule(state, sym, k, rhs))
+                for c in vec:
                     if c not in known:
                         known.add(c)
                         queue.append(c)
                         if len(known) > STATE_CAP:
                             raise ResourceLimit("domain automaton exceeds %d states" % STATE_CAP)
 
-    states = [StateId.of_set(m) for m in known]
     return Transducer(
         name or "dom(%s)" % t.name,
         sigma,
         sigma,
         rules,
-        StateId.of_set({t.initial}),
-        states=states,
+        state_of(bit[t.initial.name]),
+        states=[state_of(m) for m in known],
     )
 
 
@@ -189,9 +194,7 @@ def p_construction(
     while queue:
         q1, q2 = queue.pop(0)
         head = make_state(q1, q2)
-        for src in t1.rules:
-            if src.state != q1:
-                continue
+        for src in t1.rules_of(q1):
             for psi in sorted(t2.evaluate(q2, src.rhs), key=lambda p: p.text):
                 gamma, demanded, ok = _instantiate(psi, src.rhs, make_state, pair_filter)
                 if not ok:

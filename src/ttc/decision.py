@@ -13,7 +13,7 @@ from itertools import islice
 
 from .constructions import BuildReport, CompositionChain, build_m, reduce_chain, wrap_trivial_lookahead
 from .errors import ValidationError
-from .machines import LookaheadTransducer, Rule, Transducer, _evaluate
+from .machines import LookaheadTransducer, Rule, Transducer, _evaluate, enumerate_sizes
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
 
 DEFAULT_OUTPUT_CAP = 10**6
@@ -69,43 +69,56 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
 
     The target is a composition chain (a bare transducer counts as a 1-chain)
     or a look-ahead transducer.  Inputs are visited in canonical order, so the
-    reported counterexample is reproducible.  All inputs share one memo per
-    stage, since they share most of their subtrees; the memos are cleared
-    when the check ends, so the check keeps no memory and no machine state.
+    reported counterexample is reproducible.  The domain is enumerated one
+    size at a time, and the check stops at the first size that has a
+    counterexample.  All inputs share one memo per stage, since they share
+    most of their subtrees; the memos are cleared when the check ends, so the
+    check keeps no memory and no machine state.
     """
     if max_size < 1:
         raise ValidationError("max_size must be >= 1")
     if isinstance(target, Transducer):
         target = CompositionChain((target,))
     if isinstance(target, LookaheadTransducer):
-        candidates = target.enumerate_domain(max_size)
+        first, initial = target, target.base.initial
         stages = [(target.base, target.la)]
     else:
-        first = target.stages[0]
-        candidates = first.enumerate_domain(first.initial, max_size)
+        first, initial = target.stages[0], target.stages[0].initial
         stages = [(stage, None) for stage in target]
+    layers = enumerate_sizes(first.input_alphabet, ((first, initial),), max_size)
     memos = [({}, {}) for _ in stages]
     inputs_checked = 0
+    inputs_enumerated = 0
     outputs_computed = 0
+    size = 0
     counterexample = None
-    # Popped from the end of the reversed list, so each input is freed once
-    # checked while the canonical order is kept.
-    candidates.reverse()
-    # An exception's traceback keeps this frame alive: clear the memos anyway.
+    # An exception's traceback keeps this frame alive: free the enumeration
+    # and clear the memos anyway.
     try:
-        while candidates and counterexample is None:
-            s = candidates.pop()
-            outs = _outputs(stages, s, output_cap, memos)
-            inputs_checked += 1
-            outputs_computed += len(outs)
-            if len(outs) > 1:
-                counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
+        for layer in layers:
+            size += 1
+            inputs_enumerated += len(layer)
+            # Popped from the end of the reversed list, so each input is
+            # freed once checked while the canonical order is kept.
+            layer.reverse()
+            while layer and counterexample is None:
+                s = layer.pop()
+                outs = _outputs(stages, s, output_cap, memos)
+                inputs_checked += 1
+                outputs_computed += len(outs)
+                if len(outs) > 1:
+                    counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
+            if counterexample is not None:
+                break
         stats = {
             "inputs_checked": inputs_checked,
             "outputs_computed": outputs_computed,
             "memo_entries": sum(len(memo) for memo, _ in memos),
+            "inputs_enumerated": inputs_enumerated,
+            "max_size_reached": size,
         }
     finally:
+        layers.close()
         for memo, la_memo in memos:
             memo.clear()
             la_memo.clear()

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Sequence
+from operator import attrgetter, or_
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimit, UnknownState, ValidationError
 from .trees import (
@@ -27,7 +28,6 @@ from .trees import (
     StateOverVariable,
     Tree,
     check_ground_over,
-    sort_trees,
 )
 
 
@@ -251,6 +251,16 @@ def _expand(
     return tuple(Tree(lab, combo) for combo in product(*alts))
 
 
+def merge_vectors(merged: set, alternatives: Collection[tuple]) -> set:
+    """One step of the requirement-merging fold: the position-wise union of
+    every vector in `merged` with every vector in `alternatives` (a
+    collection, read once per vector of `merged`), without repeats.  Folded
+    over groups of alternatives, starting from the all-empty vector, it
+    gives the distinct merges of one choice per group.  Entries are
+    frozensets or int bitmasks, whose `|` is union alike."""
+    return {tuple(map(or_, m, a)) for m in merged for a in alternatives}
+
+
 class Transducer:
     """Nondeterministic top-down tree transducer; immutable after construction."""
 
@@ -310,6 +320,11 @@ class Transducer:
 
     def rules_for(self, state: StateId, symbol) -> tuple[Rule, ...]:
         return self._by_head.get((state.name, symbol), ())
+
+    def rules_of(self, state: StateId) -> Iterator[Rule]:
+        """The rules of one state, symbol by symbol, through the same index."""
+        for symbol in self.input_alphabet:
+            yield from self.rules_for(state, symbol)
 
     def is_automaton(self) -> bool:
         """True iff alphabets coincide and every rule just relabels in place."""
@@ -394,20 +409,11 @@ class Transducer:
         """Per symbol, the merged child-requirement vectors opened by choosing
         one rule per member state (projections of subset choices accept the
         same trees, so single choices decide emptiness exactly)."""
-        ordered = sorted(members, key=lambda s: s.name)
         for sym, k in self.input_alphabet.items():
-            per_member = [self.rules_for(q, sym) for q in ordered]
-            if any(not own for own in per_member):
-                continue
-            seen = set()
-            for choice in product(*per_member):
-                merged = tuple(
-                    frozenset().union(*(r.child_states[i] for r in choice)) if choice else frozenset()
-                    for i in range(k)
-                )
-                if merged not in seen:
-                    seen.add(merged)
-                    yield merged
+            merged = {(frozenset(),) * k}
+            for q in members:
+                merged = merge_vectors(merged, [r.child_states for r in self.rules_for(q, sym)])
+            yield from merged
 
     def _set_productive(self, members: frozenset[StateId]) -> bool:
         """True iff some ground tree lies in every member's domain."""
@@ -453,9 +459,7 @@ class Transducer:
         todo = [self.initial]
         while todo:
             q = todo.pop()
-            for r in self.rules:
-                if r.state != q:
-                    continue
+            for r in self.rules_of(q):
                 for req in r.child_states:
                     for q2 in req:
                         if q2 not in seen:
@@ -581,9 +585,7 @@ def _trim_lookahead(base: Transducer, la: Transducer) -> tuple[Transducer, Trans
         todo.append(la.initial)
     while todo:
         l = todo.pop()
-        for r in la.rules:
-            if r.state != l:
-                continue
+        for r in la.rules_of(l):
             for req in r.child_states:
                 for l2 in req:
                     if l2 in live_la and l2 not in keep:
@@ -620,69 +622,66 @@ def _atom_alternatives(atom: Atom, symbol, k: int):
             yield tuple(frozenset((m, q2) for q2 in rule.child_states[i]) for i in range(k))
 
 
-def _atom_key(atom: Atom):
-    m, q = atom
-    return (id(m), q)
+def _solve(alphabet: RankedAlphabet, reqs: frozenset, n: int, memo: dict) -> tuple[Tree, ...]:
+    """The ground trees of size exactly n that lie in the domain of every
+    requirement in reqs, without repeats; memoised on (reqs, n)."""
+    key = (reqs, n)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    found: set[Tree] = set()
+    for sym, k in alphabet.items():
+        if n < 1 + k or (k == 0 and n != 1):
+            continue
+        merged = {(frozenset(),) * k}
+        for atom in reqs:
+            merged = merge_vectors(merged, list(_atom_alternatives(atom, sym, k)))
+        for vec in merged:
+            if k == 0:
+                found.add(Tree(sym))
+                continue
+            for split in _compositions(n - 1, k):
+                child_sets = []
+                for i in range(k):
+                    cs = _solve(alphabet, vec[i], split[i], memo)
+                    if not cs:
+                        break
+                    child_sets.append(cs)
+                else:
+                    found.update(Tree(sym, combo) for combo in product(*child_sets))
+    out = memo[key] = tuple(found)
+    return out
+
+
+def enumerate_sizes(alphabet: RankedAlphabet, atoms: Iterable[Atom], max_size: int) -> Iterator[list[Tree]]:
+    """For each size n from 1 to max_size, the list of ground trees of size n
+    over the alphabet that lie in the domain of every (machine, state)
+    requirement, generated by rule-directed expansion and sorted by text;
+    one list after the other, they are in canonical (size, text) order.
+
+    The memo of one enumeration lives until the last size is computed, so a
+    caller that stops early does no work for the larger sizes; close the
+    generator to free it at once."""
+    if max_size < 1:
+        raise ValidationError("max_size must be >= 1")
+    reqs = frozenset(atoms)
+    memo: dict[tuple, tuple[Tree, ...]] = {}
+    try:
+        for n in range(1, max_size + 1):
+            layer = list(_solve(alphabet, reqs, n, memo))
+            if n == max_size:
+                memo.clear()
+            layer.sort(key=attrgetter("text"))
+            yield layer
+    finally:
+        memo.clear()
 
 
 def enumerate_satisfying(alphabet: RankedAlphabet, atoms: Iterable[Atom], max_size: int) -> list[Tree]:
     """All ground trees of size <= max_size over the alphabet that lie in the
-    domain of every (machine, state) requirement, generated by rule-directed
-    expansion and returned in canonical (size, text) order."""
-    if max_size < 1:
-        raise ValidationError("max_size must be >= 1")
-    memo: dict[tuple, frozenset[Tree]] = {}
-    atoms = tuple(atoms)
-
-    def solve(reqs: frozenset, n: int) -> frozenset[Tree]:
-        key = (frozenset(_atom_key(a) for a in reqs), n)
-        if key in memo:
-            return memo[key]
-        out: set[Tree] = set()
-        for sym, k in alphabet.items():
-            if n < 1 + k:
-                continue
-            if k == 0 and n != 1:
-                continue
-            per_atom = []
-            feasible = True
-            for atom in reqs:
-                alts = []
-                seen = set()
-                for vec in _atom_alternatives(atom, sym, k):
-                    sig = tuple(frozenset(_atom_key(a) for a in v) for v in vec)
-                    if sig not in seen:
-                        seen.add(sig)
-                        alts.append(vec)
-                if not alts:
-                    feasible = False
-                    break
-                per_atom.append(alts)
-            if not feasible:
-                continue
-            merged_vecs = set()
-            for choice in product(*per_atom):
-                merged = tuple(frozenset().union(*(vec[i] for vec in choice)) for i in range(k))
-                merged_vecs.add(merged)
-            for merged in merged_vecs:
-                if k == 0:
-                    out.add(Tree(sym))
-                    continue
-                for split in _compositions(n - 1, k):
-                    child_sets = [solve(merged[i], split[i]) for i in range(k)]
-                    if any(not cs for cs in child_sets):
-                        continue
-                    for combo in product(*child_sets):
-                        out.add(Tree(sym, combo))
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    found: set[Tree] = set()
-    for n in range(1, max_size + 1):
-        found |= solve(frozenset(atoms), n)
-    memo.clear()  # solve refers to itself; free the memo now, not at the next GC
-    return sort_trees(found)
+    domain of every (machine, state) requirement, in canonical (size, text)
+    order: the sizes of `enumerate_sizes`, one after the other."""
+    return [tree for layer in enumerate_sizes(alphabet, atoms, max_size) for tree in layer]
 
 
 def _compositions(total: int, k: int):

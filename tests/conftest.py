@@ -65,3 +65,43 @@ def t(text):
     from ttc.trees import parse_tree
 
     return parse_tree(text)
+
+
+DOUBLED_ROTATION = """
+transducer t1 {
+  input { g:2, h:1, e:0, d:0 }
+  output { g:2, h:1, e:0, d:0 }
+  initial q
+  rules {
+    q(g(x1,x2)) -> g(q(x1),q(x2)) | g(q(x2),q(x1));
+    q(h(x1)) -> h(q(x1)) | g(q(x1),q(x1));
+    q(e) -> e;
+    q(d) -> d | e;
+  }
+}
+transducer t2 {
+  input { g:2, h:1, e:0, d:0 }
+  output { g:2, h:1, e:0, d:0 }
+  initial c0
+  rules { %s c0(d) -> d; }
+}
+"""
+
+
+@pytest.fixture(scope="session")
+def doubled_rotation():
+    """k -> (t1, t2): the rotation pair with a swapped g rule in t1, and
+    with both orders of every g rule of t2, whose states c0..c(k-1) are
+    rotated by g (i -> i+1) and by h (i -> i+2), mod k.  Its domain
+    automata blow up with k."""
+
+    def make(k):
+        rules = []
+        for i in range(k):
+            c, c1, c2 = "c%d" % i, "c%d" % ((i + 1) % k), "c%d" % ((i + 2) % k)
+            rules.append("%s(g(x1,x2)) -> g(%s(x1),%s(x2)) | g(%s(x1),%s(x2));" % (c, c, c1, c1, c))
+            rules.append("%s(h(x1)) -> h(%s(x1)); %s(e) -> e;" % (c, c2, c))
+        ws = parse_workspace(DOUBLED_ROTATION % " ".join(rules))
+        return ws.machines["t1"], ws.machines["t2"]
+
+    return make

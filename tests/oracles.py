@@ -1,13 +1,16 @@
 """Independent oracles the implementation is checked against.
 
 These deliberately avoid the package's evaluation code paths: translation by
-brute-force sentential-form rewriting, composition by staged rewriting, and
-look-ahead translation by materializing every relabeling.
+brute-force sentential-form rewriting, composition by staged rewriting,
+look-ahead translation by materializing every relabeling, the domain
+automaton by walking every subset of rules, and the bounded check by
+translating every tree up to the bound.
 """
 
 from itertools import combinations, product
 
-from ttc import ResourceLimit, StateId
+from ttc import ResourceLimit, Rule, StateId, Transducer
+from ttc.machines import EMPTY_SET_STATE
 from ttc.trees import (
     ROOT,
     AnnotatedSymbol,
@@ -153,3 +156,84 @@ def _translate_annotated(base, relabeled, cap=None):
         return frozenset(Tree(lab, combo) for combo in product(*alts))
 
     return eval_state(base.initial, relabeled)
+
+
+def domain_automaton_by_subsets(t, seeds=(), name=None):
+    """The power-set domain automaton built by brute force: for each state
+    set and symbol, every non-empty subset of each member's rules, and every
+    combination of one such subset per member."""
+    sigma = t.input_alphabet
+    known = {frozenset()}
+    queue = []
+    ordered_seeds = sorted((frozenset(s) for s in seeds), key=lambda m: sorted(x.name for x in m))
+    for members in [frozenset({t.initial})] + ordered_seeds:
+        if members not in known:
+            known.add(members)
+            queue.append(members)
+
+    rules = []
+    seen_rules = set()
+    for sym, k in sigma.items():
+        rhs = Tree(sym, tuple(Tree(StateOverVariable(EMPTY_SET_STATE, i)) for i in range(1, k + 1)))
+        rules.append(Rule(EMPTY_SET_STATE, sym, k, rhs))
+
+    while queue:
+        members = queue.pop(0)
+        state = StateId.of_set(members)
+        for sym, k in sigma.items():
+            per_member = []
+            for q in sorted(members, key=lambda s: s.name):
+                own = t.rules_for(q, sym)
+                per_member.append(
+                    [
+                        tuple(frozenset().union(*(r.child_states[i] for r in chosen)) for i in range(k))
+                        for n in range(1, len(own) + 1)
+                        for chosen in combinations(own, n)
+                    ]
+                )
+            for combo in product(*per_member):
+                children = tuple(frozenset().union(*(sig[i] for sig in combo)) for i in range(k))
+                key = (state.name, sym, tuple(StateId.of_set(c).name for c in children))
+                if key in seen_rules:
+                    continue
+                seen_rules.add(key)
+                child_ids = tuple(StateId.of_set(c) for c in children)
+                rhs = Tree(sym, tuple(Tree(StateOverVariable(cid, i + 1)) for i, cid in enumerate(child_ids)))
+                rules.append(Rule(state, sym, k, rhs))
+                for c in children:
+                    if c not in known:
+                        known.add(c)
+                        queue.append(c)
+
+    states = [StateId.of_set(m) for m in known]
+    return Transducer(name or "dom(%s)" % t.name, sigma, sigma, rules, StateId.of_set({t.initial}), states=states)
+
+
+def all_trees(alphabet, max_size):
+    """Every ground tree over the alphabet of size <= max_size, by size and
+    then by text."""
+    by_size = {}
+    for n in range(1, max_size + 1):
+        layer = []
+        for sym, k in alphabet.items():
+            for sizes in product(range(1, n), repeat=k):
+                if 1 + sum(sizes) == n:
+                    for kids in product(*(by_size[m] for m in sizes)):
+                        layer.append(Tree(sym, kids))
+        by_size[n] = sorted(layer, key=lambda tree: tree.text)
+    return [tree for n in range(1, max_size + 1) for tree in by_size[n]]
+
+
+def first_counterexample(stages, max_size):
+    """The bounded check by full enumeration: every tree up to the bound in
+    canonical order, translated by staged rewriting; returns the first input
+    with two outputs (or None), its two smallest outputs, and how many inputs
+    with an output were checked up to and including it."""
+    checked = 0
+    for s in all_trees(stages[0].input_alphabet, max_size):
+        outs = staged_compose(stages, s)
+        if outs:
+            checked += 1
+        if len(outs) > 1:
+            return s, tuple(sorted(outs, key=lambda o: (o.size, o.text))[:2]), checked
+    return None, (), checked

@@ -2,6 +2,7 @@ import pytest
 
 from ttc import (
     ChainTooShort,
+    ResourceLimit,
     CompositionChain,
     InvalidProvenance,
     NotLinearNondeleting,
@@ -24,9 +25,12 @@ from ttc import (
     reduce_chain,
     wrap_trivial_lookahead,
 )
+from ttc import constructions
+from ttc.generate import random_pair
 from ttc.trees import StateOverVariable, Tree, parse_tree
 
 from . import pair_properties
+from .oracles import domain_automaton_by_subsets
 
 t = parse_tree
 
@@ -207,6 +211,45 @@ class TestDomainAutomaton:
             "{}(a(x1)) -> a({}(x1))",
             "{}(e) -> e",
         }
+
+
+class TestDomainAutomatonReference:
+    """The fold-merged construction against the subset walk of the oracles."""
+
+    def test_fixture_machines(self, workspace):
+        for machine in workspace.machines.values():
+            if not isinstance(machine, Transducer):
+                continue
+            assert rule_strings(domain_automaton(machine)) == rule_strings(domain_automaton_by_subsets(machine))
+
+    def test_both_automata_of_build_m(self, monkeypatch, worked_pair, copy_pair, del_pair):
+        calls = []
+        original = constructions.domain_automaton
+
+        def spy(t, seeds=(), name=None):
+            seeds = list(seeds)
+            calls.append((t, seeds, original(t, seeds, name)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(constructions, "domain_automaton", spy)
+        for pair in [worked_pair, copy_pair, del_pair] + [random_pair(seed) for seed in range(200)]:
+            calls.clear()
+            build_m(*pair)
+            # dom(t2), then the look-ahead automaton over hat, seeded
+            assert len(calls) == 2
+            for t, seeds, got in calls:
+                want = domain_automaton_by_subsets(t, seeds)
+                assert rule_strings(got) == rule_strings(want), (t.name, pair[0].name)
+                assert {s.name for s in got.states} == {s.name for s in want.states}
+
+    def test_rule_cap_stops_the_merge(self, monkeypatch, doubled_rotation):
+        # without the cap, the look-ahead automaton of k=3 reaches the
+        # default RULE_CAP only after seconds of merging
+        monkeypatch.setattr(constructions, "RULE_CAP", 1000)
+        with pytest.raises(ResourceLimit, match="domain automaton exceeds 1000 rules"):
+            build_m(*doubled_rotation(3))
+        m, _ = build_m(*doubled_rotation(2))
+        assert len(m.la.rules) < 1000
 
 
 class TestPConstruction:

@@ -25,7 +25,7 @@ from ttc.decision import FUNCTIONAL, NOT_FUNCTIONAL, derivations
 from ttc.generate import random_chain3, random_pair
 from ttc.trees import parse_tree
 
-from .oracles import staged_compose, translate_la_eager
+from .oracles import all_trees, first_counterexample, staged_compose, translate_la_eager
 
 t = parse_tree
 
@@ -83,6 +83,30 @@ class TestCheckFunctionalBounded:
         assert verdict.stats["inputs_checked"] >= 1
         assert verdict.stats["outputs_computed"] >= 1
         assert verdict.stats["memo_entries"] >= 1
+        first = copy_chain.stages[0]
+        assert verdict.stats["inputs_enumerated"] == len(first.enumerate_domain(first.initial, 3))
+        assert verdict.stats["max_size_reached"] == 3
+
+    def test_stops_at_the_first_size_with_a_counterexample(self, doubled_rotation):
+        m, _ = build_m(*doubled_rotation(2))
+        verdict = check_functional_bounded(m, 5)
+        assert verdict.status == NOT_FUNCTIONAL
+        assert verdict.counterexample.input == t("d")
+        assert verdict.stats["max_size_reached"] == 1
+        assert verdict.stats["inputs_enumerated"] == len(m.enumerate_domain(1))
+
+    def test_matches_full_enumeration(self):
+        for seed in range(200):
+            t1, t2 = random_pair(seed)
+            verdict, reports = decide_functionality(CompositionChain((t1, t2)), 6)
+            domain = [s for s in all_trees(t1.input_alphabet, 6) if staged_compose((t1, t2), s)]
+            assert reports[-1].machine.enumerate_domain(6) == domain, seed
+            cex, outputs, checked = first_counterexample((t1, t2), 6)
+            assert verdict.status == (FUNCTIONAL if cex is None else NOT_FUNCTIONAL), seed
+            if cex is not None:
+                assert verdict.counterexample.input == cex, seed
+                assert verdict.counterexample.outputs == outputs, seed
+            assert verdict.stats["inputs_checked"] == checked, seed
 
 
 class TestCheckMemo:
@@ -178,6 +202,32 @@ class TestCheckMemo:
             tracemalloc.stop()
         # a memo kept on the machine held about 0.06 MB here
         assert retained < 4096
+
+    def test_early_stop_frees_the_enumeration(self, doubled_rotation, copy_pair):
+        m, _ = build_m(*doubled_rotation(2))
+        naive, _ = p_construction(*copy_pair)
+        for target in (m, naive):
+            check_functional_bounded(target, 6)
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                verdict = check_functional_bounded(target, 6)
+                gc.collect()
+                functions = sum(isinstance(x, types.FunctionType) for x in gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+            assert verdict.stats["max_size_reached"] < 6
+            assert functions == 0
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                check_functional_bounded(target, 6)
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert retained < 4096
 
 
 class TestDecideFunctionality:

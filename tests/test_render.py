@@ -47,7 +47,13 @@ def test_verdict_json_shape(copy_pair, copy_chain):
         doc = json.loads(to_json(verdict_json(verdict)))
         assert set(doc) == {"status", "bound", "counterexample", "stats"}
         assert doc["status"] == status
-        assert set(doc["stats"]) == {"inputs_checked", "outputs_computed", "memo_entries"}
+        assert set(doc["stats"]) == {
+            "inputs_checked",
+            "outputs_computed",
+            "memo_entries",
+            "inputs_enumerated",
+            "max_size_reached",
+        }
         if doc["counterexample"] is not None:
             assert set(doc["counterexample"]) == {"input", "outputs"}
             assert len(doc["counterexample"]["outputs"]) == 2
