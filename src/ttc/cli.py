@@ -133,6 +133,8 @@ def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
     if command in ("hat", "product", "fuse", "build-m"):
         t1 = workspace.machine(args.t1)
         t2 = workspace.machine(args.t2)
+        if not (isinstance(t1, Transducer) and isinstance(t2, Transducer)):
+            raise TtcError("%s needs plain transducers" % command)
         if command == "hat":
             return 0, _machine_output(build_hat_t1(t1, t2), fmt)
         if command == "product":

@@ -13,6 +13,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .errors import (
@@ -29,10 +30,12 @@ from .machines import (
     Rule,
     StateId,
     Transducer,
+    _addressed,
+    _evaluate,
     identity_automaton,
     merge_vectors,
 )
-from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree, subtree_at
+from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree, check_ground_over, subtree_at
 
 STATE_CAP = 5000
 RULE_CAP = 60000
@@ -119,10 +122,26 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
                 sigs.add(sig)
         return sigs
 
+    # trees are immutable, so every rule with the same symbol and child sets
+    # shares one rhs, built from one leaf per (set, position)
+    leaves: dict[tuple[int, int], Tree] = {}
+    rhss: dict[tuple[object, tuple[int, ...]], Tree] = {}
+
+    def rhs_of(sym, vec: tuple[int, ...]) -> Tree:
+        rhs = rhss.get((sym, vec))
+        if rhs is None:
+            kids = []
+            for i, c in enumerate(vec, start=1):
+                leaf = leaves.get((c, i))
+                if leaf is None:
+                    leaf = leaves[c, i] = Tree(StateOverVariable(state_of(c), i))
+                kids.append(leaf)
+            rhs = rhss[sym, vec] = Tree(sym, kids)
+        return rhs
+
     rules: list[Rule] = []
     for sym, k in sigma.items():
-        rhs = Tree(sym, tuple(Tree(StateOverVariable(EMPTY_SET_STATE, i)) for i in range(1, k + 1)))
-        rules.append(Rule(EMPTY_SET_STATE, sym, k, rhs))
+        rules.append(Rule(EMPTY_SET_STATE, sym, k, rhs_of(sym, (0,) * k)))
 
     known = {0}
     queue: deque[int] = deque()
@@ -141,8 +160,7 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
                 if len(rules) + len(merged) > RULE_CAP:
                     raise ResourceLimit("domain automaton exceeds %d rules" % RULE_CAP)
             for vec in sorted(merged, key=lambda vec: [state_of(c).name for c in vec]):
-                rhs = Tree(sym, tuple(Tree(StateOverVariable(state_of(c), i)) for i, c in enumerate(vec, start=1)))
-                rules.append(Rule(state, sym, k, rhs))
+                rules.append(Rule(state, sym, k, rhs_of(sym, vec)))
                 for c in vec:
                     if c not in known:
                         known.add(c)
@@ -184,18 +202,28 @@ def p_construction(
 
     init = (t1.initial, t2.initial)
     seen_pairs = {init}
-    queue = [init]
+    queue = deque([init])
     states = {make_state(*init)}
     rules: list[Rule] = []
     sources: list[tuple[Rule, Rule]] = []
     seen_rules: set[tuple] = set()
     seen_pairs_rule: set[tuple] = set()
 
+    # each source rhs is checked against t2 and addressed once, and one
+    # evaluation memo serves every (pair, rule) of this construction
+    addressed: dict[int, Tree] = {}
+    memo: dict = {}
+
     while queue:
-        q1, q2 = queue.pop(0)
+        q1, q2 = queue.popleft()
+        t2._known(q2)
         head = make_state(q1, q2)
         for src in t1.rules_of(q1):
-            for psi in sorted(t2.evaluate(q2, src.rhs), key=lambda p: p.text):
+            xi = addressed.get(id(src))
+            if xi is None:
+                check_ground_over(src.rhs, t2.input_alphabet, placeholders=True)
+                xi = addressed[id(src)] = _addressed(src.rhs, ())
+            for psi in sorted(_evaluate(t2, None, q2, xi, None, memo, None), key=attrgetter("text")):
                 gamma, demanded, ok = _instantiate(psi, src.rhs, make_state, pair_filter)
                 if not ok:
                     continue

@@ -89,19 +89,23 @@ class StateId:
 EMPTY_SET_STATE = StateId.of_set(())
 
 
-def _child_states(rhs: Tree, k: int) -> tuple[frozenset[StateId], ...]:
+def _child_states(rule: Rule) -> tuple[frozenset[StateId], ...]:
     """For each variable x_i, the set of states q with q(x_i) in the rhs."""
+    k = rule.variables
     buckets = [set() for _ in range(k)]
-
-    def walk(node):
+    stack = [rule.rhs]
+    while stack:
+        node = stack.pop()
         lab = node.label
         if isinstance(lab, StateOverVariable):
+            if not 1 <= lab.index <= k:
+                raise ValidationError(
+                    "rule %s: variable x%d out of range [%d]" % (rule.lhs_text(), lab.index, k)
+                )
             buckets[lab.index - 1].add(lab.state)
-        for c in node.children:
-            walk(c)
-
-    walk(rhs)
-    return tuple(frozenset(b) for b in buckets)
+        else:
+            stack.extend(node.children)
+    return tuple(map(frozenset, buckets))
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class Rule:
     child_states: tuple[frozenset[StateId], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "child_states", _child_states(self.rhs, self.variables))
+        object.__setattr__(self, "child_states", _child_states(self))
 
     def lhs_text(self) -> str:
         if self.variables == 0:
@@ -131,25 +135,26 @@ class Rule:
         return "%s -> %s" % (self.lhs_text(), self.rhs)
 
 
-def _check_rhs(rhs: Tree, k: int, states, output_alphabet, where):
-    lab = rhs.label
-    if isinstance(lab, StateOverVariable):
-        if lab.state not in states:
-            raise ValidationError("%s: rhs uses undeclared state %s" % (where, lab.state))
-        if not 1 <= lab.index <= k:
-            raise ValidationError("%s: variable x%d out of range [%d]" % (where, lab.index, k))
-        return
-    if isinstance(lab, MARKER_TYPES):
-        raise ValidationError("%s: unexpected marker %s in rhs" % (where, lab))
-    if lab not in output_alphabet:
-        raise ValidationError("%s: rhs symbol %s not in the output alphabet" % (where, lab))
-    if output_alphabet.rank(lab) != len(rhs.children):
-        raise ValidationError(
-            "%s: symbol %s has rank %d but %d children"
-            % (where, lab, output_alphabet.rank(lab), len(rhs.children))
-        )
-    for c in rhs.children:
-        _check_rhs(c, k, states, output_alphabet, where)
+def _check_rhs(rhs: Tree, state_names: Collection[str], output_ranks: dict) -> str | None:
+    """What is wrong with a right-hand side, or None: it depends only on the
+    rhs and the machine, so a machine walks each distinct rhs once."""
+    stack = [rhs]
+    while stack:
+        node = stack.pop()
+        lab = node.label
+        if isinstance(lab, StateOverVariable):
+            if not isinstance(lab.state, StateId) or lab.state.name not in state_names:
+                return "rhs uses undeclared state %s" % lab.state
+            continue
+        if isinstance(lab, MARKER_TYPES):
+            return "unexpected marker %s in rhs" % lab
+        rank = output_ranks.get(lab)
+        if rank is None:
+            return "rhs symbol %s not in the output alphabet" % lab
+        if rank != len(node.children):
+            return "symbol %s has rank %d but %d children" % (lab, rank, len(node.children))
+        stack.extend(reversed(node.children))
+    return None
 
 
 # -- semantics ---------------------------------------------------------------
@@ -279,12 +284,13 @@ class Transducer:
         self.output_alphabet = output_alphabet
         self.rules = tuple(rules)
         self.initial = initial
-        inferred = {initial}
-        for r in self.rules:
-            inferred.add(r.state)
-            for req in r.child_states:
-                inferred |= req
-        self.states = frozenset(states) if states is not None else frozenset(inferred)
+        if states is None:
+            states = {initial}
+            for r in self.rules:
+                states.add(r.state)
+                for req in r.child_states:
+                    states |= req
+        self.states = frozenset(states)
         self._validate(_annotated)
         # keyed on state names, which hash without a call into Python
         self._by_head: dict[tuple[str, object], tuple[Rule, ...]] = {}
@@ -293,27 +299,35 @@ class Transducer:
             self._by_head[key] = self._by_head.get(key, ()) + (r,)
 
     def _validate(self, annotated):
+        """Check every rule; the text of a failing rule is built only then."""
         if self.initial not in self.states:
             raise ValidationError("initial state %s not among the states" % self.initial)
-        if not self.states >= {r.state for r in self.rules}:
-            raise ValidationError("some rule head is not a declared state")
         state_names = {s.name for s in self.states}
+        if not all(isinstance(r.state, StateId) and r.state.name in state_names for r in self.rules):
+            raise ValidationError("some rule head is not a declared state")
         for alpha in (self.input_alphabet, self.output_alphabet):
             clash = state_names & {s for s in alpha if isinstance(s, str)}
             if clash:
                 raise ValidationError("alphabet symbols clash with state names: %s" % sorted(clash))
+        input_ranks = dict(self.input_alphabet.items())
+        output_ranks = dict(self.output_alphabet.items())
+        walked = set()  # ids of the right-hand sides checked so far
         for r in self.rules:
-            where = "rule %s" % r.lhs_text()
-            if r.symbol not in self.input_alphabet:
-                raise ValidationError("%s: symbol not in the input alphabet" % where)
-            if self.input_alphabet.rank(r.symbol) != r.variables:
-                raise ValidationError("%s: symbol rank differs from variable count" % where)
-            if annotated:
-                if r.lookahead is None or len(r.lookahead) != r.variables:
-                    raise ValidationError("%s: expected one look-ahead state per variable" % where)
-            elif r.lookahead is not None:
-                raise ValidationError("%s: look-ahead annotations on a plain transducer" % where)
-            _check_rhs(r.rhs, r.variables, self.states, self.output_alphabet, where)
+            if r.symbol not in input_ranks:
+                problem = "symbol not in the input alphabet"
+            elif input_ranks[r.symbol] != r.variables:
+                problem = "symbol rank differs from variable count"
+            elif annotated and (r.lookahead is None or len(r.lookahead) != r.variables):
+                problem = "expected one look-ahead state per variable"
+            elif not annotated and r.lookahead is not None:
+                problem = "look-ahead annotations on a plain transducer"
+            elif id(r.rhs) in walked:
+                continue
+            else:
+                walked.add(id(r.rhs))
+                problem = _check_rhs(r.rhs, state_names, output_ranks)
+            if problem is not None:
+                raise ValidationError("rule %s: %s" % (r.lhs_text(), problem))
 
     def __repr__(self):
         return "Transducer(%s: %d states, %d rules)" % (self.name, len(self.states), len(self.rules))

@@ -3,13 +3,15 @@
 These deliberately avoid the package's evaluation code paths: translation by
 brute-force sentential-form rewriting, composition by staged rewriting,
 look-ahead translation by materializing every relabeling, the domain
-automaton by walking every subset of rules, and the bounded check by
+automaton by walking every subset of rules, the product construction by one
+public `evaluate` call per (pair, rule), and the bounded check by
 translating every tree up to the bound.
 """
 
 from itertools import combinations, product
 
 from ttc import ResourceLimit, Rule, StateId, Transducer
+from ttc.constructions import _instantiate
 from ttc.machines import EMPTY_SET_STATE
 from ttc.trees import (
     ROOT,
@@ -207,6 +209,45 @@ def domain_automaton_by_subsets(t, seeds=(), name=None):
 
     states = [StateId.of_set(m) for m in known]
     return Transducer(name or "dom(%s)" % t.name, sigma, sigma, rules, StateId.of_set({t.initial}), states=states)
+
+
+def p_construction_by_evaluate(t1, t2, make_state=None, pair_filter=None, name=None):
+    """The product construction with a fresh public `t2.evaluate` per (pair,
+    rule), which validates and addresses the rule's rhs every time; returns
+    the machine and the (new rule, source t1 rule) pairing."""
+    make_state = make_state or StateId.pair
+    init = (t1.initial, t2.initial)
+    seen_pairs = {init}
+    queue = [init]
+    states = {make_state(*init)}
+    rules, sources = [], []
+    seen_rules, seen_pairs_rule = set(), set()
+    while queue:
+        q1, q2 = queue.pop(0)
+        head = make_state(q1, q2)
+        for src in t1.rules_of(q1):
+            for psi in sorted(t2.evaluate(q2, src.rhs), key=lambda p: p.text):
+                gamma, demanded, ok = _instantiate(psi, src.rhs, make_state, pair_filter)
+                if not ok:
+                    continue
+                rule = Rule(head, src.symbol, src.variables, gamma)
+                pair_key = (rule.state.name, rule.symbol, rule.rhs.text, id(src))
+                if pair_key in seen_pairs_rule:
+                    continue
+                seen_pairs_rule.add(pair_key)
+                sources.append((rule, src))
+                if pair_key[:3] not in seen_rules:
+                    seen_rules.add(pair_key[:3])
+                    rules.append(rule)
+                for pair in demanded:
+                    if pair not in seen_pairs:
+                        seen_pairs.add(pair)
+                        queue.append(pair)
+                        states.add(make_state(*pair))
+    machine = Transducer(
+        name or "p(%s,%s)" % (t1.name, t2.name), t1.input_alphabet, t2.output_alphabet, rules, make_state(*init), states=states
+    )
+    return machine, sources
 
 
 def all_trees(alphabet, max_size):

@@ -221,6 +221,16 @@ class TestErrors:
         assert status == 2
         assert any(line.startswith("error: ") for line in err.splitlines())
 
+    @pytest.mark.parametrize("command", ["hat", "product", "fuse", "build-m"])
+    @pytest.mark.parametrize(
+        "pair", [("quadratic", "quadratic_la"), ("quadratic_la", "quadratic")], ids=["t2-la", "t1-la"]
+    )
+    def test_lookahead_machine_in_a_pair_command(self, capsys, command, pair):
+        status, _, err = run_cli(capsys, "-w", FIXTURES, command, "--t1", pair[0], "--t2", pair[1])
+        assert status == 2
+        assert "Traceback" not in err
+        assert err.splitlines() == ["error: %s needs plain transducers" % command]
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

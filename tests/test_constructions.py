@@ -25,12 +25,12 @@ from ttc import (
     reduce_chain,
     wrap_trivial_lookahead,
 )
-from ttc import constructions
+from ttc import constructions, machines
 from ttc.generate import random_pair
 from ttc.trees import StateOverVariable, Tree, parse_tree
 
 from . import pair_properties
-from .oracles import domain_automaton_by_subsets
+from .oracles import domain_automaton_by_subsets, p_construction_by_evaluate
 
 t = parse_tree
 
@@ -250,6 +250,65 @@ class TestDomainAutomatonReference:
             build_m(*doubled_rotation(3))
         m, _ = build_m(*doubled_rotation(2))
         assert len(m.la.rules) < 1000
+
+
+def listing(result):
+    """Rule strings in order, and the (rule string, source rule) pairing."""
+    machine, sources = result
+    return [str(r) for r in machine.rules], [(str(r), id(src)) for r, src in sources], machine.initial
+
+
+def reference_pairs(workspace):
+    pairs = [chain.stages for chain in workspace.chains.values() if len(chain) == 2]
+    return pairs + [random_pair(seed) for seed in range(200)]
+
+
+class TestConstructionReference:
+    """The product construction and the domain automaton against the oracles'
+    per-(pair, rule) `evaluate` loop, by listings and by counts."""
+
+    def test_hat_and_triple_product(self, workspace):
+        for t1, t2 in reference_pairs(workspace):
+            aut = domain_automaton(t2)
+            hat = p_construction(t1, aut, name="hat")
+            assert listing(hat) == listing(p_construction_by_evaluate(t1, aut, name="hat")), t1.name
+            args = (hat[0], t2, constructions._triple_state, constructions._triple_filter)
+            assert listing(p_construction(*args)) == listing(p_construction_by_evaluate(*args)), t1.name
+
+    def test_domain_automata_share_and_walk_each_rhs_once(self, monkeypatch, workspace):
+        automata = []
+        original = constructions.domain_automaton
+
+        def spy(t, seeds=(), name=None):
+            automata.append(original(t, seeds, name))
+            return automata[-1]
+
+        monkeypatch.setattr(constructions, "domain_automaton", spy)
+        for pair in reference_pairs(workspace):
+            build_m(*pair)
+        monkeypatch.undo()
+
+        walks = []
+        check_rhs = machines._check_rhs
+
+        def counting(rhs, *args):
+            walks.append(rhs)
+            return check_rhs(rhs, *args)
+
+        monkeypatch.setattr(machines, "_check_rhs", counting)
+        rules = distinct = 0
+        for aut in automata:
+            by_text = {}
+            for r in aut.rules:
+                by_text.setdefault((r.symbol, r.rhs.text), set()).add(id(r.rhs))
+            assert all(len(ids) == 1 for ids in by_text.values()), aut.name
+            walks.clear()
+            Transducer(aut.name, aut.input_alphabet, aut.output_alphabet, aut.rules, aut.initial, states=aut.states)
+            assert len(walks) == len(by_text) == len({id(r.rhs) for r in aut.rules}), aut.name
+            rules += len(aut.rules)
+            distinct += len(by_text)
+        assert len(automata) == 2 * len(reference_pairs(workspace))
+        assert distinct < rules
 
 
 class TestPConstruction:

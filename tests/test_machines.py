@@ -1,11 +1,16 @@
+import re
+
 import pytest
 
 from ttc import (
     AlphabetMismatch,
     LookaheadTransducer,
+    RankedAlphabet,
+    Rule,
     StateId,
     Transducer,
     UnknownState,
+    ValidationError,
     build_hat_t1,
     build_m,
     domain_automaton,
@@ -278,3 +283,68 @@ class TestRequirementEnumeration:
     def test_unconstrained_counts(self, quadratic):
         got = enumerate_trees(quadratic.input_alphabet, 4)
         assert [s.text for s in got] == ["e", "a(e)", "a(a(e))", "a(a(a(e)))"]
+
+
+# --- validation of machines built directly -----------------------------------
+
+Q, P, L = StateId.base("q"), StateId.base("p"), StateId.base("l")
+IN = RankedAlphabet({"a": 1, "e": 0})
+OUT = RankedAlphabet({"f": 2, "e": 0})
+
+
+def var(state, i):
+    return Tree(StateOverVariable(state, i))
+
+
+# a valid rule first, so each message must name the rule that fails
+GOOD = Rule(Q, "e", 0, Tree("e"))
+
+
+class TestRuleVariables:
+    def test_variable_beyond_the_rank(self):
+        with pytest.raises(ValidationError, match=re.escape("rule q(a(x1)): variable x2 out of range [1]")):
+            Rule(Q, "a", 1, Tree("f", (var(Q, 1), var(Q, 2))))
+
+    def test_variable_zero(self):
+        with pytest.raises(ValidationError, match=re.escape("rule q(a(x1)): variable x0 out of range [1]")):
+            Rule(Q, "a", 1, var(Q, 0))
+
+
+class TestValidate:
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            (Rule(Q, "a", 1, Tree("f", (var(P, 1), Tree("e")))), "rule q(a(x1)): rhs uses undeclared state p"),
+            (Rule(Q, "a", 1, Tree(StateOverNode(Q, NodeAddress((1,))))), "rule q(a(x1)): unexpected marker q(1) in rhs"),
+            (Rule(Q, "a", 1, Tree(PlaceholderLeaf("h"))), "rule q(a(x1)): unexpected marker ?h in rhs"),
+            (Rule(Q, "a", 1, Tree("f", (var(Q, 1), Tree("g")))), "rule q(a(x1)): rhs symbol g not in the output alphabet"),
+            (Rule(Q, "a", 1, Tree("f", (var(Q, 1),))), "rule q(a(x1)): symbol f has rank 2 but 1 children"),
+            (Rule(Q, "b", 0, Tree("e")), "rule q(b): symbol not in the input alphabet"),
+            (Rule(Q, "a", 0, Tree("e")), "rule q(a): symbol rank differs from variable count"),
+            (Rule(Q, "a", 1, var(Q, 1), lookahead=(L,)), "rule q(a(x1:l)): look-ahead annotations on a plain transducer"),
+        ],
+        ids=["undeclared-state", "node-marker", "placeholder", "output-symbol", "rhs-rank", "input-symbol", "variable-count", "annotations"],
+    )
+    def test_rule_failure_names_the_rule(self, rule, message):
+        with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+            Transducer("m", IN, OUT, [GOOD, rule], Q, states=[Q])
+
+    def test_missing_annotations(self):
+        rule = Rule(Q, "a", 1, var(Q, 1))
+        good = Rule(Q, "e", 0, Tree("e"), lookahead=())
+        message = "rule q(a(x1)): expected one look-ahead state per variable"
+        with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+            Transducer("m", IN, OUT, [good, rule], Q, states=[Q], _annotated=True)
+
+    def test_shared_rhs_undeclared_head(self):
+        rhs = Tree("f", (var(Q, 1), Tree("e")))
+        rules = [Rule(Q, "a", 1, rhs), Rule(P, "a", 1, rhs)]
+        with pytest.raises(ValidationError, match="rule head is not a declared state"):
+            Transducer("m", IN, OUT, rules, Q, states=[Q])
+
+    def test_shared_rhs_foreign_symbol(self):
+        # the second rule's rhs was walked for the first; its own checks still run
+        rhs = Tree("e")
+        rules = [Rule(Q, "e", 0, rhs), Rule(Q, "b", 0, rhs)]
+        with pytest.raises(ValidationError, match="^%s$" % re.escape("rule q(b): symbol not in the input alphabet")):
+            Transducer("m", IN, OUT, rules, Q, states=[Q])
