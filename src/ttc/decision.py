@@ -8,11 +8,12 @@ distinct outputs in canonical order.  Verdicts are always bound-relative: a
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
 
 from .constructions import BuildReport, CompositionChain, build_m, reduce_chain, wrap_trivial_lookahead
-from .errors import ValidationError
+from .errors import ResourceLimit, ValidationError
 from .machines import LookaheadTransducer, Rule, Transducer, _evaluate, enumerate_sizes
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
 
@@ -31,15 +32,23 @@ def chain_outputs(chain: CompositionChain | Transducer, tree: Tree, cap: int | N
     return frozenset(_outputs(stages, tree, cap, [({}, {}) for _ in stages]))
 
 
-def _outputs(stages, tree: Tree, cap: int | None, memos) -> set[Tree]:
+def _outputs(stages, tree: Tree, cap: int | None, memos) -> Collection[Tree]:
     """The outputs of the (base, look-ahead) stages, composed left to right,
-    on a valid input; stage i memoises in memos[i].  A chain's alphabets
-    match, so every intermediate tree is valid for the next stage."""
+    on a valid input, without repeats; stage i memoises in memos[i].  A
+    chain's alphabets match, so every intermediate tree is valid for the
+    next stage.  The cap bounds each stage's whole output set."""
     outs = (tree,)
     for (base, la), (memo, la_memo) in zip(stages, memos):
+        if len(outs) == 1:
+            # `_evaluate` returns a tuple without repeats: no set needed
+            (t,) = outs
+            outs = _evaluate(base, la, base.initial, t, cap, memo, la_memo)
+            continue
         step = set()
         for t in outs:
             step.update(_evaluate(base, la, base.initial, t, cap, memo, la_memo))
+            if cap is not None and len(step) > cap:
+                raise ResourceLimit("output set exceeds cap %d" % cap)
         outs = step
     return outs
 

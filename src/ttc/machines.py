@@ -182,29 +182,37 @@ def _addressed(tree: Tree, path: tuple[int, ...]) -> Tree:
     return Tree(tree.label, kids)
 
 
-def _guard(la: Transducer | None, rule: Rule, node: Tree, la_memo: dict | None) -> bool:
-    """True iff the rule may fire at the node: always without look-ahead,
-    else iff every child lies in the domain of its look-ahead state."""
-    if la is None:
-        return True
-    for l, c in zip(rule.lookahead, node.children):
-        if not _member(la, None, l, c, la_memo, None):
-            return False
-    return True
-
-
 def _member(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict, la_memo: dict | None) -> bool:
-    """True iff some ground output is derivable from q(s); `memo` holds the
-    answers for base, `la_memo` those for the look-ahead automaton."""
-    key = (q.name, s.text)
-    ok = memo.get(key)
-    if ok is None:
-        ok = any(
-            _guard(la, rule, s, la_memo)
-            and all(_member(base, la, q2, s.children[i], memo, la_memo) for i, req in enumerate(rule.child_states) for q2 in req)
-            for rule in base.rules_for(q, s.label)
-        )
-        memo[key] = ok
+    """True iff some ground output is derivable from q(s), stored in `memo`
+    under (state name, subtree text); `la_memo` holds the answers for the
+    look-ahead automaton.  Callers look the key up first and call only on a
+    miss, as this function does for the children.  A rule fires at s iff
+    every child lies in the domain of its look-ahead state (always, without
+    look-ahead)."""
+    kids = s.children
+    ok = False
+    for rule in base.rules_for(q, s.label):
+        ok = True
+        if la is not None:
+            for l, c in zip(rule.lookahead, kids):
+                ok = la_memo.get((l.name, c.text))
+                if ok is None:
+                    ok = _member(la, None, l, c, la_memo, None)
+                if not ok:
+                    break
+        for i, req in enumerate(rule.child_states):
+            if not ok:
+                break
+            c = kids[i]
+            for q2 in req:
+                ok = memo.get((q2.name, c.text))
+                if ok is None:
+                    ok = _member(base, la, q2, c, memo, la_memo)
+                if not ok:
+                    break
+        if ok:
+            break
+    memo[(q.name, s.text)] = ok
     return ok
 
 
@@ -214,14 +222,24 @@ def _evaluate(
     """The trees derivable from q(s), without repeats; a placeholder leaf named
     by its address v (see `_addressed`) turns into q(v).  The children's
     results go through `memo`, the result for s itself does not: a check's
-    inputs are distinct, so it would not be looked up again."""
+    inputs are distinct, so it would not be looked up again.  Memo hits are
+    answered in the caller's loop, without a call."""
     lab = s.label
     if isinstance(lab, PlaceholderLeaf):
         return (Tree(StateOverNode(q, lab.ident)),)
     # loops, not comprehensions, which would add a frame per input level
+    kids = s.children
     alts = []
     for rule in base.rules_for(q, lab):
-        if _guard(la, rule, s, la_memo):
+        fires = True
+        if la is not None:
+            for l, c in zip(rule.lookahead, kids):
+                fires = la_memo.get((l.name, c.text))
+                if fires is None:
+                    fires = _member(la, None, l, c, la_memo, None)
+                if not fires:
+                    break
+        if fires:
             alts.append(_expand(base, la, rule.rhs, s, cap, memo, la_memo))
     if len(alts) == 1:  # already without repeats; skips hashing every tree
         return alts[0]
@@ -234,7 +252,9 @@ def _evaluate(
 def _expand(
     base: Transducer, la: Transducer | None, node: Tree, s: Tree, cap: int | None, memo: dict, la_memo: dict | None
 ) -> tuple[Tree, ...]:
-    """The trees a right-hand side node yields at input node s, without repeats."""
+    """The trees a right-hand side node yields at input node s, without repeats.
+    A q(xi) child is looked up in `memo` here, and evaluated only on a miss;
+    only a q(xi) at the root of a right-hand side comes in as `node`."""
     lab = node.label
     if isinstance(lab, StateOverVariable):
         child = s.children[lab.index - 1]
@@ -248,12 +268,24 @@ def _expand(
     alts = []
     count = 1
     for c in node.children:
-        a = _expand(base, la, c, s, cap, memo, la_memo)
+        clab = c.label
+        if isinstance(clab, StateOverVariable):
+            child = s.children[clab.index - 1]
+            key = (clab.state.name, child.text)
+            a = memo.get(key)
+            if a is None:
+                a = memo[key] = _evaluate(base, la, clab.state, child, cap, memo, la_memo)
+        elif c.children:
+            a = _expand(base, la, c, s, cap, memo, la_memo)
+        else:
+            a = (c,)
         alts.append(a)
         count *= len(a)
+    if count == 1:  # one combination: no product
+        return (Tree(lab, [a[0] for a in alts]),)
     if cap is not None and count > cap:
         raise ResourceLimit("output set exceeds cap %d" % cap)
-    return tuple(Tree(lab, combo) for combo in product(*alts))
+    return tuple([Tree(lab, combo) for combo in product(*alts)])
 
 
 def merge_vectors(merged: set, alternatives: Collection[tuple]) -> set:

@@ -108,16 +108,21 @@ class Tree:
     __slots__ = ("label", "children", "text", "size")
 
     def __init__(self, label, children: Iterable["Tree"] = ()):
+        # list comprehensions and a loop, not generators: this runs per node
         children = tuple(children)
-        if isinstance(label, MARKER_TYPES) and children:
-            raise ValidationError("state markers and placeholders occur only at leaves")
         self.label = label
         self.children = children
         if children:
-            self.text = "%s(%s)" % (label, ",".join(c.text for c in children))
+            if isinstance(label, MARKER_TYPES):
+                raise ValidationError("state markers and placeholders occur only at leaves")
+            self.text = "%s(%s)" % (label, ",".join([c.text for c in children]))
+            size = 1
+            for c in children:
+                size += c.size
+            self.size = size
         else:
             self.text = str(label)
-        self.size = 1 + sum(c.size for c in children)
+            self.size = 1
 
     def __eq__(self, other):
         if not isinstance(other, Tree):

@@ -20,10 +20,10 @@ from ttc import (
     trace_derivation,
     wrap_trivial_lookahead,
 )
-from ttc import decision
+from ttc import decision, machines
 from ttc.decision import FUNCTIONAL, NOT_FUNCTIONAL, derivations
 from ttc.generate import random_chain3, random_pair
-from ttc.trees import parse_tree
+from ttc.trees import Tree, parse_tree
 
 from .oracles import all_trees, first_counterexample, staged_compose, translate_la_eager
 
@@ -45,6 +45,30 @@ class TestChainOutputs:
     def test_worked(self, worked_chain):
         assert chain_outputs(worked_chain, t("f(e,d)")) == frozenset((t("d"),))
         assert chain_outputs(worked_chain, t("f(e,e)")) == frozenset((t("f(e,e)"),))
+
+    def test_cap_bounds_the_composed_set(self):
+        # s1 gives 8 trees on a(a(a(e))) and s2 gives 8 on each of them, all
+        # within the cap; together they are all 27 words over {a, b, c}
+        text = """
+        transducer s1 {
+          input { a:1, e:0 }
+          output { a:1, b:1, e:0 }
+          initial q
+          rules { q(a(x1)) -> a(q(x1)) | b(q(x1)); q(e) -> e; }
+        }
+        transducer s2 {
+          input { a:1, b:1, e:0 }
+          output { a:1, b:1, c:1, e:0 }
+          initial u
+          rules { u(a(x1)) -> a(u(x1)) | c(u(x1)); u(b(x1)) -> b(u(x1)) | c(u(x1)); u(e) -> e; }
+        }
+        chain branching { s1, s2 }
+        """
+        chain = parse_workspace(text).chains["branching"]
+        s = t("a(a(a(e)))")
+        assert len(chain_outputs(chain, s, cap=27)) == 27
+        with pytest.raises(ResourceLimit, match="output set exceeds cap 10$"):
+            chain_outputs(chain, s, cap=10)
 
 
 class TestCheckFunctionalBounded:
@@ -228,6 +252,43 @@ class TestCheckMemo:
             finally:
                 tracemalloc.stop()
             assert retained < 4096
+
+
+class TestEvaluatorCalls:
+    """Counts, never the clock: memo hits are answered without a call."""
+
+    def test_worked_pair_at_bound_11(self, worked_pair, monkeypatch):
+        m, _ = build_m(*worked_pair)
+        roots, inner, member_hits, builds = [], [], [], [0]
+        evaluate, member, init = machines._evaluate, machines._member, Tree.__init__
+
+        def spy_root(base, la, q, s, cap, memo, la_memo):
+            roots.append(s.text)
+            return evaluate(base, la, q, s, cap, memo, la_memo)
+
+        def spy_inner(base, la, q, s, cap, memo, la_memo):
+            inner.append((q.name, s.text))
+            return evaluate(base, la, q, s, cap, memo, la_memo)
+
+        def spy_member(base, la, q, s, memo, la_memo):
+            member_hits.append((q.name, s.text) in memo)
+            return member(base, la, q, s, memo, la_memo)
+
+        def spy_init(self, label, children=()):
+            builds[0] += 1
+            init(self, label, children)
+
+        monkeypatch.setattr(decision, "_evaluate", spy_root)
+        monkeypatch.setattr(machines, "_evaluate", spy_inner)
+        monkeypatch.setattr(machines, "_member", spy_member)
+        monkeypatch.setattr(Tree, "__init__", spy_init)
+        verdict = check_functional_bounded(m, 11)
+        assert verdict.status == FUNCTIONAL
+        assert len(roots) == len(set(roots)) == verdict.stats["inputs_checked"] == 2168
+        # each non-root (state, subtree) pair is evaluated once, into the memo
+        assert len(inner) == len(set(inner)) == verdict.stats["memo_entries"]
+        assert member_hits and not any(member_hits)
+        assert builds[0] <= 6360
 
 
 class TestDecideFunctionality:

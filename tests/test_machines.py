@@ -121,6 +121,17 @@ class TestTranslate:
         with pytest.raises(AlphabetMismatch):
             quadratic.translate(t("g(e)"))
 
+    def test_deep_spine(self, quadratic):
+        # two evaluator frames per input level: a 450-node spine fits under
+        # the default recursion limit (the recursion itself is still there)
+        n = 449
+        (out,) = quadratic.translate(t("a(" * n + "e" + ")" * n))
+        want = "e"
+        for i in range(1, n + 1):
+            want = "f(%s,%s)" % ("a(" * (i - 1) + "e" + ")" * (i - 1), want)
+        assert out.text == want
+        assert out.size == (n * n + 3 * n) // 2 + 1
+
     def test_agrees_with_rewrite_oracle(self, quadratic, copy_pair, del_pair, worked_pair):
         machines = [quadratic, *copy_pair, *del_pair, *worked_pair]
         for machine in machines:

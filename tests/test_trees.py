@@ -1,10 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from ttc.errors import InvalidAddress, TtcSyntaxError
+from ttc.errors import InvalidAddress, TtcSyntaxError, ValidationError
 from ttc.trees import (
+    AnnotatedSymbol,
     NodeAddress,
+    PlaceholderLeaf,
     RankedAlphabet,
+    StateOverNode,
+    StateOverVariable,
     Tree,
     ValidationWarning,
     parse_tree,
@@ -66,6 +72,54 @@ def test_every_node_has_subtree(tree):
     for v in addresses(tree):
         sub = subtree_at(tree, v)
         assert sub.size <= tree.size
+
+
+# random shapes (label, children) for the constructor, against a recursive
+# reference rendering
+LABELS = ["f", "a", "e", AnnotatedSymbol("g", ("l1", "l2"))]
+
+
+def random_shape(rng, depth):
+    width = 0 if depth == 0 else rng.randint(0, 3)
+    return rng.choice(LABELS), [random_shape(rng, depth - 1) for _ in range(width)]
+
+
+def render(shape):
+    label, kids = shape
+    return "%s(%s)" % (label, ",".join(render(k) for k in kids)) if kids else str(label)
+
+
+def node_count(shape):
+    return 1 + sum(node_count(k) for k in shape[1])
+
+
+def build(shape, rng):
+    """The Tree of a shape, children passed as a list, a tuple, an iterator
+    or a generator at random."""
+    label, kids = shape
+    built = [build(k, rng) for k in kids]
+    container = rng.choice([list, tuple, iter, lambda xs: (x for x in xs)])
+    return Tree(label, container(built))
+
+
+class TestTreeConstructor:
+    def test_text_and_size_match_a_recursive_rendering(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            shape = random_shape(rng, rng.randint(0, 5))
+            tree = build(shape, rng)
+            assert tree.text == render(shape)
+            assert tree.size == node_count(shape)
+
+    @pytest.mark.parametrize(
+        "marker", [StateOverVariable("q", 1), StateOverNode("q", NodeAddress((1,))), PlaceholderLeaf(3)]
+    )
+    def test_marker_with_children(self, marker):
+        assert Tree(marker).text == str(marker)
+        assert Tree(marker, []).size == 1
+        for children in ([Tree("e")], (Tree("e"),), (c for c in [Tree("e")])):
+            with pytest.raises(ValidationError):
+                Tree(marker, children)
 
 
 class TestParsing:
