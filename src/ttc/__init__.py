@@ -12,7 +12,6 @@ from .constructions import (
     decompose_la,
     domain_automaton,
     p_construction,
-    prune,
     reduce_chain,
     wrap_trivial_lookahead,
 )

@@ -479,14 +479,6 @@ def reduce_chain(chain: CompositionChain) -> tuple[CompositionChain, list[BuildR
     return reduced, reports
 
 
-def prune(machine):
-    """Drop states unreachable from the initial state (and, for look-ahead
-    transducers, look-ahead states with empty domain) plus their rules."""
-    if isinstance(machine, LookaheadTransducer):
-        return LookaheadTransducer(machine.base, machine.la)
-    return machine.restricted_to(machine.reachable_states())
-
-
 def wrap_trivial_lookahead(t: Transducer) -> LookaheadTransducer:
     """View a plain transducer as a look-ahead transducer with a universal
     one-state look-ahead automaton."""

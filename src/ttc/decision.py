@@ -239,6 +239,8 @@ def derivations(t: Transducer, tree: Tree):
 def trace_derivation(t: Transducer, tree: Tree, branch: int = 0) -> DerivationTrace:
     """One maximal rewrite sequence; `branch` indexes the depth-first
     enumeration of all (node, rule) choice sequences."""
+    if branch < 0:
+        raise ValidationError("branch must be >= 0")
     got = list(islice(derivations(t, tree), branch, branch + 1))
     if not got:
         raise ValidationError("branch %d is out of range" % branch)

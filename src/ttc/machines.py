@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from operator import attrgetter, or_
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimit, UnknownState, ValidationError
 from .trees import (
@@ -32,11 +32,12 @@ from .trees import (
 
 
 class StateId:
-    """Interned state identifier with a provenance tag.
+    """State identifier with a provenance tag; not interned: equality and
+    hash go through the name, so equal names make equal states.
 
     Provenance is one of base, pair, set, or triple; the canonical rendering
-    ("(q,S)", "{q1,q2}", "(q,S,q')") doubles as the equality and hash key.
-    Set members are kept sorted so equal sets get equal ids.
+    ("(q,S)", "{q1,q2}", "(q,S,q')") is the name.  Set members are kept
+    sorted so equal sets get equal ids.
     """
 
     __slots__ = ("kind", "parts", "name")
@@ -298,6 +299,39 @@ def merge_vectors(merged: set, alternatives: Collection[tuple]) -> set:
     return {tuple(map(or_, m, a)) for m in merged for a in alternatives}
 
 
+def least_fixpoint(keys: Sequence[Hashable], children: Sequence[Collection]) -> set:
+    """The least set that holds keys[i] as soon as it holds all of
+    children[i]: the live states of an automaton, one entry per rule and
+    keyed on state names, or the productive requirement sets of
+    `_set_productive`, one entry per alternative."""
+    live = set()
+    changed = True
+    while changed:
+        changed = False
+        for key, kids in zip(keys, children):
+            if key not in live and all(c in live for c in kids):
+                live.add(key)
+                changed = True
+    return live
+
+
+def reachable(starts: Iterable[StateId], rules: Iterable[Rule]) -> dict[str, StateId]:
+    """The states reachable from `starts` through `rules`, by name."""
+    by_state: dict[str, list[Rule]] = {}
+    for r in rules:
+        by_state.setdefault(r.state.name, []).append(r)
+    seen = {s.name: s for s in starts}
+    todo = list(seen)
+    while todo:
+        for r in by_state.get(todo.pop(), ()):
+            for req in r.child_states:
+                for q in req:
+                    if q.name not in seen:
+                        seen[q.name] = q
+                        todo.append(q.name)
+    return seen
+
+
 class Transducer:
     """Nondeterministic top-down tree transducer; immutable after construction."""
 
@@ -431,26 +465,6 @@ class Transducer:
         check_ground_over(tree, self.input_alphabet)
         return _member(self, None, state, tree, {}, None)
 
-    @property
-    def productive_states(self) -> frozenset[StateId]:
-        """Least fixpoint of: q is productive iff some rule of q has only productive rhs states.
-
-        Exact for automata (one state per child); for general transducers it
-        over-approximates non-emptiness, which is why dom_empty works with
-        requirement sets instead.
-        """
-        prod: set[StateId] = set()
-        changed = True
-        while changed:
-            changed = False
-            for r in self.rules:
-                if r.state in prod:
-                    continue
-                if all(q in prod for req in r.child_states for q in req):
-                    prod.add(r.state)
-                    changed = True
-        return frozenset(prod)
-
     def _requirement_alternatives(self, members: frozenset[StateId]):
         """Per symbol, the merged child-requirement vectors opened by choosing
         one rule per member state (projections of subset choices accept the
@@ -465,29 +479,20 @@ class Transducer:
         """True iff some ground tree lies in every member's domain."""
         universe = {members}
         stack = [members]
-        alternatives: dict[frozenset, list[tuple]] = {}
+        keys: list[frozenset] = []
+        vecs: list[tuple] = []
         while stack:
             current = stack.pop()
-            vecs = list(self._requirement_alternatives(current))
-            alternatives[current] = vecs
-            for vec in vecs:
+            for vec in self._requirement_alternatives(current):
+                keys.append(current)
+                vecs.append(vec)
                 for child in vec:
                     if child not in universe:
                         universe.add(child)
                         stack.append(child)
                         if len(universe) > 100000:
                             raise ResourceLimit("requirement-set universe too large")
-        productive: set[frozenset] = set()
-        changed = True
-        while changed:
-            changed = False
-            for current in universe:
-                if current in productive:
-                    continue
-                if any(all(child in productive for child in vec) for vec in alternatives[current]):
-                    productive.add(current)
-                    changed = True
-        return members in productive
+        return members in least_fixpoint(keys, vecs)
 
     def dom_empty(self, state: StateId) -> bool:
         self._known(state)
@@ -497,40 +502,6 @@ class Transducer:
         """All ground trees of size <= max_size in dom(state), in canonical order."""
         self._known(state)
         return enumerate_satisfying(self.input_alphabet, ((self, state),), max_size)
-
-    # -- helpers for constructions -----------------------------------------
-
-    def reachable_states(self) -> frozenset[StateId]:
-        seen = {self.initial}
-        todo = [self.initial]
-        while todo:
-            q = todo.pop()
-            for r in self.rules_of(q):
-                for req in r.child_states:
-                    for q2 in req:
-                        if q2 not in seen:
-                            seen.add(q2)
-                            todo.append(q2)
-        return frozenset(seen)
-
-    def restricted_to(self, keep: Iterable[StateId], name: str | None = None) -> "Transducer":
-        keep = frozenset(keep)
-        if self.initial not in keep:
-            raise ValidationError("cannot drop the initial state")
-        rules = tuple(
-            r
-            for r in self.rules
-            if r.state in keep and all(req <= keep for req in r.child_states)
-        )
-        return Transducer(
-            name or self.name,
-            self.input_alphabet,
-            self.output_alphabet,
-            rules,
-            self.initial,
-            states=keep,
-            _annotated=any(r.lookahead is not None for r in rules),
-        )
 
 
 def identity_automaton(alphabet: RankedAlphabet, state_name: str = "u", name: str = "identity") -> Transducer:
@@ -546,12 +517,14 @@ def identity_automaton(alphabet: RankedAlphabet, state_name: str = "u", name: st
 class LookaheadTransducer:
     """Transducer whose rules constrain children by look-ahead automaton states.
 
-    Construction trims the machine: look-ahead states with empty domain are
-    removed together with the (dead) rules that mention them, and the base is
-    restricted to states reachable from its initial state.
+    Construction trims the machine: it drops look-ahead states with empty
+    domain and every rule that uses one, keeps only the rules whose state is
+    reachable through kept rules (from the initial states and the kept
+    annotations), and builds the trimmed base and look-ahead automaton once
+    each.
     """
 
-    def __init__(self, base: Transducer, la: Transducer, trim: bool = True):
+    def __init__(self, base: Transducer, la: Transducer):
         if not la.is_automaton():
             raise ValidationError("the look-ahead machine must be an automaton")
         if la.input_alphabet != base.input_alphabet:
@@ -559,8 +532,7 @@ class LookaheadTransducer:
         for r in base.rules:
             if r.lookahead is None or len(r.lookahead) != r.variables:
                 raise ValidationError("rule %s lacks look-ahead annotations" % r.lhs_text())
-        if trim:
-            base, la = _trim_lookahead(base, la)
+        base, la = _trim_lookahead(base, la)
         for r in base.rules:
             for l in r.lookahead:
                 if l not in la.states:
@@ -609,43 +581,34 @@ class LookaheadTransducer:
 
 
 def _trim_lookahead(base: Transducer, la: Transducer) -> tuple[Transducer, Transducer]:
-    """Drop empty-domain look-ahead states, dead base rules, unreachable states."""
-    live_la = la.productive_states
-    live_rules = tuple(r for r in base.rules if all(l in live_la for l in r.lookahead))
-    base2 = Transducer(
-        base.name,
-        base.input_alphabet,
-        base.output_alphabet,
-        live_rules,
-        base.initial,
-        states=base.states,
-        _annotated=True,
+    """Keep the base rules whose annotations are live look-ahead states and
+    the look-ahead rules whose children are, each only if its state is
+    reachable through kept rules; the look-ahead automaton is entered at its
+    initial state and at the annotations of the kept base rules, and keeps
+    its initial state.  Works on state names; builds each machine once."""
+    children = [tuple([l.name for req in r.child_states for l in req]) for r in la.rules]
+    live = least_fixpoint([r.state.name for r in la.rules], children)
+    base_rules = [r for r in base.rules if all(l.name in live for l in r.lookahead)]
+    base_states = reachable((base.initial,), base_rules)
+    base_rules = [r for r in base_rules if r.state.name in base_states]
+    la_rules = [r for r, kids in zip(la.rules, children) if all(k in live for k in kids)]
+    starts = [la.initial]
+    for r in base_rules:
+        starts.extend(r.lookahead)
+    la_states = reachable(starts, la_rules)
+    la_rules = [r for r in la_rules if r.state.name in la_states]
+    return (
+        Transducer(
+            base.name,
+            base.input_alphabet,
+            base.output_alphabet,
+            base_rules,
+            base.initial,
+            states=base_states.values(),
+            _annotated=True,
+        ),
+        Transducer(la.name, la.input_alphabet, la.output_alphabet, la_rules, la.initial, states=la_states.values()),
     )
-    base2 = base2.restricted_to(base2.reachable_states())
-    used = {l for r in base2.rules for l in r.lookahead} | {la.initial}
-    keep = set()
-    todo = list(used & live_la)
-    keep.update(todo)
-    if la.initial in live_la:
-        keep.add(la.initial)
-        todo.append(la.initial)
-    while todo:
-        l = todo.pop()
-        for r in la.rules_of(l):
-            for req in r.child_states:
-                for l2 in req:
-                    if l2 in live_la and l2 not in keep:
-                        keep.add(l2)
-                        todo.append(l2)
-    keep.add(la.initial)
-    live_kept = keep & live_la
-    la_rules = tuple(
-        r
-        for r in la.rules
-        if r.state in live_kept and all(req <= live_kept for req in r.child_states)
-    )
-    la2 = Transducer(la.name, la.input_alphabet, la.output_alphabet, la_rules, la.initial, states=keep)
-    return base2, la2
 
 
 # -- domain enumeration ------------------------------------------------------

@@ -4,7 +4,8 @@ These deliberately avoid the package's evaluation code paths: translation by
 brute-force sentential-form rewriting, composition by staged rewriting,
 look-ahead translation by materializing every relabeling, the domain
 automaton by walking every subset of rules, the product construction by one
-public `evaluate` call per (pair, rule), and the bounded check by
+public `evaluate` call per (pair, rule), the trim of a look-ahead
+transducer by building its base twice, and the bounded check by
 translating every tree up to the bound.
 """
 
@@ -248,6 +249,64 @@ def p_construction_by_evaluate(t1, t2, make_state=None, pair_filter=None, name=N
         name or "p(%s,%s)" % (t1.name, t2.name), t1.input_alphabet, t2.output_alphabet, rules, make_state(*init), states=states
     )
     return machine, sources
+
+
+def trim_lookahead_by_rebuild(base, la):
+    """The trim of a look-ahead transducer in two passes over StateIds: the
+    productive look-ahead states by a fixpoint over every rule, the base
+    rebuilt from the rules with productive annotations and then restricted
+    to its reachable states, and the look-ahead states reachable from the
+    initial state and the kept annotations through the productive children
+    of every rule of a kept state, also of a rule that is then dropped."""
+    live = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in la.rules:
+            if r.state not in live and all(q in live for req in r.child_states for q in req):
+                live.add(r.state)
+                changed = True
+    live_rules = [r for r in base.rules if all(l in live for l in r.lookahead)]
+    base1 = Transducer(
+        base.name, base.input_alphabet, base.output_alphabet, live_rules, base.initial, states=base.states, _annotated=True
+    )
+    seen = {base1.initial}
+    todo = [base1.initial]
+    while todo:
+        q = todo.pop()
+        for r in base1.rules_of(q):
+            for req in r.child_states:
+                for q2 in req:
+                    if q2 not in seen:
+                        seen.add(q2)
+                        todo.append(q2)
+    base2 = Transducer(
+        base1.name,
+        base1.input_alphabet,
+        base1.output_alphabet,
+        [r for r in base1.rules if r.state in seen and all(req <= seen for req in r.child_states)],
+        base1.initial,
+        states=seen,
+        _annotated=True,
+    )
+    used = {l for r in base2.rules for l in r.lookahead} | {la.initial}
+    keep = set(used & live)
+    todo = list(keep)
+    if la.initial in live:
+        keep.add(la.initial)
+        todo.append(la.initial)
+    while todo:
+        l = todo.pop()
+        for r in la.rules_of(l):
+            for req in r.child_states:
+                for l2 in req:
+                    if l2 in live and l2 not in keep:
+                        keep.add(l2)
+                        todo.append(l2)
+    keep.add(la.initial)
+    live_kept = keep & live
+    la_rules = [r for r in la.rules if r.state in live_kept and all(req <= live_kept for req in r.child_states)]
+    return base2, Transducer(la.name, la.input_alphabet, la.output_alphabet, la_rules, la.initial, states=keep)
 
 
 def all_trees(alphabet, max_size):

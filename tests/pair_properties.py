@@ -18,6 +18,7 @@ from ttc import (
     p_construction,
 )
 from ttc.constructions import CompositionChain
+from ttc.machines import reachable
 
 CAP = 10**6
 
@@ -25,9 +26,9 @@ CAP = 10**6
 def domain_automaton_tracks_intersections(t2, size):
     """dom of a set state is the intersection of its members' domains."""
     aut = domain_automaton(t2)
-    reachable = aut.reachable_states()
+    states = reachable((aut.initial,), aut.rules).values()
     trees = enumerate_trees(t2.input_alphabet, size)
-    for state in sorted(reachable):
+    for state in sorted(states):
         if not state.parts:
             continue
         for s in trees:

@@ -113,6 +113,15 @@ class TestTrace:
         )
         assert out0 != out1
 
+    def test_negative_branch(self, capsys):
+        status, out, err = run_cli(
+            capsys, "-w", FIXTURES, "trace", "--machine", "quadratic", "--input", "a(e)", "--branch", "-1"
+        )
+        assert status == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: branch must be >= 0"]
+
 
 class TestConstructionCommands:
     def test_domaut(self, capsys):

@@ -5,6 +5,7 @@ from ttc import (
     ResourceLimit,
     CompositionChain,
     InvalidProvenance,
+    LookaheadTransducer,
     NotLinearNondeleting,
     RankedAlphabet,
     Rule,
@@ -21,16 +22,16 @@ from ttc import (
     identity_automaton,
     p_construction,
     parse_workspace,
-    prune,
     reduce_chain,
     wrap_trivial_lookahead,
 )
 from ttc import constructions, machines
-from ttc.generate import random_pair
+from ttc.generate import random_chain3, random_pair
+from ttc.render import serialize_machine
 from ttc.trees import StateOverVariable, Tree, parse_tree
 
 from . import pair_properties
-from .oracles import domain_automaton_by_subsets, p_construction_by_evaluate
+from .oracles import domain_automaton_by_subsets, p_construction_by_evaluate, trim_lookahead_by_rebuild
 
 t = parse_tree
 
@@ -485,35 +486,101 @@ class TestReduceChain:
 
 
 class TestPrune:
-    def test_fully_reachable_unchanged(self, worked_pair):
-        _, t2 = worked_pair
-        aut = domain_automaton(t2)
-        pruned = prune(aut)
-        assert rule_strings(pruned) == rule_strings(aut)
-        assert pruned.states == aut.states
-
-    def test_drops_unreachable(self, quadratic):
-        dead = StateId.base("dead")
-        bigger = Transducer(
-            "bigger",
-            quadratic.input_alphabet,
-            quadratic.output_alphabet,
-            list(quadratic.rules) + [Rule(dead, "e", 0, Tree("e"))],
-            quadratic.initial,
-            states=set(quadratic.states) | {dead},
-        )
-        pruned = prune(bigger)
-        assert dead not in pruned.states
-        for s in enumerate_trees(quadratic.input_alphabet, 5):
-            assert pruned.translate(s) == quadratic.translate(s)
-
     def test_lookahead_prune_is_idempotent(self, worked_pair):
         m, _ = build_m(*worked_pair)
-        again = prune(m)
+        again = LookaheadTransducer(m.base, m.la)
         assert rule_strings(again.base) == rule_strings(m.base)
         assert rule_strings(again.la) == rule_strings(m.la)
         assert again.base.states == m.base.states
         assert again.la.states == m.la.states
+
+
+def trimmed_machines():
+    """M of `random_pair` seeds 0-199 and of the reduced `random_chain3`
+    seeds 0-199."""
+    for seed in range(200):
+        yield build_m(*random_pair(seed))[0]
+        reduced, _ = reduce_chain(random_chain3(seed))
+        yield build_m(*reduced.stages)[0]
+
+
+def counts(m):
+    return len(m.base.states), len(m.base.rules), len(m.la.states), len(m.la.rules)
+
+
+class TestTrim:
+    """The one-pass trim of `LookaheadTransducer` against the oracles'
+    two-build trim, by listings and by counts."""
+
+    def test_retrim_and_round_trip_keep_the_counts(self):
+        for m in trimmed_machines():
+            assert counts(LookaheadTransducer(m.base, m.la)) == counts(m), m.name
+            parsed = parse_workspace(serialize_machine(m, name="m")).machines["m"]
+            assert counts(parsed) == counts(m), m.name
+
+    def test_matches_the_rebuild(self, monkeypatch, workspace):
+        cases = []
+        original = machines._trim_lookahead
+
+        def spy(base, la):
+            cases.append((base, la, original(base, la)))
+            return cases[-1][2]
+
+        monkeypatch.setattr(machines, "_trim_lookahead", spy)
+        for pair in reference_pairs(workspace):
+            build_m(*pair)
+        for seed in range(200):
+            # the reduction trims the M of the last two stages, then M of the rest
+            reduced, _ = reduce_chain(random_chain3(seed))
+            build_m(*reduced.stages)
+        monkeypatch.undo()
+
+        dropped = 0
+        for base, la, (got_base, got_la) in cases:
+            want_base, want_la = trim_lookahead_by_rebuild(base, la)
+            assert [str(r) for r in got_base.rules] == [str(r) for r in want_base.rules], base.name
+            assert got_base.states == want_base.states, base.name
+            # the rebuild also keeps the states, and their rules, that it
+            # reaches only through rules it drops
+            reached = {la.initial.name} | {l.name for r in want_base.rules for l in r.lookahead}
+            size = 0
+            while size != len(reached):
+                size = len(reached)
+                for r in want_la.rules:
+                    if r.state.name in reached:
+                        reached |= {c.name for req in r.child_states for c in req}
+            want_la_rules = [str(r) for r in want_la.rules if r.state.name in reached]
+            assert [str(r) for r in got_la.rules] == want_la_rules, base.name
+            want_states = {s.name for s in want_la.states}
+            assert {s.name for s in got_la.states} == want_states & reached, base.name
+            dropped += len(want_states - reached)
+        assert len(cases) == len(reference_pairs(workspace)) + 2 * 200
+        assert dropped > 0
+
+    def test_two_builds_per_lookahead_transducer(self, monkeypatch, worked_pair):
+        inputs = []
+        original = machines._trim_lookahead
+
+        def spy(base, la):
+            inputs.append((base, la))
+            return original(base, la)
+
+        monkeypatch.setattr(machines, "_trim_lookahead", spy)
+        m, _ = build_m(*worked_pair)
+        monkeypatch.undo()
+
+        builds = []
+        init = machines.Transducer.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(machines.Transducer, "__init__", counting)
+        for base, la in inputs + [(m.base, m.la)]:
+            builds.clear()
+            LookaheadTransducer(base, la)
+            assert len(builds) == 2
 
 
 class TestMixedAnnotationsAtSharedNode:

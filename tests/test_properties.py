@@ -124,10 +124,13 @@ _DETERMINISM_SNIPPET = """
 import sys
 sys.path.insert(0, %r)
 from ttc import build_m, parse_workspace, decide_functionality
+from ttc.generate import random_pair
 from ttc.render import serialize_machine, to_json, verdict_json
 ws = parse_workspace(open(%r).read())
 m, _ = build_m(ws.machines["ex4_t1"], ws.machines["ex4_t2"])
 sys.stdout.write(serialize_machine(m, name="m"))
+m, _ = build_m(*random_pair(26))
+sys.stdout.write(serialize_machine(m, name="m26"))
 verdict, _ = decide_functionality(ws.chains["worked"], 4)
 sys.stdout.write(to_json(verdict_json(verdict)))
 """
