@@ -7,13 +7,11 @@ from .constructions import (
     CompositionChain,
     build_hat_t1,
     build_m,
-    build_product_n,
     compose_linear_nondeleting,
     decompose_la,
     domain_automaton,
     p_construction,
     reduce_chain,
-    wrap_trivial_lookahead,
 )
 from .decision import (
     DerivationTrace,
@@ -43,7 +41,6 @@ from .machines import (
     Transducer,
     enumerate_satisfying,
     enumerate_trees,
-    identity_automaton,
 )
 from .textform import Workspace, machines_equal, parse_workspace, workspaces_equal
 from .trees import (

@@ -32,7 +32,6 @@ from .machines import (
     Transducer,
     _addressed,
     _evaluate,
-    identity_automaton,
     merge_vectors,
 )
 from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree, check_ground_over, subtree_at
@@ -62,6 +61,9 @@ class CompositionChain:
     def __post_init__(self):
         if not self.stages:
             raise ValidationError("a composition chain needs at least one stage")
+        for stage in self.stages:
+            if not isinstance(stage, Transducer):
+                raise ValidationError("chain stage %r is not a plain transducer" % (stage,))
         for left, right in zip(self.stages, self.stages[1:]):
             if left.output_alphabet != right.input_alphabet:
                 raise AlphabetMismatch(
@@ -303,17 +305,6 @@ def _triple_filter(q1: StateId, q2: StateId) -> bool:
     return q1.kind == "pair" and q1.parts[1].kind == "set" and q2 in q1.parts[1].parts
 
 
-def build_product_n(hat_t1: Transducer, t2: Transducer, name: str | None = None) -> Transducer:
-    """Product of the restricted first component with t2, keeping only triple
-    states (q,S,q') with q' in S."""
-    if hat_t1.initial.kind != "pair" or hat_t1.initial.parts[1].kind != "set":
-        raise InvalidProvenance("first argument must come from the hat construction")
-    machine, _ = p_construction(
-        hat_t1, t2, make_state=_triple_state, pair_filter=_triple_filter, name=name
-    )
-    return machine
-
-
 def build_m(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[BuildReport]]:
     """The look-ahead transducer M for the composition of t1 and t2.
 
@@ -478,17 +469,3 @@ def reduce_chain(chain: CompositionChain) -> tuple[CompositionChain, list[BuildR
     reduced = CompositionChain(stages[:-3] + (fused, reader))
     return reduced, reports
 
-
-def wrap_trivial_lookahead(t: Transducer) -> LookaheadTransducer:
-    """View a plain transducer as a look-ahead transducer with a universal
-    one-state look-ahead automaton."""
-    la = identity_automaton(t.input_alphabet, name="universal(%s)" % t.name)
-    u = la.initial
-    rules = [
-        Rule(r.state, r.symbol, r.variables, r.rhs, lookahead=(u,) * r.variables)
-        for r in t.rules
-    ]
-    base = Transducer(
-        t.name, t.input_alphabet, t.output_alphabet, rules, t.initial, states=t.states, _annotated=True
-    )
-    return LookaheadTransducer(base, la)

@@ -12,7 +12,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .constructions import BuildReport, CompositionChain, build_m, reduce_chain, wrap_trivial_lookahead
+from .constructions import BuildReport, CompositionChain, build_m, reduce_chain
 from .errors import ResourceLimit, ValidationError
 from .machines import LookaheadTransducer, Rule, Transducer, _evaluate, enumerate_sizes
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
@@ -137,17 +137,17 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
 
 def decide_functionality(chain: CompositionChain, max_size: int, output_cap: int = DEFAULT_OUTPUT_CAP) -> tuple[Verdict, list[BuildReport]]:
     """Reduce the chain to two stages, build the look-ahead transducer for the
-    final pair, and check it at the bound; returns every intermediate report."""
+    final pair, and check it at the bound (a one-stage chain is checked as it
+    is); returns every intermediate report."""
     reports: list[BuildReport] = []
     while len(chain) > 2:
         chain, step_reports = reduce_chain(chain)
         reports.extend(step_reports)
+    target = chain
     if len(chain) == 2:
-        m, step_reports = build_m(chain.stages[0], chain.stages[1])
+        target, step_reports = build_m(chain.stages[0], chain.stages[1])
         reports.extend(step_reports)
-    else:
-        m = wrap_trivial_lookahead(chain.stages[0])
-    verdict = check_functional_bounded(m, max_size, output_cap=output_cap)
+    verdict = check_functional_bounded(target, max_size, output_cap=output_cap)
     return verdict, reports
 
 

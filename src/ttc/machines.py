@@ -302,8 +302,7 @@ def merge_vectors(merged: set, alternatives: Collection[tuple]) -> set:
 def least_fixpoint(keys: Sequence[Hashable], children: Sequence[Collection]) -> set:
     """The least set that holds keys[i] as soon as it holds all of
     children[i]: the live states of an automaton, one entry per rule and
-    keyed on state names, or the productive requirement sets of
-    `_set_productive`, one entry per alternative."""
+    keyed on state names."""
     live = set()
     changed = True
     while changed:
@@ -465,53 +464,23 @@ class Transducer:
         check_ground_over(tree, self.input_alphabet)
         return _member(self, None, state, tree, {}, None)
 
-    def _requirement_alternatives(self, members: frozenset[StateId]):
-        """Per symbol, the merged child-requirement vectors opened by choosing
-        one rule per member state (projections of subset choices accept the
-        same trees, so single choices decide emptiness exactly)."""
-        for sym, k in self.input_alphabet.items():
-            merged = {(frozenset(),) * k}
-            for q in members:
-                merged = merge_vectors(merged, [r.child_states for r in self.rules_for(q, sym)])
-            yield from merged
-
-    def _set_productive(self, members: frozenset[StateId]) -> bool:
-        """True iff some ground tree lies in every member's domain."""
-        universe = {members}
-        stack = [members]
-        keys: list[frozenset] = []
-        vecs: list[tuple] = []
-        while stack:
-            current = stack.pop()
-            for vec in self._requirement_alternatives(current):
-                keys.append(current)
-                vecs.append(vec)
-                for child in vec:
-                    if child not in universe:
-                        universe.add(child)
-                        stack.append(child)
-                        if len(universe) > 100000:
-                            raise ResourceLimit("requirement-set universe too large")
-        return members in least_fixpoint(keys, vecs)
-
     def dom_empty(self, state: StateId) -> bool:
+        """True iff no ground tree lies in dom(state): the set {state} is not
+        live in the domain automaton seeded with it, by the fixpoint that
+        `_trim_lookahead` uses.  Raises ResourceLimit under that automaton's
+        caps."""
+        from .constructions import domain_automaton
+
         self._known(state)
-        return not self._set_productive(frozenset((state,)))
+        aut = domain_automaton(self, seeds=[{state}])
+        children = [[l.name for req in r.child_states for l in req] for r in aut.rules]
+        live = least_fixpoint([r.state.name for r in aut.rules], children)
+        return StateId.of_set((state,)).name not in live
 
     def enumerate_domain(self, state: StateId, max_size: int) -> list[Tree]:
         """All ground trees of size <= max_size in dom(state), in canonical order."""
         self._known(state)
         return enumerate_satisfying(self.input_alphabet, ((self, state),), max_size)
-
-
-def identity_automaton(alphabet: RankedAlphabet, state_name: str = "u", name: str = "identity") -> Transducer:
-    """The one-state automaton accepting every tree over the alphabet."""
-    u = StateId.base(state_name)
-    rules = []
-    for sym, k in alphabet.items():
-        rhs = Tree(sym, tuple(Tree(StateOverVariable(u, i)) for i in range(1, k + 1)))
-        rules.append(Rule(u, sym, k, rhs))
-    return Transducer(name, alphabet, alphabet, rules, u)
 
 
 class LookaheadTransducer:
@@ -532,11 +501,10 @@ class LookaheadTransducer:
         for r in base.rules:
             if r.lookahead is None or len(r.lookahead) != r.variables:
                 raise ValidationError("rule %s lacks look-ahead annotations" % r.lhs_text())
-        base, la = _trim_lookahead(base, la)
-        for r in base.rules:
             for l in r.lookahead:
                 if l not in la.states:
-                    raise ValidationError("annotation %s is not a look-ahead state" % l)
+                    raise ValidationError("rule %s: annotation %s is not a look-ahead state" % (r.lhs_text(), l))
+        base, la = _trim_lookahead(base, la)
         self.base = base
         self.la = la
 

@@ -389,7 +389,7 @@ def parse_workspace(text: str, workspace: Workspace | None = None) -> Workspace:
 
 
 def machines_equal(a, b) -> bool:
-    """Structural machine equality (used by the round-trip tests and the CLI)."""
+    """Structural machine equality: same alphabets, initial state, states and rules."""
     if isinstance(a, LookaheadTransducer) != isinstance(b, LookaheadTransducer):
         return False
     if isinstance(a, LookaheadTransducer):

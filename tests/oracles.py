@@ -5,13 +5,14 @@ brute-force sentential-form rewriting, composition by staged rewriting,
 look-ahead translation by materializing every relabeling, the domain
 automaton by walking every subset of rules, the product construction by one
 public `evaluate` call per (pair, rule), the trim of a look-ahead
-transducer by building its base twice, and the bounded check by
-translating every tree up to the bound.
+transducer by building its base twice, the bounded check by translating
+every tree up to the bound, and the emptiness of a state set by exploring
+requirement sets one rule choice per member.
 """
 
 from itertools import combinations, product
 
-from ttc import ResourceLimit, Rule, StateId, Transducer
+from ttc import LookaheadTransducer, ResourceLimit, Rule, StateId, Transducer
 from ttc.constructions import _instantiate
 from ttc.machines import EMPTY_SET_STATE
 from ttc.trees import (
@@ -337,3 +338,64 @@ def first_counterexample(stages, max_size):
         if len(outs) > 1:
             return s, tuple(sorted(outs, key=lambda o: (o.size, o.text))[:2]), checked
     return None, (), checked
+
+
+def identity_automaton(alphabet, state_name="u", name="identity"):
+    """The one-state automaton accepting every tree over the alphabet."""
+    u = StateId.base(state_name)
+    rules = []
+    for sym, k in alphabet.items():
+        rhs = Tree(sym, tuple(Tree(StateOverVariable(u, i)) for i in range(1, k + 1)))
+        rules.append(Rule(u, sym, k, rhs))
+    return Transducer(name, alphabet, alphabet, rules, u)
+
+
+def wrap_trivial_lookahead(t):
+    """View a plain transducer as a look-ahead transducer with a universal
+    one-state look-ahead automaton."""
+    la = identity_automaton(t.input_alphabet, name="universal(%s)" % t.name)
+    u = la.initial
+    rules = [Rule(r.state, r.symbol, r.variables, r.rhs, lookahead=(u,) * r.variables) for r in t.rules]
+    base = Transducer(t.name, t.input_alphabet, t.output_alphabet, rules, t.initial, states=t.states, _annotated=True)
+    return LookaheadTransducer(base, la)
+
+
+def requirement_alternatives(t, members):
+    """Per symbol, the merged child-requirement vectors opened by choosing
+    one rule per member state (projections of subset choices accept the
+    same trees, so single choices decide emptiness exactly)."""
+    for sym, k in t.input_alphabet.items():
+        merged = {(frozenset(),) * k}
+        for q in members:
+            merged = {
+                tuple(a | b for a, b in zip(m, r.child_states)) for m in merged for r in t.rules_for(q, sym)
+            }
+        yield from merged
+
+
+def set_productive(t, members):
+    """True iff some ground tree lies in the domain of every member state of
+    t: a fixpoint over the requirement sets reachable from `members`."""
+    members = frozenset(members)
+    universe = {members}
+    stack = [members]
+    alternatives = []
+    while stack:
+        current = stack.pop()
+        for vec in requirement_alternatives(t, current):
+            alternatives.append((current, vec))
+            for child in vec:
+                if child not in universe:
+                    universe.add(child)
+                    stack.append(child)
+                    if len(universe) > 100000:
+                        raise ResourceLimit("requirement-set universe too large")
+    productive = set()
+    changed = True
+    while changed:
+        changed = False
+        for current, vec in alternatives:
+            if current not in productive and all(c in productive for c in vec):
+                productive.add(current)
+                changed = True
+    return members in productive

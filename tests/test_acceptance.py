@@ -14,14 +14,12 @@ from ttc import (
     CompositionChain,
     build_hat_t1,
     build_m,
-    build_product_n,
     chain_outputs,
     check_functional_bounded,
     decide_functionality,
     decompose_la,
     domain_automaton,
     enumerate_trees,
-    identity_automaton,
     p_construction,
     parse_workspace,
 )
@@ -32,13 +30,14 @@ from ttc.textform import machines_equal
 from ttc.trees import parse_tree
 
 from . import pair_properties
-from .oracles import rewrite_translate, translate_la_eager
+from .oracles import identity_automaton, rewrite_translate, translate_la_eager
 from .test_constructions import (
     A_EXPECTED,
     AHAT_EXPECTED,
     HAT_EXPECTED,
     M_EXPECTED,
     N_EXPECTED,
+    product_n,
     rule_strings,
 )
 
@@ -113,7 +112,7 @@ def test_criterion_4_worked_golden_listings(announce, worked_pair):
         assert rule_strings(domain_automaton(t2)) == A_EXPECTED
         hat = build_hat_t1(t1, t2)
         assert rule_strings(hat) == HAT_EXPECTED
-        assert rule_strings(build_product_n(hat, t2)) == N_EXPECTED
+        assert rule_strings(product_n(t1, t2)) == N_EXPECTED
         m, _ = build_m(t1, t2)
         assert rule_strings(m.la) == AHAT_EXPECTED
         assert rule_strings(m.base) == M_EXPECTED

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from ttc import Transducer
 from ttc.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -65,6 +66,19 @@ class TestCheck:
         )
         assert status == 0
         assert "functional-up-to-bound" in out
+
+    def test_one_stage_chain_is_the_machine(self, capsys, tmp_path, workspace):
+        names = [n for n, m in workspace.machines.items() if isinstance(m, Transducer)]
+        chains = tmp_path / "chains.ttc"
+        chains.write_text("".join("chain one_%s { %s }\n" % (n, n) for n in names), encoding="utf-8")
+        statuses = set()
+        for name in names:
+            for fmt in ("json", "text"):
+                common = ("-w", FIXTURES, "-w", str(chains), "check", "--max-size", "4", "--format", fmt)
+                by_machine = run_cli(capsys, *common, "--machine", name)
+                assert run_cli(capsys, *common, "--chain", "one_" + name) == by_machine, (name, fmt)
+                statuses.add(by_machine[0])
+        assert statuses == {0, 1}
 
 
 class TestRun:

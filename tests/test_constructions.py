@@ -4,7 +4,6 @@ from ttc import (
     ChainTooShort,
     ResourceLimit,
     CompositionChain,
-    InvalidProvenance,
     LookaheadTransducer,
     NotLinearNondeleting,
     RankedAlphabet,
@@ -13,17 +12,14 @@ from ttc import (
     Transducer,
     build_hat_t1,
     build_m,
-    build_product_n,
     chain_outputs,
     compose_linear_nondeleting,
     decompose_la,
     domain_automaton,
     enumerate_trees,
-    identity_automaton,
     p_construction,
     parse_workspace,
     reduce_chain,
-    wrap_trivial_lookahead,
 )
 from ttc import constructions, machines
 from ttc.generate import random_chain3, random_pair
@@ -31,13 +27,25 @@ from ttc.render import serialize_machine
 from ttc.trees import StateOverVariable, Tree, parse_tree
 
 from . import pair_properties
-from .oracles import domain_automaton_by_subsets, p_construction_by_evaluate, trim_lookahead_by_rebuild
+from .oracles import (
+    domain_automaton_by_subsets,
+    identity_automaton,
+    p_construction_by_evaluate,
+    trim_lookahead_by_rebuild,
+    wrap_trivial_lookahead,
+)
 
 t = parse_tree
 
 
 def rule_strings(machine):
     return {str(r) for r in machine.rules}
+
+
+def product_n(t1, t2):
+    """The triple product N, as `build_m` reports it."""
+    _, reports = build_m(t1, t2)
+    return next(r.machine for r in reports if r.label == "triple-product")
 
 
 # --- the worked pair: golden rule listings -----------------------------------
@@ -126,8 +134,7 @@ class TestWorkedPairGolden:
         assert hat.initial.name == "(q0,{p0})"
 
     def test_n(self, worked_pair):
-        hat = build_hat_t1(*worked_pair)
-        n = build_product_n(hat, worked_pair[1])
+        n = product_n(*worked_pair)
         assert rule_strings(n) == N_EXPECTED
         assert n.initial.name == "(q0,{p0},p0)"
         # triple states whose last component escapes the set never appear
@@ -355,17 +362,12 @@ class TestHat:
 
 class TestProductN:
     def test_copying_triple_product(self, copy_pair):
-        hat = build_hat_t1(*copy_pair)
-        n = build_product_n(hat, copy_pair[1])
+        n = product_n(*copy_pair)
         assert rule_strings(n) == {
             "(q1,{q2},q2)(a(x1)) -> f((q1,{q2',q2''},q2')(x1),(q1,{q2',q2''},q2'')(x1))",
             "(q1,{q2',q2''},q2')(e) -> e",
             "(q1,{q2',q2''},q2'')(e) -> e",
         }
-
-    def test_rejects_plain_first_component(self, del_pair):
-        with pytest.raises(InvalidProvenance):
-            build_product_n(del_pair[0], del_pair[1])
 
 
 class TestBuildM:

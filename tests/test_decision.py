@@ -7,25 +7,33 @@ import pytest
 
 from ttc import (
     CompositionChain,
+    LookaheadTransducer,
     ResourceLimit,
+    Transducer,
+    ValidationError,
     build_m,
     chain_outputs,
     check_functional_bounded,
     decide_functionality,
     enumerate_trees,
-    identity_automaton,
     p_construction,
     parse_workspace,
     reduce_chain,
     trace_derivation,
-    wrap_trivial_lookahead,
 )
 from ttc import decision, machines
 from ttc.decision import FUNCTIONAL, NOT_FUNCTIONAL, derivations
 from ttc.generate import random_chain3, random_pair
 from ttc.trees import Tree, parse_tree
 
-from .oracles import all_trees, first_counterexample, staged_compose, translate_la_eager
+from .oracles import (
+    all_trees,
+    first_counterexample,
+    identity_automaton,
+    staged_compose,
+    translate_la_eager,
+    wrap_trivial_lookahead,
+)
 
 t = parse_tree
 
@@ -45,6 +53,13 @@ class TestChainOutputs:
     def test_worked(self, worked_chain):
         assert chain_outputs(worked_chain, t("f(e,d)")) == frozenset((t("d"),))
         assert chain_outputs(worked_chain, t("f(e,e)")) == frozenset((t("f(e,e)"),))
+
+    def test_lookahead_stage_is_rejected(self, workspace):
+        quadratic_la = workspace.machines["quadratic_la"]
+        with pytest.raises(ValidationError, match="is not a plain transducer"):
+            CompositionChain((quadratic_la,))
+        with pytest.raises(ValidationError, match="is not a plain transducer"):
+            CompositionChain((workspace.machines["quadratic"], quadratic_la))
 
     def test_cap_bounds_the_composed_set(self):
         # s1 gives 8 trees on a(a(a(e))) and s2 gives 8 on each of them, all
@@ -307,6 +322,29 @@ class TestDecideFunctionality:
         verdict, reports = decide_functionality(CompositionChain((naive,)), 3)
         assert verdict.status == NOT_FUNCTIONAL
         assert reports == []
+
+    def test_single_stage_matches_the_wrapped_check(self, workspace, monkeypatch):
+        """A one-stage chain is checked as it is: verdict, counterexample and
+        stats equal the check of the machine behind a universal look-ahead,
+        and no look-ahead transducer is built."""
+        machines = [m for m in workspace.machines.values() if isinstance(m, Transducer)]
+        for seed in range(200):
+            machines += random_pair(seed)
+        assert len(machines) == 409
+        wrapped = [(m, wrap_trivial_lookahead(m)) for m in machines]
+        built = []
+        init = LookaheadTransducer.__init__
+
+        def spy(self, base, la):
+            built.append(base.name)
+            init(self, base, la)
+
+        monkeypatch.setattr(LookaheadTransducer, "__init__", spy)
+        for machine, reference in wrapped:
+            for bound in (3, 5):
+                verdict, reports = decide_functionality(CompositionChain((machine,)), bound)
+                assert not built and reports == []
+                assert verdict == check_functional_bounded(reference, bound), (machine.name, bound)
 
     def test_three_stage_with_extra_rule(self, copy_pair, copy_t2_extra):
         t1, _ = copy_pair

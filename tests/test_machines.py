@@ -16,12 +16,12 @@ from ttc import (
     domain_automaton,
     enumerate_trees,
     p_construction,
-    wrap_trivial_lookahead,
 )
-from ttc.machines import enumerate_satisfying
+from ttc.generate import random_chain3, random_pair
+from ttc.machines import enumerate_satisfying, least_fixpoint
 from ttc.trees import NodeAddress, PlaceholderLeaf, StateOverNode, StateOverVariable, Tree, parse_tree
 
-from .oracles import rewrite_translate, translate_la_eager
+from .oracles import identity_automaton, rewrite_translate, set_productive, translate_la_eager, wrap_trivial_lookahead
 
 t = parse_tree
 
@@ -209,6 +209,39 @@ class TestDomains:
         for m in members:
             assert not aut.dom_empty(StateId.of_set([m]))
 
+    def test_dom_empty_matches_the_requirement_set_oracle(self, workspace):
+        """Every state of the plain fixture machines, of `random_pair` and
+        `random_chain3` seeds 0-299 and of the four automata and transducers
+        `build_m` builds per pair, plus one two-member set per machine:
+        liveness in a seeded domain automaton, which is how emptiness of a
+        set of look-ahead states is decided, against the oracle."""
+        machines = [m for m in workspace.machines.values() if isinstance(m, Transducer)]
+        for seed in range(300):
+            pair = random_pair(seed)
+            machines += [*pair, *random_chain3(seed).stages]
+            _, reports = build_m(*pair)
+            machines += [r.machine for r in reports if isinstance(r.machine, Transducer)]
+        queries = empty_pairs = 0
+        for machine in machines:
+            inhabited = []
+            for q in sorted(machine.states):
+                empty = machine.dom_empty(q)
+                assert empty == (not set_productive(machine, {q})), (machine.name, q.name)
+                queries += 1
+                if not empty:
+                    inhabited.append(q)
+            if len(inhabited) >= 2:
+                members = frozenset(inhabited[:2])
+                aut = domain_automaton(machine, seeds=[members])
+                children = [[l.name for req in r.child_states for l in req] for r in aut.rules]
+                live = least_fixpoint([r.state.name for r in aut.rules], children)
+                assert (StateId.of_set(members).name in live) == set_productive(machine, members), machine.name
+                queries += 1
+                empty_pairs += StateId.of_set(members).name not in live
+        assert queries >= 5000
+        # some pairs of inhabited states share no tree: intersection, not union
+        assert empty_pairs > 0
+
     def test_dom_empty_iff_enumeration_empty(self, quadratic, copy_pair, del_pair):
         machines = [quadratic, *copy_pair, *del_pair]
         for machine in machines:
@@ -346,6 +379,15 @@ class TestValidate:
         message = "rule q(a(x1)): expected one look-ahead state per variable"
         with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
             Transducer("m", IN, OUT, [good, rule], Q, states=[Q], _annotated=True)
+
+    def test_unknown_annotation_names_the_rule(self):
+        # such a rule is dead, so the trim would drop it without a word
+        ghost = StateId.base("ghost")
+        rules = [Rule(Q, "e", 0, Tree("e"), lookahead=()), Rule(Q, "a", 1, Tree("f", (var(Q, 1), var(Q, 1))), lookahead=(ghost,))]
+        base = Transducer("m", IN, OUT, rules, Q, states=[Q], _annotated=True)
+        message = "rule q(a(x1:ghost)): annotation ghost is not a look-ahead state"
+        with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+            LookaheadTransducer(base, identity_automaton(IN))
 
     def test_shared_rhs_undeclared_head(self):
         rhs = Tree("f", (var(Q, 1), Tree("e")))

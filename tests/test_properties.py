@@ -14,12 +14,11 @@ from ttc import (
     decide_functionality,
     decompose_la,
     enumerate_trees,
-    wrap_trivial_lookahead,
 )
 from ttc.generate import random_chain3, random_pair
 
 from . import pair_properties
-from .oracles import rewrite_translate, staged_compose, translate_la_eager
+from .oracles import rewrite_translate, staged_compose, translate_la_eager, wrap_trivial_lookahead
 
 PAIR_SEEDS = range(60)
 CHAIN_SEEDS = range(20)
