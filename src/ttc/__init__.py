@@ -25,7 +25,6 @@ from .errors import (
     AlphabetMismatch,
     ChainTooShort,
     InvalidAddress,
-    InvalidProvenance,
     NotLinearNondeleting,
     ResourceLimit,
     TtcError,

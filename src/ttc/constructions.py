@@ -19,7 +19,6 @@ from typing import Callable, Iterable
 from .errors import (
     AlphabetMismatch,
     ChainTooShort,
-    InvalidProvenance,
     NotLinearNondeleting,
     ResourceLimit,
     ValidationError,
@@ -294,10 +293,6 @@ def build_hat_t1(t1: Transducer, t2: Transducer, name: str | None = None) -> Tra
 
 
 def _triple_state(q1: StateId, q2: StateId) -> StateId:
-    if q1.kind != "pair" or q1.parts[1].kind != "set":
-        raise InvalidProvenance(
-            "expected a (state, state-set) pair from the restricted first component, got %s" % q1
-        )
     return StateId.triple(q1.parts[0], q1.parts[1], q2)
 
 

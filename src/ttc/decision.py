@@ -1,7 +1,7 @@
 """Composition-chain semantics, the bounded functionality checker, and traces.
 
 The checker enumerates the domain of its target (not all trees) up to a size
-bound, computes every output per input, and reports the first input with two
+bound, counts the outputs of each input, and reports the first input with two
 distinct outputs in canonical order.  Verdicts are always bound-relative: a
 "functional" answer means no counterexample of size up to the bound exists.
 """
@@ -14,7 +14,7 @@ from itertools import islice
 
 from .constructions import BuildReport, CompositionChain, build_m, reduce_chain
 from .errors import ResourceLimit, ValidationError
-from .machines import LookaheadTransducer, Rule, Transducer, _evaluate, enumerate_sizes
+from .machines import LookaheadTransducer, Rule, Transducer, _evaluate, _one_output, enumerate_sizes
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
 
 DEFAULT_OUTPUT_CAP = 10**6
@@ -80,9 +80,9 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     or a look-ahead transducer.  Inputs are visited in canonical order, so the
     reported counterexample is reproducible.  The domain is enumerated one
     size at a time, and the check stops at the first size that has a
-    counterexample.  All inputs share one memo per stage, since they share
-    most of their subtrees; the memos are cleared when the check ends, so the
-    check keeps no memory and no machine state.
+    counterexample.  A one-stage input that `_one_output` shows to have one
+    output is counted, not built.  All inputs share one memo per stage, cleared
+    when the check ends, so the check keeps no memory and no machine state.
     """
     if max_size < 1:
         raise ValidationError("max_size must be >= 1")
@@ -97,6 +97,7 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     layers = enumerate_sizes(first.input_alphabet, ((first, initial),), max_size)
     memos = [({}, {}) for _ in stages]
     inputs_checked = 0
+    single_output_inputs = 0
     inputs_enumerated = 0
     outputs_computed = 0
     size = 0
@@ -112,8 +113,11 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
             layer.reverse()
             while layer and counterexample is None:
                 s = layer.pop()
-                outs = _outputs(stages, s, output_cap, memos)
                 inputs_checked += 1
+                if len(stages) == 1 and _one_output(*stages[0], initial, s, output_cap, *memos[0]):
+                    single_output_inputs += 1
+                    continue
+                outs = _outputs(stages, s, output_cap, memos)
                 outputs_computed += len(outs)
                 if len(outs) > 1:
                     counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
@@ -121,10 +125,11 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
                 break
         stats = {
             "inputs_checked": inputs_checked,
-            "outputs_computed": outputs_computed,
+            "outputs_computed": outputs_computed + single_output_inputs,
             "memo_entries": sum(len(memo) for memo, _ in memos),
             "inputs_enumerated": inputs_enumerated,
             "max_size_reached": size,
+            "single_output_inputs": single_output_inputs,
         }
     finally:
         layers.close()
@@ -135,10 +140,11 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     return Verdict(status, max_size, counterexample, stats)
 
 
-def decide_functionality(chain: CompositionChain, max_size: int, output_cap: int = DEFAULT_OUTPUT_CAP) -> tuple[Verdict, list[BuildReport]]:
+def decide_functionality(chain: CompositionChain | Transducer, max_size: int, output_cap: int = DEFAULT_OUTPUT_CAP) -> tuple[Verdict, list[BuildReport]]:
     """Reduce the chain to two stages, build the look-ahead transducer for the
-    final pair, and check it at the bound (a one-stage chain is checked as it
-    is); returns every intermediate report."""
+    final pair, and check it at the bound (a one-stage chain, or a bare
+    transducer, is checked as it is); returns every intermediate report."""
+    chain = chain if isinstance(chain, CompositionChain) else CompositionChain((chain,))
     reports: list[BuildReport] = []
     while len(chain) > 2:
         chain, step_reports = reduce_chain(chain)

@@ -25,10 +25,6 @@ class ChainTooShort(TtcError):
     """Chain reduction needs at least three stages."""
 
 
-class InvalidProvenance(TtcError):
-    """A construction expected states with a particular provenance shape."""
-
-
 class ResourceLimit(TtcError):
     """A configured cap (output set size, state count, ...) was exceeded."""
 

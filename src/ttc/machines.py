@@ -250,6 +250,30 @@ def _evaluate(
     return tuple(acc)
 
 
+def _one_output(base: Transducer, la: Transducer | None, q: StateId, s: Tree, cap: int | None, memo: dict, la_memo: dict | None) -> bool:
+    """True iff exactly one rule fires at s and each of its calls has one output."""
+    calls = None
+    for rule in base.rules_for(q, s.label):
+        for l, c in zip(rule.lookahead if la is not None else (), s.children):
+            fires = la_memo.get((l.name, c.text))
+            if fires is None:
+                fires = _member(la, None, l, c, la_memo, None)
+            if not fires:
+                break
+        else:
+            if calls is not None:  # a second rule fires
+                return False
+            calls = rule.child_states
+    for c, req in zip(s.children, calls or ()):
+        for q2 in req:
+            out = memo.get((q2.name, c.text))
+            if out is None:
+                out = memo[q2.name, c.text] = _evaluate(base, la, q2, c, cap, memo, la_memo)
+            if len(out) != 1:
+                return False
+    return calls is not None
+
+
 def _expand(
     base: Transducer, la: Transducer | None, node: Tree, s: Tree, cap: int | None, memo: dict, la_memo: dict | None
 ) -> tuple[Tree, ...]:

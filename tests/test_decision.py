@@ -153,34 +153,51 @@ class TestCheckMemo:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """Records (input, outputs) for every input a check translates."""
+        """Records (input, outputs) for every input a check translates, and
+        (input, None) for every input whose one output it counts unbuilt."""
         seen = []
-        original = decision._outputs
+        outputs, one_output = decision._outputs, decision._one_output
 
         def spy(stages, s, cap, memos):
-            outs = original(stages, s, cap, memos)
+            outs = outputs(stages, s, cap, memos)
             seen.append((s, frozenset(outs)))
             return outs
 
+        def spy_one(base, la, q, s, cap, memo, la_memo):
+            one = one_output(base, la, q, s, cap, memo, la_memo)
+            if one:
+                seen.append((s, None))
+            return one
+
         monkeypatch.setattr(decision, "_outputs", spy)
+        monkeypatch.setattr(decision, "_one_output", spy_one)
         return seen
+
+    @staticmethod
+    def agree(checked, verdict, oracle, tag):
+        """Every checked input was recorded, and each agrees with the oracle:
+        on all outputs where they were built, on one where it was counted."""
+        assert len(checked) == verdict.stats["inputs_checked"], tag
+        for s, outs in checked:
+            expected = oracle(s)
+            assert len(expected) == 1 if outs is None else outs == expected, (tag, s.text)
 
     def test_m_outputs_match_eager_oracle(self, checked, worked_pair, copy_pair):
         pairs = [worked_pair, copy_pair] + [random_pair(seed) for seed in range(40)]
         for pair in pairs:
             m, _ = build_m(*pair)
             checked.clear()
-            check_functional_bounded(m, 5)
-            for s, outs in checked:
-                assert outs == translate_la_eager(m, s), (m.name, s.text)
+            verdict = check_functional_bounded(m, 5)
+            self.agree(checked, verdict, lambda s: translate_la_eager(m, s), m.name)
 
     def test_chain_outputs_match_staged_rewriting(self, checked):
         for seed in range(20):
             chain = random_chain3(seed)
-            checked.clear()
-            check_functional_bounded(chain, 4)
-            for s, outs in checked:
-                assert outs == staged_compose(chain.stages, s), (seed, s.text)
+            # a whole chain, and each stage as a one-stage target
+            for stages in (chain.stages, *((stage,) for stage in chain.stages)):
+                checked.clear()
+                verdict = check_functional_bounded(CompositionChain(stages), 4)
+                self.agree(checked, verdict, lambda s: staged_compose(stages, s), seed)
 
     def test_resource_limit_does_not_poison_the_next_check(self, checked):
         # e has one output; a(e) has two, one more than the cap of 1
@@ -274,12 +291,19 @@ class TestEvaluatorCalls:
 
     def test_worked_pair_at_bound_11(self, worked_pair, monkeypatch):
         m, _ = build_m(*worked_pair)
-        roots, inner, member_hits, builds = [], [], [], [0]
+        roots, single, inner, member_hits, builds = [], [], [], [], [0]
         evaluate, member, init = machines._evaluate, machines._member, Tree.__init__
+        one_output = machines._one_output
 
         def spy_root(base, la, q, s, cap, memo, la_memo):
             roots.append(s.text)
             return evaluate(base, la, q, s, cap, memo, la_memo)
+
+        def spy_single(base, la, q, s, cap, memo, la_memo):
+            one = one_output(base, la, q, s, cap, memo, la_memo)
+            if one:
+                single.append(s.text)
+            return one
 
         def spy_inner(base, la, q, s, cap, memo, la_memo):
             inner.append((q.name, s.text))
@@ -294,16 +318,92 @@ class TestEvaluatorCalls:
             init(self, label, children)
 
         monkeypatch.setattr(decision, "_evaluate", spy_root)
+        monkeypatch.setattr(decision, "_one_output", spy_single)
         monkeypatch.setattr(machines, "_evaluate", spy_inner)
         monkeypatch.setattr(machines, "_member", spy_member)
         monkeypatch.setattr(Tree, "__init__", spy_init)
         verdict = check_functional_bounded(m, 11)
         assert verdict.status == FUNCTIONAL
-        assert len(roots) == len(set(roots)) == verdict.stats["inputs_checked"] == 2168
+        # every input is checked once: its one output counted, or all built
+        checked = roots + single
+        assert len(checked) == len(set(checked)) == verdict.stats["inputs_checked"] == 2168
+        assert len(single) == verdict.stats["single_output_inputs"] == 2168
         # each non-root (state, subtree) pair is evaluated once, into the memo
         assert len(inner) == len(set(inner)) == verdict.stats["memo_entries"]
         assert member_hits and not any(member_hits)
-        assert builds[0] <= 6360
+        assert builds[0] <= 4742
+
+
+class TestSingleOutputPath:
+    """A one-stage check counts an input's one output, unbuilt, only when one
+    rule fires at the root and each of its calls has one output; every other
+    input has all its outputs built."""
+
+    TEXT = """
+    transducer twice {
+      input { a:1, e:0 }
+      output { e:0 }
+      initial q0
+      rules { q0(a(x1)) -> e; q0(a(x1)) -> q1(x1); q1(e) -> e; }
+    }
+    transducer branch {
+      input { a:1, e:0 }
+      output { g:1, e:0, e2:0 }
+      initial q0
+      rules { q0(e) -> e; q0(a(x1)) -> g(q1(x1)); q1(e) -> e | e2; q1(a(x1)) -> q1(x1); }
+    }
+    """
+
+    @pytest.fixture
+    def targets(self):
+        machines = parse_workspace(self.TEXT).machines
+        return {name: (m, wrap_trivial_lookahead(m)) for name, m in machines.items()}
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """Records ("one", input) for each input `_one_output` is asked about,
+        then ("all", input) for each whose outputs are built."""
+        seen = []
+        outputs, one_output = decision._outputs, decision._one_output
+
+        def spy(stages, s, cap, memos):
+            seen.append(("all", s.text))
+            return outputs(stages, s, cap, memos)
+
+        def spy_one(base, la, q, s, cap, memo, la_memo):
+            seen.append(("one", s.text))
+            return one_output(base, la, q, s, cap, memo, la_memo)
+
+        monkeypatch.setattr(decision, "_outputs", spy)
+        monkeypatch.setattr(decision, "_one_output", spy_one)
+        return seen
+
+    def test_two_firing_rules_with_equal_outputs(self, targets, paths):
+        for target in targets["twice"]:
+            paths.clear()
+            verdict = check_functional_bounded(target, 4)
+            assert verdict.status == FUNCTIONAL
+            assert verdict.stats["single_output_inputs"] == 0
+            assert verdict.stats["outputs_computed"] == verdict.stats["inputs_checked"] == 3
+            assert [p for p, _ in paths] == ["one", "all"] * 3
+
+    def test_a_call_with_two_outputs(self, targets, paths):
+        for target in targets["branch"]:
+            paths.clear()
+            verdict = check_functional_bounded(target, 4)
+            assert verdict.status == NOT_FUNCTIONAL
+            assert verdict.counterexample.input == t("a(e)")
+            assert verdict.counterexample.outputs == (t("g(e)"), t("g(e2)"))
+            assert verdict.stats["single_output_inputs"] == 1
+            assert verdict.stats["outputs_computed"] == 3
+            assert paths == [("one", "e"), ("one", "a(e)"), ("all", "a(e)")]
+
+    def test_cap_is_enforced_inside_the_one_output_count(self, targets, paths):
+        for target in targets["branch"]:
+            paths.clear()
+            with pytest.raises(ResourceLimit, match="output set exceeds cap 1$"):
+                check_functional_bounded(target, 4, output_cap=1)
+            assert paths == [("one", "e"), ("one", "a(e)")]
 
 
 class TestDecideFunctionality:
@@ -316,6 +416,16 @@ class TestDecideFunctionality:
     def test_deleting_pair_vacuously_functional(self, del_chain):
         verdict, _ = decide_functionality(del_chain, 4)
         assert verdict.status == FUNCTIONAL
+
+    def test_bare_transducer_is_a_one_stage_chain(self, workspace):
+        quadratic = workspace.machines["quadratic"]
+        for bound in (3, 5):
+            verdict, reports = decide_functionality(quadratic, bound)
+            assert reports == []
+            assert verdict == decide_functionality(CompositionChain((quadratic,)), bound)[0]
+        for other in (workspace.machines["quadratic_la"], "quadratic"):
+            with pytest.raises(ValidationError, match="is not a plain transducer"):
+                decide_functionality(other, 3)
 
     def test_single_stage_chain(self, copy_pair):
         naive, _ = p_construction(*copy_pair)

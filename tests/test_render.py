@@ -53,6 +53,7 @@ def test_verdict_json_shape(copy_pair, copy_chain):
             "memo_entries",
             "inputs_enumerated",
             "max_size_reached",
+            "single_output_inputs",
         }
         if doc["counterexample"] is not None:
             assert set(doc["counterexample"]) == {"input", "outputs"}
