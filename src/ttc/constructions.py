@@ -92,7 +92,8 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
     RULE_CAP is checked after each member's merge, on the rules so far plus
     the merged vectors, before any rule is built.  An intermediate merge can
     be larger than the final one, so the cap limits the work, not only the
-    output.  Rules are emitted sorted by child-state names.
+    output.  Rules are emitted sorted by child-state names; each is given
+    its child states, read off its vector, instead of walking its rhs.
     """
     sigma = t.input_alphabet
     ordered_seeds = sorted(
@@ -101,11 +102,13 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
     order = sorted(t.states.union(*ordered_seeds), key=lambda s: s.name)
     bit = {q.name: 1 << i for i, q in enumerate(order)}
     ids = {0: EMPTY_SET_STATE}
+    alone = {0: frozenset((EMPTY_SET_STATE,))}  # mask -> {its StateId}
 
     def state_of(mask: int) -> StateId:
         sid = ids.get(mask)
         if sid is None:
             sid = ids[mask] = StateId.of_set(q for i, q in enumerate(order) if mask >> i & 1)
+            alone[mask] = frozenset((sid,))
         return sid
 
     # (state name, symbol) -> the distinct unions of the child-state vectors
@@ -124,25 +127,26 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
         return sigs
 
     # trees are immutable, so every rule with the same symbol and child sets
-    # shares one rhs, built from one leaf per (set, position)
+    # shares one rhs, built from one leaf per (set, position), and one tuple
+    # of child states, read off the vector: the rhs is never walked
     leaves: dict[tuple[int, int], Tree] = {}
-    rhss: dict[tuple[object, tuple[int, ...]], Tree] = {}
+    made: dict[tuple[object, tuple[int, ...]], tuple[Tree, tuple]] = {}
 
-    def rhs_of(sym, vec: tuple[int, ...]) -> Tree:
-        rhs = rhss.get((sym, vec))
-        if rhs is None:
+    def rule_of(state: StateId, sym, vec: tuple[int, ...]) -> Rule:
+        got = made.get((sym, vec))
+        if got is None:
             kids = []
             for i, c in enumerate(vec, start=1):
                 leaf = leaves.get((c, i))
                 if leaf is None:
                     leaf = leaves[c, i] = Tree(StateOverVariable(state_of(c), i))
                 kids.append(leaf)
-            rhs = rhss[sym, vec] = Tree(sym, kids)
-        return rhs
+            got = made[sym, vec] = (Tree(sym, kids), tuple([alone[c] for c in vec]))
+        return Rule(state, sym, len(vec), got[0], child_states=got[1])
 
     rules: list[Rule] = []
     for sym, k in sigma.items():
-        rules.append(Rule(EMPTY_SET_STATE, sym, k, rhs_of(sym, (0,) * k)))
+        rules.append(rule_of(EMPTY_SET_STATE, sym, (0,) * k))
 
     known = {0}
     queue: deque[int] = deque()
@@ -161,7 +165,7 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
                 if len(rules) + len(merged) > RULE_CAP:
                     raise ResourceLimit("domain automaton exceeds %d rules" % RULE_CAP)
             for vec in sorted(merged, key=lambda vec: [state_of(c).name for c in vec]):
-                rules.append(Rule(state, sym, k, rhs_of(sym, vec)))
+                rules.append(rule_of(state, sym, vec))
                 for c in vec:
                     if c not in known:
                         known.add(c)
@@ -349,7 +353,7 @@ def build_m(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[B
         seen_annotated.add(key)
         seeds.update(frozenset(req) for req in src.child_states)
         annotated_rules.append(
-            Rule(rule.state, rule.symbol, rule.variables, rule.rhs, lookahead=annots)
+            Rule(rule.state, rule.symbol, rule.variables, rule.rhs, lookahead=annots, child_states=rule.child_states)
         )
 
     t0 = time.perf_counter()
@@ -430,7 +434,7 @@ def decompose_la(m: LookaheadTransducer) -> tuple[Transducer, Transducer]:
             if key in seen:
                 continue
             seen.add(key)
-            t_rules.append(Rule(rule.state, sym, rule.variables, rule.rhs))
+            t_rules.append(Rule(rule.state, sym, rule.variables, rule.rhs, child_states=rule.child_states))
 
     reader = Transducer(
         "T(%s)" % m.name,

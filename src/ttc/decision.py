@@ -25,7 +25,7 @@ NOT_FUNCTIONAL = "not-functional"
 
 def chain_outputs(chain: CompositionChain | Transducer, tree: Tree, cap: int | None = DEFAULT_OUTPUT_CAP) -> frozenset[Tree]:
     """Left-to-right relational composition of the stage translations."""
-    if isinstance(chain, Transducer):
+    if not isinstance(chain, CompositionChain):
         chain = CompositionChain((chain,))
     check_ground_over(tree, chain.stages[0].input_alphabet)
     stages = [(stage, None) for stage in chain]
@@ -86,7 +86,7 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     """
     if max_size < 1:
         raise ValidationError("max_size must be >= 1")
-    if isinstance(target, Transducer):
+    if not isinstance(target, (CompositionChain, LookaheadTransducer)):
         target = CompositionChain((target,))
     if isinstance(target, LookaheadTransducer):
         first, initial = target, target.base.initial

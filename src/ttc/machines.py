@@ -64,11 +64,6 @@ class StateId:
     def triple(cls, q: "StateId", s: "StateId", q2: "StateId") -> "StateId":
         return cls("triple", (q, s, q2), "(%s,%s,%s)" % (q.name, s.name, q2.name))
 
-    def members(self) -> tuple["StateId", ...]:
-        if self.kind != "set":
-            raise ValidationError("state %s has no set provenance" % self.name)
-        return self.parts
-
     def __eq__(self, other):
         if not isinstance(other, StateId):
             return NotImplemented
@@ -111,17 +106,23 @@ def _child_states(rule: Rule) -> tuple[frozenset[StateId], ...]:
 
 @dataclass(frozen=True)
 class Rule:
-    """One rewrite rule q(a(x1,...,xk)) -> rhs, optionally with look-ahead."""
+    """One rewrite rule q(a(x1,...,xk)) -> rhs, optionally with look-ahead.
+
+    `child_states` is, for each variable x_i, the set of states q with q(x_i)
+    in the rhs.  A construction that knows it passes it in; otherwise the rhs
+    is walked here, which also rejects a variable outside x1..xk.  Either way
+    `Transducer` checks the range when it validates the rule."""
 
     state: StateId
     symbol: object
     variables: int
     rhs: Tree
     lookahead: tuple[StateId, ...] | None = None
-    child_states: tuple[frozenset[StateId], ...] = field(init=False, compare=False, repr=False)
+    child_states: tuple[frozenset[StateId], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "child_states", _child_states(self))
+        if self.child_states is None:
+            object.__setattr__(self, "child_states", _child_states(self))
 
     def lhs_text(self) -> str:
         if self.variables == 0:
@@ -136,14 +137,17 @@ class Rule:
         return "%s -> %s" % (self.lhs_text(), self.rhs)
 
 
-def _check_rhs(rhs: Tree, state_names: Collection[str], output_ranks: dict) -> str | None:
-    """What is wrong with a right-hand side, or None: it depends only on the
-    rhs and the machine, so a machine walks each distinct rhs once."""
+def _check_rhs(rhs: Tree, variables: int, state_names: Collection[str], output_ranks: dict) -> str | None:
+    """What is wrong with a right-hand side over x1..x<variables>, or None: it
+    depends only on the rhs, its variable count and the machine, so a machine
+    walks each distinct pair once."""
     stack = [rhs]
     while stack:
         node = stack.pop()
         lab = node.label
         if isinstance(lab, StateOverVariable):
+            if not 1 <= lab.index <= variables:
+                return "variable x%d out of range [%d]" % (lab.index, variables)
             if not isinstance(lab.state, StateId) or lab.state.name not in state_names:
                 return "rhs uses undeclared state %s" % lab.state
             continue
@@ -382,10 +386,10 @@ class Transducer:
         self.states = frozenset(states)
         self._validate(_annotated)
         # keyed on state names, which hash without a call into Python
-        self._by_head: dict[tuple[str, object], tuple[Rule, ...]] = {}
+        by_head: dict[tuple[str, object], list[Rule]] = {}
         for r in self.rules:
-            key = (r.state.name, r.symbol)
-            self._by_head[key] = self._by_head.get(key, ()) + (r,)
+            by_head.setdefault((r.state.name, r.symbol), []).append(r)
+        self._by_head = {key: tuple(rs) for key, rs in by_head.items()}
 
     def _validate(self, annotated):
         """Check every rule; the text of a failing rule is built only then."""
@@ -400,7 +404,7 @@ class Transducer:
                 raise ValidationError("alphabet symbols clash with state names: %s" % sorted(clash))
         input_ranks = dict(self.input_alphabet.items())
         output_ranks = dict(self.output_alphabet.items())
-        walked = set()  # ids of the right-hand sides checked so far
+        walked = set()  # (id, variable count) of the right-hand sides checked so far
         for r in self.rules:
             if r.symbol not in input_ranks:
                 problem = "symbol not in the input alphabet"
@@ -410,11 +414,11 @@ class Transducer:
                 problem = "expected one look-ahead state per variable"
             elif not annotated and r.lookahead is not None:
                 problem = "look-ahead annotations on a plain transducer"
-            elif id(r.rhs) in walked:
+            elif (id(r.rhs), r.variables) in walked:
                 continue
             else:
-                walked.add(id(r.rhs))
-                problem = _check_rhs(r.rhs, state_names, output_ranks)
+                walked.add((id(r.rhs), r.variables))
+                problem = _check_rhs(r.rhs, r.variables, state_names, output_ranks)
             if problem is not None:
                 raise ValidationError("rule %s: %s" % (r.lhs_text(), problem))
 

@@ -131,6 +131,13 @@ def translate_la_eager(m, tree, size_guard=12, cap=None):
     return frozenset(results)
 
 
+def _set_members(state):
+    """The members of a look-ahead state of set provenance."""
+    if state.kind != "set":
+        raise ValueError("state %s has no set provenance" % state.name)
+    return state.parts
+
+
 def _translate_annotated(base, relabeled, cap=None):
     """Run annotated rules over a relabeled tree; a rule fires when each of its
     annotations is a member of the part set recorded at the node."""
@@ -139,7 +146,7 @@ def _translate_annotated(base, relabeled, cap=None):
         sym = s.label
         acc = set()
         for rule in base.rules_for(q, sym.name):
-            if all(l in sym.annotations[i].members() for i, l in enumerate(rule.lookahead)):
+            if all(l in _set_members(sym.annotations[i]) for i, l in enumerate(rule.lookahead)):
                 acc |= expand(rule.rhs, s)
         return frozenset(acc)
 

@@ -1,3 +1,7 @@
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 from ttc import (
@@ -14,6 +18,7 @@ from ttc import (
     build_m,
     chain_outputs,
     compose_linear_nondeleting,
+    decide_functionality,
     decompose_la,
     domain_automaton,
     enumerate_trees,
@@ -36,6 +41,8 @@ from .oracles import (
 )
 
 t = parse_tree
+
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
 def rule_strings(machine):
@@ -317,6 +324,90 @@ class TestConstructionReference:
             distinct += len(by_text)
         assert len(automata) == 2 * len(reference_pairs(workspace))
         assert distinct < rules
+
+
+def built_machines(workspace):
+    """Every machine that build_m and reduce_chain build on the reference
+    pairs and on 50 seeded three-stage chains, by (label, machine)."""
+    built = []
+    for pair in reference_pairs(workspace):
+        m, reports = build_m(*pair)
+        built += [(r.label, r.machine) for r in reports[:-1]]
+        built += [("M base", m.base), ("M look-ahead", m.la)]
+        built += zip(("R", "T"), decompose_la(m))
+    for seed in range(50):
+        reduced, reports = reduce_chain(random_chain3(seed))
+        built += [(r.label, r.machine) for r in reports[:-1]]
+        built += [("fused", reduced.stages[-2]), ("reader", reduced.stages[-1])]
+    return built
+
+
+class TestGivenChildStates:
+    """Constructions give their rules the child states they already know,
+    instead of walking each rhs again; the result must equal the walk."""
+
+    def test_every_built_rule_matches_the_walk(self, workspace):
+        for label, machine in built_machines(workspace):
+            for r in machine.rules:
+                assert r.child_states == machines._child_states(r), (label, machine.name, str(r))
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The rules whose rhs is walked, with whether a p-construction was
+        running at the time."""
+        walked = []
+        inside = []
+        walk, product = machines._child_states, constructions.p_construction
+
+        def counting(rule):
+            walked.append((rule, bool(inside)))
+            return walk(rule)
+
+        def in_product(*args, **kwargs):
+            inside.append(True)
+            try:
+                return product(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(machines, "_child_states", counting)
+        monkeypatch.setattr(constructions, "p_construction", in_product)
+        return walked
+
+    def test_domain_automaton_walks_no_rhs(self, workspace, walks):
+        for t1, t2 in reference_pairs(workspace):
+            hat = build_hat_t1(t1, t2)
+            seeds = [frozenset(req) for r in hat.rules for req in r.child_states]
+            walks.clear()
+            aut = domain_automaton(t2)
+            la = domain_automaton(hat, seeds=seeds)
+            assert walks == [], (t1.name, t2.name)
+            assert aut.rules and la.rules
+
+    def test_build_m_walks_only_new_product_rules(self, workspace, walks):
+        for pair in reference_pairs(workspace):
+            walks.clear()
+            m, reports = build_m(*pair)
+            assert all(inside for _, inside in walks), [str(r) for r, inside in walks if not inside]
+            walked = {id(r) for r, _ in walks}
+            for report in reports[1:3]:  # hat and N come from p_construction
+                assert all(id(r) in walked for r in report.machine.rules), report.label
+
+    def test_rotation_check_walk_count(self, monkeypatch):
+        """One benchmark rotation-check operation (parse, then decide) walks
+        291 right-hand sides: those of the parsed rules and of the
+        p-construction's new rules.  It walked 1,717 when every rule did."""
+        spec = importlib.util.spec_from_file_location("bench_workspaces", PERFBENCH / "workspaces.py")
+        bench = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench)
+        spec.loader.exec_module(bench)
+        walks = []
+        walk = machines._child_states
+        monkeypatch.setattr(machines, "_child_states", lambda rule: walks.append(rule) or walk(rule))
+        for ws in bench.rotation(1):
+            verdict, _ = decide_functionality(parse_workspace(ws.text).chains[ws.chain], ws.bound)
+            assert verdict.status == "not-functional"
+        assert len(walks) <= 291
 
 
 class TestPConstruction:

@@ -61,6 +61,11 @@ class TestChainOutputs:
         with pytest.raises(ValidationError, match="is not a plain transducer"):
             CompositionChain((workspace.machines["quadratic"], quadratic_la))
 
+    def test_neither_chain_nor_machine_is_rejected(self, workspace):
+        for other in ("quadratic", workspace.machines["quadratic_la"]):
+            with pytest.raises(ValidationError, match="is not a plain transducer"):
+                chain_outputs(other, t("e"))
+
     def test_cap_bounds_the_composed_set(self):
         # s1 gives 8 trees on a(a(a(e))) and s2 gives 8 on each of them, all
         # within the cap; together they are all 27 words over {a, b, c}
@@ -87,6 +92,10 @@ class TestChainOutputs:
 
 
 class TestCheckFunctionalBounded:
+    def test_neither_chain_nor_machine_is_rejected(self):
+        with pytest.raises(ValidationError, match="is not a plain transducer"):
+            check_functional_bounded("quadratic", 3)
+
     def test_naive_copying_product_not_functional(self, copy_pair):
         naive, _ = p_construction(*copy_pair)
         verdict = check_functional_bounded(naive, 2)

@@ -353,6 +353,21 @@ class TestRuleVariables:
         with pytest.raises(ValidationError, match=re.escape("rule q(a(x1)): variable x0 out of range [1]")):
             Rule(Q, "a", 1, var(Q, 0))
 
+    def test_given_child_states_skip_the_walk_but_not_the_check(self):
+        # a rule given its child states is made without looking at its rhs;
+        # the machine that holds it still rejects x3 under a rank-2 symbol
+        rule = Rule(Q, "f", 2, Tree("f", (var(Q, 1), var(Q, 3))), child_states=(frozenset({Q}), frozenset()))
+        assert rule == Rule(Q, "f", 2, rule.rhs, child_states=())
+        assert "child_states" not in repr(rule)
+        with pytest.raises(ValidationError, match="^%s$" % re.escape("rule q(f(x1,x2)): variable x3 out of range [2]")):
+            Transducer("m", OUT, OUT, [GOOD, rule], Q, states=[Q])
+
+    def test_shared_rhs_is_checked_per_variable_count(self):
+        rhs = Tree("f", (var(Q, 1), Tree("e")))
+        rules = [Rule(Q, "a", 1, rhs), Rule(Q, "e", 0, rhs, child_states=())]
+        with pytest.raises(ValidationError, match="^%s$" % re.escape("rule q(e): variable x1 out of range [0]")):
+            Transducer("m", IN, OUT, rules, Q, states=[Q])
+
 
 class TestValidate:
     @pytest.mark.parametrize(
