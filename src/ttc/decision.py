@@ -2,7 +2,9 @@
 
 The checker enumerates the domain of its target (not all trees) up to a size
 bound, counts the outputs of each input, and reports the first input with two
-distinct outputs in canonical order.  Verdicts are always bound-relative: a
+distinct outputs in canonical order.  A one-stage target's inputs are labelled
+bottom up with subtree classes, one table lookup per node, which count most
+single outputs without building them.  Verdicts are always bound-relative: a
 "functional" answer means no counterexample of size up to the bound exists.
 """
 
@@ -14,7 +16,7 @@ from itertools import islice
 
 from .constructions import BuildReport, CompositionChain, build_m, reduce_chain
 from .errors import ResourceLimit, ValidationError
-from .machines import LookaheadTransducer, Rule, Transducer, _evaluate, _one_output, enumerate_sizes
+from .machines import LookaheadTransducer, Rule, Transducer, _evaluate, _single_output, check_positive, enumerate_sizes
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
 
 DEFAULT_OUTPUT_CAP = 10**6
@@ -27,6 +29,7 @@ def chain_outputs(chain: CompositionChain | Transducer, tree: Tree, cap: int | N
     """Left-to-right relational composition of the stage translations."""
     if not isinstance(chain, CompositionChain):
         chain = CompositionChain((chain,))
+    check_positive(cap, "cap", optional=True)
     check_ground_over(tree, chain.stages[0].input_alphabet)
     stages = [(stage, None) for stage in chain]
     return frozenset(_outputs(stages, tree, cap, [({}, {}) for _ in stages]))
@@ -80,12 +83,13 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     or a look-ahead transducer.  Inputs are visited in canonical order, so the
     reported counterexample is reproducible.  The domain is enumerated one
     size at a time, and the check stops at the first size that has a
-    counterexample.  A one-stage input that `_one_output` shows to have one
-    output is counted, not built.  All inputs share one memo per stage, cleared
-    when the check ends, so the check keeps no memory and no machine state.
+    counterexample.  A one-stage input whose subtree class (`_single_output`)
+    gives the initial state one output is counted, not built; every other
+    input has its outputs built.  All inputs share one memo per stage and one
+    class table, cleared when the check ends, so the check keeps no memory
+    and no machine state.
     """
-    if max_size < 1:
-        raise ValidationError("max_size must be >= 1")
+    check_positive(output_cap, "output_cap", optional=True)
     if not isinstance(target, (CompositionChain, LookaheadTransducer)):
         target = CompositionChain((target,))
     if isinstance(target, LookaheadTransducer):
@@ -96,6 +100,7 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
         stages = [(stage, None) for stage in target]
     layers = enumerate_sizes(first.input_alphabet, ((first, initial),), max_size)
     memos = [({}, {}) for _ in stages]
+    labels, table, classes = {}, {}, []
     inputs_checked = 0
     single_output_inputs = 0
     inputs_enumerated = 0
@@ -114,7 +119,7 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
             while layer and counterexample is None:
                 s = layer.pop()
                 inputs_checked += 1
-                if len(stages) == 1 and _one_output(*stages[0], initial, s, output_cap, *memos[0]):
+                if len(stages) == 1 and _single_output(*stages[0], initial, s, labels, table, classes):
                     single_output_inputs += 1
                     continue
                 outs = _outputs(stages, s, output_cap, memos)
@@ -130,9 +135,14 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
             "inputs_enumerated": inputs_enumerated,
             "max_size_reached": size,
             "single_output_inputs": single_output_inputs,
+            "label_classes": len(classes),
+            "label_transitions": len(table),
         }
     finally:
         layers.close()
+        labels.clear()
+        table.clear()
+        classes.clear()
         for memo, la_memo in memos:
             memo.clear()
             la_memo.clear()
@@ -144,6 +154,8 @@ def decide_functionality(chain: CompositionChain | Transducer, max_size: int, ou
     """Reduce the chain to two stages, build the look-ahead transducer for the
     final pair, and check it at the bound (a one-stage chain, or a bare
     transducer, is checked as it is); returns every intermediate report."""
+    check_positive(max_size, "max_size")
+    check_positive(output_cap, "output_cap", optional=True)
     chain = chain if isinstance(chain, CompositionChain) else CompositionChain((chain,))
     reports: list[BuildReport] = []
     while len(chain) > 2:

@@ -162,6 +162,13 @@ def _check_rhs(rhs: Tree, variables: int, state_names: Collection[str], output_r
     return None
 
 
+def check_positive(value, what: str, optional: bool = False) -> None:
+    """Raise ValidationError unless value is an int >= 1, or None if optional:
+    a size bound, or an output cap where None means no cap."""
+    if not (optional and value is None or type(value) is int and value >= 1):
+        raise ValidationError("%s must be %san int >= 1, not %r" % (what, "None or " if optional else "", value))
+
+
 # -- semantics ---------------------------------------------------------------
 #
 # ``la`` is the look-ahead automaton, or None for a plain transducer.  These
@@ -254,28 +261,47 @@ def _evaluate(
     return tuple(acc)
 
 
-def _one_output(base: Transducer, la: Transducer | None, q: StateId, s: Tree, cap: int | None, memo: dict, la_memo: dict | None) -> bool:
-    """True iff exactly one rule fires at s and each of its calls has one output."""
-    calls = None
-    for rule in base.rules_for(q, s.label):
-        for l, c in zip(rule.lookahead if la is not None else (), s.children):
-            fires = la_memo.get((l.name, c.text))
-            if fires is None:
-                fires = _member(la, None, l, c, la_memo, None)
-            if not fires:
-                break
-        else:
-            if calls is not None:  # a second rule fires
-                return False
-            calls = rule.child_states
-    for c, req in zip(s.children, calls or ()):
-        for q2 in req:
-            out = memo.get((q2.name, c.text))
-            if out is None:
-                out = memo[q2.name, c.text] = _evaluate(base, la, q2, c, cap, memo, la_memo)
-            if len(out) != 1:
-                return False
-    return calls is not None
+def _label(base: Transducer, la: Transducer | None, s: Tree, memo: dict, table: dict, classes: list) -> int:
+    """The class of s, an index into `classes` (see `_class`).  It depends
+    only on the label of s and its children's classes: `table` holds it once
+    per such key, and `memo` the children's classes by subtree text; the
+    class of s itself is not stored there, as a check's inputs are distinct."""
+    key = [s.label]
+    for c in s.children:
+        k = memo.get(c.text)
+        if k is None:
+            k = memo[c.text] = _label(base, la, c, memo, table, classes)
+        key.append(k)
+    key = tuple(key)
+    k = table.get(key)
+    if k is None:
+        pair = _class(base, la, s.label, [classes[i] for i in key[1:]])
+        if pair not in classes:
+            classes.append(pair)
+        k = table[key] = classes.index(pair)
+    return k
+
+
+def _class(base: Transducer, la: Transducer | None, symbol, kids: list) -> tuple[frozenset[str], frozenset[str]]:
+    """The pair (accepts, one) of state-name sets at a symbol over children of
+    the classes `kids`.  accepts: the look-ahead states with a rule whose
+    child states are in their child's accepts, exact as an automaton rule
+    puts one state on each child.  one: the base states with exactly one rule
+    whose guard holds (any rule, without look-ahead) and whose calls are each
+    in their child's one, so with exactly one output."""
+    rules = la.rules if la is not None else ()
+    accepts = [r.state.name for r in rules if r.symbol == symbol and all(l.name in a for req, (a, _) in zip(r.child_states, kids) for l in req)]
+    one = []
+    for q in base.states:
+        fired = [r for r in base.rules_for(q, symbol) if la is None or all(l.name in a for l, (a, _) in zip(r.lookahead, kids))]
+        if len(fired) == 1 and all(q2.name in o for req, (_, o) in zip(fired[0].child_states, kids) for q2 in req):
+            one.append(q.name)
+    return frozenset(accepts), frozenset(one)
+
+
+def _single_output(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict, table: dict, classes: list) -> bool:
+    """True iff q is in `one` of the class of s: q has exactly one output on s."""
+    return q.name in classes[_label(base, la, s, memo, table, classes)][1]
 
 
 def _expand(
@@ -478,11 +504,13 @@ class Transducer:
         checked against the input alphabet before the shared evaluator runs.
         """
         self._known(state)
+        check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet, placeholders=True)
         return frozenset(_evaluate(self, None, state, _addressed(tree, at.path), cap, {}, None))
 
     def translate(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
         """All ground output trees derivable from the initial state on a ground input."""
+        check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)
         return frozenset(_evaluate(self, None, self.initial, tree, cap, {}, None))
 
@@ -560,7 +588,8 @@ class LookaheadTransducer:
         """Two-phase semantics, implemented lazily by the shared evaluator: a
         rule fires at a node iff every child subtree is in the domain of its
         annotation, which is decided on demand and memoized for this call.
-        The input is checked once, here."""
+        The input and the cap are checked once, here."""
+        check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)
         return frozenset(_evaluate(self.base, self.la, self.base.initial, tree, cap, {}, {}))
 
@@ -667,8 +696,7 @@ def enumerate_sizes(alphabet: RankedAlphabet, atoms: Iterable[Atom], max_size: i
     The memo of one enumeration lives until the last size is computed, so a
     caller that stops early does no work for the larger sizes; close the
     generator to free it at once."""
-    if max_size < 1:
-        raise ValidationError("max_size must be >= 1")
+    check_positive(max_size, "max_size")
     reqs = frozenset(atoms)
     memo: dict[tuple, tuple[Tree, ...]] = {}
     try:

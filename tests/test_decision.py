@@ -1,5 +1,6 @@
 import gc
 import pickle
+from collections import Counter
 import tracemalloc
 import types
 
@@ -157,6 +158,50 @@ class TestCheckFunctionalBounded:
             assert verdict.stats["inputs_checked"] == checked, seed
 
 
+class TestBoundsAndCaps:
+    """An output cap is None or an int >= 1, a size bound an int >= 1;
+    anything else is a ValidationError, raised before any work."""
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, True, "3"])
+    def test_bad_cap(self, cap, quadratic, copy_chain, worked_pair):
+        m, _ = build_m(*worked_pair)
+        s = t("a(e)")
+        calls = [
+            lambda: quadratic.translate(s, cap=cap),
+            lambda: quadratic.evaluate(quadratic.initial, s, cap=cap),
+            lambda: m.translate_la(t("f(e,d)"), cap=cap),
+            lambda: chain_outputs(copy_chain, s, cap=cap),
+            lambda: check_functional_bounded(quadratic, 3, output_cap=cap),
+            lambda: decide_functionality(copy_chain, 3, output_cap=cap),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="cap must be None or an int >= 1, not"):
+                call()
+
+    def test_no_cap_and_the_least_cap(self, quadratic, copy_chain):
+        s = t("a(e)")
+        assert quadratic.translate(s, cap=1) == quadratic.translate(s, cap=None) == {t("f(e,e)")}
+        assert chain_outputs(copy_chain, s, cap=None) == {t("f(e,e)")}
+        assert check_functional_bounded(quadratic, 3, output_cap=None).functional
+
+    @pytest.mark.parametrize("size", [0, -1, 2.5, None, True, "3"])
+    def test_bad_max_size(self, size, quadratic, worked_pair, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("built before the bound was checked")
+
+        monkeypatch.setattr(decision, "build_m", no_build)
+        monkeypatch.setattr(decision, "reduce_chain", no_build)
+        calls = [
+            lambda: check_functional_bounded(quadratic, size),
+            lambda: decide_functionality(CompositionChain(worked_pair), size),
+            lambda: decide_functionality(CompositionChain((*worked_pair, worked_pair[1])), size),
+            lambda: quadratic.enumerate_domain(quadratic.initial, size),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="max_size must be an int >= 1, not"):
+                call()
+
+
 class TestCheckMemo:
     """A check keeps one memo per stage across all of its inputs."""
 
@@ -165,21 +210,21 @@ class TestCheckMemo:
         """Records (input, outputs) for every input a check translates, and
         (input, None) for every input whose one output it counts unbuilt."""
         seen = []
-        outputs, one_output = decision._outputs, decision._one_output
+        outputs, single_output = decision._outputs, decision._single_output
 
         def spy(stages, s, cap, memos):
             outs = outputs(stages, s, cap, memos)
             seen.append((s, frozenset(outs)))
             return outs
 
-        def spy_one(base, la, q, s, cap, memo, la_memo):
-            one = one_output(base, la, q, s, cap, memo, la_memo)
+        def spy_one(base, la, q, s, memo, table, classes):
+            one = single_output(base, la, q, s, memo, table, classes)
             if one:
                 seen.append((s, None))
             return one
 
         monkeypatch.setattr(decision, "_outputs", spy)
-        monkeypatch.setattr(decision, "_one_output", spy_one)
+        monkeypatch.setattr(decision, "_single_output", spy_one)
         return seen
 
     @staticmethod
@@ -296,56 +341,61 @@ class TestCheckMemo:
 
 
 class TestEvaluatorCalls:
-    """Counts, never the clock: memo hits are answered without a call."""
+    """Counts, never the clock: memo and table hits are answered without a call."""
 
     def test_worked_pair_at_bound_11(self, worked_pair, monkeypatch):
         m, _ = build_m(*worked_pair)
-        roots, single, inner, member_hits, builds = [], [], [], [], [0]
-        evaluate, member, init = machines._evaluate, machines._member, Tree.__init__
-        one_output = machines._one_output
+        single, calls, labelled, builds = [], [], [], [0]
+        evaluate, member, label, init = machines._evaluate, machines._member, machines._label, Tree.__init__
+        single_output = machines._single_output
 
-        def spy_root(base, la, q, s, cap, memo, la_memo):
-            roots.append(s.text)
-            return evaluate(base, la, q, s, cap, memo, la_memo)
-
-        def spy_single(base, la, q, s, cap, memo, la_memo):
-            one = one_output(base, la, q, s, cap, memo, la_memo)
+        def spy_single(base, la, q, s, memo, table, classes):
+            one = single_output(base, la, q, s, memo, table, classes)
             if one:
                 single.append(s.text)
             return one
 
-        def spy_inner(base, la, q, s, cap, memo, la_memo):
-            inner.append((q.name, s.text))
+        def spy_evaluate(base, la, q, s, cap, memo, la_memo):
+            calls.append(("evaluate", q.name, s.text))
             return evaluate(base, la, q, s, cap, memo, la_memo)
 
         def spy_member(base, la, q, s, memo, la_memo):
-            member_hits.append((q.name, s.text) in memo)
+            calls.append(("member", q.name, s.text))
             return member(base, la, q, s, memo, la_memo)
+
+        def spy_label(base, la, s, memo, table, classes):
+            labelled.append(s.text)
+            return label(base, la, s, memo, table, classes)
 
         def spy_init(self, label, children=()):
             builds[0] += 1
             init(self, label, children)
 
-        monkeypatch.setattr(decision, "_evaluate", spy_root)
-        monkeypatch.setattr(decision, "_one_output", spy_single)
-        monkeypatch.setattr(machines, "_evaluate", spy_inner)
+        monkeypatch.setattr(decision, "_evaluate", spy_evaluate)
+        monkeypatch.setattr(decision, "_single_output", spy_single)
+        monkeypatch.setattr(machines, "_evaluate", spy_evaluate)
         monkeypatch.setattr(machines, "_member", spy_member)
+        monkeypatch.setattr(machines, "_label", spy_label)
         monkeypatch.setattr(Tree, "__init__", spy_init)
         verdict = check_functional_bounded(m, 11)
         assert verdict.status == FUNCTIONAL
-        # every input is checked once: its one output counted, or all built
-        checked = roots + single
-        assert len(checked) == len(set(checked)) == verdict.stats["inputs_checked"] == 2168
-        assert len(single) == verdict.stats["single_output_inputs"] == 2168
-        # each non-root (state, subtree) pair is evaluated once, into the memo
-        assert len(inner) == len(set(inner)) == verdict.stats["memo_entries"]
-        assert member_hits and not any(member_hits)
-        assert builds[0] <= 4742
+        # every input is checked once, and its one output counted unbuilt
+        assert len(single) == len(set(single)) == verdict.stats["inputs_checked"] == 2168
+        assert verdict.stats["single_output_inputs"] == 2168
+        # nothing is evaluated: the classes of 26 (symbol, child classes)
+        # keys decide every input
+        assert calls == [] and verdict.stats["memo_entries"] == 0
+        assert (verdict.stats["label_classes"], verdict.stats["label_transitions"]) == (5, 26)
+        # each subtree is labelled at most once as a child, and once as an input
+        twice = [text for text, n in Counter(labelled).items() if n > 1]
+        assert max(Counter(labelled).values()) == 2 and set(twice) <= set(single)
+        assert builds[0] <= 3646  # the enumeration's inputs and their subtrees
 
 
 class TestSingleOutputPath:
-    """A one-stage check counts an input's one output, unbuilt, only when one
-    rule fires at the root and each of its calls has one output; every other
+    """A one-stage check counts an input's one output, unbuilt, only when the
+    class of the input puts the initial state in `one`: one rule fires at the
+    root and each of its calls is in `one` of its child's class.  Every other
     input has all its outputs built."""
 
     TEXT = """
@@ -370,21 +420,21 @@ class TestSingleOutputPath:
 
     @pytest.fixture
     def paths(self, monkeypatch):
-        """Records ("one", input) for each input `_one_output` is asked about,
-        then ("all", input) for each whose outputs are built."""
+        """Records ("one", input) for each input `_single_output` is asked
+        about, then ("all", input) for each whose outputs are built."""
         seen = []
-        outputs, one_output = decision._outputs, decision._one_output
+        outputs, single_output = decision._outputs, decision._single_output
 
         def spy(stages, s, cap, memos):
             seen.append(("all", s.text))
             return outputs(stages, s, cap, memos)
 
-        def spy_one(base, la, q, s, cap, memo, la_memo):
+        def spy_one(base, la, q, s, memo, table, classes):
             seen.append(("one", s.text))
-            return one_output(base, la, q, s, cap, memo, la_memo)
+            return single_output(base, la, q, s, memo, table, classes)
 
         monkeypatch.setattr(decision, "_outputs", spy)
-        monkeypatch.setattr(decision, "_one_output", spy_one)
+        monkeypatch.setattr(decision, "_single_output", spy_one)
         return seen
 
     def test_two_firing_rules_with_equal_outputs(self, targets, paths):
@@ -407,12 +457,14 @@ class TestSingleOutputPath:
             assert verdict.stats["outputs_computed"] == 3
             assert paths == [("one", "e"), ("one", "a(e)"), ("all", "a(e)")]
 
-    def test_cap_is_enforced_inside_the_one_output_count(self, targets, paths):
+    def test_cap_is_enforced_where_outputs_are_built(self, targets, paths):
+        # the classes build nothing: a(e) is not single, and building its
+        # outputs meets q1(e), whose two outputs exceed the cap
         for target in targets["branch"]:
             paths.clear()
             with pytest.raises(ResourceLimit, match="output set exceeds cap 1$"):
                 check_functional_bounded(target, 4, output_cap=1)
-            assert paths == [("one", "e"), ("one", "a(e)")]
+            assert paths == [("one", "e"), ("one", "a(e)"), ("all", "a(e)")]
 
 
 class TestDecideFunctionality:
@@ -444,8 +496,9 @@ class TestDecideFunctionality:
 
     def test_single_stage_matches_the_wrapped_check(self, workspace, monkeypatch):
         """A one-stage chain is checked as it is: verdict, counterexample and
-        stats equal the check of the machine behind a universal look-ahead,
-        and no look-ahead transducer is built."""
+        stats, but for the subtree-class counts, equal the check of the
+        machine behind a universal look-ahead, and no look-ahead transducer
+        is built."""
         machines = [m for m in workspace.machines.values() if isinstance(m, Transducer)]
         for seed in range(200):
             machines += random_pair(seed)
@@ -463,7 +516,12 @@ class TestDecideFunctionality:
             for bound in (3, 5):
                 verdict, reports = decide_functionality(CompositionChain((machine,)), bound)
                 assert not built and reports == []
-                assert verdict == check_functional_bounded(reference, bound), (machine.name, bound)
+                expected = check_functional_bounded(reference, bound)
+                # the trimmed base of the reference may have fewer states,
+                # and so other subtree classes
+                for v in (verdict, expected):
+                    del v.stats["label_classes"], v.stats["label_transitions"]
+                assert verdict == expected, (machine.name, bound)
 
     def test_three_stage_with_extra_rule(self, copy_pair, copy_t2_extra):
         t1, _ = copy_pair

@@ -18,7 +18,7 @@ from ttc import (
     p_construction,
 )
 from ttc.generate import random_chain3, random_pair
-from ttc.machines import enumerate_satisfying, least_fixpoint
+from ttc.machines import _evaluate, _label, _member, enumerate_satisfying, least_fixpoint
 from ttc.trees import NodeAddress, PlaceholderLeaf, StateOverNode, StateOverVariable, Tree, parse_tree
 
 from .oracles import identity_automaton, rewrite_translate, set_productive, translate_la_eager, wrap_trivial_lookahead
@@ -314,6 +314,52 @@ class TestLookaheadSemantics:
                         for s in trees:
                             if aut.dom_member(big, s):
                                 assert aut.dom_member(small, s)
+
+
+class TestSubtreeClasses:
+    """The class of a subtree: `accepts` is exactly the look-ahead states whose
+    domain holds it, and each state in `one` has exactly one output on it."""
+
+    @staticmethod
+    def check_classes(base, la, trees, tag):
+        memo, table, classes = {}, {}, []
+        states = {q.name: q for q in base.states}
+        singles = 0
+        for s in trees:
+            accepts, one = classes[_label(base, la, s, memo, table, classes)]
+            if la is None:
+                assert accepts == frozenset(), (tag, s.text)
+            else:
+                member = {l.name for l in la.states if _member(la, None, l, s, {}, None)}
+                assert accepts == member, (tag, s.text)
+            for name in one:
+                assert len(_evaluate(base, la, states[name], s, None, {}, {})) == 1, (tag, s.text, name)
+            singles += len(one)
+        return singles
+
+    @staticmethod
+    def subtrees(trees):
+        found, stack = {}, list(trees)
+        while stack:
+            s = stack.pop()
+            if s.text not in found:
+                found[s.text] = s
+                stack.extend(s.children)
+        return sorted(found.values(), key=lambda s: (s.size, s.text))
+
+    def test_every_subtree_of_m_domains(self):
+        singles = 0
+        for seed in range(200):
+            m, _ = build_m(*random_pair(seed))
+            singles += self.check_classes(m.base, m.la, self.subtrees(m.enumerate_domain(6)), seed)
+        assert singles > 300  # 408 (subtree, state) pairs in `one`: not vacuous
+
+    def test_plain_machines(self, workspace):
+        plain = [m for m in workspace.machines.values() if isinstance(m, Transducer)]
+        for seed in range(50):
+            plain += random_pair(seed)
+        for m in plain:
+            self.check_classes(m, None, enumerate_trees(m.input_alphabet, 5), m.name)
 
 
 class TestRequirementEnumeration:

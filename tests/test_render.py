@@ -47,14 +47,18 @@ def test_verdict_json_shape(copy_pair, copy_chain):
         doc = json.loads(to_json(verdict_json(verdict)))
         assert set(doc) == {"status", "bound", "counterexample", "stats"}
         assert doc["status"] == status
-        assert set(doc["stats"]) == {
+        # in the order the check writes them; the JSON itself sorts its keys
+        assert set(doc["stats"]) == set(verdict.stats)
+        assert list(verdict.stats) == [
             "inputs_checked",
             "outputs_computed",
             "memo_entries",
             "inputs_enumerated",
             "max_size_reached",
             "single_output_inputs",
-        }
+            "label_classes",
+            "label_transitions",
+        ]
         if doc["counterexample"] is not None:
             assert set(doc["counterexample"]) == {"input", "outputs"}
             assert len(doc["counterexample"]["outputs"]) == 2
