@@ -41,7 +41,7 @@ from .machines import (
     enumerate_satisfying,
     enumerate_trees,
 )
-from .textform import Workspace, machines_equal, parse_workspace, workspaces_equal
+from .textform import Workspace, parse_workspace
 from .trees import (
     AnnotatedSymbol,
     NodeAddress,

@@ -39,6 +39,13 @@ STATE_CAP = 5000
 RULE_CAP = 60000
 
 
+def _require(kind: type, what: str, *machines) -> None:
+    """Raise ValidationError, naming the expected kind, for a machine of another kind."""
+    for machine in machines:
+        if not isinstance(machine, kind):
+            raise ValidationError("%s needs a %s, not %r" % (what, kind.__name__, machine))
+
+
 @dataclass
 class BuildReport:
     """What a construction produced: the machine, pruning counts, provenance."""
@@ -95,6 +102,7 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
     output.  Rules are emitted sorted by child-state names; each is given
     its child states, read off its vector, instead of walking its rhs.
     """
+    _require(Transducer, "domain_automaton", t)
     sigma = t.input_alphabet
     ordered_seeds = sorted(
         (frozenset(s) for s in seeds), key=lambda m: sorted(x.name for x in m)
@@ -199,6 +207,7 @@ def p_construction(
     machine and a (new rule, source t1 rule) pairing for downstream
     annotation.
     """
+    _require(Transducer, "p_construction", t1, t2)
     if t1.output_alphabet != t2.input_alphabet:
         raise AlphabetMismatch(
             "output alphabet of %s differs from input alphabet of %s" % (t1.name, t2.name)
@@ -228,7 +237,7 @@ def p_construction(
             if xi is None:
                 check_ground_over(src.rhs, t2.input_alphabet, placeholders=True)
                 xi = addressed[id(src)] = _addressed(src.rhs, ())
-            for psi in sorted(_evaluate(t2, None, q2, xi, None, memo, None), key=attrgetter("text")):
+            for psi in sorted(_evaluate(t2, q2, xi, None, memo, None, None), key=attrgetter("text")):
                 gamma, demanded, ok = _instantiate(psi, src.rhs, make_state, pair_filter)
                 if not ok:
                     continue
@@ -314,6 +323,7 @@ def build_m(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[B
     component, seeded so every annotation is one of its states; empty-domain
     look-ahead states and the rules they kill are pruned.
     """
+    _require(Transducer, "build_m", t1, t2)
     reports: list[BuildReport] = []
 
     def report(label, machine, before, provenance=None, t0=0.0):
@@ -397,6 +407,7 @@ def decompose_la(m: LookaheadTransducer) -> tuple[Transducer, Transducer]:
     state that covers the rule's annotation (set-provenance supersets), so a
     relabeling run that merged several annotations still matches.
     """
+    _require(LookaheadTransducer, "decompose_la", m)
     la, base = m.la, m.base
     ann_symbols: dict[tuple, AnnotatedSymbol] = {}
     r_rules: list[Rule] = []
@@ -449,6 +460,7 @@ def decompose_la(m: LookaheadTransducer) -> tuple[Transducer, Transducer]:
 
 def compose_linear_nondeleting(t1: Transducer, t2: Transducer, name: str | None = None) -> Transducer:
     """Fuse t1 with a linear nondeleting t2 into a single equivalent transducer."""
+    _require(Transducer, "compose_linear_nondeleting", t1, t2)
     if not t2.is_linear_nondeleting():
         raise NotLinearNondeleting("%s is not linear and nondeleting" % t2.name)
     machine, _ = p_construction(t1, t2, name=name or "fuse(%s,%s)" % (t1.name, t2.name))

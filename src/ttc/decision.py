@@ -31,25 +31,25 @@ def chain_outputs(chain: CompositionChain | Transducer, tree: Tree, cap: int | N
         chain = CompositionChain((chain,))
     check_positive(cap, "cap", optional=True)
     check_ground_over(tree, chain.stages[0].input_alphabet)
-    stages = [(stage, None) for stage in chain]
-    return frozenset(_outputs(stages, tree, cap, [({}, {}) for _ in stages]))
+    return frozenset(_outputs(chain.stages, tree, cap, [{} for _ in chain.stages], None, None))
 
 
-def _outputs(stages, tree: Tree, cap: int | None, memos) -> Collection[Tree]:
-    """The outputs of the (base, look-ahead) stages, composed left to right,
-    on a valid input, without repeats; stage i memoises in memos[i].  A
-    chain's alphabets match, so every intermediate tree is valid for the
-    next stage.  The cap bounds each stage's whole output set."""
+def _outputs(stages, tree: Tree, cap: int | None, memos, labels: dict | None, classes: list | None) -> Collection[Tree]:
+    """The outputs of the stages, composed left to right, on a valid input,
+    without repeats; stage i memoises in memos[i], and a look-ahead base
+    reads its guards from the input's labels (see `_evaluate`).  A chain's
+    alphabets match, so every intermediate tree is valid for the next
+    stage.  The cap bounds each stage's whole output set."""
     outs = (tree,)
-    for (base, la), (memo, la_memo) in zip(stages, memos):
+    for base, memo in zip(stages, memos):
         if len(outs) == 1:
             # `_evaluate` returns a tuple without repeats: no set needed
             (t,) = outs
-            outs = _evaluate(base, la, base.initial, t, cap, memo, la_memo)
+            outs = _evaluate(base, base.initial, t, cap, memo, labels, classes)
             continue
         step = set()
         for t in outs:
-            step.update(_evaluate(base, la, base.initial, t, cap, memo, la_memo))
+            step.update(_evaluate(base, base.initial, t, cap, memo, labels, classes))
             if cap is not None and len(step) > cap:
                 raise ResourceLimit("output set exceeds cap %d" % cap)
         outs = step
@@ -85,21 +85,22 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     size at a time, and the check stops at the first size that has a
     counterexample.  A one-stage input whose subtree class (`_single_output`)
     gives the initial state one output is counted, not built; every other
-    input has its outputs built.  All inputs share one memo per stage and one
-    class table, cleared when the check ends, so the check keeps no memory
-    and no machine state.
+    input has its outputs built, its look-ahead guards read from the same
+    classes.  All inputs share one memo per stage and one class table,
+    cleared when the check ends, so the check keeps no memory and no machine
+    state.
     """
     check_positive(output_cap, "output_cap", optional=True)
     if not isinstance(target, (CompositionChain, LookaheadTransducer)):
         target = CompositionChain((target,))
     if isinstance(target, LookaheadTransducer):
-        first, initial = target, target.base.initial
-        stages = [(target.base, target.la)]
+        first, initial, la = target, target.base.initial, target.la
+        stages = [target.base]
     else:
-        first, initial = target.stages[0], target.stages[0].initial
-        stages = [(stage, None) for stage in target]
+        first, initial, la = target.stages[0], target.stages[0].initial, None
+        stages = target.stages
     layers = enumerate_sizes(first.input_alphabet, ((first, initial),), max_size)
-    memos = [({}, {}) for _ in stages]
+    memos = [{} for _ in stages]
     labels, table, classes = {}, {}, []
     inputs_checked = 0
     single_output_inputs = 0
@@ -119,10 +120,11 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
             while layer and counterexample is None:
                 s = layer.pop()
                 inputs_checked += 1
-                if len(stages) == 1 and _single_output(*stages[0], initial, s, labels, table, classes):
+                # labels s first: its proper subtrees' classes decide the guards
+                if len(stages) == 1 and _single_output(stages[0], la, initial, s, labels, table, classes):
                     single_output_inputs += 1
                     continue
-                outs = _outputs(stages, s, output_cap, memos)
+                outs = _outputs(stages, s, output_cap, memos, labels, classes)
                 outputs_computed += len(outs)
                 if len(outs) > 1:
                     counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
@@ -131,7 +133,7 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
         stats = {
             "inputs_checked": inputs_checked,
             "outputs_computed": outputs_computed + single_output_inputs,
-            "memo_entries": sum(len(memo) for memo, _ in memos),
+            "memo_entries": sum(len(memo) for memo in memos),
             "inputs_enumerated": inputs_enumerated,
             "max_size_reached": size,
             "single_output_inputs": single_output_inputs,
@@ -143,9 +145,8 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
         labels.clear()
         table.clear()
         classes.clear()
-        for memo, la_memo in memos:
+        for memo in memos:
             memo.clear()
-            la_memo.clear()
     status = FUNCTIONAL if counterexample is None else NOT_FUNCTIONAL
     return Verdict(status, max_size, counterexample, stats)
 
@@ -187,10 +188,6 @@ class DerivationTrace:
     steps: tuple[TraceStep, ...]
     final: Tree
     complete: bool
-
-    @property
-    def rule_tags(self) -> tuple[int, ...]:
-        return tuple(step.rule_index for step in self.steps)
 
 
 def _markers(form: Tree):

@@ -6,8 +6,10 @@ evaluation of a state on a partial tree returns the finite set of trees
 derivable from it, with placeholders turning into state-over-node markers.
 Look-ahead transducers additionally constrain each child variable with a
 state of a look-ahead automaton; a rule fires only when every child subtree
-lies in the domain of its annotation.  A plain rule is a look-ahead rule with
-no guard, so one evaluator and one membership test serve both kinds.
+lies in the domain of its annotation.  That guard is decided only by the
+subtree class of the child, computed bottom up once per distinct subtree
+(`_label`).  A plain rule is a look-ahead rule with no guard, so one
+evaluator serves both kinds.
 """
 
 from __future__ import annotations
@@ -171,15 +173,19 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 
 # -- semantics ---------------------------------------------------------------
 #
-# ``la`` is the look-ahead automaton, or None for a plain transducer.  These
-# functions trust their input tree; the public entry points validate it.
+# ``la`` (of `_label`, `_class` and `_single_output`) is the look-ahead
+# automaton, or None for a plain transducer.  These functions trust their
+# input tree; the public entry points validate it.
 #
 # The memos belong to the caller, which keeps them for one public call, one
-# chain_outputs call or one whole check.  They are keyed on (state name,
-# subtree text), which is how StateId and Tree define equality, so equal
-# subtrees of all inputs share one entry.  Only the markers q(v) of a partial
-# tree depend on where a subtree sits, so `Transducer.evaluate` first names
-# each marker leaf by its address (`_addressed`).
+# chain_outputs call or one whole check.  The evaluation memo is keyed on
+# (state name, subtree text), which is how StateId and Tree define equality,
+# so equal subtrees of all inputs share one entry; the label memo maps a
+# subtree text to its class, an index into the caller's `classes`.  A
+# look-ahead guard is read from the label memo and nowhere else.  Only the
+# markers q(v) of a partial tree depend on where a subtree sits, so
+# `Transducer.evaluate` first names each marker leaf by its address
+# (`_addressed`).
 
 
 def _addressed(tree: Tree, path: tuple[int, ...]) -> Tree:
@@ -194,48 +200,18 @@ def _addressed(tree: Tree, path: tuple[int, ...]) -> Tree:
     return Tree(tree.label, kids)
 
 
-def _member(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict, la_memo: dict | None) -> bool:
-    """True iff some ground output is derivable from q(s), stored in `memo`
-    under (state name, subtree text); `la_memo` holds the answers for the
-    look-ahead automaton.  Callers look the key up first and call only on a
-    miss, as this function does for the children.  A rule fires at s iff
-    every child lies in the domain of its look-ahead state (always, without
-    look-ahead)."""
-    kids = s.children
-    ok = False
-    for rule in base.rules_for(q, s.label):
-        ok = True
-        if la is not None:
-            for l, c in zip(rule.lookahead, kids):
-                ok = la_memo.get((l.name, c.text))
-                if ok is None:
-                    ok = _member(la, None, l, c, la_memo, None)
-                if not ok:
-                    break
-        for i, req in enumerate(rule.child_states):
-            if not ok:
-                break
-            c = kids[i]
-            for q2 in req:
-                ok = memo.get((q2.name, c.text))
-                if ok is None:
-                    ok = _member(base, la, q2, c, memo, la_memo)
-                if not ok:
-                    break
-        if ok:
-            break
-    memo[(q.name, s.text)] = ok
-    return ok
-
-
 def _evaluate(
-    base: Transducer, la: Transducer | None, q: StateId, s: Tree, cap: int | None, memo: dict, la_memo: dict | None
+    base: Transducer, q: StateId, s: Tree, cap: int | None, memo: dict, labels: dict | None, classes: list | None
 ) -> tuple[Tree, ...]:
     """The trees derivable from q(s), without repeats; a placeholder leaf named
-    by its address v (see `_addressed`) turns into q(v).  The children's
-    results go through `memo`, the result for s itself does not: a check's
-    inputs are distinct, so it would not be looked up again.  Memo hits are
-    answered in the caller's loop, without a call."""
+    by its address v (see `_addressed`) turns into q(v).  A rule with
+    look-ahead fires iff each annotation is in its child's `accepts`, read
+    from the caller's label memo `labels` (see `_label`): the caller labels
+    s first, which stores the class of every proper subtree.  Plain callers
+    pass None for `labels` and `classes`.  The children's results go through
+    `memo`, the result for s itself does not: a check's inputs are distinct,
+    so it would not be looked up again.  Memo hits are answered in the
+    caller's loop, without a call."""
     lab = s.label
     if isinstance(lab, PlaceholderLeaf):
         return (Tree(StateOverNode(q, lab.ident)),)
@@ -244,15 +220,13 @@ def _evaluate(
     alts = []
     for rule in base.rules_for(q, lab):
         fires = True
-        if la is not None:
+        if rule.lookahead is not None:
             for l, c in zip(rule.lookahead, kids):
-                fires = la_memo.get((l.name, c.text))
-                if fires is None:
-                    fires = _member(la, None, l, c, la_memo, None)
+                fires = l.name in classes[labels[c.text]][0]
                 if not fires:
                     break
         if fires:
-            alts.append(_expand(base, la, rule.rhs, s, cap, memo, la_memo))
+            alts.append(_expand(base, rule.rhs, s, cap, memo, labels, classes))
     if len(alts) == 1:  # already without repeats; skips hashing every tree
         return alts[0]
     acc = set().union(*alts)
@@ -305,7 +279,7 @@ def _single_output(base: Transducer, la: Transducer | None, q: StateId, s: Tree,
 
 
 def _expand(
-    base: Transducer, la: Transducer | None, node: Tree, s: Tree, cap: int | None, memo: dict, la_memo: dict | None
+    base: Transducer, node: Tree, s: Tree, cap: int | None, memo: dict, labels: dict | None, classes: list | None
 ) -> tuple[Tree, ...]:
     """The trees a right-hand side node yields at input node s, without repeats.
     A q(xi) child is looked up in `memo` here, and evaluated only on a miss;
@@ -316,7 +290,7 @@ def _expand(
         key = (lab.state.name, child.text)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = _evaluate(base, la, lab.state, child, cap, memo, la_memo)
+            out = memo[key] = _evaluate(base, lab.state, child, cap, memo, labels, classes)
         return out
     if not node.children:
         return (node,)
@@ -329,9 +303,9 @@ def _expand(
             key = (clab.state.name, child.text)
             a = memo.get(key)
             if a is None:
-                a = memo[key] = _evaluate(base, la, clab.state, child, cap, memo, la_memo)
+                a = memo[key] = _evaluate(base, clab.state, child, cap, memo, labels, classes)
         elif c.children:
-            a = _expand(base, la, c, s, cap, memo, la_memo)
+            a = _expand(base, c, s, cap, memo, labels, classes)
         else:
             a = (c,)
         alts.append(a)
@@ -506,19 +480,13 @@ class Transducer:
         self._known(state)
         check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet, placeholders=True)
-        return frozenset(_evaluate(self, None, state, _addressed(tree, at.path), cap, {}, None))
+        return frozenset(_evaluate(self, state, _addressed(tree, at.path), cap, {}, None, None))
 
     def translate(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
         """All ground output trees derivable from the initial state on a ground input."""
         check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)
-        return frozenset(_evaluate(self, None, self.initial, tree, cap, {}, None))
-
-    def dom_member(self, state: StateId, tree: Tree) -> bool:
-        """True iff some ground output is derivable from state(tree)."""
-        self._known(state)
-        check_ground_over(tree, self.input_alphabet)
-        return _member(self, None, state, tree, {}, None)
+        return frozenset(_evaluate(self, self.initial, tree, cap, {}, None, None))
 
     def dom_empty(self, state: StateId) -> bool:
         """True iff no ground tree lies in dom(state): the set {state} is not
@@ -585,19 +553,16 @@ class LookaheadTransducer:
         )
 
     def translate_la(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
-        """Two-phase semantics, implemented lazily by the shared evaluator: a
-        rule fires at a node iff every child subtree is in the domain of its
-        annotation, which is decided on demand and memoized for this call.
-        The input and the cap are checked once, here."""
+        """Two-phase semantics: the input is labelled bottom up with subtree
+        classes (`_label`), the deterministic relabeling that evaluates the
+        look-ahead, then the shared evaluator fires a rule at a node iff
+        every child's class accepts its annotation.  The input and the cap
+        are checked once, here."""
         check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)
-        return frozenset(_evaluate(self.base, self.la, self.base.initial, tree, cap, {}, {}))
-
-    def dom_member(self, state: StateId, tree: Tree) -> bool:
-        """Domain membership under the look-ahead semantics."""
-        self.base._known(state)
-        check_ground_over(tree, self.input_alphabet)
-        return _member(self.base, self.la, state, tree, {}, {})
+        labels, classes = {}, []
+        _label(self.base, self.la, tree, labels, {}, classes)
+        return frozenset(_evaluate(self.base, self.base.initial, tree, cap, {}, labels, classes))
 
     def enumerate_domain(self, max_size: int) -> list[Tree]:
         return enumerate_satisfying(

@@ -386,31 +386,3 @@ class _Parser:
 def parse_workspace(text: str, workspace: Workspace | None = None) -> Workspace:
     """Parse one definition source, adding to an existing workspace if given."""
     return _Parser(_tokenize(text), workspace or Workspace()).parse()
-
-
-def machines_equal(a, b) -> bool:
-    """Structural machine equality: same alphabets, initial state, states and rules."""
-    if isinstance(a, LookaheadTransducer) != isinstance(b, LookaheadTransducer):
-        return False
-    if isinstance(a, LookaheadTransducer):
-        return machines_equal(a.base, b.base) and machines_equal(a.la, b.la)
-    return (
-        a.input_alphabet == b.input_alphabet
-        and a.output_alphabet == b.output_alphabet
-        and a.initial == b.initial
-        and a.states == b.states
-        and a.rules == b.rules
-    )
-
-
-def workspaces_equal(a: Workspace, b: Workspace) -> bool:
-    if set(a.machines) != set(b.machines) or set(a.chains) != set(b.chains):
-        return False
-    for name in a.machines:
-        if not machines_equal(a.machines[name], b.machines[name]):
-            return False
-    for name in a.chains:
-        sa, sb = a.chains[name].stages, b.chains[name].stages
-        if len(sa) != len(sb) or any(not machines_equal(x, y) for x, y in zip(sa, sb)):
-            return False
-    return True

@@ -39,16 +39,6 @@ class NodeAddress:
     def child(self, i: int) -> "NodeAddress":
         return NodeAddress(self.path + (i,))
 
-    @classmethod
-    def parse(cls, text: str) -> "NodeAddress":
-        text = text.strip()
-        if text in ("", "ε", "eps", "epsilon"):
-            return cls(())
-        try:
-            return cls(tuple(int(part) for part in text.split(".")))
-        except ValueError:
-            raise InvalidAddress("cannot parse node address %r" % text) from None
-
     def __str__(self):
         return ".".join(str(i) for i in self.path) if self.path else "ε"
 

@@ -6,8 +6,10 @@ look-ahead translation by materializing every relabeling, the domain
 automaton by walking every subset of rules, the product construction by one
 public `evaluate` call per (pair, rule), the trim of a look-ahead
 transducer by building its base twice, the bounded check by translating
-every tree up to the bound, and the emptiness of a state set by exploring
-requirement sets one rule choice per member.
+every tree up to the bound, the emptiness of a state set by exploring
+requirement sets one rule choice per member, and domain membership by a
+top-down recursive test that decides each look-ahead guard by membership in
+the look-ahead automaton, where the package reads subtree classes.
 """
 
 from itertools import combinations, product
@@ -74,6 +76,48 @@ def _replace(form, path, replacement):
     kids = list(form.children)
     kids[i - 1] = _replace(kids[i - 1], path[1:], replacement)
     return Tree(form.label, kids)
+
+
+def _member(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict, la_memo: dict | None) -> bool:
+    """True iff some ground output is derivable from q(s), stored in `memo`
+    under (state name, subtree text); `la_memo` holds the answers for the
+    look-ahead automaton.  Callers look the key up first and call only on a
+    miss, as this function does for the children.  A rule fires at s iff
+    every child lies in the domain of its look-ahead state (always, without
+    look-ahead)."""
+    kids = s.children
+    ok = False
+    for rule in base.rules_for(q, s.label):
+        ok = True
+        if la is not None:
+            for l, c in zip(rule.lookahead, kids):
+                ok = la_memo.get((l.name, c.text))
+                if ok is None:
+                    ok = _member(la, None, l, c, la_memo, None)
+                if not ok:
+                    break
+        for i, req in enumerate(rule.child_states):
+            if not ok:
+                break
+            c = kids[i]
+            for q2 in req:
+                ok = memo.get((q2.name, c.text))
+                if ok is None:
+                    ok = _member(base, la, q2, c, memo, la_memo)
+                if not ok:
+                    break
+        if ok:
+            break
+    memo[(q.name, s.text)] = ok
+    return ok
+
+
+def dom_member(machine, state, tree):
+    """True iff some ground output is derivable from state(tree), for a plain
+    or a look-ahead transducer, by `_member` with fresh memos."""
+    if isinstance(machine, LookaheadTransducer):
+        return _member(machine.base, machine.la, state, tree, {}, {})
+    return _member(machine, None, state, tree, {}, None)
 
 
 def staged_compose(stages, source):
@@ -406,3 +450,32 @@ def set_productive(t, members):
                 productive.add(current)
                 changed = True
     return members in productive
+
+
+def machines_equal(a, b) -> bool:
+    """Structural machine equality: same alphabets, initial state, states and rules."""
+    if isinstance(a, LookaheadTransducer) != isinstance(b, LookaheadTransducer):
+        return False
+    if isinstance(a, LookaheadTransducer):
+        return machines_equal(a.base, b.base) and machines_equal(a.la, b.la)
+    return (
+        a.input_alphabet == b.input_alphabet
+        and a.output_alphabet == b.output_alphabet
+        and a.initial == b.initial
+        and a.states == b.states
+        and a.rules == b.rules
+    )
+
+
+def workspaces_equal(a, b) -> bool:
+    """Same machine and chain names, each pair of machines equal as above."""
+    if set(a.machines) != set(b.machines) or set(a.chains) != set(b.chains):
+        return False
+    for name in a.machines:
+        if not machines_equal(a.machines[name], b.machines[name]):
+            return False
+    for name in a.chains:
+        sa, sb = a.chains[name].stages, b.chains[name].stages
+        if len(sa) != len(sb) or any(not machines_equal(x, y) for x, y in zip(sa, sb)):
+            return False
+    return True

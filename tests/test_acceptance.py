@@ -26,11 +26,10 @@ from ttc import (
 from ttc.decision import derivations
 from ttc.generate import random_chain3, random_pair
 from ttc.render import serialize_machine
-from ttc.textform import machines_equal
 from ttc.trees import parse_tree
 
 from . import pair_properties
-from .oracles import identity_automaton, rewrite_translate, translate_la_eager
+from .oracles import identity_automaton, machines_equal, rewrite_translate, translate_la_eager
 from .test_constructions import (
     A_EXPECTED,
     AHAT_EXPECTED,

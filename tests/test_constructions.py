@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from ttc import (
     Rule,
     StateId,
     Transducer,
+    ValidationError,
     build_hat_t1,
     build_m,
     chain_outputs,
@@ -757,3 +759,20 @@ class TestFixturePairProperties:
     def test_worked(self, worked_pair):
         pair_properties.check_pair(*worked_pair, size=5)
         pair_properties.singleton_outputs_force_equal_second_stage(*worked_pair, size=5)
+
+
+class TestMachineKinds:
+    def test_constructions_name_the_kind_they_expect(self, workspace):
+        plain, la = workspace.machines["quadratic"], workspace.machines["quadratic_la"]
+        calls = [
+            (lambda: domain_automaton(la), "domain_automaton needs a Transducer, not LookaheadTransducer"),
+            (lambda: decompose_la(plain), "decompose_la needs a LookaheadTransducer, not Transducer"),
+            (lambda: build_m(la, plain), "build_m needs a Transducer, not LookaheadTransducer"),
+            (lambda: build_m(plain, la), "build_m needs a Transducer, not LookaheadTransducer"),
+            (lambda: p_construction(la, plain), "p_construction needs a Transducer, not LookaheadTransducer"),
+            (lambda: build_hat_t1(plain, la), "domain_automaton needs a Transducer, not LookaheadTransducer"),
+            (lambda: compose_linear_nondeleting(plain, la), "compose_linear_nondeleting needs a Transducer, not"),
+        ]
+        for call, message in calls:
+            with pytest.raises(ValidationError, match="^" + re.escape(message)):
+                call()

@@ -39,6 +39,11 @@ from .oracles import (
 t = parse_tree
 
 
+def rule_tags(trace):
+    """The rule numbers a trace applies, step by step."""
+    return tuple(step.rule_index for step in trace.steps)
+
+
 class TestChainOutputs:
     def test_copying(self, copy_chain):
         assert chain_outputs(copy_chain, t("a(e)")) == frozenset((t("f(e,e)"),))
@@ -212,8 +217,8 @@ class TestCheckMemo:
         seen = []
         outputs, single_output = decision._outputs, decision._single_output
 
-        def spy(stages, s, cap, memos):
-            outs = outputs(stages, s, cap, memos)
+        def spy(stages, s, cap, memos, labels, classes):
+            outs = outputs(stages, s, cap, memos, labels, classes)
             seen.append((s, frozenset(outs)))
             return outs
 
@@ -346,7 +351,7 @@ class TestEvaluatorCalls:
     def test_worked_pair_at_bound_11(self, worked_pair, monkeypatch):
         m, _ = build_m(*worked_pair)
         single, calls, labelled, builds = [], [], [], [0]
-        evaluate, member, label, init = machines._evaluate, machines._member, machines._label, Tree.__init__
+        evaluate, label, init = machines._evaluate, machines._label, Tree.__init__
         single_output = machines._single_output
 
         def spy_single(base, la, q, s, memo, table, classes):
@@ -355,13 +360,9 @@ class TestEvaluatorCalls:
                 single.append(s.text)
             return one
 
-        def spy_evaluate(base, la, q, s, cap, memo, la_memo):
+        def spy_evaluate(base, q, s, cap, memo, labels, classes):
             calls.append(("evaluate", q.name, s.text))
-            return evaluate(base, la, q, s, cap, memo, la_memo)
-
-        def spy_member(base, la, q, s, memo, la_memo):
-            calls.append(("member", q.name, s.text))
-            return member(base, la, q, s, memo, la_memo)
+            return evaluate(base, q, s, cap, memo, labels, classes)
 
         def spy_label(base, la, s, memo, table, classes):
             labelled.append(s.text)
@@ -374,7 +375,6 @@ class TestEvaluatorCalls:
         monkeypatch.setattr(decision, "_evaluate", spy_evaluate)
         monkeypatch.setattr(decision, "_single_output", spy_single)
         monkeypatch.setattr(machines, "_evaluate", spy_evaluate)
-        monkeypatch.setattr(machines, "_member", spy_member)
         monkeypatch.setattr(machines, "_label", spy_label)
         monkeypatch.setattr(Tree, "__init__", spy_init)
         verdict = check_functional_bounded(m, 11)
@@ -425,9 +425,9 @@ class TestSingleOutputPath:
         seen = []
         outputs, single_output = decision._outputs, decision._single_output
 
-        def spy(stages, s, cap, memos):
+        def spy(stages, s, cap, memos, labels, classes):
             seen.append(("all", s.text))
-            return outputs(stages, s, cap, memos)
+            return outputs(stages, s, cap, memos, labels, classes)
 
         def spy_one(base, la, q, s, memo, table, classes):
             seen.append(("one", s.text))
@@ -465,6 +465,75 @@ class TestSingleOutputPath:
             with pytest.raises(ResourceLimit, match="output set exceeds cap 1$"):
                 check_functional_bounded(target, 4, output_cap=1)
             assert paths == [("one", "e"), ("one", "a(e)"), ("all", "a(e)")]
+
+
+class TestLookaheadGuards:
+    """Look-ahead targets whose inputs take the built path: the plain `twice`
+    behind a universal look-ahead, and the M of `random_pair(5)`, which
+    builds the outputs of 12 of its 21 inputs at bound 6."""
+
+    @pytest.fixture
+    def targets(self):
+        twice = parse_workspace(TestSingleOutputPath.TEXT).machines["twice"]
+        m, _ = build_m(*random_pair(5))
+        return [(wrap_trivial_lookahead(twice), 4), (m, 6)]
+
+    def test_guards_read_the_check_label_memo(self, targets, monkeypatch):
+        evaluate, label, single_output = machines._evaluate, machines._label, machines._single_output
+        for target, bound in targets:
+            memos, labelled, guards, inside = [], [], [], [0]
+
+            def spy_single(base, la, q, s, memo, table, classes):
+                memos.append(memo)
+                labelled.append(("input", s.text))
+                return single_output(base, la, q, s, memo, table, classes)
+
+            def spy_label(base, la, s, memo, table, classes):
+                if labelled[-1] != ("input", s.text):
+                    labelled.append(("child", s.text))
+                assert not inside[0], "labelled during evaluation: %s" % s.text
+                return label(base, la, s, memo, table, classes)
+
+            def spy_evaluate(base, q, s, cap, memo, labels, classes):
+                assert labels is memos[0]
+                for rule in base.rules_for(q, s.label):
+                    if rule.lookahead is not None:
+                        guards.extend(c.text in labels for c in s.children)
+                inside[0] += 1
+                try:
+                    return evaluate(base, q, s, cap, memo, labels, classes)
+                finally:
+                    inside[0] -= 1
+
+            monkeypatch.setattr(decision, "_single_output", spy_single)
+            monkeypatch.setattr(machines, "_label", spy_label)
+            monkeypatch.setattr(decision, "_evaluate", spy_evaluate)
+            monkeypatch.setattr(machines, "_evaluate", spy_evaluate)
+            verdict = check_functional_bounded(target, bound)
+            assert verdict.status == FUNCTIONAL, target.name
+            assert verdict.stats["single_output_inputs"] < verdict.stats["inputs_checked"], target.name
+            # one label memo for the whole check, and every guard found in it
+            assert all(memo is memos[0] for memo in memos)
+            assert guards and all(guards), target.name
+            # each input labelled once, and each subtree once below an input
+            for kind in ("input", "child"):
+                texts = [text for k, text in labelled if k == kind]
+                assert len(texts) == len(set(texts)), (target.name, kind)
+            assert sum(k == "input" for k, _ in labelled) == verdict.stats["inputs_checked"]
+
+    def test_check_retains_no_memory(self, targets):
+        for target, bound in targets:
+            check_functional_bounded(target, bound)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                check_functional_bounded(target, bound)
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert retained < 4096, target.name
 
 
 class TestDecideFunctionality:
@@ -560,7 +629,7 @@ class TestTrace:
         assert trace.complete
         assert trace.final == t("f(a(e),f(e,e))")
         # leftmost-outermost default schedule
-        assert trace.rule_tags == (1, 3, 4, 1, 4, 2)
+        assert rule_tags(trace) == (1, 3, 4, 1, 4, 2)
 
     def test_six_step_rule_sequence_branch(self, quadratic):
         # an alternative schedule applies the rules in the order 1,1,4,3,4,2;
@@ -576,13 +645,13 @@ class TestTrace:
     def test_branch_selection(self, quadratic):
         t0 = trace_derivation(quadratic, t("a(a(e))"), branch=0)
         t1 = trace_derivation(quadratic, t("a(a(e))"), branch=1)
-        assert t0.rule_tags != t1.rule_tags or t0.steps != t1.steps
+        assert rule_tags(t0) != rule_tags(t1) or t0.steps != t1.steps
         assert t1.final == t0.final
 
     def test_single_step(self, quadratic):
         trace = trace_derivation(quadratic, t("e"))
         assert len(trace.steps) == 1
-        assert trace.rule_tags == (2,)
+        assert rule_tags(trace) == (2,)
         assert trace.final == t("e")
 
     def test_stuck_form(self, del_pair):

@@ -1,8 +1,9 @@
 import pytest
 
-from ttc import LookaheadTransducer, TtcSyntaxError, parse_workspace, workspaces_equal
+from ttc import LookaheadTransducer, TtcSyntaxError, parse_workspace
 from ttc.render import serialize_chain, serialize_machine
-from ttc.textform import machines_equal
+
+from .oracles import machines_equal, workspaces_equal
 
 MINI = """
 transducer tiny {

@@ -19,7 +19,8 @@ from ttc.trees import (
 
 
 def addr(text):
-    return NodeAddress.parse(text)
+    """The address written as dotted steps, or "ε" for the root."""
+    return NodeAddress(() if text == "ε" else tuple(int(part) for part in text.split(".")))
 
 
 def t(text):
