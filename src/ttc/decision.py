@@ -1,10 +1,12 @@
 """Composition-chain semantics, the bounded functionality checker, and traces.
 
-The checker enumerates the domain of its target (not all trees) up to a size
-bound, counts the outputs of each input, and reports the first input with two
-distinct outputs in canonical order.  A one-stage target's inputs are labelled
-bottom up with subtree classes, one table lookup per node, which count most
-single outputs without building them.  Verdicts are always bound-relative: a
+The checker goes through the domain of its target (not all trees) up to a
+size bound, counts the outputs of each input, and reports the first input
+with two distinct outputs in canonical order.  For a one-stage target it
+counts the trees of each size by bottom-up subtree class; a size whose
+domain classes all give one output is counted without building a tree, and
+only the other sizes are enumerated.  An automaton stage of a chain passes
+its input through, unbuilt.  Verdicts are always bound-relative: a
 "functional" answer means no counterexample of size up to the bound exists.
 """
 
@@ -13,10 +15,11 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 
 from .constructions import BuildReport, CompositionChain, build_m, reduce_chain
 from .errors import ResourceLimit, ValidationError
-from .machines import LookaheadTransducer, Rule, Transducer, _evaluate, _single_output, check_positive, enumerate_sizes
+from .machines import LookaheadTransducer, Rule, Transducer, _class_counts, _evaluate, _label, _single_output, _solve, check_positive
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
 
 DEFAULT_OUTPUT_CAP = 10**6
@@ -31,17 +34,48 @@ def chain_outputs(chain: CompositionChain | Transducer, tree: Tree, cap: int | N
         chain = CompositionChain((chain,))
     check_positive(cap, "cap", optional=True)
     check_ground_over(tree, chain.stages[0].input_alphabet)
-    return frozenset(_outputs(chain.stages, tree, cap, [{} for _ in chain.stages], None, None))
+    return frozenset(_outputs(chain.stages, tree, cap, _stage_memos(chain.stages, None), None, None))
+
+
+class _Accepts(dict):
+    """The memo of a plain automaton stage: the label memo of `_label` with
+    no base, with its table and classes, which give each tree the automaton
+    states that accept it."""
+
+    __slots__ = ("table", "classes")
+
+    def __init__(self):
+        super().__init__()
+        self.table, self.classes = {}, []
+
+    def clear(self):
+        super().clear()
+        self.table.clear()
+        self.classes.clear()
+
+
+def _stage_memos(stages, la: Transducer | None) -> list[dict]:
+    """One memo per stage, for `_outputs`: `_Accepts` for a plain automaton
+    stage, an evaluation memo for any other stage and for the annotated base
+    of a look-ahead transducer (`la` given).  Whether a stage is an automaton
+    is decided here, once per call or check."""
+    return [_Accepts() if la is None and base.is_automaton() else {} for base in stages]
 
 
 def _outputs(stages, tree: Tree, cap: int | None, memos, labels: dict | None, classes: list | None) -> Collection[Tree]:
     """The outputs of the stages, composed left to right, on a valid input,
-    without repeats; stage i memoises in memos[i], and a look-ahead base
-    reads its guards from the input's labels (see `_evaluate`).  A chain's
+    without repeats; stage i memoises in memos[i] (see `_stage_memos`), and
+    a look-ahead base reads its guards from the input's labels (see
+    `_evaluate`).  An automaton stage relabels in place, so it passes each
+    tree through, unbuilt, iff its initial state accepts it.  A chain's
     alphabets match, so every intermediate tree is valid for the next
     stage.  The cap bounds each stage's whole output set."""
     outs = (tree,)
     for base, memo in zip(stages, memos):
+        if type(memo) is _Accepts:
+            q = base.initial.name
+            outs = [t for t in outs if q in memo.classes[_label(None, base, t, memo, memo.table, memo.classes)][0]]
+            continue
         if len(outs) == 1:
             # `_evaluate` returns a tuple without repeats: no set needed
             (t,) = outs
@@ -81,15 +115,19 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
 
     The target is a composition chain (a bare transducer counts as a 1-chain)
     or a look-ahead transducer.  Inputs are visited in canonical order, so the
-    reported counterexample is reproducible.  The domain is enumerated one
-    size at a time, and the check stops at the first size that has a
-    counterexample.  A one-stage input whose subtree class (`_single_output`)
-    gives the initial state one output is counted, not built; every other
-    input has its outputs built, its look-ahead guards read from the same
-    classes.  All inputs share one memo per stage and one class table,
-    cleared when the check ends, so the check keeps no memory and no machine
-    state.
+    reported counterexample is reproducible.  The domain is checked one size
+    at a time, and the check stops at the first size that has a
+    counterexample.  For a one-stage target, the number of trees of each
+    size in each subtree class comes first (`_class_counts`): when every
+    class in the domain puts the initial state in `one`, each input of that
+    size has one output, and the size is counted, unbuilt.  Any other size
+    is enumerated; there an input whose class gives the initial state one
+    output (`_single_output`) is counted, and every other input has its
+    outputs built, its look-ahead guards read from the same classes.  All
+    inputs share one memo per stage and one class table, cleared when the
+    check ends, so the check keeps no memory and no machine state.
     """
+    check_positive(max_size, "max_size")
     check_positive(output_cap, "output_cap", optional=True)
     if not isinstance(target, (CompositionChain, LookaheadTransducer)):
         target = CompositionChain((target,))
@@ -99,29 +137,36 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     else:
         first, initial, la = target.stages[0], target.stages[0].initial, None
         stages = target.stages
-    layers = enumerate_sizes(first.input_alphabet, ((first, initial),), max_size)
-    memos = [{} for _ in stages]
-    labels, table, classes = {}, {}, []
+    alphabet, reqs = first.input_alphabet, frozenset(((first, initial),))
+    memos = _stage_memos(stages, la)
+    labels, table, classes, solved = {}, {}, [], {}
+    counts = _class_counts(stages[0], la, alphabet, max_size, table, classes) if len(stages) == 1 else None
     inputs_checked = 0
     single_output_inputs = 0
     inputs_enumerated = 0
     outputs_computed = 0
-    size = 0
     counterexample = None
-    # An exception's traceback keeps this frame alive: free the enumeration
-    # and clear the memos anyway.
+    # An exception's traceback keeps this frame alive: free the counts and
+    # the enumeration, and clear the memos anyway.
     try:
-        for layer in layers:
-            size += 1
+        for size in range(1, max_size + 1):
+            if counts is not None:
+                domain = [(k, n) for k, n in next(counts).items() if initial.name in classes[k][2]]
+                if all(initial.name in classes[k][1] for k, _ in domain):
+                    n = sum(n for _, n in domain)
+                    inputs_enumerated += n
+                    inputs_checked += n
+                    single_output_inputs += n
+                    continue
+            layer = sorted(_solve(alphabet, reqs, size, solved), key=attrgetter("text"), reverse=True)
             inputs_enumerated += len(layer)
-            # Popped from the end of the reversed list, so each input is
+            # Sorted in reverse and popped from the end, so each input is
             # freed once checked while the canonical order is kept.
-            layer.reverse()
             while layer and counterexample is None:
                 s = layer.pop()
                 inputs_checked += 1
                 # labels s first: its proper subtrees' classes decide the guards
-                if len(stages) == 1 and _single_output(stages[0], la, initial, s, labels, table, classes):
+                if counts is not None and _single_output(stages[0], la, initial, s, labels, table, classes):
                     single_output_inputs += 1
                     continue
                 outs = _outputs(stages, s, output_cap, memos, labels, classes)
@@ -141,11 +186,9 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
             "label_transitions": len(table),
         }
     finally:
-        layers.close()
-        labels.clear()
-        table.clear()
-        classes.clear()
-        for memo in memos:
+        if counts is not None:
+            counts.close()
+        for memo in (labels, table, classes, solved, *memos):
             memo.clear()
     status = FUNCTIONAL if counterexample is None else NOT_FUNCTIONAL
     return Verdict(status, max_size, counterexample, stats)

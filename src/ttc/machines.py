@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from operator import attrgetter, or_
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
@@ -174,8 +175,10 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 # -- semantics ---------------------------------------------------------------
 #
 # ``la`` (of `_label`, `_class` and `_single_output`) is the look-ahead
-# automaton, or None for a plain transducer.  These functions trust their
-# input tree; the public entry points validate it.
+# automaton, or None for a plain transducer; a None ``base`` labels with the
+# automaton's `accepts` alone (`translate_la`, and an automaton stage of a
+# chain, passed as ``la``).  These functions trust their input tree; the
+# public entry points validate it.
 #
 # The memos belong to the caller, which keeps them for one public call, one
 # chain_outputs call or one whole check.  The evaluation memo is keyed on
@@ -235,42 +238,79 @@ def _evaluate(
     return tuple(acc)
 
 
-def _label(base: Transducer, la: Transducer | None, s: Tree, memo: dict, table: dict, classes: list) -> int:
+def _label(base: Transducer | None, la: Transducer | None, s: Tree, memo: dict, table: dict, classes: list) -> int:
     """The class of s, an index into `classes` (see `_class`).  It depends
     only on the label of s and its children's classes: `table` holds it once
-    per such key, and `memo` the children's classes by subtree text; the
-    class of s itself is not stored there, as a check's inputs are distinct."""
+    per such key (`_transition`), and `memo` the children's classes by
+    subtree text; the class of s itself is not stored there, as a check's
+    inputs are distinct."""
     key = [s.label]
     for c in s.children:
         k = memo.get(c.text)
         if k is None:
             k = memo[c.text] = _label(base, la, c, memo, table, classes)
         key.append(k)
-    key = tuple(key)
+    return _transition(base, la, tuple(key), table, classes)
+
+
+def _transition(base: Transducer | None, la: Transducer | None, key: tuple, table: dict, classes: list) -> int:
+    """The class at key = (symbol, child classes...), an index into
+    `classes`: read from `table`, computed by `_class` on a miss."""
     k = table.get(key)
     if k is None:
-        pair = _class(base, la, s.label, [classes[i] for i in key[1:]])
-        if pair not in classes:
-            classes.append(pair)
-        k = table[key] = classes.index(pair)
+        c = _class(base, la, key[0], [classes[i] for i in key[1:]])
+        if c not in classes:
+            classes.append(c)
+        k = table[key] = classes.index(c)
     return k
 
 
-def _class(base: Transducer, la: Transducer | None, symbol, kids: list) -> tuple[frozenset[str], frozenset[str]]:
-    """The pair (accepts, one) of state-name sets at a symbol over children of
-    the classes `kids`.  accepts: the look-ahead states with a rule whose
-    child states are in their child's accepts, exact as an automaton rule
-    puts one state on each child.  one: the base states with exactly one rule
-    whose guard holds (any rule, without look-ahead) and whose calls are each
-    in their child's one, so with exactly one output."""
+def _class(base: Transducer | None, la: Transducer | None, symbol, kids: list) -> tuple[frozenset[str], ...]:
+    """The class at a symbol over children of the classes `kids`: the
+    state-name sets (accepts, one, some), or (accepts,) when base is None.
+    accepts: the look-ahead states with a rule whose child states are in
+    their child's accepts, exact as an automaton rule puts one state on each
+    child.  A base rule fires when its guard holds (any rule, without
+    look-ahead).  one: the base states with exactly one firing rule, whose
+    calls are each in their child's one, so with exactly one output.  some:
+    the base states with a firing rule whose calls are each in their child's
+    some, so with an output."""
     rules = la.rules if la is not None else ()
-    accepts = [r.state.name for r in rules if r.symbol == symbol and all(l.name in a for req, (a, _) in zip(r.child_states, kids) for l in req)]
-    one = []
+    accepts = frozenset([r.state.name for r in rules if r.symbol == symbol and all(l.name in k[0] for req, k in zip(r.child_states, kids) for l in req)])
+    if base is None:
+        return (accepts,)
+    one, some = [], []
     for q in base.states:
-        fired = [r for r in base.rules_for(q, symbol) if la is None or all(l.name in a for l, (a, _) in zip(r.lookahead, kids))]
-        if len(fired) == 1 and all(q2.name in o for req, (_, o) in zip(fired[0].child_states, kids) for q2 in req):
+        fired = [r for r in base.rules_for(q, symbol) if la is None or all(l.name in k[0] for l, k in zip(r.lookahead, kids))]
+        if len(fired) == 1 and all(q2.name in k[1] for req, k in zip(fired[0].child_states, kids) for q2 in req):
             one.append(q.name)
-    return frozenset(accepts), frozenset(one)
+        if any(all(q2.name in k[2] for req, k in zip(r.child_states, kids) for q2 in req) for r in fired):
+            some.append(q.name)
+    return accepts, frozenset(one), frozenset(some)
+
+
+def _class_counts(base: Transducer, la: Transducer | None, alphabet: RankedAlphabet, max_size: int, table: dict, classes: list) -> Iterator[dict[int, int]]:
+    """For each size n from 1 to max_size, the number of ground trees of
+    size n over the alphabet in each class, keyed on its index into
+    `classes`.  A tree's class depends only on its symbol and its children's
+    classes, like the state of a deterministic bottom-up automaton, so the
+    counts follow from those at smaller sizes through `table`, over every
+    symbol, split of n - 1 and tuple of child classes, and no tree is
+    built."""
+    counts = []
+    for n in range(1, max_size + 1):
+        layer = {}
+        for sym, k in alphabet.items():
+            if k == 0:
+                splits = [()] if n == 1 else []
+            else:
+                splits = _compositions(n - 1, k)
+            for split in splits:
+                for combo in product(*[counts[m - 1].items() for m in split]):
+                    c = _transition(base, la, (sym, *[kid for kid, _ in combo]), table, classes)
+                    layer[c] = layer.get(c, 0) + prod([count for _, count in combo])
+        counts.append(layer)
+        yield layer
 
 
 def _single_output(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict, table: dict, classes: list) -> bool:
@@ -561,7 +601,7 @@ class LookaheadTransducer:
         check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)
         labels, classes = {}, []
-        _label(self.base, self.la, tree, labels, {}, classes)
+        _label(None, self.la, tree, labels, {}, classes)
         return frozenset(_evaluate(self.base, self.base.initial, tree, cap, {}, labels, classes))
 
     def enumerate_domain(self, max_size: int) -> list[Tree]:

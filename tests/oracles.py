@@ -6,16 +6,18 @@ look-ahead translation by materializing every relabeling, the domain
 automaton by walking every subset of rules, the product construction by one
 public `evaluate` call per (pair, rule), the trim of a look-ahead
 transducer by building its base twice, the bounded check by translating
-every tree up to the bound, the emptiness of a state set by exploring
-requirement sets one rule choice per member, and domain membership by a
-top-down recursive test that decides each look-ahead guard by membership in
-the look-ahead automaton, where the package reads subtree classes.
+every tree up to the bound, where the package counts most sizes by subtree
+class, the emptiness of a state set by exploring requirement sets one rule
+choice per member, and domain membership and single outputs by top-down
+recursive tests that decide each look-ahead guard by membership in the
+look-ahead automaton, where the package reads subtree classes.
 """
 
 from itertools import combinations, product
 
-from ttc import LookaheadTransducer, ResourceLimit, Rule, StateId, Transducer
+from ttc import CompositionChain, LookaheadTransducer, ResourceLimit, Rule, StateId, Transducer, chain_outputs
 from ttc.constructions import _instantiate
+from ttc.decision import FUNCTIONAL, NOT_FUNCTIONAL, Counterexample, Verdict
 from ttc.machines import EMPTY_SET_STATE
 from ttc.trees import (
     ROOT,
@@ -24,6 +26,7 @@ from ttc.trees import (
     StateOverVariable,
     Tree,
     check_ground_over,
+    sort_trees,
     subtree_at,
 )
 
@@ -389,6 +392,74 @@ def first_counterexample(stages, max_size):
         if len(outs) > 1:
             return s, tuple(sorted(outs, key=lambda o: (o.size, o.text))[:2]), checked
     return None, (), checked
+
+
+def single_output(base, la, q, s, memo):
+    """True iff exactly one rule of q fires at the root of s, its guards
+    decided by `_member`, and each call of that rule has a single output on
+    its child: the `one` of the check's subtree classes, by top-down
+    recursion; memoised on (state name, subtree text)."""
+    key = (q.name, s.text)
+    if key not in memo:
+        kids = s.children
+        fired = [
+            r
+            for r in base.rules_for(q, s.label)
+            if la is None or all(_member(la, None, l, c, {}, None) for l, c in zip(r.lookahead, kids))
+        ]
+        memo[key] = len(fired) == 1 and all(
+            single_output(base, la, q2, kids[i], memo) for i, req in enumerate(fired[0].child_states) for q2 in req
+        )
+    return memo[key]
+
+
+def reference_check(target, max_size):
+    """The bounded check without subtree classes or counts: every tree up to
+    the bound in canonical order, every one with an output of the first
+    stage (of M, for a look-ahead transducer) is an input and has all its
+    outputs built (`chain_outputs`, or `translate_la` for a
+    look-ahead transducer), and the first input with two outputs ends the
+    check at its size.  A one-stage input counts as a single output input
+    iff `single_output` holds for the initial state.  Returns the verdict,
+    with the counted stats, and the inputs a one-stage check enumerates: the
+    checked inputs of each size that holds an input without a single output
+    (of every size, for a longer chain)."""
+    if isinstance(target, LookaheadTransducer):
+        base, la, first = target.base, target.la, target
+        translate = target.translate_la
+    else:
+        chain = target if isinstance(target, CompositionChain) else CompositionChain((target,))
+        base, la, first = chain.stages[0] if len(chain) == 1 else None, None, chain.stages[0]
+        translate = lambda s: chain_outputs(chain, s)  # noqa: E731
+    by_size = {}
+    for s in all_trees(first.input_alphabet, max_size):
+        outs = translate(s)
+        # an input lies in the domain of the first stage
+        if outs if first is target else chain_outputs(first, s):
+            by_size.setdefault(s.size, []).append((s, outs))
+    memo = {}
+    stats = dict.fromkeys(("inputs_checked", "outputs_computed", "inputs_enumerated", "single_output_inputs"), 0)
+    enumerated, counterexample = [], None
+    for size in range(1, max_size + 1):
+        layer = by_size.get(size, [])
+        stats["inputs_enumerated"] += len(layer)
+        singles = [base is not None and single_output(base, la, base.initial, s, memo) for s, _ in layer]
+        checked = []
+        for (s, outs), single in zip(layer, singles):
+            checked.append(s)
+            stats["inputs_checked"] += 1
+            stats["outputs_computed"] += len(outs)
+            stats["single_output_inputs"] += single
+            if len(outs) > 1:
+                counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
+                break
+        if not all(singles):
+            enumerated += checked
+        if counterexample is not None:
+            break
+    stats["max_size_reached"] = size
+    status = FUNCTIONAL if counterexample is None else NOT_FUNCTIONAL
+    return Verdict(status, max_size, counterexample, stats), enumerated
 
 
 def identity_automaton(alphabet, state_name="u", name="identity"):

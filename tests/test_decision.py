@@ -1,6 +1,5 @@
 import gc
 import pickle
-from collections import Counter
 import tracemalloc
 import types
 
@@ -23,14 +22,17 @@ from ttc import (
     trace_derivation,
 )
 from ttc import decision, machines
+from ttc.constructions import domain_automaton
 from ttc.decision import FUNCTIONAL, NOT_FUNCTIONAL, derivations
 from ttc.generate import random_chain3, random_pair
 from ttc.trees import Tree, parse_tree
 
 from .oracles import (
     all_trees,
+    dom_member,
     first_counterexample,
     identity_automaton,
+    reference_check,
     staged_compose,
     translate_la_eager,
     wrap_trivial_lookahead,
@@ -233,30 +235,34 @@ class TestCheckMemo:
         return seen
 
     @staticmethod
-    def agree(checked, verdict, oracle, tag):
-        """Every checked input was recorded, and each agrees with the oracle:
-        on all outputs where they were built, on one where it was counted."""
-        assert len(checked) == verdict.stats["inputs_checked"], tag
+    def agree(checked, target, bound, oracle, tag):
+        """The check records exactly the inputs that the reference check says
+        it enumerates (none of a one-stage size counted by class), and each
+        agrees with the oracle: on all outputs where they were built, on one
+        where it was counted."""
+        enumerated = reference_check(target, bound)[1]
+        checked.clear()
+        check_functional_bounded(target, bound)
+        assert [s for s, _ in checked] == enumerated, tag
         for s, outs in checked:
             expected = oracle(s)
             assert len(expected) == 1 if outs is None else outs == expected, (tag, s.text)
 
     def test_m_outputs_match_eager_oracle(self, checked, worked_pair, copy_pair):
         pairs = [worked_pair, copy_pair] + [random_pair(seed) for seed in range(40)]
+        enumerated = 0
         for pair in pairs:
             m, _ = build_m(*pair)
-            checked.clear()
-            verdict = check_functional_bounded(m, 5)
-            self.agree(checked, verdict, lambda s: translate_la_eager(m, s), m.name)
+            self.agree(checked, m, 5, lambda s: translate_la_eager(m, s), m.name)
+            enumerated += len(checked)
+        assert enumerated == 30  # of 112 inputs: the other 82 are counted by class
 
     def test_chain_outputs_match_staged_rewriting(self, checked):
         for seed in range(20):
             chain = random_chain3(seed)
             # a whole chain, and each stage as a one-stage target
             for stages in (chain.stages, *((stage,) for stage in chain.stages)):
-                checked.clear()
-                verdict = check_functional_bounded(CompositionChain(stages), 4)
-                self.agree(checked, verdict, lambda s: staged_compose(stages, s), seed)
+                self.agree(checked, CompositionChain(stages), 4, lambda s: staged_compose(stages, s), seed)
 
     def test_resource_limit_does_not_poison_the_next_check(self, checked):
         # e has one output; a(e) has two, one more than the cap of 1
@@ -274,7 +280,8 @@ class TestCheckMemo:
             checked.clear()
             with pytest.raises(ResourceLimit):
                 check_functional_bounded(target, 4, output_cap=1)
-            assert [s.text for s, _ in checked] == ["e"]
+            # e, the one input of size 1, is counted by class, unbuilt
+            assert [s.text for s, _ in checked] == []
             after = check_functional_bounded(target, 4)
             assert after == check_functional_bounded(clean, 4)
             assert after.counterexample.input == t("a(e)")
@@ -350,19 +357,21 @@ class TestEvaluatorCalls:
 
     def test_worked_pair_at_bound_11(self, worked_pair, monkeypatch):
         m, _ = build_m(*worked_pair)
-        single, calls, labelled, builds = [], [], [], [0]
+        calls, labelled, builds = [], [], [0]
         evaluate, label, init = machines._evaluate, machines._label, Tree.__init__
-        single_output = machines._single_output
-
-        def spy_single(base, la, q, s, memo, table, classes):
-            one = single_output(base, la, q, s, memo, table, classes)
-            if one:
-                single.append(s.text)
-            return one
+        single_output, solve = machines._single_output, machines._solve
 
         def spy_evaluate(base, q, s, cap, memo, labels, classes):
             calls.append(("evaluate", q.name, s.text))
             return evaluate(base, q, s, cap, memo, labels, classes)
+
+        def spy_single(base, la, q, s, memo, table, classes):
+            calls.append(("single", q.name, s.text))
+            return single_output(base, la, q, s, memo, table, classes)
+
+        def spy_solve(alphabet, reqs, n, memo):
+            calls.append(("solve", n))
+            return solve(alphabet, reqs, n, memo)
 
         def spy_label(base, la, s, memo, table, classes):
             labelled.append(s.text)
@@ -372,31 +381,29 @@ class TestEvaluatorCalls:
             builds[0] += 1
             init(self, label, children)
 
-        monkeypatch.setattr(decision, "_evaluate", spy_evaluate)
-        monkeypatch.setattr(decision, "_single_output", spy_single)
-        monkeypatch.setattr(machines, "_evaluate", spy_evaluate)
+        for module in (decision, machines):
+            monkeypatch.setattr(module, "_evaluate", spy_evaluate)
+            monkeypatch.setattr(module, "_single_output", spy_single)
+            monkeypatch.setattr(module, "_solve", spy_solve)
         monkeypatch.setattr(machines, "_label", spy_label)
         monkeypatch.setattr(Tree, "__init__", spy_init)
         verdict = check_functional_bounded(m, 11)
         assert verdict.status == FUNCTIONAL
-        # every input is checked once, and its one output counted unbuilt
-        assert len(single) == len(set(single)) == verdict.stats["inputs_checked"] == 2168
-        assert verdict.stats["single_output_inputs"] == 2168
-        # nothing is evaluated: the classes of 26 (symbol, child classes)
-        # keys decide every input
-        assert calls == [] and verdict.stats["memo_entries"] == 0
-        assert (verdict.stats["label_classes"], verdict.stats["label_transitions"]) == (5, 26)
-        # each subtree is labelled at most once as a child, and once as an input
-        twice = [text for text, n in Counter(labelled).items() if n > 1]
-        assert max(Counter(labelled).values()) == 2 and set(twice) <= set(single)
-        assert builds[0] <= 3646  # the enumeration's inputs and their subtrees
+        # every size is counted by class, and every input has one output
+        assert verdict.stats["inputs_checked"] == verdict.stats["single_output_inputs"] == 2168
+        # nothing is enumerated, labelled, evaluated or built: the classes
+        # of 27 (symbol, child classes) keys count every size
+        assert calls == [] and labelled == [] and verdict.stats["memo_entries"] == 0
+        assert (verdict.stats["label_classes"], verdict.stats["label_transitions"]) == (5, 27)
+        assert builds[0] == 0
 
 
 class TestSingleOutputPath:
     """A one-stage check counts an input's one output, unbuilt, only when the
     class of the input puts the initial state in `one`: one rule fires at the
-    root and each of its calls is in `one` of its child's class.  Every other
-    input has all its outputs built."""
+    root and each of its calls is in `one` of its child's class.  A size
+    whose inputs all do is counted by class, with no input asked about;
+    every other input has all its outputs built."""
 
     TEXT = """
     transducer twice {
@@ -455,7 +462,8 @@ class TestSingleOutputPath:
             assert verdict.counterexample.outputs == (t("g(e)"), t("g(e2)"))
             assert verdict.stats["single_output_inputs"] == 1
             assert verdict.stats["outputs_computed"] == 3
-            assert paths == [("one", "e"), ("one", "a(e)"), ("all", "a(e)")]
+            # e, the one input of size 1, is counted by class
+            assert paths == [("one", "a(e)"), ("all", "a(e)")]
 
     def test_cap_is_enforced_where_outputs_are_built(self, targets, paths):
         # the classes build nothing: a(e) is not single, and building its
@@ -464,7 +472,7 @@ class TestSingleOutputPath:
             paths.clear()
             with pytest.raises(ResourceLimit, match="output set exceeds cap 1$"):
                 check_functional_bounded(target, 4, output_cap=1)
-            assert paths == [("one", "e"), ("one", "a(e)"), ("all", "a(e)")]
+            assert paths == [("one", "a(e)"), ("all", "a(e)")]
 
 
 class TestLookaheadGuards:
@@ -480,7 +488,9 @@ class TestLookaheadGuards:
 
     def test_guards_read_the_check_label_memo(self, targets, monkeypatch):
         evaluate, label, single_output = machines._evaluate, machines._label, machines._single_output
-        for target, bound in targets:
+        # the inputs each check enumerates: M counts its one input of size 1
+        # by class, of 21 inputs in all
+        for (target, bound), enumerated in zip(targets, (3, 20)):
             memos, labelled, guards, inside = [], [], [], [0]
 
             def spy_single(base, la, q, s, memo, table, classes):
@@ -519,7 +529,7 @@ class TestLookaheadGuards:
             for kind in ("input", "child"):
                 texts = [text for k, text in labelled if k == kind]
                 assert len(texts) == len(set(texts)), (target.name, kind)
-            assert sum(k == "input" for k, _ in labelled) == verdict.stats["inputs_checked"]
+            assert sum(k == "input" for k, _ in labelled) == enumerated, target.name
 
     def test_check_retains_no_memory(self, targets):
         for target, bound in targets:
@@ -534,6 +544,171 @@ class TestLookaheadGuards:
             finally:
                 tracemalloc.stop()
             assert retained < 4096, target.name
+
+
+@pytest.fixture(scope="module")
+def keep_corpus(workspace):
+    """(target, bound) pairs whose verdicts and counted stats the class count
+    must keep: M of `random_pair` 0-299 at bound 6 and their stages at 5,
+    `random_chain3` 0-99 at 5, and the fixture chains and their M at 3, 5
+    and 7."""
+    corpus = []
+    for seed in range(300):
+        t1, t2 = random_pair(seed)
+        corpus += [(build_m(t1, t2)[0], 6), (t1, 5), (t2, 5)]
+    corpus += [(random_chain3(seed), 5) for seed in range(100)]
+    for chain in workspace.chains.values():
+        m, _ = build_m(*chain.stages)
+        corpus += [(target, bound) for target in (chain, m) for bound in (3, 5, 7)]
+    return corpus
+
+
+class TestClassCounts:
+    """A one-stage check counts the trees of each size by subtree class."""
+
+    def test_counts_equal_the_enumeration(self, keep_corpus):
+        counted = 0
+        for target, bound in keep_corpus:
+            if isinstance(target, LookaheadTransducer):
+                base, la, first = target.base, target.la, target
+            elif isinstance(target, Transducer):
+                base, la, first = target, None, target
+            else:
+                continue
+            initial, alphabet = base.initial.name, first.input_alphabet
+            table, classes = {}, []
+            counts = machines._class_counts(base, la, alphabet, bound, table, classes)
+            layers = machines.enumerate_sizes(alphabet, ((first, base.initial),), bound)
+            trees = all_trees(alphabet, bound)
+            for n, (count, layer) in enumerate(zip(counts, layers), start=1):
+                # every tree has one class, and the domain is the classes whose
+                # `some` holds the initial state
+                assert sum(count.values()) == sum(s.size == n for s in trees), (target.name, n)
+                assert sum(c for k, c in count.items() if initial in classes[k][2]) == len(layer), (target.name, n)
+                counted += len(layer)
+        assert counted == 2494  # domain inputs of the one-stage targets: not vacuous
+
+    def test_verdicts_and_stats_equal_the_reference(self, keep_corpus):
+        for target, bound in keep_corpus:
+            verdict = check_functional_bounded(target, bound)
+            expected, _ = reference_check(target, bound)
+            got = {key: verdict.stats[key] for key in expected.stats}
+            assert (verdict.status, verdict.counterexample, got) == (expected.status, expected.counterexample, expected.stats), bound
+
+
+def peak_mb(call):
+    """The tracemalloc peak of one call above the memory in use before it, in
+    MB of 2**20 bytes: what the call allocates, whatever the allocator does."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGuards:
+    def test_automaton_stage_of_the_quadratic_chain(self, workspace):
+        chain = CompositionChain((workspace.machines["quadratic"], workspace.machines["quad_out_id"]))
+        tree = t("a(" * 160 + "e" + ")" * 160)
+        # 4.334 MB while the automaton stage rebuilt every tree it read;
+        # 2.189 MB passing it through
+        assert peak_mb(lambda: chain_outputs(chain, tree)) < 3
+
+    def test_worked_pair_at_bound_11(self, worked_pair):
+        m, _ = build_m(*worked_pair)
+        # 0.852 MB while every input was enumerated; 0.014 MB counting by class
+        assert peak_mb(lambda: check_functional_bounded(m, 11)) < 0.2
+
+
+class TestAutomatonStages:
+    """A plain automaton stage relabels in place: it passes each tree through,
+    unbuilt, iff its initial state accepts it."""
+
+    TEXT = """
+    transducer grow {
+      input { a:1, e:0 }
+      output { a:1, e:0 }
+      initial q
+      rules { q(a(x1)) -> a(q(x1)) | e; q(e) -> e; }
+    }
+    transducer leaf {
+      input { a:1, e:0 }
+      output { a:1, e:0 }
+      initial u
+      rules { u(e) -> e; }
+    }
+    """
+
+    @pytest.fixture
+    def stages(self):
+        return parse_workspace(self.TEXT).machines
+
+    def test_domain_automaton_keeps_the_domain(self):
+        for seed in range(200):
+            t1, t2 = random_pair(seed)
+            dom = domain_automaton(t2)
+            assert dom.is_automaton(), seed
+            for s in all_trees(t1.input_alphabet, 5):
+                kept = {o for o in staged_compose((t1,), s) if dom_member(t2, t2.initial, o)}
+                assert chain_outputs(CompositionChain((t1, dom)), s) == kept, (seed, s.text)
+                through = chain_outputs(CompositionChain((t1, dom, t2)), s)
+                assert through == chain_outputs(CompositionChain((t1, t2)), s), (seed, s.text)
+
+    def test_checks_through_a_domain_automaton(self):
+        for seed in range(200):
+            t1, t2 = random_pair(seed)
+            verdict = check_functional_bounded(CompositionChain((t1, domain_automaton(t2), t2)), 5)
+            expected = check_functional_bounded(CompositionChain((t1, t2)), 5)
+            # the automaton's memo holds subtree classes, not outputs
+            del verdict.stats["memo_entries"], expected.stats["memo_entries"]
+            assert verdict == expected, seed
+
+    def test_rejects_and_keeps(self, stages):
+        grow, leaf = stages["grow"], stages["leaf"]
+        assert chain_outputs(CompositionChain((grow, leaf)), t("a(a(e))")) == {t("e")}
+        assert chain_outputs(CompositionChain((grow,)), t("a(a(e))")) == {t("e"), t("a(e)"), t("a(a(e))")}
+        # as the first stage, and rejecting the input
+        assert chain_outputs(leaf, t("a(e)")) == frozenset()
+        assert chain_outputs(CompositionChain((leaf, grow)), t("a(e)")) == frozenset()
+        s = t("e")
+        (out,) = chain_outputs(CompositionChain((leaf, leaf)), s)
+        assert out is s
+
+    def test_cap(self, stages):
+        chain = CompositionChain((stages["grow"], stages["leaf"]))
+        s = t("a(a(e))")
+        assert chain_outputs(chain, s, cap=3) == {t("e")}
+        with pytest.raises(ResourceLimit, match="output set exceeds cap 2$"):
+            chain_outputs(chain, s, cap=2)
+
+    def test_builds_no_tree(self, workspace, monkeypatch):
+        quadratic, identity = workspace.machines["quadratic"], workspace.machines["quad_out_id"]
+        s = t("a(a(a(e)))")
+        builds, tested = [0], [0]
+        init, is_automaton = Tree.__init__, Transducer.is_automaton
+
+        def spy_init(self, label, children=()):
+            builds[0] += 1
+            init(self, label, children)
+
+        def spy_is_automaton(self):
+            tested[0] += 1
+            return is_automaton(self)
+
+        monkeypatch.setattr(Tree, "__init__", spy_init)
+        monkeypatch.setattr(Transducer, "is_automaton", spy_is_automaton)
+        got = []
+        for stages in ((quadratic,), (quadratic, identity), (quadratic, identity, identity)):
+            builds[0] = tested[0] = 0
+            got.append((chain_outputs(CompositionChain(stages), s), builds[0]))
+            # decided once a call, for each stage
+            assert tested[0] == len(stages)
+        assert got[0] == got[1] == got[2]
+        assert got[0][1] > 0
 
 
 class TestDecideFunctionality:

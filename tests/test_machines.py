@@ -321,22 +321,27 @@ class TestLookaheadSemantics:
 
 class TestSubtreeClasses:
     """The class of a subtree: `accepts` is exactly the look-ahead states whose
-    domain holds it, by the top-down membership reference in `oracles`, which
-    the package does not use, and each state in `one` has exactly one output
-    on it."""
+    domain holds it, and `some` exactly the base states whose domain holds
+    it, by the top-down membership reference in `oracles`, which the package
+    does not use; each state in `one` has exactly one output on it.
+    Labelled with no base, a subtree gets the same `accepts` alone."""
 
     @staticmethod
-    def check_classes(base, la, trees, tag):
+    def check_classes(machine, trees, tag):
+        base, la = (machine.base, machine.la) if isinstance(machine, LookaheadTransducer) else (machine, None)
         memo, table, classes = {}, {}, []
+        alone = ({}, {}, [])
         states = {q.name: q for q in base.states}
         singles = 0
         for s in trees:
-            accepts, one = classes[_label(base, la, s, memo, table, classes)]
+            accepts, one, some = classes[_label(base, la, s, memo, table, classes)]
+            assert some == {q.name for q in base.states if dom_member(machine, q, s)}, (tag, s.text)
             if la is None:
                 assert accepts == frozenset(), (tag, s.text)
             else:
                 member = {l.name for l in la.states if dom_member(la, l, s)}
                 assert accepts == member, (tag, s.text)
+                assert alone[2][_label(None, la, s, *alone)] == (member,), (tag, s.text)
             for name in one:
                 assert len(_evaluate(base, states[name], s, None, {}, memo, classes)) == 1, (tag, s.text, name)
             singles += len(one)
@@ -356,7 +361,7 @@ class TestSubtreeClasses:
         singles = 0
         for seed in range(200):
             m, _ = build_m(*random_pair(seed))
-            singles += self.check_classes(m.base, m.la, self.subtrees(m.enumerate_domain(6)), seed)
+            singles += self.check_classes(m, self.subtrees(m.enumerate_domain(6)), seed)
         assert singles > 300  # 408 (subtree, state) pairs in `one`: not vacuous
 
     def test_plain_machines(self, workspace):
@@ -364,7 +369,7 @@ class TestSubtreeClasses:
         for seed in range(50):
             plain += random_pair(seed)
         for m in plain:
-            self.check_classes(m, None, enumerate_trees(m.input_alphabet, 5), m.name)
+            self.check_classes(m, enumerate_trees(m.input_alphabet, 5), m.name)
 
 
 class TestRequirementEnumeration:
