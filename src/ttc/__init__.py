@@ -38,8 +38,6 @@ from .machines import (
     Rule,
     StateId,
     Transducer,
-    enumerate_satisfying,
-    enumerate_trees,
 )
 from .textform import Workspace, parse_workspace
 from .trees import (

@@ -13,8 +13,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from operator import attrgetter
-from typing import Callable, Iterable
+from operator import attrgetter, or_
+from typing import Callable, Collection, Iterable
 
 from .errors import (
     AlphabetMismatch,
@@ -31,7 +31,6 @@ from .machines import (
     Transducer,
     _addressed,
     _evaluate,
-    merge_vectors,
 )
 from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree, check_ground_over, subtree_at
 
@@ -82,6 +81,16 @@ class CompositionChain:
 
     def __iter__(self):
         return iter(self.stages)
+
+
+def merge_vectors(merged: set, alternatives: Collection[tuple]) -> set:
+    """One step of the requirement-merging fold: the position-wise union of
+    every vector in `merged` with every vector in `alternatives` (a
+    collection, read once per vector of `merged`), without repeats.  Folded
+    over groups of alternatives, starting from the all-empty vector, it
+    gives the distinct merges of one choice per group.  Entries are int
+    bitmasks, whose `|` is union."""
+    return {tuple(map(or_, m, a)) for m in merged for a in alternatives}
 
 
 def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), name: str | None = None) -> Transducer:

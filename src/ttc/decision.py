@@ -2,12 +2,13 @@
 
 The checker goes through the domain of its target (not all trees) up to a
 size bound, counts the outputs of each input, and reports the first input
-with two distinct outputs in canonical order.  For a one-stage target it
-counts the trees of each size by bottom-up subtree class; a size whose
-domain classes all give one output is counted without building a tree, and
-only the other sizes are enumerated.  An automaton stage of a chain passes
-its input through, unbuilt.  Verdicts are always bound-relative: a
-"functional" answer means no counterexample of size up to the bound exists.
+with two distinct outputs in canonical order.  It counts the trees of each
+size by the bottom-up subtree class of its first stage, and builds the
+inputs of a size from the same class table.  For a one-stage target, a size
+whose domain classes all give one output is counted without building a
+tree.  An automaton stage of a chain passes its input through, unbuilt.
+Verdicts are always bound-relative: a "functional" answer means no
+counterexample of size up to the bound exists.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
 
 from .constructions import BuildReport, CompositionChain, build_m, reduce_chain
 from .errors import ResourceLimit, ValidationError
-from .machines import LookaheadTransducer, Rule, Transducer, _class_counts, _evaluate, _label, _single_output, _solve, check_positive
+from .machines import LookaheadTransducer, Rule, Transducer, _domain_sizes, _evaluate, _label, _single_output, check_positive
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
 
 DEFAULT_OUTPUT_CAP = 10**6
@@ -117,62 +117,61 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     or a look-ahead transducer.  Inputs are visited in canonical order, so the
     reported counterexample is reproducible.  The domain is checked one size
     at a time, and the check stops at the first size that has a
-    counterexample.  For a one-stage target, the number of trees of each
-    size in each subtree class comes first (`_class_counts`): when every
-    class in the domain puts the initial state in `one`, each input of that
-    size has one output, and the size is counted, unbuilt.  Any other size
-    is enumerated; there an input whose class gives the initial state one
-    output (`_single_output`) is counted, and every other input has its
-    outputs built, its look-ahead guards read from the same classes.  All
-    inputs share one memo per stage and one class table, cleared when the
-    check ends, so the check keeps no memory and no machine state.
+    counterexample.  The number of trees of each size in each subtree class
+    of the first stage comes first (`_domain_sizes`); the domain is the
+    classes whose `some` holds the initial state.  For a one-stage target,
+    when every class in the domain puts the initial state in `one`, each
+    input of that size has one output, and the size is counted, unbuilt.
+    Any other size is built from the class table, in canonical order; for a
+    one-stage target an input whose class gives the initial state one output
+    (`_single_output`) is counted, and every other input has its outputs
+    built, its look-ahead guards read from the same classes.  All inputs
+    share one memo per stage and one class table, cleared when the check
+    ends, so the check keeps no memory and no machine state.
     """
     check_positive(max_size, "max_size")
     check_positive(output_cap, "output_cap", optional=True)
     if not isinstance(target, (CompositionChain, LookaheadTransducer)):
         target = CompositionChain((target,))
     if isinstance(target, LookaheadTransducer):
-        first, initial, la = target, target.base.initial, target.la
-        stages = [target.base]
+        initial, la, stages = target.base.initial, target.la, [target.base]
     else:
-        first, initial, la = target.stages[0], target.stages[0].initial, None
-        stages = target.stages
-    alphabet, reqs = first.input_alphabet, frozenset(((first, initial),))
+        initial, la, stages = target.stages[0].initial, None, target.stages
     memos = _stage_memos(stages, la)
-    labels, table, classes, solved = {}, {}, [], {}
-    counts = _class_counts(stages[0], la, alphabet, max_size, table, classes) if len(stages) == 1 else None
+    labels, table, classes = {}, {}, []
+    one_stage = len(stages) == 1
+
+    def counted(domain):
+        # a one-stage size whose domain classes all give one output is counted, unbuilt
+        return one_stage and all(initial.name in classes[k][1] for k, _ in domain)
+
+    sizes = _domain_sizes(stages[0], la, initial.name, stages[0].input_alphabet, max_size, table, classes, counted)
     inputs_checked = 0
     single_output_inputs = 0
     inputs_enumerated = 0
     outputs_computed = 0
     counterexample = None
-    # An exception's traceback keeps this frame alive: free the counts and
-    # the enumeration, and clear the memos anyway.
+    # An exception's traceback keeps this frame alive: free the enumeration,
+    # and clear the memos anyway.
     try:
-        for size in range(1, max_size + 1):
-            if counts is not None:
-                domain = [(k, n) for k, n in next(counts).items() if initial.name in classes[k][2]]
-                if all(initial.name in classes[k][1] for k, _ in domain):
-                    n = sum(n for _, n in domain)
-                    inputs_enumerated += n
-                    inputs_checked += n
-                    single_output_inputs += n
-                    continue
-            layer = sorted(_solve(alphabet, reqs, size, solved), key=attrgetter("text"), reverse=True)
-            inputs_enumerated += len(layer)
-            # Sorted in reverse and popped from the end, so each input is
-            # freed once checked while the canonical order is kept.
-            while layer and counterexample is None:
-                s = layer.pop()
+        for size, (domain, layer) in enumerate(sizes, start=1):
+            count = sum(c for _, c in domain)
+            inputs_enumerated += count
+            if layer is None:
+                inputs_checked += count
+                single_output_inputs += count
+                continue
+            for s in layer:
                 inputs_checked += 1
                 # labels s first: its proper subtrees' classes decide the guards
-                if counts is not None and _single_output(stages[0], la, initial, s, labels, table, classes):
+                if one_stage and _single_output(stages[0], la, initial, s, labels, table, classes):
                     single_output_inputs += 1
                     continue
                 outs = _outputs(stages, s, output_cap, memos, labels, classes)
                 outputs_computed += len(outs)
                 if len(outs) > 1:
                     counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
+                    break
             if counterexample is not None:
                 break
         stats = {
@@ -186,9 +185,8 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
             "label_transitions": len(table),
         }
     finally:
-        if counts is not None:
-            counts.close()
-        for memo in (labels, table, classes, solved, *memos):
+        sizes.close()
+        for memo in (labels, table, classes, *memos):
             memo.clear()
     status = FUNCTIONAL if counterexample is None else NOT_FUNCTIONAL
     return Verdict(status, max_size, counterexample, stats)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
-from operator import attrgetter, or_
+from operator import attrgetter
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimit, UnknownState, ValidationError
@@ -189,6 +189,11 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 # markers q(v) of a partial tree depend on where a subtree sits, so
 # `Transducer.evaluate` first names each marker leaf by its address
 # (`_addressed`).
+#
+# The same class table counts the trees of each size by class
+# (`_class_counts`) and builds the trees of one class (`_class_trees`); the
+# domain of a state is the classes whose `some` holds it, so both
+# `enumerate_domain`s and the check take it from `_domain_sizes`.
 
 
 def _addressed(tree: Tree, path: tuple[int, ...]) -> Tree:
@@ -289,28 +294,79 @@ def _class(base: Transducer | None, la: Transducer | None, symbol, kids: list) -
     return accepts, frozenset(one), frozenset(some)
 
 
-def _class_counts(base: Transducer, la: Transducer | None, alphabet: RankedAlphabet, max_size: int, table: dict, classes: list) -> Iterator[dict[int, int]]:
+def _class_counts(base: Transducer, la: Transducer | None, alphabet: RankedAlphabet, max_size: int, table: dict, classes: list, counts: list) -> Iterator[dict[int, int]]:
     """For each size n from 1 to max_size, the number of ground trees of
     size n over the alphabet in each class, keyed on its index into
-    `classes`.  A tree's class depends only on its symbol and its children's
-    classes, like the state of a deterministic bottom-up automaton, so the
-    counts follow from those at smaller sizes through `table`, over every
-    symbol, split of n - 1 and tuple of child classes, and no tree is
-    built."""
-    counts = []
+    `classes`, appended to `counts` before it is yielded.  A tree's class
+    depends only on its symbol and its children's classes, like the state of
+    a deterministic bottom-up automaton, so the counts follow from those at
+    smaller sizes through `table`, over every symbol, split of n - 1 and
+    tuple of child classes, and no tree is built."""
     for n in range(1, max_size + 1):
         layer = {}
         for sym, k in alphabet.items():
-            if k == 0:
-                splits = [()] if n == 1 else []
-            else:
-                splits = _compositions(n - 1, k)
-            for split in splits:
+            for split in _compositions(n - 1, k):
                 for combo in product(*[counts[m - 1].items() for m in split]):
                     c = _transition(base, la, (sym, *[kid for kid, _ in combo]), table, classes)
                     layer[c] = layer.get(c, 0) + prod([count for _, count in combo])
         counts.append(layer)
         yield layer
+
+
+def _class_trees(c: int, n: int, alphabet: RankedAlphabet, counts: list, table: dict, memo: dict) -> list[Tree]:
+    """The trees of size n in class c, in no particular order, built from
+    `counts` and `table` as `_class_counts` left them at size n.  A tree has
+    one decomposition into its symbol, its children's sizes and their
+    classes, so the walk over every symbol, split of n - 1 and tuple of
+    child classes counted at those sizes whose `table` entry is c builds
+    each tree once; memoised on (c, n)."""
+    out = memo.get((c, n))
+    if out is None:
+        out = []
+        for sym, k in alphabet.items():
+            for split in _compositions(n - 1, k):
+                for kids in product(*[counts[m - 1] for m in split]):
+                    if table[(sym, *kids)] == c:
+                        parts = [_class_trees(kid, m, alphabet, counts, table, memo) for kid, m in zip(kids, split)]
+                        out += [Tree(sym, combo) for combo in product(*parts)]
+        memo[c, n] = out
+    return out
+
+
+def _domain_sizes(base: Transducer, la: Transducer | None, q: str, alphabet: RankedAlphabet, max_size: int, table: dict, classes: list, counted=lambda domain: False) -> Iterator[tuple[list[tuple[int, int]], list[Tree] | None]]:
+    """For each size n from 1 to max_size, the domain of the state named q
+    at size n: the (class, count) pairs of the classes whose `some` holds q
+    (`_class_counts`), and the trees of those classes sorted by text, or
+    None where `counted(pairs)` holds.  One list after the other, the trees
+    are dom(q) in canonical (size, text) order.  The trees built so far stay
+    in a memo until the generator ends; close it to free them at once."""
+    check_positive(max_size, "max_size")
+    counts, memo = [], {}
+    try:
+        for n, layer in enumerate(_class_counts(base, la, alphabet, max_size, table, classes, counts), start=1):
+            domain = [(k, count) for k, count in layer.items() if q in classes[k][2]]
+            trees = None
+            if not counted(domain):
+                trees = [s for k, _ in domain for s in _class_trees(k, n, alphabet, counts, table, memo)]
+                trees.sort(key=attrgetter("text"))
+            yield domain, trees
+    finally:
+        counts.clear()
+        memo.clear()
+
+
+def _compositions(total: int, k: int):
+    """All ways to write total as an ordered sum of k positive integers."""
+    if k == 0:
+        if total == 0:
+            yield ()
+    elif k == 1:
+        if total >= 1:
+            yield (total,)
+    else:
+        for first in range(1, total - k + 2):
+            for rest in _compositions(total - first, k - 1):
+                yield (first,) + rest
 
 
 def _single_output(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict, table: dict, classes: list) -> bool:
@@ -355,16 +411,6 @@ def _expand(
     if cap is not None and count > cap:
         raise ResourceLimit("output set exceeds cap %d" % cap)
     return tuple([Tree(lab, combo) for combo in product(*alts)])
-
-
-def merge_vectors(merged: set, alternatives: Collection[tuple]) -> set:
-    """One step of the requirement-merging fold: the position-wise union of
-    every vector in `merged` with every vector in `alternatives` (a
-    collection, read once per vector of `merged`), without repeats.  Folded
-    over groups of alternatives, starting from the all-empty vector, it
-    gives the distinct merges of one choice per group.  Entries are
-    frozensets or int bitmasks, whose `|` is union alike."""
-    return {tuple(map(or_, m, a)) for m in merged for a in alternatives}
 
 
 def least_fixpoint(keys: Sequence[Hashable], children: Sequence[Collection]) -> set:
@@ -544,7 +590,7 @@ class Transducer:
     def enumerate_domain(self, state: StateId, max_size: int) -> list[Tree]:
         """All ground trees of size <= max_size in dom(state), in canonical order."""
         self._known(state)
-        return enumerate_satisfying(self.input_alphabet, ((self, state),), max_size)
+        return [s for _, layer in _domain_sizes(self, None, state.name, self.input_alphabet, max_size, {}, []) for s in layer]
 
 
 class LookaheadTransducer:
@@ -605,9 +651,9 @@ class LookaheadTransducer:
         return frozenset(_evaluate(self.base, self.base.initial, tree, cap, {}, labels, classes))
 
     def enumerate_domain(self, max_size: int) -> list[Tree]:
-        return enumerate_satisfying(
-            self.input_alphabet, ((self, self.base.initial),), max_size
-        )
+        """All ground trees of size <= max_size in the domain, in canonical order."""
+        base = self.base
+        return [s for _, layer in _domain_sizes(base, self.la, base.initial.name, self.input_alphabet, max_size, {}, []) for s in layer]
 
 
 def _trim_lookahead(base: Transducer, la: Transducer) -> tuple[Transducer, Transducer]:
@@ -639,100 +685,3 @@ def _trim_lookahead(base: Transducer, la: Transducer) -> tuple[Transducer, Trans
         ),
         Transducer(la.name, la.input_alphabet, la.output_alphabet, la_rules, la.initial, states=la_states.values()),
     )
-
-
-# -- domain enumeration ------------------------------------------------------
-
-Atom = tuple  # (machine, state); the machine is a Transducer or LookaheadTransducer
-
-
-def _atom_alternatives(atom: Atom, symbol, k: int):
-    """Child-requirement vectors opened up by one machine state on a symbol."""
-    m, q = atom
-    if isinstance(m, LookaheadTransducer):
-        for rule in m.base.rules_for(q, symbol):
-            yield tuple(
-                frozenset({(m.la, rule.lookahead[i])})
-                | frozenset((m, q2) for q2 in rule.child_states[i])
-                for i in range(k)
-            )
-    else:
-        for rule in m.rules_for(q, symbol):
-            yield tuple(frozenset((m, q2) for q2 in rule.child_states[i]) for i in range(k))
-
-
-def _solve(alphabet: RankedAlphabet, reqs: frozenset, n: int, memo: dict) -> tuple[Tree, ...]:
-    """The ground trees of size exactly n that lie in the domain of every
-    requirement in reqs, without repeats; memoised on (reqs, n)."""
-    key = (reqs, n)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    found: set[Tree] = set()
-    for sym, k in alphabet.items():
-        if n < 1 + k or (k == 0 and n != 1):
-            continue
-        merged = {(frozenset(),) * k}
-        for atom in reqs:
-            merged = merge_vectors(merged, list(_atom_alternatives(atom, sym, k)))
-        for vec in merged:
-            if k == 0:
-                found.add(Tree(sym))
-                continue
-            for split in _compositions(n - 1, k):
-                child_sets = []
-                for i in range(k):
-                    cs = _solve(alphabet, vec[i], split[i], memo)
-                    if not cs:
-                        break
-                    child_sets.append(cs)
-                else:
-                    found.update(Tree(sym, combo) for combo in product(*child_sets))
-    out = memo[key] = tuple(found)
-    return out
-
-
-def enumerate_sizes(alphabet: RankedAlphabet, atoms: Iterable[Atom], max_size: int) -> Iterator[list[Tree]]:
-    """For each size n from 1 to max_size, the list of ground trees of size n
-    over the alphabet that lie in the domain of every (machine, state)
-    requirement, generated by rule-directed expansion and sorted by text;
-    one list after the other, they are in canonical (size, text) order.
-
-    The memo of one enumeration lives until the last size is computed, so a
-    caller that stops early does no work for the larger sizes; close the
-    generator to free it at once."""
-    check_positive(max_size, "max_size")
-    reqs = frozenset(atoms)
-    memo: dict[tuple, tuple[Tree, ...]] = {}
-    try:
-        for n in range(1, max_size + 1):
-            layer = list(_solve(alphabet, reqs, n, memo))
-            if n == max_size:
-                memo.clear()
-            layer.sort(key=attrgetter("text"))
-            yield layer
-    finally:
-        memo.clear()
-
-
-def enumerate_satisfying(alphabet: RankedAlphabet, atoms: Iterable[Atom], max_size: int) -> list[Tree]:
-    """All ground trees of size <= max_size over the alphabet that lie in the
-    domain of every (machine, state) requirement, in canonical (size, text)
-    order: the sizes of `enumerate_sizes`, one after the other."""
-    return [tree for layer in enumerate_sizes(alphabet, atoms, max_size) for tree in layer]
-
-
-def _compositions(total: int, k: int):
-    """All ways to write total as an ordered sum of k positive integers."""
-    if k == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - k + 2):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
-def enumerate_trees(alphabet: RankedAlphabet, max_size: int) -> list[Tree]:
-    """All ground trees over the alphabet of size <= max_size."""
-    return enumerate_satisfying(alphabet, (), max_size)

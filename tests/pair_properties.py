@@ -14,13 +14,12 @@ from ttc import (
     chain_outputs,
     check_functional_bounded,
     domain_automaton,
-    enumerate_trees,
     p_construction,
 )
 from ttc.constructions import CompositionChain
 from ttc.machines import reachable
 
-from .oracles import dom_member
+from .oracles import all_trees, dom_member
 
 CAP = 10**6
 
@@ -29,7 +28,7 @@ def domain_automaton_tracks_intersections(t2, size):
     """dom of a set state is the intersection of its members' domains."""
     aut = domain_automaton(t2)
     states = reachable((aut.initial,), aut.rules).values()
-    trees = enumerate_trees(t2.input_alphabet, size)
+    trees = all_trees(t2.input_alphabet, size)
     for state in sorted(states):
         if not state.parts:
             continue
@@ -42,7 +41,7 @@ def domain_automaton_tracks_intersections(t2, size):
 def restricted_outputs_stay_in_member_domains(t1, t2, size):
     """Trees produced by (q,S) with S nonempty lie in every member's domain."""
     hat = build_hat_t1(t1, t2)
-    trees = enumerate_trees(t1.input_alphabet, size)
+    trees = all_trees(t1.input_alphabet, size)
     for state in sorted(hat.states):
         members = state.parts[1].parts
         if not members:
@@ -59,7 +58,7 @@ def restricted_outputs_stay_in_member_domains(t1, t2, size):
 def restriction_preserves_composition(t1, t2, size):
     """Restricting the first component does not change the composition."""
     hat = build_hat_t1(t1, t2)
-    for s in enumerate_trees(t1.input_alphabet, size):
+    for s in all_trees(t1.input_alphabet, size):
         lhs = chain_outputs(CompositionChain((t1, t2)), s)
         rhs = chain_outputs(CompositionChain((hat, t2)), s)
         assert lhs == rhs, s.text
@@ -69,7 +68,7 @@ def chain_contained_in_lookahead_and_naive_product(t1, t2, size):
     """The chain is contained in the look-ahead machine and the naive product."""
     m, _ = build_m(t1, t2)
     naive, _ = p_construction(t1, t2)
-    for s in enumerate_trees(t1.input_alphabet, size):
+    for s in all_trees(t1.input_alphabet, size):
         chain = chain_outputs(CompositionChain((t1, t2)), s)
         assert chain <= m.translate_la(s, cap=CAP), s.text
         assert chain <= naive.translate(s, cap=CAP), s.text
@@ -79,7 +78,7 @@ def domain_equalities(t1, t2, size):
     """dom(M) equals the chain domain, and per state dom((q,S,q')) = dom((q,S))."""
     hat = build_hat_t1(t1, t2)
     m, _ = build_m(t1, t2)
-    for s in enumerate_trees(t1.input_alphabet, size):
+    for s in all_trees(t1.input_alphabet, size):
         in_chain = bool(chain_outputs(CompositionChain((t1, t2)), s))
         assert dom_member(m, m.base.initial, s) == in_chain, s.text
         for triple in sorted(m.base.states):
@@ -99,7 +98,7 @@ def verdict_agreement(t1, t2, bound):
     direct = check_functional_bounded(chain, bound)
     assert via_m.status == direct.status, (via_m, direct)
     if direct.functional:
-        for s in enumerate_trees(t1.input_alphabet, bound):
+        for s in all_trees(t1.input_alphabet, bound):
             assert m.translate_la(s, cap=CAP) == chain_outputs(chain, s), s.text
     return via_m, direct
 
@@ -109,7 +108,7 @@ def singleton_outputs_force_equal_second_stage(t1, t2, size):
     first-stage outputs inside dom(T2) translates to exactly {r}."""
     hat = build_hat_t1(t1, t2)
     chain = CompositionChain((t1, t2))
-    for s in enumerate_trees(t1.input_alphabet, size):
+    for s in all_trees(t1.input_alphabet, size):
         outs = chain_outputs(chain, s)
         if len(outs) != 1:
             continue

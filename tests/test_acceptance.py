@@ -19,7 +19,6 @@ from ttc import (
     decide_functionality,
     decompose_la,
     domain_automaton,
-    enumerate_trees,
     p_construction,
     parse_workspace,
 )
@@ -29,7 +28,7 @@ from ttc.render import serialize_machine
 from ttc.trees import parse_tree
 
 from . import pair_properties
-from .oracles import identity_automaton, machines_equal, rewrite_translate, translate_la_eager
+from .oracles import all_trees, identity_automaton, machines_equal, rewrite_translate, translate_la_eager
 from .test_constructions import (
     A_EXPECTED,
     AHAT_EXPECTED,
@@ -98,7 +97,7 @@ def test_criterion_3_deleting_fixture(announce, del_pair, del_chain):
         naive, _ = p_construction(t1, t2)
         assert naive.translate(t("a(e,e)")) == frozenset((t("e1"), t("e2")))
         m, _ = build_m(t1, t2)
-        for s in enumerate_trees(t1.input_alphabet, 5):
+        for s in all_trees(t1.input_alphabet, 5):
             assert chain_outputs(del_chain, s) == frozenset()
             assert m.translate_la(s) == frozenset()
 
@@ -136,11 +135,11 @@ def test_criterion_6_oracle_equivalence(announce, copy_pair, del_pair, worked_pa
     def body():
         for seed in PAIR_SEEDS:
             for machine in random_pair(seed):
-                for s in enumerate_trees(machine.input_alphabet, 5):
+                for s in all_trees(machine.input_alphabet, 5):
                     assert machine.translate(s) == frozenset(rewrite_translate(machine, s))
         for pair in [(copy_pair), (del_pair), (worked_pair)] + [random_pair(s) for s in PAIR_SEEDS]:
             m, _ = build_m(*pair)
-            for s in enumerate_trees(m.input_alphabet, 4):
+            for s in all_trees(m.input_alphabet, 4):
                 assert m.translate_la(s) == translate_la_eager(m, s)
 
     announce(6, "oracle equivalence: rewrite oracle at size 5, lazy vs eager at size 4", body)
@@ -164,7 +163,7 @@ def test_criterion_7_chain_reduction(announce, copy_pair, del_pair, worked_pair,
             assert via_m.status == direct.status, chain.stages[0].name
             m, _ = build_m(chain.stages[-2], chain.stages[-1])
             relabeling, reader = decompose_la(m)
-            for s in enumerate_trees(m.input_alphabet, 4):
+            for s in all_trees(m.input_alphabet, 4):
                 composed = set()
                 for mid in relabeling.translate(s):
                     composed |= reader.translate(mid)

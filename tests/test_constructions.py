@@ -23,7 +23,6 @@ from ttc import (
     decide_functionality,
     decompose_la,
     domain_automaton,
-    enumerate_trees,
     p_construction,
     parse_workspace,
     reduce_chain,
@@ -35,6 +34,7 @@ from ttc.trees import StateOverVariable, Tree, parse_tree
 
 from . import pair_properties
 from .oracles import (
+    all_trees,
     domain_automaton_by_subsets,
     identity_automaton,
     p_construction_by_evaluate,
@@ -435,7 +435,7 @@ class TestPConstruction:
         ident = identity_automaton(quadratic.output_alphabet)
         paired, _ = p_construction(quadratic, ident)
         assert len(paired.rules) == len(quadratic.rules)
-        for s in enumerate_trees(quadratic.input_alphabet, 6):
+        for s in all_trees(quadratic.input_alphabet, 6):
             assert paired.translate(s) == quadratic.translate(s)
 
 
@@ -475,7 +475,7 @@ class TestBuildM:
         assert m.base.rules == ()
         final = reports[-1]
         assert final.states_before > final.states_after
-        for s in enumerate_trees(m.input_alphabet, 5):
+        for s in all_trees(m.input_alphabet, 5):
             assert m.translate_la(s) == frozenset()
 
     def test_identity_single_symbol(self):
@@ -488,7 +488,7 @@ class TestBuildM:
     def test_identity_transducer_pair(self, quadratic):
         ident = identity_automaton(quadratic.input_alphabet, name="id_in")
         m, _ = build_m(ident, ident)
-        for s in enumerate_trees(quadratic.input_alphabet, 4):
+        for s in all_trees(quadratic.input_alphabet, 4):
             assert m.translate_la(s) == frozenset((s,))
 
 
@@ -505,13 +505,13 @@ class TestDecomposeLa:
         relabeling, reader = decompose_la(m)
         assert relabeling.is_linear_nondeleting()
         assert self.composed(relabeling, reader, t("f(e,d)")) == frozenset((t("d"),))
-        for s in enumerate_trees(m.input_alphabet, 4):
+        for s in all_trees(m.input_alphabet, 4):
             assert self.composed(relabeling, reader, s) == m.translate_la(s), s.text
 
     def test_contract_on_deleting_pair(self, del_pair):
         m, _ = build_m(*del_pair)
         relabeling, reader = decompose_la(m)
-        for s in enumerate_trees(m.input_alphabet, 4):
+        for s in all_trees(m.input_alphabet, 4):
             assert self.composed(relabeling, reader, s) == frozenset()
 
     def test_universal_lookahead(self, quadratic):
@@ -520,7 +520,7 @@ class TestDecomposeLa:
         # every symbol is relabeled with the single universal state
         for rule in relabeling.rules:
             assert all(a.name == "u" for a in rule.rhs.label.annotations)
-        for s in enumerate_trees(quadratic.input_alphabet, 5):
+        for s in all_trees(quadratic.input_alphabet, 5):
             assert self.composed(relabeling, reader, s) == quadratic.translate(s)
 
 
@@ -531,7 +531,7 @@ class TestFuse:
 
     def test_identity_fusion(self, quadratic):
         fused = compose_linear_nondeleting(quadratic, identity_automaton(quadratic.output_alphabet))
-        for s in enumerate_trees(quadratic.input_alphabet, 6):
+        for s in all_trees(quadratic.input_alphabet, 6):
             assert fused.translate(s) == quadratic.translate(s)
 
     def test_relabeling_fusion_matches_chain(self, worked_pair):
@@ -539,7 +539,7 @@ class TestFuse:
         relabeling, reader = decompose_la(m)
         ident = identity_automaton(worked_pair[0].input_alphabet, name="id_sigma")
         fused = compose_linear_nondeleting(ident, relabeling)
-        for s in enumerate_trees(ident.input_alphabet, 4):
+        for s in all_trees(ident.input_alphabet, 4):
             direct = chain_outputs(CompositionChain((ident, relabeling)), s)
             assert fused.translate(s) == direct
 
@@ -550,7 +550,7 @@ class TestReduceChain:
         first = chain.stages[0]
         return {
             s.text: min(len(chain_outputs(chain, s)), 2)
-            for s in enumerate_trees(first.input_alphabet, size)
+            for s in all_trees(first.input_alphabet, size)
         }
 
     def test_worked_three_chain(self, worked_pair):
@@ -564,7 +564,7 @@ class TestReduceChain:
         ident = identity_automaton(del_pair[0].input_alphabet, name="id0")
         chain = CompositionChain((ident, *del_pair))
         reduced, _ = reduce_chain(chain)
-        for s in enumerate_trees(ident.input_alphabet, 4):
+        for s in all_trees(ident.input_alphabet, 4):
             assert chain_outputs(reduced, s) == frozenset()
 
     def test_identity_three_chain(self, quadratic):
@@ -572,7 +572,7 @@ class TestReduceChain:
         chain = CompositionChain((ident, ident, ident))
         reduced, _ = reduce_chain(chain)
         assert len(reduced) == 2
-        for s in enumerate_trees(ident.input_alphabet, 5):
+        for s in all_trees(ident.input_alphabet, 5):
             assert chain_outputs(reduced, s) == frozenset((s,))
 
     def test_too_short(self, worked_pair):
@@ -737,7 +737,7 @@ class TestMixedAnnotationsAtSharedNode:
     def test_decomposition_contract_despite_merged_runs(self, pair):
         m, _ = build_m(*pair)
         relabeling, reader = decompose_la(m)
-        for s in enumerate_trees(m.input_alphabet, 5):
+        for s in all_trees(m.input_alphabet, 5):
             composed = set()
             for mid in relabeling.translate(s):
                 composed |= reader.translate(mid)

@@ -15,7 +15,6 @@ from ttc import (
     chain_outputs,
     check_functional_bounded,
     decide_functionality,
-    enumerate_trees,
     p_construction,
     parse_workspace,
     reduce_chain,
@@ -51,7 +50,7 @@ class TestChainOutputs:
         assert chain_outputs(copy_chain, t("a(e)")) == frozenset((t("f(e,e)"),))
 
     def test_copying_is_a_single_pair(self, copy_chain):
-        for s in enumerate_trees(copy_chain.stages[0].input_alphabet, 5):
+        for s in all_trees(copy_chain.stages[0].input_alphabet, 5):
             outs = chain_outputs(copy_chain, s)
             assert outs == (frozenset((t("f(e,e)"),)) if s == t("a(e)") else frozenset())
 
@@ -359,7 +358,7 @@ class TestEvaluatorCalls:
         m, _ = build_m(*worked_pair)
         calls, labelled, builds = [], [], [0]
         evaluate, label, init = machines._evaluate, machines._label, Tree.__init__
-        single_output, solve = machines._single_output, machines._solve
+        single_output, class_trees = machines._single_output, machines._class_trees
 
         def spy_evaluate(base, q, s, cap, memo, labels, classes):
             calls.append(("evaluate", q.name, s.text))
@@ -369,9 +368,9 @@ class TestEvaluatorCalls:
             calls.append(("single", q.name, s.text))
             return single_output(base, la, q, s, memo, table, classes)
 
-        def spy_solve(alphabet, reqs, n, memo):
-            calls.append(("solve", n))
-            return solve(alphabet, reqs, n, memo)
+        def spy_class_trees(c, n, alphabet, counts, table, memo):
+            calls.append(("class_trees", c, n))
+            return class_trees(c, n, alphabet, counts, table, memo)
 
         def spy_label(base, la, s, memo, table, classes):
             labelled.append(s.text)
@@ -384,7 +383,7 @@ class TestEvaluatorCalls:
         for module in (decision, machines):
             monkeypatch.setattr(module, "_evaluate", spy_evaluate)
             monkeypatch.setattr(module, "_single_output", spy_single)
-            monkeypatch.setattr(module, "_solve", spy_solve)
+        monkeypatch.setattr(machines, "_class_trees", spy_class_trees)
         monkeypatch.setattr(machines, "_label", spy_label)
         monkeypatch.setattr(Tree, "__init__", spy_init)
         verdict = check_functional_bounded(m, 11)
@@ -396,6 +395,25 @@ class TestEvaluatorCalls:
         assert calls == [] and labelled == [] and verdict.stats["memo_entries"] == 0
         assert (verdict.stats["label_classes"], verdict.stats["label_transitions"]) == (5, 27)
         assert builds[0] == 0
+
+    def test_a_target_that_falls_back_at_every_size(self, monkeypatch):
+        # M of seed 5 has an input without a single output at every size
+        # from 3 on, so each of those sizes is built from the class table;
+        # its one input of size 1 is counted, and size 2 has none
+        m, _ = build_m(*random_pair(5))
+        generated, domain_sizes = [], machines._domain_sizes
+
+        def spy_domain_sizes(*args):
+            for domain, layer in domain_sizes(*args):
+                generated.append((domain, layer))
+                yield domain, layer
+
+        monkeypatch.setattr(decision, "_domain_sizes", spy_domain_sizes)
+        verdict = check_functional_bounded(m, 6)
+        expected, enumerated = reference_check(m, 6)
+        assert verdict.status == expected.status == FUNCTIONAL
+        assert [None if layer is None else len(layer) for _, layer in generated] == [None, None, 1, 2, 5, 12]
+        assert [s for _, layer in generated for s in layer or ()] == enumerated
 
 
 class TestSingleOutputPath:
@@ -567,26 +585,36 @@ class TestClassCounts:
     """A one-stage check counts the trees of each size by subtree class."""
 
     def test_counts_equal_the_enumeration(self, keep_corpus):
-        counted = 0
+        counted = states = 0
         for target, bound in keep_corpus:
             if isinstance(target, LookaheadTransducer):
-                base, la, first = target.base, target.la, target
+                base, la = target.base, target.la
             elif isinstance(target, Transducer):
-                base, la, first = target, None, target
+                base, la = target, None
             else:
                 continue
-            initial, alphabet = base.initial.name, first.input_alphabet
-            table, classes = {}, []
-            counts = machines._class_counts(base, la, alphabet, bound, table, classes)
-            layers = machines.enumerate_sizes(alphabet, ((first, base.initial),), bound)
-            trees = all_trees(alphabet, bound)
-            for n, (count, layer) in enumerate(zip(counts, layers), start=1):
+            trees = all_trees(base.input_alphabet, bound)
+            domain = [s for s in trees if dom_member(target, base.initial, s)]
+            table, classes, counts = {}, [], []
+            layers = machines._class_counts(base, la, base.input_alphabet, bound, table, classes, counts)
+            for n, count in enumerate(layers, start=1):
                 # every tree has one class, and the domain is the classes whose
                 # `some` holds the initial state
                 assert sum(count.values()) == sum(s.size == n for s in trees), (target.name, n)
-                assert sum(c for k, c in count.items() if initial in classes[k][2]) == len(layer), (target.name, n)
-                counted += len(layer)
+                in_domain = sum(s.size == n for s in domain)
+                assert sum(c for k, c in count.items() if base.initial.name in classes[k][2]) == in_domain, (target.name, n)
+            assert len(counts) == bound  # the caller's list holds every size
+            counted += len(domain)
+            if la is not None:
+                assert target.enumerate_domain(bound) == domain, target.name
+                continue
+            # the class table enumerates dom(q) for every state, not only the initial one
+            for q in sorted(base.states):
+                expected = domain if q == base.initial else [s for s in trees if dom_member(target, q, s)]
+                assert target.enumerate_domain(q, bound) == expected, (target.name, q.name)
+                states += 1
         assert counted == 2494  # domain inputs of the one-stage targets: not vacuous
+        assert states == 1191  # every state of the 600 plain stages
 
     def test_verdicts_and_stats_equal_the_reference(self, keep_corpus):
         for target, bound in keep_corpus:

@@ -13,14 +13,13 @@ from ttc import (
     check_functional_bounded,
     decide_functionality,
     decompose_la,
-    enumerate_trees,
 )
 from ttc.generate import random_chain3, random_pair
 
 from . import pair_properties
 from ttc.machines import _label
 
-from .oracles import dom_member, rewrite_translate, staged_compose, translate_la_eager, wrap_trivial_lookahead
+from .oracles import all_trees, dom_member, rewrite_translate, staged_compose, translate_la_eager, wrap_trivial_lookahead
 
 PAIR_SEEDS = range(60)
 CHAIN_SEEDS = range(20)
@@ -35,7 +34,7 @@ def test_pair_property_suite(seed):
 @pytest.mark.parametrize("seed", PAIR_SEEDS)
 def test_translate_matches_rewrite_oracle(seed):
     for machine in random_pair(seed):
-        for s in enumerate_trees(machine.input_alphabet, 5):
+        for s in all_trees(machine.input_alphabet, 5):
             assert machine.translate(s) == frozenset(rewrite_translate(machine, s)), s.text
 
 
@@ -43,7 +42,7 @@ def test_translate_matches_rewrite_oracle(seed):
 def test_translate_matches_oracle_at_larger_bounds(seed):
     """Same agreement with up to 4 states and 8 rules on inputs of size 6."""
     for machine in random_pair(seed + 10_000, max_states=4, max_rules=8):
-        for s in enumerate_trees(machine.input_alphabet, 6):
+        for s in all_trees(machine.input_alphabet, 6):
             assert machine.translate(s) == frozenset(rewrite_translate(machine, s)), s.text
 
 
@@ -51,14 +50,14 @@ def test_translate_matches_oracle_at_larger_bounds(seed):
 def test_lazy_lookahead_matches_eager(seed):
     t1, t2 = random_pair(seed)
     m, _ = build_m(t1, t2)
-    for s in enumerate_trees(m.input_alphabet, 4):
+    for s in all_trees(m.input_alphabet, 4):
         assert m.translate_la(s) == translate_la_eager(m, s), s.text
 
 
 @pytest.mark.parametrize("seed", PAIR_SEEDS)
 def test_dom_member_iff_translation_nonempty(seed):
     for machine in random_pair(seed):
-        for s in enumerate_trees(machine.input_alphabet, 4):
+        for s in all_trees(machine.input_alphabet, 4):
             for q in sorted(machine.states):
                 assert dom_member(machine, q, s) == bool(machine.evaluate(q, s))
 
@@ -76,7 +75,7 @@ def test_trivial_lookahead_matches_plain(seed):
     for machine in random_pair(seed):
         wrapped = wrap_trivial_lookahead(machine)
         kept = {q.name for q in wrapped.base.states}  # the trim drops unreachable states
-        for s in enumerate_trees(machine.input_alphabet, 5):
+        for s in all_trees(machine.input_alphabet, 5):
             assert wrapped.translate_la(s) == machine.translate(s), s.text
             assert one(wrapped.base, wrapped.la, s) == one(machine, None, s) & kept, s.text
 
@@ -91,7 +90,7 @@ def test_dom_empty_iff_enumeration_empty(seed):
 @pytest.mark.parametrize("seed", CHAIN_SEEDS)
 def test_chain_outputs_match_staged_oracle(seed):
     chain = random_chain3(seed)
-    for s in enumerate_trees(chain.stages[0].input_alphabet, 4):
+    for s in all_trees(chain.stages[0].input_alphabet, 4):
         assert chain_outputs(chain, s) == frozenset(staged_compose(chain.stages, s))
 
 
@@ -120,7 +119,7 @@ def test_decompose_contract_on_built_machines(seed):
     chain = random_chain3(seed)
     m, _ = build_m(chain.stages[1], chain.stages[2])
     relabeling, reader = decompose_la(m)
-    for s in enumerate_trees(m.input_alphabet, 4):
+    for s in all_trees(m.input_alphabet, 4):
         composed = set()
         for mid in relabeling.translate(s):
             composed |= reader.translate(mid)

@@ -3,7 +3,7 @@ import pytest
 from ttc import LookaheadTransducer, TtcSyntaxError, parse_workspace
 from ttc.render import serialize_chain, serialize_machine
 
-from .oracles import machines_equal, workspaces_equal
+from .oracles import all_trees, machines_equal, workspaces_equal
 
 MINI = """
 transducer tiny {
@@ -214,9 +214,7 @@ class TestRoundTrip:
         again = reparsed.machines["worked_m"]
         assert isinstance(again, LookaheadTransducer)
         assert len(again.base.rules) == len(m.base.rules)
-        from ttc import enumerate_trees
-
-        for s in enumerate_trees(m.input_alphabet, 4):
+        for s in all_trees(m.input_alphabet, 4):
             assert again.translate_la(s) == m.translate_la(s)
 
     def test_chain_serialization_reparses(self, copy_chain):
