@@ -322,6 +322,75 @@ def _triple_filter(q1: StateId, q2: StateId) -> bool:
     return q1.kind == "pair" and q1.parts[1].kind == "set" and q2 in q1.parts[1].parts
 
 
+def _report(reports: list, label: str, machine, before: int, provenance: dict, t0: float) -> None:
+    """Append the report of one construction step that began at t0."""
+    after = len(machine.states) if isinstance(machine, Transducer) else len(machine.base.states) + len(machine.la.states)
+    elapsed = round((time.perf_counter() - t0) * 1000.0, 3)
+    reports.append(BuildReport(label, machine, before, after, provenance, {"elapsed_ms": elapsed}))
+
+
+def _annotated_base(t1: Transducer, t2: Transducer, reports: list) -> tuple[Transducer, Transducer]:
+    """The restricted first component hat and M's base, reporting dom(t2),
+    hat and the triple product N.  Each base rule, derived from a hat rule
+    with right-hand side xi, is annotated with exactly the state sets xi puts
+    on each variable; its guard names their members, so it holds on a child
+    iff every member's domain holds the child."""
+    _require(Transducer, "build_m", t1, t2)
+    t0 = time.perf_counter()
+    aut = domain_automaton(t2)
+    _report(reports, "domain-automaton", aut, len(aut.states), {s: "subset of %s states" % t2.name for s in aut.states}, t0)
+
+    t0 = time.perf_counter()
+    hat, _ = p_construction(t1, aut, name="hat(%s)" % t1.name)
+    _report(reports, "restricted-first", hat, len(hat.states), {s: "pair over %s and dom(%s)" % (t1.name, t2.name) for s in hat.states}, t0)
+
+    t0 = time.perf_counter()
+    n_machine, sources = p_construction(
+        hat, t2, make_state=_triple_state, pair_filter=_triple_filter, name="N(%s,%s)" % (t1.name, t2.name)
+    )
+    _report(reports, "triple-product", n_machine, len(n_machine.states), {s: "triple (q,S,q')" for s in n_machine.states}, t0)
+
+    annotated_rules = []
+    seen_annotated = set()
+    for rule, src in sources:
+        annots = tuple(StateId.of_set(req) for req in src.child_states)
+        key = (rule.state.name, rule.symbol, tuple(a.name for a in annots), rule.rhs.text)
+        if key in seen_annotated:
+            continue
+        seen_annotated.add(key)
+        guard = tuple([frozenset([q.name for q in req]) for req in src.child_states])
+        annotated_rules.append(
+            Rule(rule.state, rule.symbol, rule.variables, rule.rhs, annots, rule.child_states, guard)
+        )
+    base = Transducer(
+        "M(%s,%s)" % (t1.name, t2.name),
+        n_machine.input_alphabet,
+        n_machine.output_alphabet,
+        annotated_rules,
+        n_machine.initial,
+        states=n_machine.states,
+        _annotated=True,
+    )
+    return hat, base
+
+
+def build_m_over_hat(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[BuildReport]]:
+    """`build_m`'s M without its power-set look-ahead automaton or its trim:
+    the look-ahead machine is hat itself, whose `accepts` on a subtree holds
+    the hat states whose domain holds it, so a guard holds iff it holds every
+    member of the annotation.  A rule with an empty-domain annotation never
+    fires, and one of an unreachable state is never called.  The check uses
+    it; listing and `decompose_la` need `build_m`."""
+    reports: list[BuildReport] = []
+    hat, base = _annotated_base(t1, t2, reports)
+    t0 = time.perf_counter()
+    m = LookaheadTransducer(base, hat)
+    provenance = {s: "triple (q,S,q')" for s in base.states}
+    provenance.update({s: "look-ahead state (hat state)" for s in hat.states})
+    _report(reports, "look-ahead-transducer", m, len(base.states) + len(hat.states), provenance, t0)
+    return m, reports
+
+
 def build_m(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[BuildReport]]:
     """The look-ahead transducer M for the composition of t1 and t2.
 
@@ -332,77 +401,23 @@ def build_m(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[B
     component, seeded so every annotation is one of its states; empty-domain
     look-ahead states and the rules they kill are pruned.
     """
-    _require(Transducer, "build_m", t1, t2)
     reports: list[BuildReport] = []
-
-    def report(label, machine, before, provenance=None, t0=0.0):
-        reports.append(
-            BuildReport(
-                label=label,
-                machine=machine,
-                states_before=before,
-                states_after=len(machine.states) if isinstance(machine, Transducer) else len(machine.base.states),
-                provenance=provenance or {},
-                stats={"elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3)},
-            )
-        )
+    hat, base = _annotated_base(t1, t2, reports)
 
     t0 = time.perf_counter()
-    aut = domain_automaton(t2)
-    report("domain-automaton", aut, len(aut.states), {s: "subset of %s states" % t2.name for s in aut.states}, t0)
-
-    t0 = time.perf_counter()
-    hat, _ = p_construction(t1, aut, name="hat(%s)" % t1.name)
-    report("restricted-first", hat, len(hat.states), {s: "pair over %s and dom(%s)" % (t1.name, t2.name) for s in hat.states}, t0)
-
-    t0 = time.perf_counter()
-    n_machine, sources = p_construction(
-        hat, t2, make_state=_triple_state, pair_filter=_triple_filter, name="N(%s,%s)" % (t1.name, t2.name)
-    )
-    report("triple-product", n_machine, len(n_machine.states), {s: "triple (q,S,q')" for s in n_machine.states}, t0)
-
-    annotated_rules = []
-    seen_annotated = set()
-    seeds = set()
-    for rule, src in sources:
-        annots = tuple(StateId.of_set(req) for req in src.child_states)
-        key = (rule.state.name, rule.symbol, tuple(a.name for a in annots), rule.rhs.text)
-        if key in seen_annotated:
-            continue
-        seen_annotated.add(key)
-        seeds.update(frozenset(req) for req in src.child_states)
-        annotated_rules.append(
-            Rule(rule.state, rule.symbol, rule.variables, rule.rhs, lookahead=annots, child_states=rule.child_states)
-        )
-
-    t0 = time.perf_counter()
+    seeds = {frozenset(l.parts) for r in base.rules for l in r.lookahead}
     la = domain_automaton(hat, seeds=seeds, name="la(%s,%s)" % (t1.name, t2.name))
-    report("look-ahead-automaton", la, len(la.states), {s: "subset of hat states" for s in la.states}, t0)
+    _report(reports, "look-ahead-automaton", la, len(la.states), {s: "subset of hat states" for s in la.states}, t0)
 
-    base = Transducer(
-        "M(%s,%s)" % (t1.name, t2.name),
-        n_machine.input_alphabet,
-        n_machine.output_alphabet,
-        annotated_rules,
-        n_machine.initial,
-        states=n_machine.states,
-        _annotated=True,
-    )
     t0 = time.perf_counter()
+    # each annotation is now a state of la: its guard is its own name
+    rules = [Rule(r.state, r.symbol, r.variables, r.rhs, r.lookahead, r.child_states) for r in base.rules]
+    base = Transducer(base.name, base.input_alphabet, base.output_alphabet, rules, base.initial, states=base.states, _annotated=True)
     before = len(base.states) + len(la.states)
-    m = LookaheadTransducer(base, la)
+    m = LookaheadTransducer.trimmed(base, la)
     provenance = {s: "triple (q,S,q')" for s in m.base.states}
     provenance.update({s: "look-ahead state (set of hat states)" for s in m.la.states})
-    reports.append(
-        BuildReport(
-            label="look-ahead-transducer",
-            machine=m,
-            states_before=before,
-            states_after=len(m.base.states) + len(m.la.states),
-            provenance=provenance,
-            stats={"elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3)},
-        )
-    )
+    _report(reports, "look-ahead-transducer", m, before, provenance, t0)
     return m, reports
 
 
@@ -417,6 +432,8 @@ def decompose_la(m: LookaheadTransducer) -> tuple[Transducer, Transducer]:
     relabeling run that merged several annotations still matches.
     """
     _require(LookaheadTransducer, "decompose_la", m)
+    if not m.la.is_automaton():
+        raise ValidationError("decompose_la needs a look-ahead automaton, as build_m's M has")
     la, base = m.la, m.base
     ann_symbols: dict[tuple, AnnotatedSymbol] = {}
     r_rules: list[Rule] = []

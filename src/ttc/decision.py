@@ -17,7 +17,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .constructions import BuildReport, CompositionChain, build_m, reduce_chain
+from .constructions import BuildReport, CompositionChain, build_m_over_hat, reduce_chain
 from .errors import ResourceLimit, ValidationError
 from .machines import LookaheadTransducer, Rule, Transducer, _domain_sizes, _evaluate, _label, _single_output, check_positive
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
@@ -195,7 +195,9 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
 def decide_functionality(chain: CompositionChain | Transducer, max_size: int, output_cap: int = DEFAULT_OUTPUT_CAP) -> tuple[Verdict, list[BuildReport]]:
     """Reduce the chain to two stages, build the look-ahead transducer for the
     final pair, and check it at the bound (a one-stage chain, or a bare
-    transducer, is checked as it is); returns every intermediate report."""
+    transducer, is checked as it is); returns every intermediate report.
+    The final pair's M is `build_m_over_hat`'s, with no power-set
+    look-ahead automaton and no trim; its report comes last."""
     check_positive(max_size, "max_size")
     check_positive(output_cap, "output_cap", optional=True)
     chain = chain if isinstance(chain, CompositionChain) else CompositionChain((chain,))
@@ -205,7 +207,7 @@ def decide_functionality(chain: CompositionChain | Transducer, max_size: int, ou
         reports.extend(step_reports)
     target = chain
     if len(chain) == 2:
-        target, step_reports = build_m(chain.stages[0], chain.stages[1])
+        target, step_reports = build_m_over_hat(chain.stages[0], chain.stages[1])
         reports.extend(step_reports)
     verdict = check_functional_bounded(target, max_size, output_cap=output_cap)
     return verdict, reports

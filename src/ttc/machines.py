@@ -5,11 +5,11 @@ initial state).  Rules rewrite state-annotated input trees top-down; the
 evaluation of a state on a partial tree returns the finite set of trees
 derivable from it, with placeholders turning into state-over-node markers.
 Look-ahead transducers additionally constrain each child variable with a
-state of a look-ahead automaton; a rule fires only when every child subtree
-lies in the domain of its annotation.  That guard is decided only by the
-subtree class of the child, computed bottom up once per distinct subtree
-(`_label`).  A plain rule is a look-ahead rule with no guard, so one
-evaluator serves both kinds.
+state, or a set of states, of a look-ahead machine; a rule fires only when
+every child subtree lies in the domain of each state of its annotation.
+That guard is decided only by the subtree class of the child, computed
+bottom up once per distinct subtree (`_label`).  A plain rule is a
+look-ahead rule with no guard, so one evaluator serves both kinds.
 """
 
 from __future__ import annotations
@@ -114,7 +114,12 @@ class Rule:
     `child_states` is, for each variable x_i, the set of states q with q(x_i)
     in the rhs.  A construction that knows it passes it in; otherwise the rhs
     is walked here, which also rejects a variable outside x1..xk.  Either way
-    `Transducer` checks the range when it validates the rule."""
+    `Transducer` checks the range when it validates the rule.
+
+    `guard` is, for each variable x_i of a look-ahead rule, the names of the
+    look-ahead states whose domains must all hold child i: by default the
+    annotation's own name; M over hat passes the members of each annotation
+    set (`constructions.build_m_over_hat`)."""
 
     state: StateId
     symbol: object
@@ -122,10 +127,13 @@ class Rule:
     rhs: Tree
     lookahead: tuple[StateId, ...] | None = None
     child_states: tuple[frozenset[StateId], ...] | None = field(default=None, compare=False, repr=False)
+    guard: tuple[frozenset[str], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.child_states is None:
             object.__setattr__(self, "child_states", _child_states(self))
+        if self.guard is None and self.lookahead is not None:
+            object.__setattr__(self, "guard", tuple([frozenset((l.name,)) for l in self.lookahead]))
 
     def lhs_text(self) -> str:
         if self.variables == 0:
@@ -175,10 +183,12 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 # -- semantics ---------------------------------------------------------------
 #
 # ``la`` (of `_label`, `_class` and `_single_output`) is the look-ahead
-# automaton, or None for a plain transducer; a None ``base`` labels with the
-# automaton's `accepts` alone (`translate_la`, and an automaton stage of a
-# chain, passed as ``la``).  These functions trust their input tree; the
-# public entry points validate it.
+# machine, or None for a plain transducer; a None ``base`` labels with its
+# `accepts` alone (`translate_la`, and an automaton stage of a chain, passed
+# as ``la``).  The look-ahead machine is any plain transducer: a parsed
+# look-ahead automaton, `build_m`'s power-set automaton, or hat itself for
+# the check's M, whose guards name hat states (`Rule.guard`).  These
+# functions trust their input tree; the public entry points validate it.
 #
 # The memos belong to the caller, which keeps them for one public call, one
 # chain_outputs call or one whole check.  The evaluation memo is keyed on
@@ -213,7 +223,7 @@ def _evaluate(
 ) -> tuple[Tree, ...]:
     """The trees derivable from q(s), without repeats; a placeholder leaf named
     by its address v (see `_addressed`) turns into q(v).  A rule with
-    look-ahead fires iff each annotation is in its child's `accepts`, read
+    look-ahead fires iff each guard is in its child's `accepts`, read
     from the caller's label memo `labels` (see `_label`): the caller labels
     s first, which stores the class of every proper subtree.  Plain callers
     pass None for `labels` and `classes`.  The children's results go through
@@ -228,9 +238,9 @@ def _evaluate(
     alts = []
     for rule in base.rules_for(q, lab):
         fires = True
-        if rule.lookahead is not None:
-            for l, c in zip(rule.lookahead, kids):
-                fires = l.name in classes[labels[c.text]][0]
+        if rule.guard is not None:
+            for g, c in zip(rule.guard, kids):
+                fires = g <= classes[labels[c.text]][0]
                 if not fires:
                     break
         if fires:
@@ -273,20 +283,21 @@ def _transition(base: Transducer | None, la: Transducer | None, key: tuple, tabl
 def _class(base: Transducer | None, la: Transducer | None, symbol, kids: list) -> tuple[frozenset[str], ...]:
     """The class at a symbol over children of the classes `kids`: the
     state-name sets (accepts, one, some), or (accepts,) when base is None.
-    accepts: the look-ahead states with a rule whose child states are in
-    their child's accepts, exact as an automaton rule puts one state on each
-    child.  A base rule fires when its guard holds (any rule, without
-    look-ahead).  one: the base states with exactly one firing rule, whose
-    calls are each in their child's one, so with exactly one output.  some:
-    the base states with a firing rule whose calls are each in their child's
-    some, so with an output."""
-    rules = la.rules if la is not None else ()
-    accepts = frozenset([r.state.name for r in rules if r.symbol == symbol and all(l.name in k[0] for req, k in zip(r.child_states, kids) for l in req)])
+    accepts: the look-ahead states with a rule on the symbol whose calls are
+    each in their child's accepts, which is the domain of each state of any
+    plain transducer, bottom up (Engelfriet 1977).  A base rule fires when
+    each guard is in its child's accepts (any rule, without look-ahead).
+    one: the base states with exactly one firing rule, whose calls are each
+    in their child's one, so with exactly one output.  some: the base states
+    with a firing rule whose calls are each in their child's some, so with
+    an output."""
+    states = la.states if la is not None else ()
+    accepts = frozenset([l.name for l in states if any(all(q.name in k[0] for req, k in zip(r.child_states, kids) for q in req) for r in la.rules_for(l, symbol))])
     if base is None:
         return (accepts,)
     one, some = [], []
     for q in base.states:
-        fired = [r for r in base.rules_for(q, symbol) if la is None or all(l.name in k[0] for l, k in zip(r.lookahead, kids))]
+        fired = [r for r in base.rules_for(q, symbol) if r.guard is None or all(g <= k[0] for g, k in zip(r.guard, kids))]
         if len(fired) == 1 and all(q2.name in k[1] for req, k in zip(fired[0].child_states, kids) for q2 in req):
             one.append(q.name)
         if any(all(q2.name in k[2] for req, k in zip(r.child_states, kids) for q2 in req) for r in fired):
@@ -594,29 +605,35 @@ class Transducer:
 
 
 class LookaheadTransducer:
-    """Transducer whose rules constrain children by look-ahead automaton states.
-
-    Construction trims the machine: it drops look-ahead states with empty
-    domain and every rule that uses one, keeps only the rules whose state is
-    reachable through kept rules (from the initial states and the kept
-    annotations), and builds the trimmed base and look-ahead automaton once
-    each.
+    """Transducer whose rules constrain children by the domains of states of
+    a look-ahead machine, a plain transducer: each guard (`Rule.guard`) must
+    name states of it.  Construction validates and keeps both machines as
+    they are; `trimmed` also trims them, over a look-ahead automaton.
     """
 
     def __init__(self, base: Transducer, la: Transducer):
-        if not la.is_automaton():
-            raise ValidationError("the look-ahead machine must be an automaton")
         if la.input_alphabet != base.input_alphabet:
-            raise ValidationError("look-ahead automaton must read the base input alphabet")
+            raise ValidationError("look-ahead machine must read the base input alphabet")
+        names = {s.name for s in la.states}
         for r in base.rules:
             if r.lookahead is None or len(r.lookahead) != r.variables:
                 raise ValidationError("rule %s lacks look-ahead annotations" % r.lhs_text())
-            for l in r.lookahead:
-                if l not in la.states:
+            for l, g in zip(r.lookahead, r.guard):
+                if not g <= names:
                     raise ValidationError("rule %s: annotation %s is not a look-ahead state" % (r.lhs_text(), l))
-        base, la = _trim_lookahead(base, la)
         self.base = base
         self.la = la
+
+    @classmethod
+    def trimmed(cls, base: Transducer, la: Transducer) -> "LookaheadTransducer":
+        """The machine over the look-ahead automaton la, whose states are the
+        annotations, trimmed by `_trim_lookahead`; the annotations are checked
+        first, as the trim would drop a rule with a foreign one as dead."""
+        m = cls(base, la)
+        if not la.is_automaton():
+            raise ValidationError("the look-ahead machine must be an automaton")
+        m.base, m.la = _trim_lookahead(base, la)
+        return m
 
     @property
     def name(self):
@@ -642,7 +659,7 @@ class LookaheadTransducer:
         """Two-phase semantics: the input is labelled bottom up with subtree
         classes (`_label`), the deterministic relabeling that evaluates the
         look-ahead, then the shared evaluator fires a rule at a node iff
-        every child's class accepts its annotation.  The input and the cap
+        every child's class accepts its guard.  The input and the cap
         are checked once, here."""
         check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)

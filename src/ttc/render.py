@@ -15,6 +15,7 @@ import json
 
 from .constructions import BuildReport, CompositionChain
 from .decision import DerivationTrace, Verdict
+from .errors import ValidationError
 from .machines import LookaheadTransducer, Rule, StateId, Transducer
 from .trees import NAME_RE, AnnotatedSymbol, StateOverVariable, Tree, sort_trees
 
@@ -142,6 +143,8 @@ def serialize_lookahead(m: LookaheadTransducer, name: str | None = None) -> str:
     """Three blocks: the base as a plain transducer (annotations stripped, it
     only declares states and alphabets), the look-ahead automaton, and the
     lookahead block holding the annotated rules."""
+    if not m.la.is_automaton():
+        raise ValidationError("only a look-ahead automaton has a listing, as build_m's M has")
     name = _safe_name(name or m.name)
     base_states = _state_map([m.base])
     la_states = _state_map([m.la])

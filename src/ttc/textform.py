@@ -378,7 +378,7 @@ class _Parser:
                 states=base.states,
                 _annotated=True,
             )
-            return LookaheadTransducer(annotated, la)
+            return LookaheadTransducer.trimmed(annotated, la)
         except ValidationError as exc:
             self.fail("invalid lookahead %s: %s" % (name_tok.value, exc), name_tok)
 

@@ -583,7 +583,7 @@ class TestReduceChain:
 class TestPrune:
     def test_lookahead_prune_is_idempotent(self, worked_pair):
         m, _ = build_m(*worked_pair)
-        again = LookaheadTransducer(m.base, m.la)
+        again = LookaheadTransducer.trimmed(m.base, m.la)
         assert rule_strings(again.base) == rule_strings(m.base)
         assert rule_strings(again.la) == rule_strings(m.la)
         assert again.base.states == m.base.states
@@ -609,7 +609,7 @@ class TestTrim:
 
     def test_retrim_and_round_trip_keep_the_counts(self):
         for m in trimmed_machines():
-            assert counts(LookaheadTransducer(m.base, m.la)) == counts(m), m.name
+            assert counts(LookaheadTransducer.trimmed(m.base, m.la)) == counts(m), m.name
             parsed = parse_workspace(serialize_machine(m, name="m")).machines["m"]
             assert counts(parsed) == counts(m), m.name
 
@@ -674,7 +674,7 @@ class TestTrim:
         monkeypatch.setattr(machines.Transducer, "__init__", counting)
         for base, la in inputs + [(m.base, m.la)]:
             builds.clear()
-            LookaheadTransducer(base, la)
+            LookaheadTransducer.trimmed(base, la)
             assert len(builds) == 2
 
 

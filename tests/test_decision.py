@@ -15,15 +15,17 @@ from ttc import (
     chain_outputs,
     check_functional_bounded,
     decide_functionality,
+    decompose_la,
     p_construction,
     parse_workspace,
     reduce_chain,
     trace_derivation,
 )
-from ttc import decision, machines
+from ttc import constructions, decision, machines
 from ttc.constructions import domain_automaton
 from ttc.decision import FUNCTIONAL, NOT_FUNCTIONAL, derivations
 from ttc.generate import random_chain3, random_pair
+from ttc.render import serialize_machine
 from ttc.trees import Tree, parse_tree
 
 from .oracles import (
@@ -195,7 +197,7 @@ class TestBoundsAndCaps:
         def no_build(*args):
             raise AssertionError("built before the bound was checked")
 
-        monkeypatch.setattr(decision, "build_m", no_build)
+        monkeypatch.setattr(decision, "build_m_over_hat", no_build)
         monkeypatch.setattr(decision, "reduce_chain", no_build)
         calls = [
             lambda: check_functional_bounded(quadratic, size),
@@ -823,6 +825,81 @@ class TestDecideFunctionality:
         assert verdict.status == direct.status == FUNCTIONAL
         # two reduction rounds plus the final pair: three construction groups
         assert len([r for r in reports if r.label == "look-ahead-transducer"]) == 3
+
+
+@pytest.fixture(scope="module")
+def final_pairs(workspace):
+    """(t1, t2, bound): `random_pair` 0-299 at 6, the final pair of the
+    reduced `random_chain3` 0-99 at 5, and the fixture chains at 3, 5 and
+    7."""
+    pairs = [(*random_pair(seed), 6) for seed in range(300)]
+    pairs += [(*reduce_chain(random_chain3(seed))[0].stages, 5) for seed in range(100)]
+    for chain in workspace.chains.values():
+        pairs += [(*chain.stages, bound) for bound in (3, 5, 7)]
+    return pairs
+
+
+class TestMOverHat:
+    """The final pair's M reads its guards through hat's own domain sets
+    (`build_m_over_hat`), `build_m`'s M through the power-set look-ahead
+    automaton, trimmed: the same translation, domain, verdict and stats."""
+
+    def test_agrees_with_build_m(self, final_pairs):
+        not_functional = domains = trees = 0
+        for t1, t2, bound in final_pairs:
+            m, _ = build_m(t1, t2)
+            verdict, reports = decide_functionality(CompositionChain((t1, t2)), bound)
+            over_hat = reports[-1].machine
+            assert over_hat.la is reports[1].machine, t1.name  # hat itself
+            expected = check_functional_bounded(m, bound)
+            # the untrimmed base may have more states, and so other subtree classes
+            for v in (verdict, expected):
+                del v.stats["label_classes"], v.stats["label_transitions"]
+            assert verdict == expected, (t1.name, bound)
+            domain = m.enumerate_domain(bound)
+            assert over_hat.enumerate_domain(bound) == domain, (t1.name, bound)
+            for s in all_trees(t1.input_alphabet, 5):
+                assert over_hat.translate_la(s) == m.translate_la(s), (t1.name, s.text)
+                trees += 1
+            not_functional += verdict.status == NOT_FUNCTIONAL
+            domains += len(domain)
+        # not vacuous
+        assert (len(final_pairs), not_functional, domains, trees) == (409, 79, 1119, 2729)
+
+    def test_listing_and_decomposition_need_build_m(self, worked_pair):
+        # hat is no automaton: its rules cannot be read as a relabeling
+        over_hat = decide_functionality(CompositionChain(worked_pair), 3)[1][-1].machine
+        with pytest.raises(ValidationError, match="decompose_la needs a look-ahead automaton"):
+            decompose_la(over_hat)
+        with pytest.raises(ValidationError, match="only a look-ahead automaton has a listing"):
+            serialize_machine(over_hat)
+
+    def test_two_stage_builds_no_power_set(self, workspace, monkeypatch):
+        automata, trims = [], []
+        domain, trim = constructions.domain_automaton, machines._trim_lookahead
+
+        def spy_domain(t, *args, **kwargs):
+            automata.append(t.name)
+            return domain(t, *args, **kwargs)
+
+        def spy_trim(base, la):
+            trims.append(base.name)
+            return trim(base, la)
+
+        monkeypatch.setattr(constructions, "domain_automaton", spy_domain)
+        monkeypatch.setattr(machines, "_trim_lookahead", spy_trim)
+        for chain in workspace.chains.values():
+            automata.clear()
+            verdict, reports = decide_functionality(chain, 5)
+            assert automata == [chain.stages[1].name] and trims == [], chain.stages[0].name
+            labels = ["domain-automaton", "restricted-first", "triple-product", "look-ahead-transducer"]
+            assert [r.label for r in reports] == labels
+            assert reports[-1].states_before == reports[-1].states_after
+        # build_m builds the power-set automaton and trims once
+        automata.clear()
+        build_m(*chain.stages)
+        assert automata == [chain.stages[1].name, "hat(%s)" % chain.stages[0].name]
+        assert len(trims) == 1
 
 
 class TestTrace:

@@ -363,6 +363,21 @@ class TestSubtreeClasses:
             singles += self.check_classes(m, self.subtrees(m.enumerate_domain(6)), seed)
         assert singles > 300  # 408 (subtree, state) pairs in `one`: not vacuous
 
+    def test_accepts_over_hat(self):
+        """Over a look-ahead machine that is no automaton, hat as the check's
+        M uses it, `accepts` is exactly the hat states whose domain holds the
+        subtree."""
+        accepted = 0
+        for seed in range(200):
+            hat = build_hat_t1(*random_pair(seed))
+            assert not hat.is_automaton(), seed
+            memo, table, classes = {}, {}, []
+            for s in all_trees(hat.input_alphabet, 5):
+                (accepts,) = classes[_label(None, hat, s, memo, table, classes)]
+                assert accepts == {h.name for h in hat.states if dom_member(hat, h, s)}, (seed, s.text)
+                accepted += len(accepts)
+        assert accepted > 300  # 446 (tree, state) pairs: not vacuous
+
     def test_plain_machines(self, workspace):
         plain = [m for m in workspace.machines.values() if isinstance(m, Transducer)]
         for seed in range(50):
