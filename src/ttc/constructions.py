@@ -29,10 +29,9 @@ from .machines import (
     Rule,
     StateId,
     Transducer,
-    _addressed,
     _evaluate,
 )
-from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree, check_ground_over, subtree_at
+from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree, check_ground_over
 
 STATE_CAP = 5000
 RULE_CAP = 60000
@@ -105,11 +104,12 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
     realizes the identity.
 
     Inside, a state set is an int bitmask over the states in name order.
-    RULE_CAP is checked after each member's merge, on the rules so far plus
-    the merged vectors, before any rule is built.  An intermediate merge can
-    be larger than the final one, so the cap limits the work, not only the
-    output.  Rules are emitted sorted by child-state names; each is given
-    its child states, read off its vector, instead of walking its rhs.
+    RULE_CAP is checked after each rule's merge in the first fold, on its
+    unions, and after each member's merge in the second, on the rules so far
+    plus the merged vectors, before any rule is built.  An intermediate
+    merge can be larger than the final one, so the cap limits the work, not
+    only the output.  Rules are emitted sorted by child-state names; each is
+    given its child states, read off its vector, instead of walking its rhs.
     """
     _require(Transducer, "domain_automaton", t)
     sigma = t.input_alphabet
@@ -141,6 +141,8 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
                 sig = tuple(sum(bit[x.name] for x in req) for req in r.child_states)
                 sigs |= merge_vectors(sigs, (sig,))
                 sigs.add(sig)
+                if len(sigs) > RULE_CAP:
+                    raise ResourceLimit("domain automaton exceeds %d rules" % RULE_CAP)
         return sigs
 
     # trees are immutable, so every rule with the same symbol and child sets
@@ -232,29 +234,40 @@ def p_construction(
     seen_rules: set[tuple] = set()
     seen_pairs_rule: set[tuple] = set()
 
-    # each source rhs is checked against t2 and addressed once, and one
-    # evaluation memo serves every (pair, rule) of this construction
-    addressed: dict[int, Tree] = {}
+    # each source rhs is checked against t2 once and evaluated as it stands:
+    # q2 meeting a marker q1(xi) yields q2 over that marker wherever it sits
+    # (`_evaluate`), so one evaluation memo, keyed on (state name, subtree
+    # text), serves every (pair, rule) of this construction.  A marker's text
+    # never equals a ground subtree's: t1's state names may not be symbols of
+    # its output alphabet, which is t2's input alphabet.  Each distinct
+    # (result, variable count) is instantiated once (`made`), with one leaf
+    # or veto per marker (`leaves`), and the new rules share its tree and
+    # child states.
+    checked: set[int] = set()
     memo: dict = {}
+    leaves: dict[str, tuple] = {}
+    made: dict[tuple[str, int], tuple] = {}
 
     while queue:
         q1, q2 = queue.popleft()
         t2._known(q2)
         head = make_state(q1, q2)
         for src in t1.rules_of(q1):
-            xi = addressed.get(id(src))
-            if xi is None:
+            if id(src) not in checked:
                 check_ground_over(src.rhs, t2.input_alphabet, placeholders=True)
-                xi = addressed[id(src)] = _addressed(src.rhs, ())
-            for psi in sorted(_evaluate(t2, q2, xi, None, memo, None, None), key=attrgetter("text")):
-                gamma, demanded, ok = _instantiate(psi, src.rhs, make_state, pair_filter)
-                if not ok:
+                checked.add(id(src))
+            for psi in sorted(_evaluate(t2, q2, src.rhs, None, memo, None, None), key=attrgetter("text")):
+                got = made.get((psi.text, src.variables))
+                if got is None:
+                    got = made[psi.text, src.variables] = _instantiate(psi, src.variables, make_state, pair_filter, leaves)
+                if not got:
                     continue
-                rule = Rule(head, src.symbol, src.variables, gamma)
-                pair_key = (rule.state.name, rule.symbol, rule.rhs.text, id(src))
+                gamma, child_states, demanded = got
+                pair_key = (head.name, src.symbol, gamma.text, id(src))
                 if pair_key in seen_pairs_rule:
                     continue
                 seen_pairs_rule.add(pair_key)
+                rule = Rule(head, src.symbol, src.variables, gamma, child_states=child_states)
                 sources.append((rule, src))
                 key = pair_key[:3]
                 if key not in seen_rules:
@@ -281,9 +294,13 @@ def p_construction(
     return machine, sources
 
 
-def _instantiate(psi: Tree, xi: Tree, make_state, pair_filter):
-    """Replace q2(u) markers in psi by paired-state markers over the variable
-    that labels node u of xi."""
+def _instantiate(psi: Tree, variables: int, make_state, pair_filter, leaves: dict):
+    """psi with each leaf q2(q1(xi)), where q2 met the marker q1(xi), replaced
+    by (q1,q2)(xi); returns that tree, its child states over x1..x<variables>
+    and the pairs it demands in order, or () if pair_filter vetoes one.
+    `leaves` maps a leaf's text to its replacement and pair, or to None and
+    the pair for a veto, for the whole construction."""
+    buckets = [set() for _ in range(variables)]
     demanded = []
     vetoed = False
 
@@ -291,19 +308,29 @@ def _instantiate(psi: Tree, xi: Tree, make_state, pair_filter):
         nonlocal vetoed
         lab = node.label
         if isinstance(lab, StateOverNode):
-            marker = subtree_at(xi, lab.node).label
-            q1p, q2p = marker.state, lab.state
-            if pair_filter is not None and not pair_filter(q1p, q2p):
+            got = leaves.get(node.text)
+            if got is None:
+                marker = lab.node
+                pair = (marker.state, lab.state)
+                leaf = None
+                if pair_filter is None or pair_filter(*pair):
+                    leaf = Tree(StateOverVariable(make_state(*pair), marker.index))
+                got = leaves[node.text] = (leaf, pair)
+            leaf, pair = got
+            if leaf is None:
                 vetoed = True
                 return node
-            demanded.append((q1p, q2p))
-            return Tree(StateOverVariable(make_state(q1p, q2p), marker.index))
+            buckets[leaf.label.index - 1].add(leaf.label.state)
+            demanded.append(pair)
+            return leaf
         if not node.children:
             return node
-        return Tree(lab, tuple(go(c) for c in node.children))
+        return Tree(lab, [go(c) for c in node.children])
 
     gamma = go(psi)
-    return gamma, demanded, not vetoed
+    if vetoed:
+        return ()
+    return gamma, tuple(map(frozenset, buckets)), demanded
 
 
 def build_hat_t1(t1: Transducer, t2: Transducer, name: str | None = None) -> Transducer:
@@ -345,10 +372,19 @@ def _annotated_base(t1: Transducer, t2: Transducer, reports: list) -> tuple[Tran
     _report(reports, "restricted-first", hat, len(hat.states), {s: "pair over %s and dom(%s)" % (t1.name, t2.name) for s in hat.states}, t0)
 
     t0 = time.perf_counter()
+    vetoed = set()  # the distinct pairs the filter vetoes, counted as states before
+
+    def pair_filter(q1: StateId, q2: StateId) -> bool:
+        ok = _triple_filter(q1, q2)
+        if not ok:
+            vetoed.add((q1.name, q2.name))
+        return ok
+
     n_machine, sources = p_construction(
-        hat, t2, make_state=_triple_state, pair_filter=_triple_filter, name="N(%s,%s)" % (t1.name, t2.name)
+        hat, t2, make_state=_triple_state, pair_filter=pair_filter, name="N(%s,%s)" % (t1.name, t2.name)
     )
-    _report(reports, "triple-product", n_machine, len(n_machine.states), {s: "triple (q,S,q')" for s in n_machine.states}, t0)
+    _report(reports, "triple-product", n_machine, len(n_machine.states) + len(vetoed), {s: "triple (q,S,q')" for s in n_machine.states}, t0)
+    reports[-1].stats["pairs_vetoed"] = len(vetoed)
 
     annotated_rules = []
     seen_annotated = set()

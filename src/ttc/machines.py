@@ -195,10 +195,10 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 # (state name, subtree text), which is how StateId and Tree define equality,
 # so equal subtrees of all inputs share one entry; the label memo maps a
 # subtree text to its class, an index into the caller's `classes`.  A
-# look-ahead guard is read from the label memo and nowhere else.  Only the
-# markers q(v) of a partial tree depend on where a subtree sits, so
-# `Transducer.evaluate` first names each marker leaf by its address
-# (`_addressed`).
+# look-ahead guard is read from the label memo and nowhere else.  A marker
+# leaf names its result after itself (`_evaluate`); `Transducer.evaluate`
+# promises q(v) for a marker at address v, so it first renames each marker
+# leaf by its address (`_addressed`), and is the only caller that does.
 #
 # The same class table counts the trees of each size by class
 # (`_class_counts`) and builds the trees of one class (`_class_trees`); the
@@ -221,8 +221,10 @@ def _addressed(tree: Tree, path: tuple[int, ...]) -> Tree:
 def _evaluate(
     base: Transducer, q: StateId, s: Tree, cap: int | None, memo: dict, labels: dict | None, classes: list | None
 ) -> tuple[Tree, ...]:
-    """The trees derivable from q(s), without repeats; a placeholder leaf named
-    by its address v (see `_addressed`) turns into q(v).  A rule with
+    """The trees derivable from q(s), without repeats; q meeting a marker leaf
+    yields q over the marker's name: q(v) for a placeholder named by its
+    address v (see `_addressed`), q2(q1(xi)) for a rhs marker q1(xi), which
+    `constructions.p_construction` evaluates as it stands.  A rule with
     look-ahead fires iff each guard is in its child's `accepts`, read
     from the caller's label memo `labels` (see `_label`): the caller labels
     s first, which stores the class of every proper subtree.  Plain callers
@@ -231,8 +233,8 @@ def _evaluate(
     so it would not be looked up again.  Memo hits are answered in the
     caller's loop, without a call."""
     lab = s.label
-    if isinstance(lab, PlaceholderLeaf):
-        return (Tree(StateOverNode(q, lab.ident)),)
+    if isinstance(lab, MARKER_TYPES):
+        return (Tree(StateOverNode(q, lab.ident if isinstance(lab, PlaceholderLeaf) else lab)),)
     # loops, not comprehensions, which would add a frame per input level
     kids = s.children
     alts = []

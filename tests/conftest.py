@@ -67,6 +67,30 @@ def t(text):
     return parse_tree(text)
 
 
+VETO_PAIR = """
+transducer t1 {
+  input { a:1, e:0 }
+  output { f:1, e:0 }
+  initial q
+  rules { q(a(x1)) -> f(q(x1)); q(e) -> e; }
+}
+transducer t2 {
+  input { f:1, e:0 }
+  output { g:1, h:1, e:0 }
+  initial p
+  rules { p(f(x1)) -> g(p(x1)) | h(r(x1)); p(e) -> e; r(f(x1)) -> h(r(x1)); r(e) -> e; }
+}
+"""
+
+
+@pytest.fixture(scope="session")
+def veto_pair():
+    """A pair whose triple product vetoes two pairs: hat puts {p} and {r}
+    under f, but each f rule of t2 at p calls p or r there."""
+    ws = parse_workspace(VETO_PAIR)
+    return ws.machines["t1"], ws.machines["t2"]
+
+
 DOUBLED_ROTATION = """
 transducer t1 {
   input { g:2, h:1, e:0, d:0 }

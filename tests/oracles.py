@@ -4,7 +4,8 @@ These deliberately avoid the package's evaluation code paths: translation by
 brute-force sentential-form rewriting, composition by staged rewriting,
 look-ahead translation by materializing every relabeling, the domain
 automaton by walking every subset of rules, the product construction by one
-public `evaluate` call per (pair, rule), the trim of a look-ahead
+public `evaluate` call per (pair, rule) and a rebuild of each result that
+finds each marker's variable by its address, the trim of a look-ahead
 transducer by building its base twice, the bounded check by translating
 every tree up to the bound, where the package counts most sizes by subtree
 class, the emptiness of a state set by exploring requirement sets one rule
@@ -16,7 +17,6 @@ look-ahead automaton, where the package reads subtree classes.
 from itertools import combinations, product
 
 from ttc import CompositionChain, LookaheadTransducer, ResourceLimit, Rule, StateId, Transducer, chain_outputs
-from ttc.constructions import _instantiate
 from ttc.decision import FUNCTIONAL, NOT_FUNCTIONAL, Counterexample, Verdict
 from ttc.machines import EMPTY_SET_STATE
 from ttc.trees import (
@@ -265,6 +265,31 @@ def domain_automaton_by_subsets(t, seeds=(), name=None):
 
     states = [StateId.of_set(m) for m in known]
     return Transducer(name or "dom(%s)" % t.name, sigma, sigma, rules, StateId.of_set({t.initial}), states=states)
+
+
+def _instantiate(psi, xi, make_state, pair_filter):
+    """Replace q2(u) markers in psi by paired-state markers over the variable
+    that labels node u of xi."""
+    demanded = []
+    vetoed = False
+
+    def go(node):
+        nonlocal vetoed
+        lab = node.label
+        if isinstance(lab, StateOverNode):
+            marker = subtree_at(xi, lab.node).label
+            q1p, q2p = marker.state, lab.state
+            if pair_filter is not None and not pair_filter(q1p, q2p):
+                vetoed = True
+                return node
+            demanded.append((q1p, q2p))
+            return Tree(StateOverVariable(make_state(q1p, q2p), marker.index))
+        if not node.children:
+            return node
+        return Tree(lab, tuple(go(c) for c in node.children))
+
+    gamma = go(psi)
+    return gamma, demanded, not vetoed
 
 
 def p_construction_by_evaluate(t1, t2, make_state=None, pair_filter=None, name=None):

@@ -259,6 +259,28 @@ class TestDomainAutomatonReference:
                 assert rule_strings(got) == rule_strings(want), (t.name, pair[0].name)
                 assert {s.name for s in got.states} == {s.name for s in want.states}
 
+    def test_rule_cap_stops_the_unions(self, monkeypatch):
+        """A state with 12 rules of distinct child sets on one symbol has
+        4,095 unions of their subsets: the cap stops their fold, before the
+        member merge sees them."""
+        sigma = RankedAlphabet({"a": 1, "e": 0})
+        q = StateId.base("q")
+        rules = [Rule(q, "a", 1, Tree("a", [Tree(StateOverVariable(StateId.base("p%d" % i), 1))])) for i in range(12)]
+        fan = Transducer("fan", sigma, sigma, rules, q)
+        sizes = []
+        merge = constructions.merge_vectors
+
+        def spy(merged, alternatives):
+            out = merge(merged, alternatives)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(constructions, "merge_vectors", spy)
+        monkeypatch.setattr(constructions, "RULE_CAP", 100)
+        with pytest.raises(ResourceLimit, match="domain automaton exceeds 100 rules"):
+            domain_automaton(fan)
+        assert max(sizes) <= 100
+
     def test_rule_cap_stops_the_merge(self, monkeypatch, doubled_rotation):
         # without the cap, the look-ahead automaton of k=3 reaches the
         # default RULE_CAP only after seconds of merging
@@ -291,6 +313,26 @@ class TestConstructionReference:
             assert listing(hat) == listing(p_construction_by_evaluate(t1, aut, name="hat")), t1.name
             args = (hat[0], t2, constructions._triple_state, constructions._triple_filter)
             assert listing(p_construction(*args)) == listing(p_construction_by_evaluate(*args)), t1.name
+
+    def test_triple_product_with_vetoes(self, veto_pair):
+        """The reference pairs veto no pair; this one vetoes two."""
+        t1, t2 = veto_pair
+        hat, _ = p_construction(t1, domain_automaton(t2))
+        args = (hat, t2, constructions._triple_state, constructions._triple_filter)
+        assert listing(p_construction(*args)) == listing(p_construction_by_evaluate(*args))
+
+    def test_fuse_step(self):
+        """`reduce_chain`'s fuse step, a p-construction without a pair filter
+        into an output alphabet of annotated symbols."""
+        for seed in range(100):
+            chain = random_chain3(seed)
+            t0, t1, t2 = chain.stages
+            relabeling, _ = decompose_la(build_m(t1, t2)[0])
+            fused = compose_linear_nondeleting(t0, relabeling)
+            reduced = reduce_chain(chain)[0].stages[-2]
+            want = p_construction_by_evaluate(t0, relabeling, name=fused.name)
+            assert listing((fused, [])) == listing((reduced, [])) == listing((want[0], [])), seed
+            assert listing(p_construction(t0, relabeling, name=fused.name)) == listing(want), seed
 
     def test_domain_automata_share_and_walk_each_rhs_once(self, monkeypatch, workspace):
         automata = []
@@ -355,25 +397,10 @@ class TestGivenChildStates:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The rules whose rhs is walked, with whether a p-construction was
-        running at the time."""
+        """The rules whose rhs is walked."""
         walked = []
-        inside = []
-        walk, product = machines._child_states, constructions.p_construction
-
-        def counting(rule):
-            walked.append((rule, bool(inside)))
-            return walk(rule)
-
-        def in_product(*args, **kwargs):
-            inside.append(True)
-            try:
-                return product(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(machines, "_child_states", counting)
-        monkeypatch.setattr(constructions, "p_construction", in_product)
+        walk = machines._child_states
+        monkeypatch.setattr(machines, "_child_states", lambda rule: walked.append(rule) or walk(rule))
         return walked
 
     def test_domain_automaton_walks_no_rhs(self, workspace, walks):
@@ -386,30 +413,27 @@ class TestGivenChildStates:
             assert walks == [], (t1.name, t2.name)
             assert aut.rules and la.rules
 
-    def test_build_m_walks_only_new_product_rules(self, workspace, walks):
+    def test_build_m_walks_no_rhs(self, workspace, walks):
+        """The p-constructions of hat and N hand each new rule the child
+        states that instantiating its rhs collected, so neither they nor the
+        rest of build_m walk a rhs."""
         for pair in reference_pairs(workspace):
             walks.clear()
-            m, reports = build_m(*pair)
-            assert all(inside for _, inside in walks), [str(r) for r, inside in walks if not inside]
-            walked = {id(r) for r, _ in walks}
-            for report in reports[1:3]:  # hat and N come from p_construction
-                assert all(id(r) in walked for r in report.machine.rules), report.label
+            build_m(*pair)
+            assert walks == [], [str(r) for r in walks]
 
-    def test_rotation_check_walk_count(self, monkeypatch):
+    def test_rotation_check_walk_count(self, monkeypatch, walks):
         """One benchmark rotation-check operation (parse, then decide) walks
-        291 right-hand sides: those of the parsed rules and of the
-        p-construction's new rules.  It walked 1,717 when every rule did."""
+        68 right-hand sides, those of the parsed rules.  It walked 1,717 when
+        every rule did, and 291 when each p-construction's new rules did."""
         spec = importlib.util.spec_from_file_location("bench_workspaces", PERFBENCH / "workspaces.py")
         bench = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, bench)
         spec.loader.exec_module(bench)
-        walks = []
-        walk = machines._child_states
-        monkeypatch.setattr(machines, "_child_states", lambda rule: walks.append(rule) or walk(rule))
         for ws in bench.rotation(1):
             verdict, _ = decide_functionality(parse_workspace(ws.text).chains[ws.chain], ws.bound)
             assert verdict.status == "not-functional"
-        assert len(walks) <= 291
+        assert len(walks) <= 68
 
 
 class TestPConstruction:
@@ -464,6 +488,28 @@ class TestProductN:
 
 
 class TestBuildM:
+    def test_triple_product_counts_vetoed_pairs(self, veto_pair, worked_pair):
+        """N's report counts the distinct pairs its filter vetoes as states
+        before, as the oracle's product construction finds them."""
+        _, reports = build_m(*veto_pair)
+        n = reports[2]
+        assert n.label == "triple-product"
+        assert (n.states_before, n.states_after, n.stats["pairs_vetoed"]) == (6, 4, 2)
+        vetoed = set()
+
+        def counting(q1, q2):
+            ok = constructions._triple_filter(q1, q2)
+            if not ok:
+                vetoed.add((q1.name, q2.name))
+            return ok
+
+        hat = reports[1].machine
+        p_construction_by_evaluate(hat, veto_pair[1], constructions._triple_state, counting)
+        assert vetoed == {("(q,{p})", "r"), ("(q,{r})", "p")}
+        _, reports = build_m(*worked_pair)
+        assert reports[2].stats["pairs_vetoed"] == 0
+        assert reports[2].states_before == reports[2].states_after
+
     def test_copying_m_translation(self, copy_pair):
         m, _ = build_m(*copy_pair)
         assert sorted(x.text for x in m.translate_la(t("a(e)"))) == ["f(e,e)"]
