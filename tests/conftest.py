@@ -85,8 +85,9 @@ transducer t2 {
 
 @pytest.fixture(scope="session")
 def veto_pair():
-    """A pair whose triple product vetoes two pairs: hat puts {p} and {r}
-    under f, but each f rule of t2 at p calls p or r there."""
+    """A pair whose triple product vetoes two pairs: hat may put {p} or {r}
+    under f, and t2 at p has an f rule that calls p and one that calls r, so
+    N meets ((q,{p}), r) and ((q,{r}), p)."""
     ws = parse_workspace(VETO_PAIR)
     return ws.machines["t1"], ws.machines["t2"]
 
