@@ -43,7 +43,6 @@ from .textform import Workspace, parse_workspace
 from .trees import (
     AnnotatedSymbol,
     NodeAddress,
-    PlaceholderLeaf,
     RankedAlphabet,
     StateOverNode,
     StateOverVariable,

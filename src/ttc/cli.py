@@ -147,6 +147,8 @@ def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
             doc = render.machine_json(m)
             doc["reports"] = [render.report_json(r) for r in reports]
             return 0, render.to_json(doc)
+        if fmt == "dot":
+            return 0, render.machine_dot(m)
         text = "".join(render.report_text(r) for r in reports)
         return 0, text + _machine_output(m, fmt)
 
@@ -171,6 +173,8 @@ def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
                     "reports": [render.report_json(r) for r in reports],
                 }
             )
+        if fmt == "dot":
+            return 0, "\n".join(render.machine_dot(t) for t in reduced.stages)
         text = "".join(render.report_text(r) for r in reports)
         return 0, text + render.serialize_chain(reduced, name="reduced")
 

@@ -254,7 +254,7 @@ def p_construction(
         head = make_state(q1, q2)
         for src in t1.rules_of(q1):
             if id(src) not in checked:
-                check_ground_over(src.rhs, t2.input_alphabet, placeholders=True)
+                check_ground_over(src.rhs, t2.input_alphabet, markers=True)
                 checked.add(id(src))
             for psi in sorted(_evaluate(t2, q2, src.rhs, None, memo, None, None), key=attrgetter("text")):
                 got = made.get((psi.text, src.variables))
@@ -333,11 +333,11 @@ def _instantiate(psi: Tree, variables: int, make_state, pair_filter, leaves: dic
     return gamma, tuple(map(frozenset, buckets)), demanded
 
 
-def build_hat_t1(t1: Transducer, t2: Transducer, name: str | None = None) -> Transducer:
+def build_hat_t1(t1: Transducer, t2: Transducer) -> Transducer:
     """Restrict t1 so its outputs land in the domains t2 will need: the
     p-construction of t1 with the domain automaton of t2."""
     aut = domain_automaton(t2)
-    machine, _ = p_construction(t1, aut, name=name or "hat(%s)" % t1.name)
+    machine, _ = p_construction(t1, aut, name="hat(%s)" % t1.name)
     return machine
 
 
@@ -520,12 +520,12 @@ def decompose_la(m: LookaheadTransducer) -> tuple[Transducer, Transducer]:
     return relabeling, reader
 
 
-def compose_linear_nondeleting(t1: Transducer, t2: Transducer, name: str | None = None) -> Transducer:
+def compose_linear_nondeleting(t1: Transducer, t2: Transducer) -> Transducer:
     """Fuse t1 with a linear nondeleting t2 into a single equivalent transducer."""
     _require(Transducer, "compose_linear_nondeleting", t1, t2)
     if not t2.is_linear_nondeleting():
         raise NotLinearNondeleting("%s is not linear and nondeleting" % t2.name)
-    machine, _ = p_construction(t1, t2, name=name or "fuse(%s,%s)" % (t1.name, t2.name))
+    machine, _ = p_construction(t1, t2, name="fuse(%s,%s)" % (t1.name, t2.name))
     return machine
 
 

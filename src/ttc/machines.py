@@ -2,8 +2,9 @@
 
 A transducer is a tuple (states, input alphabet, output alphabet, rules,
 initial state).  Rules rewrite state-annotated input trees top-down; the
-evaluation of a state on a partial tree returns the finite set of trees
-derivable from it, with placeholders turning into state-over-node markers.
+evaluation of a state on a tree returns the finite set of trees derivable
+from it.  On a right-hand side, a state q meeting a marker leaf q1(xi)
+yields the leaf q(q1(xi)), which the product construction reads.
 Look-ahead transducers additionally constrain each child variable with a
 state, or a set of states, of a look-ahead machine; a rule fires only when
 every child subtree lies in the domain of each state of its annotation.
@@ -23,9 +24,6 @@ from typing import Collection, Hashable, Iterable, Iterator, Sequence
 from .errors import ResourceLimit, UnknownState, ValidationError
 from .trees import (
     MARKER_TYPES,
-    ROOT,
-    NodeAddress,
-    PlaceholderLeaf,
     RankedAlphabet,
     StateOverNode,
     StateOverVariable,
@@ -196,9 +194,7 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 # so equal subtrees of all inputs share one entry; the label memo maps a
 # subtree text to its class, an index into the caller's `classes`.  A
 # look-ahead guard is read from the label memo and nowhere else.  A marker
-# leaf names its result after itself (`_evaluate`); `Transducer.evaluate`
-# promises q(v) for a marker at address v, so it first renames each marker
-# leaf by its address (`_addressed`), and is the only caller that does.
+# leaf names its result after itself (`_evaluate`).
 #
 # The same class table counts the trees of each size by class
 # (`_class_counts`) and builds the trees of one class (`_class_trees`); the
@@ -206,25 +202,12 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 # `enumerate_domain`s and the check take it from `_domain_sizes`.
 
 
-def _addressed(tree: Tree, path: tuple[int, ...]) -> Tree:
-    """The tree with every marker or placeholder leaf replaced by a placeholder
-    whose identifier is its address; subtrees without such leaves are
-    returned as they are."""
-    if isinstance(tree.label, MARKER_TYPES):
-        return Tree(PlaceholderLeaf(NodeAddress(path)))
-    kids = tuple(_addressed(c, path + (i,)) for i, c in enumerate(tree.children, start=1))
-    if all(k is c for k, c in zip(kids, tree.children)):
-        return tree
-    return Tree(tree.label, kids)
-
-
 def _evaluate(
     base: Transducer, q: StateId, s: Tree, cap: int | None, memo: dict, labels: dict | None, classes: list | None
 ) -> tuple[Tree, ...]:
-    """The trees derivable from q(s), without repeats; q meeting a marker leaf
-    yields q over the marker's name: q(v) for a placeholder named by its
-    address v (see `_addressed`), q2(q1(xi)) for a rhs marker q1(xi), which
-    `constructions.p_construction` evaluates as it stands.  A rule with
+    """The trees derivable from q(s), without repeats; q meeting a rhs marker
+    leaf q1(xi) yields the leaf q(q1(xi)), so `constructions.p_construction`
+    evaluates a right-hand side as it stands.  A rule with
     look-ahead fires iff each guard is in its child's `accepts`, read
     from the caller's label memo `labels` (see `_label`): the caller labels
     s first, which stores the class of every proper subtree.  Plain callers
@@ -233,8 +216,8 @@ def _evaluate(
     so it would not be looked up again.  Memo hits are answered in the
     caller's loop, without a call."""
     lab = s.label
-    if isinstance(lab, MARKER_TYPES):
-        return (Tree(StateOverNode(q, lab.ident if isinstance(lab, PlaceholderLeaf) else lab)),)
+    if isinstance(lab, StateOverVariable):
+        return (Tree(StateOverNode(q, lab)),)
     # loops, not comprehensions, which would add a frame per input level
     kids = s.children
     alts = []
@@ -568,37 +551,11 @@ class Transducer:
         if state not in self.states:
             raise UnknownState("state %s is not a state of %s" % (state, self.name))
 
-    def evaluate(self, state: StateId, tree: Tree, at: NodeAddress = ROOT, cap: int | None = None) -> frozenset[Tree]:
-        """The set of trees derivable from state(tree), the root of tree sitting at `at`.
-
-        The tree may be partial: any marker or placeholder leaf acts as a
-        placeholder and a state q meeting it at node v yields the marker q(v),
-        so rule right-hand sides can be evaluated directly.  The tree is
-        checked against the input alphabet before the shared evaluator runs.
-        """
-        self._known(state)
-        check_positive(cap, "cap", optional=True)
-        check_ground_over(tree, self.input_alphabet, placeholders=True)
-        return frozenset(_evaluate(self, state, _addressed(tree, at.path), cap, {}, None, None))
-
     def translate(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
         """All ground output trees derivable from the initial state on a ground input."""
         check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)
         return frozenset(_evaluate(self, self.initial, tree, cap, {}, None, None))
-
-    def dom_empty(self, state: StateId) -> bool:
-        """True iff no ground tree lies in dom(state): the set {state} is not
-        live in the domain automaton seeded with it, by the fixpoint that
-        `_trim_lookahead` uses.  Raises ResourceLimit under that automaton's
-        caps."""
-        from .constructions import domain_automaton
-
-        self._known(state)
-        aut = domain_automaton(self, seeds=[{state}])
-        children = [[l.name for req in r.child_states for l in req] for r in aut.rules]
-        live = least_fixpoint([r.state.name for r in aut.rules], children)
-        return StateId.of_set((state,)).name not in live
 
     def enumerate_domain(self, state: StateId, max_size: int) -> list[Tree]:
         """All ground trees of size <= max_size in dom(state), in canonical order."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import groupby
+from operator import attrgetter
 
 from .constructions import BuildReport, CompositionChain
 from .decision import DerivationTrace, Verdict
@@ -74,18 +76,21 @@ def _render_rhs(tree: Tree, states, symbols) -> str:
     return "%s(%s)" % (head, ", ".join(_render_rhs(c, states, symbols) for c in tree.children))
 
 
-def _render_rule(rule: Rule, states, symbols, la_states=None) -> str:
-    if rule.variables == 0:
-        lhs = "%s(%s)" % (states[rule.state], symbols[rule.symbol])
-    elif rule.lookahead is None:
-        args = ", ".join("x%d" % i for i in range(1, rule.variables + 1))
-        lhs = "%s(%s(%s))" % (states[rule.state], symbols[rule.symbol], args)
-    else:
-        args = ", ".join(
-            "x%d:%s" % (i, la_states[l]) for i, l in enumerate(rule.lookahead, start=1)
-        )
-        lhs = "%s(%s(%s))" % (states[rule.state], symbols[rule.symbol], args)
-    return "%s -> %s" % (lhs, _render_rhs(rule.rhs, states, symbols))
+def _rule_lines(rules, states, symbols, la_states=None) -> list[str]:
+    """A rules block: one line per run of rules with the same left-hand
+    side, their right-hand sides joined by `|`.  The variables carry their
+    look-ahead annotations only given the look-ahead states' names."""
+    lines = ["  rules {"]
+    for (q, symbol, lookahead), group in groupby(rules, key=attrgetter("state", "symbol", "lookahead")):
+        group = list(group)
+        args = ["x%d" % i for i in range(1, group[0].variables + 1)]
+        if la_states is not None:
+            args = ["%s:%s" % (x, la_states[l]) for x, l in zip(args, lookahead)]
+        head = "%s(%s)" % (symbols[symbol], ", ".join(args)) if args else symbols[symbol]
+        rhss = " | ".join(_render_rhs(r.rhs, states, symbols) for r in group)
+        lines.append("    %s(%s) -> %s;" % (states[q], head, rhss))
+    lines.append("  }")
+    return lines
 
 
 def _render_alphabet(alpha, symbols) -> str:
@@ -101,18 +106,7 @@ def _mapping_comments(mapping, kind) -> list[str]:
     return lines
 
 
-def _grouped_rules(rules):
-    groups = []
-    for rule in rules:
-        key = (rule.state, rule.symbol, rule.lookahead)
-        if groups and groups[-1][0] == key:
-            groups[-1][1].append(rule)
-        else:
-            groups.append((key, [rule]))
-    return groups
-
-
-def _transducer_block(t: Transducer, name, states, symbols, strip_lookahead=False) -> str:
+def _transducer_block(t: Transducer, name, states, symbols) -> str:
     lines = _mapping_comments(states, "state") + _mapping_comments(symbols, "symbol")
     lines.append("transducer %s {" % name)
     lines.append("  input %s" % _render_alphabet(t.input_alphabet, symbols))
@@ -121,16 +115,7 @@ def _transducer_block(t: Transducer, name, states, symbols, strip_lookahead=Fals
     undeclared = t.states - {t.initial} - {r.state for r in t.rules}
     if undeclared:
         lines.append("  states { %s }" % ", ".join(sorted(states[s] for s in undeclared)))
-    lines.append("  rules {")
-    for _key, group in _grouped_rules(t.rules):
-        first = group[0]
-        if strip_lookahead and first.lookahead is not None:
-            first = Rule(first.state, first.symbol, first.variables, first.rhs)
-        rendered = _render_rule(first, states, symbols)
-        for extra in group[1:]:
-            rendered += " | %s" % _render_rhs(extra.rhs, states, symbols)
-        lines.append("    %s;" % rendered)
-    lines.append("  }")
+    lines += _rule_lines(t.rules, states, symbols)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -140,7 +125,7 @@ def serialize_transducer(t: Transducer, name: str | None = None) -> str:
 
 
 def serialize_lookahead(m: LookaheadTransducer, name: str | None = None) -> str:
-    """Three blocks: the base as a plain transducer (annotations stripped, it
+    """Three blocks: the base as a plain transducer (without annotations, it
     only declares states and alphabets), the look-ahead automaton, and the
     lookahead block holding the annotated rules."""
     if not m.la.is_automaton():
@@ -150,19 +135,11 @@ def serialize_lookahead(m: LookaheadTransducer, name: str | None = None) -> str:
     la_states = _state_map([m.la])
     symbols = _symbol_map([m.base])
     out = [
-        _transducer_block(m.base, "%s_base" % name, base_states, symbols, strip_lookahead=True),
+        _transducer_block(m.base, "%s_base" % name, base_states, symbols),
         _transducer_block(m.la, "%s_la" % name, la_states, _symbol_map([m.la])),
     ]
-    lines = ["lookahead %s {" % name]
-    lines.append("  base %s_base" % name)
-    lines.append("  la %s_la" % name)
-    lines.append("  rules {")
-    for _key, group in _grouped_rules(m.base.rules):
-        rendered = _render_rule(group[0], base_states, symbols, la_states)
-        for extra in group[1:]:
-            rendered += " | %s" % _render_rhs(extra.rhs, base_states, symbols)
-        lines.append("    %s;" % rendered)
-    lines.append("  }")
+    lines = ["lookahead %s {" % name, "  base %s_base" % name, "  la %s_la" % name]
+    lines += _rule_lines(m.base.rules, base_states, symbols, la_states)
     lines.append("}")
     out.append("\n".join(lines) + "\n")
     return "\n".join(out)

@@ -3,9 +3,8 @@
 Trees are immutable and hash by their canonical rendering, so two trees
 compare equal exactly when they render identically (nullary symbols render
 without parentheses, children are comma separated).  Besides plain symbols,
-leaves may carry state-over-variable markers ``q(x1)``, state-over-node
-markers ``q(2.1)``, or opaque placeholders; markers never occur at inner
-nodes.
+leaves may carry state-over-variable markers ``q(x1)`` or state-over-node
+markers ``q(2.1)``; markers never occur at inner nodes.
 """
 
 from __future__ import annotations
@@ -59,23 +58,15 @@ class StateOverVariable:
 
 @dataclass(frozen=True)
 class StateOverNode:
-    """Marker ``q(v)`` produced when a state meets a placeholder at node v."""
+    """Marker ``q(v)``: state q still to run on the input node v, in the
+    sentential forms of a derivation (`decision.trace_derivation`).  The
+    product construction puts a rhs marker q1(xi) in place of v."""
 
     state: object
     node: NodeAddress
 
     def __str__(self):
         return "%s(%s)" % (self.state, self.node)
-
-
-@dataclass(frozen=True)
-class PlaceholderLeaf:
-    """Rank-0 leaf drawn from an auxiliary set; carries an opaque identifier."""
-
-    ident: object
-
-    def __str__(self):
-        return "?%s" % (self.ident,)
 
 
 @dataclass(frozen=True)
@@ -89,7 +80,7 @@ class AnnotatedSymbol:
         return "<%s>" % ",".join([self.name] + [str(a) for a in self.annotations])
 
 
-MARKER_TYPES = (StateOverVariable, StateOverNode, PlaceholderLeaf)
+MARKER_TYPES = (StateOverVariable, StateOverNode)
 
 
 class Tree:
@@ -104,7 +95,7 @@ class Tree:
         self.children = children
         if children:
             if isinstance(label, MARKER_TYPES):
-                raise ValidationError("state markers and placeholders occur only at leaves")
+                raise ValidationError("state markers occur only at leaves")
             self.text = "%s(%s)" % (label, ",".join([c.text for c in children]))
             size = 1
             for c in children:
@@ -129,7 +120,7 @@ class Tree:
         return "Tree(%s)" % self.text
 
     def is_ground(self) -> bool:
-        """True iff no state marker and no placeholder occurs anywhere."""
+        """True iff no state marker occurs anywhere."""
         if isinstance(self.label, MARKER_TYPES):
             return False
         return all(c.is_ground() for c in self.children)
@@ -208,11 +199,11 @@ class RankedAlphabet:
         return "RankedAlphabet({%s})" % ", ".join("%s:%d" % (s, r) for s, r in self._ranks.items())
 
 
-def check_ground_over(t: Tree, alphabet: RankedAlphabet, placeholders: bool = False) -> None:
+def check_ground_over(t: Tree, alphabet: RankedAlphabet, markers: bool = False) -> None:
     """Raise AlphabetMismatch unless t is a ground tree over the alphabet; with
-    placeholders, marker and placeholder leaves are allowed as well."""
+    markers, marker leaves are allowed as well."""
     if isinstance(t.label, MARKER_TYPES):
-        if placeholders:
+        if markers:
             return
         raise AlphabetMismatch("tree %s is not ground" % t)
     if t.label not in alphabet:
@@ -222,7 +213,7 @@ def check_ground_over(t: Tree, alphabet: RankedAlphabet, placeholders: bool = Fa
             "symbol %s has rank %d but %d children" % (t.label, alphabet.rank(t.label), len(t.children))
         )
     for c in t.children:
-        check_ground_over(c, alphabet, placeholders)
+        check_ground_over(c, alphabet, markers)
 
 
 def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:

@@ -3,9 +3,11 @@
 These deliberately avoid the package's evaluation code paths: translation by
 brute-force sentential-form rewriting, composition by staged rewriting,
 look-ahead translation by materializing every relabeling, the domain
-automaton by walking every subset of rules, the product construction by one
-public `evaluate` call per (pair, rule) and a rebuild of each result that
-finds each marker's variable by its address, the trim of a look-ahead
+automaton by walking every subset of rules, the product construction by
+rewriting each right-hand side afresh per (pair, rule), as sentential
+forms in which a state meeting a marker leaf at node v stays as the final
+marker q(v), and a rebuild of each result that finds each marker's
+variable by that address, the trim of a look-ahead
 transducer by building its base twice, the bounded check by translating
 every tree up to the bound, where the package counts most sizes by subtree
 class, the emptiness of a state set by exploring requirement sets one rule
@@ -32,15 +34,17 @@ from ttc.trees import (
 
 
 def rewrite_translate(t, source, state=None):
-    """All ground outputs derivable from state(source) by exhaustively
-    rewriting sentential forms, one marker at a time."""
+    """All outputs derivable from state(source) by exhaustively rewriting
+    sentential forms, one marker at a time: the ground outputs for a ground
+    source.  A source may have marker leaves, as a right-hand side does; a
+    state q meeting one at node v stays in the output as the marker q(v)."""
     start = Tree(StateOverNode(state or t.initial, ROOT))
     outputs = set()
     stack = [start]
     seen = {start}
     while stack:
         form = stack.pop()
-        spot = _first_marker(form, ())
+        spot = _first_marker(form, (), source)
         if spot is None:
             outputs.add(form)
             continue
@@ -55,11 +59,14 @@ def rewrite_translate(t, source, state=None):
     return outputs
 
 
-def _first_marker(form, path):
-    if isinstance(form.label, StateOverNode):
-        return path, form.label
+def _first_marker(form, path, source):
+    """The first marker of form still to rewrite, with its path: one whose
+    input node is not a marker leaf of the source."""
+    lab = form.label
+    if isinstance(lab, StateOverNode) and not isinstance(subtree_at(source, lab.node).label, StateOverVariable):
+        return path, lab
     for i, child in enumerate(form.children, start=1):
-        got = _first_marker(child, path + (i,))
+        got = _first_marker(child, path + (i,), source)
         if got is not None:
             return got
     return None
@@ -292,10 +299,11 @@ def _instantiate(psi, xi, make_state, pair_filter):
     return gamma, demanded, not vetoed
 
 
-def p_construction_by_evaluate(t1, t2, make_state=None, pair_filter=None, name=None):
-    """The product construction with a fresh public `t2.evaluate` per (pair,
-    rule), which validates and addresses the rule's rhs every time; returns
-    the machine and the (new rule, source t1 rule) pairing."""
+def p_construction_by_rewriting(t1, t2, make_state=None, pair_filter=None, name=None):
+    """The product construction with a fresh `rewrite_translate` of the
+    rule's rhs per (pair, rule), whose results keep q2(v) for q2 meeting the
+    marker at node v; returns the machine and the (new rule, source t1
+    rule) pairing."""
     make_state = make_state or StateId.pair
     init = (t1.initial, t2.initial)
     seen_pairs = {init}
@@ -307,7 +315,7 @@ def p_construction_by_evaluate(t1, t2, make_state=None, pair_filter=None, name=N
         q1, q2 = queue.pop(0)
         head = make_state(q1, q2)
         for src in t1.rules_of(q1):
-            for psi in sorted(t2.evaluate(q2, src.rhs), key=lambda p: p.text):
+            for psi in sorted(rewrite_translate(t2, src.rhs, q2), key=lambda p: p.text):
                 gamma, demanded, ok = _instantiate(psi, src.rhs, make_state, pair_filter)
                 if not ok:
                     continue

@@ -19,7 +19,7 @@ from ttc import (
 from ttc.constructions import CompositionChain
 from ttc.machines import reachable
 
-from .oracles import all_trees, dom_member
+from .oracles import all_trees, dom_member, rewrite_translate
 
 CAP = 10**6
 
@@ -47,7 +47,7 @@ def restricted_outputs_stay_in_member_domains(t1, t2, size):
         if not members:
             continue
         for s in trees:
-            for out in hat.evaluate(state, s, cap=CAP):
+            for out in rewrite_translate(hat, s, state):
                 assert all(dom_member(t2, q2, out) for q2 in members), (
                     state.name,
                     s.text,

@@ -190,6 +190,21 @@ class TestConstructionCommands:
         doc = json.loads(out)
         assert set(doc) == {"relabeling", "reader"}
 
+    def test_dot_output_is_only_graphs(self, capsys):
+        # the text reports would come before `digraph` and break the DOT file
+        status, out, _ = run_cli(
+            capsys, "-w", FIXTURES, "build-m", "--t1", "ex4_t1", "--t2", "ex4_t2", "--format", "dot"
+        )
+        assert status == 0
+        assert out.startswith("digraph machine {")
+        assert out.count("digraph") == 1
+        status, out, _ = run_cli(capsys, "--seed", "0", "reduce", "--chain", "rnd_chain3", "--format", "dot")
+        assert status == 0
+        assert out.startswith("digraph machine {")
+        # one graph per stage of the reduced two-stage chain, no text listing
+        assert out.count("digraph machine {") == 2
+        assert "transducer" not in out and " ms)" not in out
+
     def test_fuse(self, capsys):
         status, out, _ = run_cli(capsys, "-w", FIXTURES, "fuse", "--t1", "quadratic", "--t2", "quad_out_id")
         assert status == 0

@@ -37,7 +37,8 @@ from .oracles import (
     all_trees,
     domain_automaton_by_subsets,
     identity_automaton,
-    p_construction_by_evaluate,
+    p_construction_by_rewriting,
+    set_productive,
     trim_lookahead_by_rebuild,
     wrap_trivial_lookahead,
 )
@@ -297,29 +298,30 @@ def listing(result):
     return [str(r) for r in machine.rules], [(str(r), id(src)) for r, src in sources], machine.initial
 
 
-def reference_pairs(workspace):
+def reference_pairs(workspace, seeds=200):
     pairs = [chain.stages for chain in workspace.chains.values() if len(chain) == 2]
-    return pairs + [random_pair(seed) for seed in range(200)]
+    return pairs + [random_pair(seed) for seed in range(seeds)]
 
 
 class TestConstructionReference:
     """The product construction and the domain automaton against the oracles'
-    per-(pair, rule) `evaluate` loop, by listings and by counts."""
+    per-(pair, rule) rewriting of each right-hand side, by listings and by
+    counts."""
 
     def test_hat_and_triple_product(self, workspace):
-        for t1, t2 in reference_pairs(workspace):
+        for t1, t2 in reference_pairs(workspace, seeds=300):
             aut = domain_automaton(t2)
             hat = p_construction(t1, aut, name="hat")
-            assert listing(hat) == listing(p_construction_by_evaluate(t1, aut, name="hat")), t1.name
+            assert listing(hat) == listing(p_construction_by_rewriting(t1, aut, name="hat")), t1.name
             args = (hat[0], t2, constructions._triple_state, constructions._triple_filter)
-            assert listing(p_construction(*args)) == listing(p_construction_by_evaluate(*args)), t1.name
+            assert listing(p_construction(*args)) == listing(p_construction_by_rewriting(*args)), t1.name
 
     def test_triple_product_with_vetoes(self, veto_pair):
         """The reference pairs veto no pair; this one vetoes two."""
         t1, t2 = veto_pair
         hat, _ = p_construction(t1, domain_automaton(t2))
         args = (hat, t2, constructions._triple_state, constructions._triple_filter)
-        assert listing(p_construction(*args)) == listing(p_construction_by_evaluate(*args))
+        assert listing(p_construction(*args)) == listing(p_construction_by_rewriting(*args))
 
     def test_fuse_step(self):
         """`reduce_chain`'s fuse step, a p-construction without a pair filter
@@ -330,7 +332,7 @@ class TestConstructionReference:
             relabeling, _ = decompose_la(build_m(t1, t2)[0])
             fused = compose_linear_nondeleting(t0, relabeling)
             reduced = reduce_chain(chain)[0].stages[-2]
-            want = p_construction_by_evaluate(t0, relabeling, name=fused.name)
+            want = p_construction_by_rewriting(t0, relabeling, name=fused.name)
             assert listing((fused, [])) == listing((reduced, [])) == listing((want[0], [])), seed
             assert listing(p_construction(t0, relabeling, name=fused.name)) == listing(want), seed
 
@@ -474,7 +476,8 @@ class TestHat:
 
     def test_empty_translation_stays_empty(self, del_pair):
         hat = build_hat_t1(*del_pair)
-        assert hat.dom_empty(hat.initial)
+        assert not set_productive(hat, {hat.initial})
+        assert hat.enumerate_domain(hat.initial, 8) == []
 
 
 class TestProductN:
@@ -504,7 +507,7 @@ class TestBuildM:
             return ok
 
         hat = reports[1].machine
-        p_construction_by_evaluate(hat, veto_pair[1], constructions._triple_state, counting)
+        p_construction_by_rewriting(hat, veto_pair[1], constructions._triple_state, counting)
         assert vetoed == {("(q,{p})", "r"), ("(q,{r})", "p")}
         _, reports = build_m(*worked_pair)
         assert reports[2].stats["pairs_vetoed"] == 0

@@ -176,7 +176,6 @@ class TestBoundsAndCaps:
         s = t("a(e)")
         calls = [
             lambda: quadratic.translate(s, cap=cap),
-            lambda: quadratic.evaluate(quadratic.initial, s, cap=cap),
             lambda: m.translate_la(t("f(e,d)"), cap=cap),
             lambda: chain_outputs(copy_chain, s, cap=cap),
             lambda: check_functional_bounded(quadratic, 3, output_cap=cap),

@@ -18,7 +18,7 @@ from ttc import (
 )
 from ttc.generate import random_chain3, random_pair
 from ttc.machines import _evaluate, _label, least_fixpoint
-from ttc.trees import NodeAddress, PlaceholderLeaf, StateOverNode, StateOverVariable, Tree, parse_tree
+from ttc.trees import NodeAddress, StateOverNode, StateOverVariable, Tree, parse_tree
 
 from .oracles import all_trees, dom_member, identity_automaton, rewrite_translate, set_productive, translate_la_eager
 
@@ -27,6 +27,13 @@ t = parse_tree
 
 def outs(trees):
     return sorted(x.text for x in trees)
+
+
+def live_states(aut):
+    """The names of the automaton's states with a non-empty domain, by the
+    least fixpoint that the trim of a look-ahead automaton computes."""
+    children = [[l.name for req in r.child_states for l in req] for r in aut.rules]
+    return least_fixpoint([r.state.name for r in aut.rules], children)
 
 
 class TestShapePredicates:
@@ -63,45 +70,24 @@ class TestShapePredicates:
 
 class TestEvaluate:
     def test_worked_example_output(self, quadratic):
-        got = quadratic.evaluate(quadratic.initial, t("a(a(e))"))
+        got = quadratic.translate(t("a(a(e))"))
         assert outs(got) == ["f(a(e),f(e,e))"]
 
     def test_three_way_leaf(self, copy_pair):
         t1, _ = copy_pair
-        got = t1.evaluate(StateId.base("q1"), t("e"))
+        got = t1.translate(t("e"))
         assert outs(got) == ["e1", "e2", "e3"]
 
-    def test_placeholder_yields_marker(self, quadratic):
-        q = StateId.base("q")
-        hole = Tree(PlaceholderLeaf("b"))
-        v = NodeAddress((2, 1))
-        got = quadratic.evaluate(q, hole, v)
-        assert got == frozenset((Tree(StateOverNode(q, v)),))
-
-    def test_marker_below_a_non_root_start(self, quadratic):
-        # q(a(x1)) -> a(q(x1)) moves the state from node 2 onto the hole at 2.1
-        q = StateId.base("q")
-        tree = Tree("a", (Tree(PlaceholderLeaf("h")),))
-        got = quadratic.evaluate(q, tree, at=NodeAddress((2,)))
-        assert got == frozenset((Tree("a", (Tree(StateOverNode(q, NodeAddress((2, 1)))),)),))
-
-    def test_foreign_symbol_in_partial_tree(self, quadratic):
-        with pytest.raises(AlphabetMismatch):
-            quadratic.evaluate(quadratic.initial, Tree("g", (Tree(PlaceholderLeaf("h")),)))
-
-    def test_unknown_state(self, quadratic):
-        with pytest.raises(UnknownState):
-            quadratic.evaluate(StateId.base("nope"), t("e"))
-
-    def test_repeated_marker_gets_distinct_addresses(self, worked_pair):
-        # p1(f(x1,x2)) -> f(p1(x1),p1(x2)) meets the equal leaves q(x1) at
-        # nodes 1 and 2; each must turn into a marker at its own address
+    def test_marker_leaf_names_the_result_after_itself(self, worked_pair):
+        # p1(f(x1,x2)) -> f(p1(x1),p1(x2)) on a right-hand side: p1 meeting
+        # the marker q(x1) yields the leaf p1(q(x1)), whichever node it is at
         _, t2 = worked_pair
         p1 = StateId.base("p1")
         marker = Tree(StateOverVariable(StateId.base("q"), 1))
-        got = t2.evaluate(p1, Tree("f", (marker, marker)))
-        want = Tree("f", (Tree(StateOverNode(p1, NodeAddress((1,)))), Tree(StateOverNode(p1, NodeAddress((2,))))))
-        assert got == frozenset((want,))
+        got = _evaluate(t2, p1, Tree("f", (marker, marker)), None, {}, None, None)
+        leaf = Tree(StateOverNode(p1, marker.label))
+        assert got == (Tree("f", (leaf, leaf)),)
+        assert leaf.text == "p1(q(x1))"
 
 
 class TestTranslate:
@@ -148,14 +134,8 @@ class TestDomains:
         assert dom_member(t2, StateId.base("q2''"), t("e3"))
 
     def test_unknown_state(self, quadratic):
-        nope = StateId.base("nope")
-        for call in (
-            lambda: quadratic.evaluate(nope, t("e")),
-            lambda: quadratic.dom_empty(nope),
-            lambda: quadratic.enumerate_domain(nope, 3),
-        ):
-            with pytest.raises(UnknownState):
-                call()
+        with pytest.raises(UnknownState):
+            quadratic.enumerate_domain(StateId.base("nope"), 3)
 
     def test_quadratic_domain_is_everything(self, quadratic):
         for s in all_trees(quadratic.input_alphabet, 6):
@@ -179,9 +159,11 @@ class TestDomains:
         for machine in machines:
             for s in all_trees(machine.input_alphabet, 6):
                 for q in sorted(machine.states):
-                    assert dom_member(machine, q, s) == bool(
-                        machine.evaluate(q, s)
-                    ), (machine.name, q.name, s.text)
+                    assert dom_member(machine, q, s) == bool(rewrite_translate(machine, s, q)), (
+                        machine.name,
+                        q.name,
+                        s.text,
+                    )
 
     def test_ruleless_state_has_empty_domain(self, quadratic):
         extra = StateId.base("dead")
@@ -193,8 +175,9 @@ class TestDomains:
             quadratic.initial,
             states=set(quadratic.states) | {extra},
         )
-        assert bigger.dom_empty(extra)
-        assert not bigger.dom_empty(quadratic.initial)
+        live = live_states(domain_automaton(bigger, seeds=[{extra}]))
+        assert "{dead}" not in live
+        assert "{q0}" in live
 
     def test_deleting_pair_set_state_is_empty(self, del_pair):
         t1, t2 = del_pair
@@ -205,11 +188,11 @@ class TestDomains:
         assert len(members) == 2
         seeds = [members] + [frozenset([m]) for m in members]
         aut = domain_automaton(hat, seeds=seeds)
-        both = StateId.of_set(members)
-        assert aut.dom_empty(both)
+        live = live_states(aut)
+        assert StateId.of_set(members).name not in live
         # each branch checker alone is satisfiable
         for m in members:
-            assert not aut.dom_empty(StateId.of_set([m]))
+            assert StateId.of_set([m]).name in live
 
     def test_dom_empty_matches_the_requirement_set_oracle(self, workspace):
         """Every state of the plain fixture machines, of `random_pair` and
@@ -225,18 +208,18 @@ class TestDomains:
             machines += [r.machine for r in reports if isinstance(r.machine, Transducer)]
         queries = empty_pairs = 0
         for machine in machines:
+            states = sorted(machine.states)
+            live = live_states(domain_automaton(machine, seeds=[{q} for q in states]))
             inhabited = []
-            for q in sorted(machine.states):
-                empty = machine.dom_empty(q)
+            for q in states:
+                empty = StateId.of_set([q]).name not in live
                 assert empty == (not set_productive(machine, {q})), (machine.name, q.name)
                 queries += 1
                 if not empty:
                     inhabited.append(q)
             if len(inhabited) >= 2:
                 members = frozenset(inhabited[:2])
-                aut = domain_automaton(machine, seeds=[members])
-                children = [[l.name for req in r.child_states for l in req] for r in aut.rules]
-                live = least_fixpoint([r.state.name for r in aut.rules], children)
+                live = live_states(domain_automaton(machine, seeds=[members]))
                 assert (StateId.of_set(members).name in live) == set_productive(machine, members), machine.name
                 queries += 1
                 empty_pairs += StateId.of_set(members).name not in live
@@ -247,8 +230,9 @@ class TestDomains:
     def test_dom_empty_iff_enumeration_empty(self, quadratic, copy_pair, del_pair):
         machines = [quadratic, *copy_pair, *del_pair]
         for machine in machines:
+            live = live_states(domain_automaton(machine, seeds=[{q} for q in machine.states]))
             for q in sorted(machine.states):
-                assert machine.dom_empty(q) == (machine.enumerate_domain(q, 6) == []), (
+                assert (StateId.of_set([q]).name not in live) == (machine.enumerate_domain(q, 6) == []), (
                     machine.name,
                     q.name,
                 )
@@ -445,14 +429,13 @@ class TestValidate:
         [
             (Rule(Q, "a", 1, Tree("f", (var(P, 1), Tree("e")))), "rule q(a(x1)): rhs uses undeclared state p"),
             (Rule(Q, "a", 1, Tree(StateOverNode(Q, NodeAddress((1,))))), "rule q(a(x1)): unexpected marker q(1) in rhs"),
-            (Rule(Q, "a", 1, Tree(PlaceholderLeaf("h"))), "rule q(a(x1)): unexpected marker ?h in rhs"),
             (Rule(Q, "a", 1, Tree("f", (var(Q, 1), Tree("g")))), "rule q(a(x1)): rhs symbol g not in the output alphabet"),
             (Rule(Q, "a", 1, Tree("f", (var(Q, 1),))), "rule q(a(x1)): symbol f has rank 2 but 1 children"),
             (Rule(Q, "b", 0, Tree("e")), "rule q(b): symbol not in the input alphabet"),
             (Rule(Q, "a", 0, Tree("e")), "rule q(a): symbol rank differs from variable count"),
             (Rule(Q, "a", 1, var(Q, 1), lookahead=(L,)), "rule q(a(x1:l)): look-ahead annotations on a plain transducer"),
         ],
-        ids=["undeclared-state", "node-marker", "placeholder", "output-symbol", "rhs-rank", "input-symbol", "variable-count", "annotations"],
+        ids=["undeclared-state", "node-marker", "output-symbol", "rhs-rank", "input-symbol", "variable-count", "annotations"],
     )
     def test_rule_failure_names_the_rule(self, rule, message):
         with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):

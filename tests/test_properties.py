@@ -19,7 +19,15 @@ from ttc.generate import random_chain3, random_pair
 from . import pair_properties
 from ttc.machines import _label
 
-from .oracles import all_trees, dom_member, rewrite_translate, staged_compose, translate_la_eager, wrap_trivial_lookahead
+from .oracles import (
+    all_trees,
+    dom_member,
+    rewrite_translate,
+    set_productive,
+    staged_compose,
+    translate_la_eager,
+    wrap_trivial_lookahead,
+)
 
 PAIR_SEEDS = range(60)
 CHAIN_SEEDS = range(20)
@@ -59,7 +67,7 @@ def test_dom_member_iff_translation_nonempty(seed):
     for machine in random_pair(seed):
         for s in all_trees(machine.input_alphabet, 4):
             for q in sorted(machine.states):
-                assert dom_member(machine, q, s) == bool(machine.evaluate(q, s))
+                assert dom_member(machine, q, s) == bool(rewrite_translate(machine, s, q))
 
 
 @pytest.mark.parametrize("seed", PAIR_SEEDS)
@@ -84,7 +92,7 @@ def test_trivial_lookahead_matches_plain(seed):
 def test_dom_empty_iff_enumeration_empty(seed):
     for machine in random_pair(seed):
         for q in sorted(machine.states):
-            assert machine.dom_empty(q) == (machine.enumerate_domain(q, 6) == [])
+            assert (not set_productive(machine, {q})) == (machine.enumerate_domain(q, 6) == [])
 
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS)

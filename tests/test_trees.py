@@ -7,7 +7,6 @@ from ttc.errors import InvalidAddress, TtcSyntaxError, ValidationError
 from ttc.trees import (
     AnnotatedSymbol,
     NodeAddress,
-    PlaceholderLeaf,
     RankedAlphabet,
     StateOverNode,
     StateOverVariable,
@@ -113,7 +112,7 @@ class TestTreeConstructor:
             assert tree.size == node_count(shape)
 
     @pytest.mark.parametrize(
-        "marker", [StateOverVariable("q", 1), StateOverNode("q", NodeAddress((1,))), PlaceholderLeaf(3)]
+        "marker", [StateOverVariable("q", 1), StateOverNode("q", NodeAddress((1,)))]
     )
     def test_marker_with_children(self, marker):
         assert Tree(marker).text == str(marker)
