@@ -29,7 +29,6 @@ from .errors import (
     ResourceLimit,
     TtcError,
     TtcSyntaxError,
-    UnknownState,
     ValidationError,
     ValidationWarning,
 )

@@ -52,10 +52,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, machine=False, chain=False, inp=False):
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    def common(p, machine=False, chain=False, inp=False, formats=("text", "json", "dot")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", metavar="PATH", help="write the result to PATH instead of stdout")
-        p.add_argument("--max-size", type=int, default=5, metavar="N")
         if machine:
             p.add_argument("--machine", metavar="NAME")
         if chain:
@@ -64,7 +63,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", metavar="TREE", required=True)
         return p
 
-    common(sub.add_parser("run", help="translate an input tree"), machine=True, chain=True, inp=True)
+    common(sub.add_parser("run", help="translate an input tree"), machine=True, chain=True, inp=True, formats=("text", "json"))
     common(sub.add_parser("domaut", help="domain automaton of a transducer"), machine=True)
     p = common(sub.add_parser("hat", help="domain-restricted first component"))
     p.add_argument("--t1", required=True)
@@ -80,7 +79,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", required=True)
     p.add_argument("--t2", required=True)
     common(sub.add_parser("reduce", help="shorten a chain by one stage"), chain=True)
-    common(sub.add_parser("check", help="bounded functionality check"), machine=True, chain=True)
+    p = common(sub.add_parser("check", help="bounded functionality check"), machine=True, chain=True)
+    p.add_argument("--max-size", type=int, default=5, metavar="N")
     p = common(sub.add_parser("trace", help="one derivation of an input"), machine=True, inp=True)
     p.add_argument("--branch", type=int, default=0, metavar="I")
     return parser

@@ -31,7 +31,7 @@ from .machines import (
     Transducer,
     _evaluate,
 )
-from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree, check_ground_over
+from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree
 
 STATE_CAP = 5000
 RULE_CAP = 60000
@@ -232,30 +232,26 @@ def p_construction(
     rules: list[Rule] = []
     sources: list[tuple[Rule, Rule]] = []
     seen_rules: set[tuple] = set()
-    seen_pairs_rule: set[tuple] = set()
 
-    # each source rhs is checked against t2 once and evaluated as it stands:
+    # each source rhs is evaluated as it stands, unchecked: `_validate` has
+    # checked it over t1's output alphabet, which is t2's input alphabet.
     # q2 meeting a marker q1(xi) yields q2 over that marker wherever it sits
     # (`_evaluate`), so one evaluation memo, keyed on (state name, subtree
     # text), serves every (pair, rule) of this construction.  A marker's text
     # never equals a ground subtree's: t1's state names may not be symbols of
-    # its output alphabet, which is t2's input alphabet.  Each distinct
-    # (result, variable count) is instantiated once (`made`), with one leaf
-    # or veto per marker (`leaves`), and the new rules share its tree and
-    # child states.
-    checked: set[int] = set()
+    # its output alphabet.  Each distinct (result, variable count) is
+    # instantiated once (`made`), with one leaf or veto per marker (`leaves`),
+    # and the new rules share its tree and child states.  A pair is dequeued
+    # once and its results per rule are distinct, so a rule made twice comes from
+    # two source rules: `rules` lists it once (`seen_rules`), `sources` twice.
     memo: dict = {}
     leaves: dict[str, tuple] = {}
     made: dict[tuple[str, int], tuple] = {}
 
     while queue:
         q1, q2 = queue.popleft()
-        t2._known(q2)
         head = make_state(q1, q2)
         for src in t1.rules_of(q1):
-            if id(src) not in checked:
-                check_ground_over(src.rhs, t2.input_alphabet, markers=True)
-                checked.add(id(src))
             for psi in sorted(_evaluate(t2, q2, src.rhs, None, memo, None, None), key=attrgetter("text")):
                 got = made.get((psi.text, src.variables))
                 if got is None:
@@ -263,13 +259,9 @@ def p_construction(
                 if not got:
                     continue
                 gamma, child_states, demanded = got
-                pair_key = (head.name, src.symbol, gamma.text, id(src))
-                if pair_key in seen_pairs_rule:
-                    continue
-                seen_pairs_rule.add(pair_key)
                 rule = Rule(head, src.symbol, src.variables, gamma, child_states=child_states)
                 sources.append((rule, src))
-                key = pair_key[:3]
+                key = (head.name, src.symbol, gamma.text)
                 if key not in seen_rules:
                     seen_rules.add(key)
                     rules.append(rule)

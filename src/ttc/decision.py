@@ -234,7 +234,8 @@ class DerivationTrace:
 
 
 def _markers(form: Tree):
-    """Sentential-form markers: (output address, state, input address)."""
+    """Sentential-form markers: (output address, state, input address), in
+    address order, which is the pre-order of the walk."""
     out = []
 
     def walk(node, path):
@@ -279,7 +280,7 @@ def derivations(t: Transducer, tree: Tree):
 
     def rec(form, steps):
         moves = []
-        for addr, state, input_addr in sorted(_markers(form), key=lambda m: m[0].path):
+        for addr, state, input_addr in _markers(form):
             symbol = subtree_at(tree, input_addr).label
             for rule in t.rules_for(state, symbol):
                 moves.append((addr, input_addr, rule))

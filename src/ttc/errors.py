@@ -13,10 +13,6 @@ class AlphabetMismatch(TtcError):
     """A tree or machine uses a symbol outside the expected ranked alphabet."""
 
 
-class UnknownState(TtcError):
-    """A state id is not a state of the machine at hand."""
-
-
 class NotLinearNondeleting(TtcError):
     """Fusion requires the second machine to be linear and nondeleting."""
 

@@ -21,7 +21,7 @@ from math import prod
 from operator import attrgetter
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
-from .errors import ResourceLimit, UnknownState, ValidationError
+from .errors import ResourceLimit, ValidationError
 from .trees import (
     MARKER_TYPES,
     RankedAlphabet,
@@ -198,8 +198,8 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 #
 # The same class table counts the trees of each size by class
 # (`_class_counts`) and builds the trees of one class (`_class_trees`); the
-# domain of a state is the classes whose `some` holds it, so both
-# `enumerate_domain`s and the check take it from `_domain_sizes`.
+# domain of a state is the classes whose `some` holds it, so
+# `enumerate_domain` and the check take it from `_domain_sizes`.
 
 
 def _evaluate(
@@ -547,20 +547,11 @@ class Transducer:
 
     # -- semantics ---------------------------------------------------------
 
-    def _known(self, state: StateId) -> None:
-        if state not in self.states:
-            raise UnknownState("state %s is not a state of %s" % (state, self.name))
-
     def translate(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
         """All ground output trees derivable from the initial state on a ground input."""
         check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)
         return frozenset(_evaluate(self, self.initial, tree, cap, {}, None, None))
-
-    def enumerate_domain(self, state: StateId, max_size: int) -> list[Tree]:
-        """All ground trees of size <= max_size in dom(state), in canonical order."""
-        self._known(state)
-        return [s for _, layer in _domain_sizes(self, None, state.name, self.input_alphabet, max_size, {}, []) for s in layer]
 
 
 class LookaheadTransducer:
@@ -601,10 +592,6 @@ class LookaheadTransducer:
     @property
     def input_alphabet(self):
         return self.base.input_alphabet
-
-    @property
-    def output_alphabet(self):
-        return self.base.output_alphabet
 
     def __repr__(self):
         return "LookaheadTransducer(%s: %d states, %d rules; la %d states)" % (

@@ -79,6 +79,8 @@ class Workspace:
         m = self.machines.get(name)
         if isinstance(m, Transducer):
             return CompositionChain((m,))
+        if isinstance(m, LookaheadTransducer):
+            raise ValidationError("%r is a look-ahead transducer, not a chain: use --machine" % name)
         raise ValidationError("unknown chain %r" % name)
 
 

@@ -199,12 +199,9 @@ class RankedAlphabet:
         return "RankedAlphabet({%s})" % ", ".join("%s:%d" % (s, r) for s, r in self._ranks.items())
 
 
-def check_ground_over(t: Tree, alphabet: RankedAlphabet, markers: bool = False) -> None:
-    """Raise AlphabetMismatch unless t is a ground tree over the alphabet; with
-    markers, marker leaves are allowed as well."""
+def check_ground_over(t: Tree, alphabet: RankedAlphabet) -> None:
+    """Raise AlphabetMismatch unless t is a ground tree over the alphabet."""
     if isinstance(t.label, MARKER_TYPES):
-        if markers:
-            return
         raise AlphabetMismatch("tree %s is not ground" % t)
     if t.label not in alphabet:
         raise AlphabetMismatch("symbol %s is not in the input alphabet" % (t.label,))
@@ -213,7 +210,7 @@ def check_ground_over(t: Tree, alphabet: RankedAlphabet, markers: bool = False) 
             "symbol %s has rank %d but %d children" % (t.label, alphabet.rank(t.label), len(t.children))
         )
     for c in t.children:
-        check_ground_over(c, alphabet, markers)
+        check_ground_over(c, alphabet)
 
 
 def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:

@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from ttc import Rule, StateId, Transducer, parse_workspace
+from ttc.machines import _domain_sizes
 from ttc.trees import RankedAlphabet, Tree
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -59,6 +60,13 @@ def copy_t2_extra(copy_pair):
     q2pp = StateId.base("q2''")
     rules = list(t2.rules) + [Rule(q2pp, "e3", 0, Tree("e''"))]
     return Transducer("copy_t2_extra", t2.input_alphabet, out, rules, t2.initial, states=t2.states)
+
+
+def domain_of(machine, state, max_size):
+    """dom(state) of a plain transducer up to max_size, in canonical order, by
+    the enumeration the check uses."""
+    sizes = _domain_sizes(machine, None, state.name, machine.input_alphabet, max_size, {}, [])
+    return [s for _, layer in sizes for s in layer]
 
 
 def t(text):

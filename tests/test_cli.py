@@ -3,8 +3,9 @@ import pathlib
 
 import pytest
 
-from ttc import Transducer
+from ttc import Transducer, decide_functionality
 from ttc.cli import main
+from ttc.render import verdict_json
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURES = str(DATA / "fixtures.ttc")
@@ -37,7 +38,7 @@ def run_cli(capsys, *argv):
 
 
 class TestCheck:
-    def test_functional_chain_json(self, capsys):
+    def test_functional_chain_json(self, capsys, copy_chain):
         status, out, _ = run_cli(
             capsys, "-w", FIXTURES, "check", "--chain", "copying", "--max-size", "4", "--format", "json"
         )
@@ -46,6 +47,8 @@ class TestCheck:
         assert doc["status"] == "functional-up-to-bound"
         assert doc["bound"] == 4
         assert doc["counterexample"] is None
+        del doc["reports"]
+        assert doc == verdict_json(decide_functionality(copy_chain, 4)[0])
 
     def test_not_functional_exit_code(self, capsys, naive_file):
         status, out, _ = run_cli(capsys, "-w", naive_file, "check", "--machine", "naive_n", "--format", "json")
@@ -79,6 +82,32 @@ class TestCheck:
                 assert run_cli(capsys, *common, "--chain", "one_" + name) == by_machine, (name, fmt)
                 statuses.add(by_machine[0])
         assert statuses == {0, 1}
+
+    def test_chain_names_a_lookahead_machine(self, capsys):
+        status, _, err = run_cli(capsys, "-w", FIXTURES, "check", "--chain", "quadratic_la")
+        assert status == 2
+        assert err.splitlines() == ["error: 'quadratic_la' is a look-ahead transducer, not a chain: use --machine"]
+
+
+class TestOptions:
+    """A command accepts only the options and formats it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["domaut", "--machine", "quadratic", "--max-size", "3"],
+            ["run", "--machine", "quadratic", "--input", "e", "--format", "dot"],
+        ],
+        ids=["domaut-max-size", "run-dot"],
+    )
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["-w", FIXTURES, *argv])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("usage: ttc ")
+        assert "error: " in out.err
 
 
 class TestRun:

@@ -32,6 +32,7 @@ from ttc.generate import random_chain3, random_pair
 from ttc.render import serialize_machine
 from ttc.trees import StateOverVariable, Tree, parse_tree
 
+from .conftest import domain_of
 from . import pair_properties
 from .oracles import (
     all_trees,
@@ -477,7 +478,7 @@ class TestHat:
     def test_empty_translation_stays_empty(self, del_pair):
         hat = build_hat_t1(*del_pair)
         assert not set_productive(hat, {hat.initial})
-        assert hat.enumerate_domain(hat.initial, 8) == []
+        assert domain_of(hat, hat.initial, 8) == []
 
 
 class TestProductN:

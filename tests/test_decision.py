@@ -28,6 +28,7 @@ from ttc.generate import random_chain3, random_pair
 from ttc.render import serialize_machine
 from ttc.trees import Tree, parse_tree
 
+from .conftest import domain_of
 from .oracles import (
     all_trees,
     dom_member,
@@ -141,7 +142,7 @@ class TestCheckFunctionalBounded:
         assert verdict.stats["outputs_computed"] >= 1
         assert verdict.stats["memo_entries"] >= 1
         first = copy_chain.stages[0]
-        assert verdict.stats["inputs_enumerated"] == len(first.enumerate_domain(first.initial, 3))
+        assert verdict.stats["inputs_enumerated"] == len(domain_of(first, first.initial, 3))
         assert verdict.stats["max_size_reached"] == 3
 
     def test_stops_at_the_first_size_with_a_counterexample(self, doubled_rotation):
@@ -202,7 +203,7 @@ class TestBoundsAndCaps:
             lambda: check_functional_bounded(quadratic, size),
             lambda: decide_functionality(CompositionChain(worked_pair), size),
             lambda: decide_functionality(CompositionChain((*worked_pair, worked_pair[1])), size),
-            lambda: quadratic.enumerate_domain(quadratic.initial, size),
+            lambda: domain_of(quadratic, quadratic.initial, size),
         ]
         for call in calls:
             with pytest.raises(ValidationError, match="max_size must be an int >= 1, not"):
@@ -612,7 +613,7 @@ class TestClassCounts:
             # the class table enumerates dom(q) for every state, not only the initial one
             for q in sorted(base.states):
                 expected = domain if q == base.initial else [s for s in trees if dom_member(target, q, s)]
-                assert target.enumerate_domain(q, bound) == expected, (target.name, q.name)
+                assert domain_of(target, q, bound) == expected, (target.name, q.name)
                 states += 1
         assert counted == 2494  # domain inputs of the one-stage targets: not vacuous
         assert states == 1191  # every state of the 600 plain stages

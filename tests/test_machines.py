@@ -9,7 +9,6 @@ from ttc import (
     Rule,
     StateId,
     Transducer,
-    UnknownState,
     ValidationError,
     build_hat_t1,
     build_m,
@@ -20,6 +19,7 @@ from ttc.generate import random_chain3, random_pair
 from ttc.machines import _evaluate, _label, least_fixpoint
 from ttc.trees import NodeAddress, StateOverNode, StateOverVariable, Tree, parse_tree
 
+from .conftest import domain_of
 from .oracles import all_trees, dom_member, identity_automaton, rewrite_translate, set_productive, translate_la_eager
 
 t = parse_tree
@@ -133,10 +133,6 @@ class TestDomains:
         assert not dom_member(t2, StateId.base("q2'"), t("e3"))
         assert dom_member(t2, StateId.base("q2''"), t("e3"))
 
-    def test_unknown_state(self, quadratic):
-        with pytest.raises(UnknownState):
-            quadratic.enumerate_domain(StateId.base("nope"), 3)
-
     def test_quadratic_domain_is_everything(self, quadratic):
         for s in all_trees(quadratic.input_alphabet, 6):
             assert dom_member(quadratic, quadratic.initial, s)
@@ -152,7 +148,7 @@ class TestDomains:
         )
         assert not dom_member(smaller, smaller.initial, t("a(e)"))
         assert dom_member(smaller, smaller.initial, t("e"))
-        assert [s.text for s in smaller.enumerate_domain(smaller.initial, 6)] == ["e"]
+        assert [s.text for s in domain_of(smaller, smaller.initial, 6)] == ["e"]
 
     def test_dom_member_iff_translation_nonempty(self, quadratic, copy_pair, del_pair, worked_pair):
         machines = [quadratic, *copy_pair, *del_pair, *worked_pair]
@@ -232,7 +228,7 @@ class TestDomains:
         for machine in machines:
             live = live_states(domain_automaton(machine, seeds=[{q} for q in machine.states]))
             for q in sorted(machine.states):
-                assert (StateId.of_set([q]).name not in live) == (machine.enumerate_domain(q, 6) == []), (
+                assert (StateId.of_set([q]).name not in live) == (domain_of(machine, q, 6) == []), (
                     machine.name,
                     q.name,
                 )
@@ -241,23 +237,23 @@ class TestDomains:
 class TestEnumerateDomain:
     def test_copy_t1_small(self, copy_pair):
         t1, _ = copy_pair
-        got = t1.enumerate_domain(StateId.base("q1"), 2)
+        got = domain_of(t1, StateId.base("q1"), 2)
         assert [s.text for s in got] == ["e", "a(e)"]
 
     def test_quadratic_small(self, quadratic):
-        got = quadratic.enumerate_domain(quadratic.initial, 2)
+        got = domain_of(quadratic, quadratic.initial, 2)
         assert [s.text for s in got] == ["e", "a(e)"]
 
     def test_empty_domain_state(self, del_pair):
         t1, _ = del_pair
         # q1 itself: needs x2 with leftmost leaf both e and c, impossible
-        assert t1.enumerate_domain(t1.initial, 6) == []
+        assert domain_of(t1, t1.initial, 6) == []
 
     def test_matches_dom_member_filter(self, worked_pair):
         t1, _ = worked_pair
         everything = all_trees(t1.input_alphabet, 5)
         expected = [s for s in everything if dom_member(t1, t1.initial, s)]
-        assert t1.enumerate_domain(t1.initial, 5) == expected
+        assert domain_of(t1, t1.initial, 5) == expected
 
 
 class TestLookaheadSemantics:
@@ -374,8 +370,8 @@ class TestRequirementEnumeration:
     def test_intersection_of_two_states(self, copy_pair):
         _, t2 = copy_pair
         q2p, q2pp = StateId.base("q2'"), StateId.base("q2''")
-        second = set(t2.enumerate_domain(q2pp, 3))
-        texts = [s.text for s in t2.enumerate_domain(q2p, 3) if s in second]
+        second = set(domain_of(t2, q2pp, 3))
+        texts = [s.text for s in domain_of(t2, q2p, 3) if s in second]
         assert "e3" not in texts and "e1" in texts and "e2" in texts
 
     def test_unconstrained_counts(self, quadratic):

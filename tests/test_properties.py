@@ -16,6 +16,7 @@ from ttc import (
 )
 from ttc.generate import random_chain3, random_pair
 
+from .conftest import domain_of
 from . import pair_properties
 from ttc.machines import _label
 
@@ -92,7 +93,7 @@ def test_trivial_lookahead_matches_plain(seed):
 def test_dom_empty_iff_enumeration_empty(seed):
     for machine in random_pair(seed):
         for q in sorted(machine.states):
-            assert (not set_productive(machine, {q})) == (machine.enumerate_domain(q, 6) == [])
+            assert (not set_productive(machine, {q})) == (domain_of(machine, q, 6) == [])
 
 
 @pytest.mark.parametrize("seed", CHAIN_SEEDS)

@@ -1,10 +1,20 @@
 """The library's public surface: every public function or method defined in
 `src/ttc` is referenced somewhere in `src/ttc` or `perfbench/`, apart from
-the test-only entry points named here.  A re-export in `__init__.py` is an
-import, not a reference."""
+the test-only entry points named here, and is entered by the library's real
+traffic: the benchmark's validation of its workloads and every CLI command.
+A re-export in `__init__.py` is an import, not a reference."""
 
 import ast
+import contextlib
+import importlib
+import io
 import pathlib
+import sys
+
+import pytest
+
+from ttc import TtcSyntaxError, parse_workspace
+from ttc.cli import main
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -15,14 +25,16 @@ TEST_ONLY = set()
 
 def public_definitions() -> set[str]:
     """The public module-level functions and methods of `src/ttc`, as
-    "name" or "Class.name"."""
+    "module.name" or "module.Class.name"."""
     found = set()
     for path in (ROOT / "src" / "ttc").glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
-                found.add(node.name)
+                found.add("%s.%s" % (path.stem, node.name))
             elif isinstance(node, ast.ClassDef):
-                found.update("%s.%s" % (node.name, item.name) for item in node.body if isinstance(item, ast.FunctionDef))
+                found.update(
+                    "%s.%s.%s" % (path.stem, node.name, item.name) for item in node.body if isinstance(item, ast.FunctionDef)
+                )
     return {name for name in found if not name.split(".")[-1].startswith("_")}
 
 
@@ -45,3 +57,73 @@ def test_every_public_function_has_a_library_caller():
     unreferenced = {name for name in public_definitions() if name.split(".")[-1] not in referenced}
     assert unreferenced - TEST_ONLY == set(), "public, but only the tests call it"
     assert TEST_ONLY - unreferenced == set(), "has a library caller now: remove it from TEST_ONLY"
+
+
+FIXTURES = str(ROOT / "tests" / "data" / "fixtures.ttc")
+
+# every CLI command, with the formats it accepts
+ALL = ("text", "json", "dot")
+CLI_CALLS = [
+    (["run", "--machine", "quadratic", "--input", "a(a(e))"], ("text", "json")),
+    (["run", "--machine", "quadratic_la", "--input", "a(a(e))"], ("text", "json")),
+    (["run", "--chain", "copying", "--input", "a(e)"], ("text", "json")),
+    (["domaut", "--machine", "quadratic"], ALL),
+    (["hat", "--t1", "ex4_t1", "--t2", "ex4_t2"], ALL),
+    (["product", "--t1", "ex4_t1", "--t2", "ex4_t2"], ALL),
+    (["build-m", "--t1", "ex4_t1", "--t2", "ex4_t2"], ALL),
+    (["decompose-la", "--machine", "quadratic_la"], ALL),
+    (["fuse", "--t1", "quadratic", "--t2", "quad_out_id"], ALL),
+    (["--seed", "1", "reduce", "--chain", "rnd_chain3"], ALL),
+    (["check", "--chain", "worked"], ALL),
+    (["check", "--machine", "quadratic_la"], ALL),
+    (["trace", "--machine", "quadratic", "--input", "a(a(e))"], ALL),
+]
+
+
+def traffic():
+    """One malformed workspace, every CLI command in each format on the
+    fixtures, and the benchmark's validation of each workload at seed 1."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+        workspaces = importlib.import_module("workspaces")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    with pytest.raises(TtcSyntaxError):
+        parse_workspace("transducer oops {")
+    for argv, formats in CLI_CALLS:
+        for fmt in formats:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                status = main(["-w", FIXTURES, *argv, "--format", fmt])
+            assert status in (0, 1), (argv, fmt, err.getvalue())
+    for workload, make in sorted(workspaces.WORKLOADS.items()):
+        _, errors = workloads.validate(workload, make(1))
+        assert errors == [], workload
+
+
+def code_of(name: str):
+    """The code object of a "module.name" or "module.Class.name" definition;
+    a property's getter, a classmethod's function."""
+    module, *path = name.split(".")
+    obj = importlib.import_module("ttc.%s" % module)
+    for part in path:
+        obj = vars(obj)[part]
+    obj = getattr(obj, "fget", None) or getattr(obj, "__func__", obj)
+    return obj.__code__
+
+
+def test_every_public_function_is_entered_by_the_real_traffic():
+    waiting = {code_of(name): name for name in public_definitions()}
+
+    def profile(frame, event, arg):
+        # the profile goes off once every public function has been entered
+        if event == "call" and waiting.pop(frame.f_code, None) and not waiting:
+            sys.setprofile(None)
+
+    sys.setprofile(profile)
+    try:
+        traffic()
+    finally:
+        sys.setprofile(None)
+    never = sorted(waiting.values())
+    assert never == [], "public, but the benchmark's validation and the CLI never enter %s" % never
