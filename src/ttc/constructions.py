@@ -252,7 +252,7 @@ def p_construction(
         q1, q2 = queue.popleft()
         head = make_state(q1, q2)
         for src in t1.rules_of(q1):
-            for psi in sorted(_evaluate(t2, q2, src.rhs, None, memo, None, None), key=attrgetter("text")):
+            for psi in sorted(_evaluate(t2, q2, src.rhs, None, memo, None), key=attrgetter("text")):
                 got = made.get((psi.text, src.variables))
                 if got is None:
                     got = made[psi.text, src.variables] = _instantiate(psi, src.variables, make_state, pair_filter, leaves)
@@ -294,35 +294,34 @@ def _instantiate(psi: Tree, variables: int, make_state, pair_filter, leaves: dic
     the pair for a veto, for the whole construction."""
     buckets = [set() for _ in range(variables)]
     demanded = []
-    vetoed = False
-
-    def go(node):
-        nonlocal vetoed
-        lab = node.label
-        if isinstance(lab, StateOverNode):
-            got = leaves.get(node.text)
-            if got is None:
-                marker = lab.node
-                pair = (marker.state, lab.state)
-                leaf = None
-                if pair_filter is None or pair_filter(*pair):
-                    leaf = Tree(StateOverVariable(make_state(*pair), marker.index))
-                got = leaves[node.text] = (leaf, pair)
-            leaf, pair = got
-            if leaf is None:
-                vetoed = True
-                return node
-            buckets[leaf.label.index - 1].add(leaf.label.state)
-            demanded.append(pair)
-            return leaf
-        if not node.children:
-            return node
-        return Tree(lab, [go(c) for c in node.children])
-
-    gamma = go(psi)
-    if vetoed:
+    gamma = _replace_leaves(psi, make_state, pair_filter, leaves, buckets, demanded)
+    if gamma is None:
         return ()
     return gamma, tuple(map(frozenset, buckets)), demanded
+
+
+def _replace_leaves(node: Tree, make_state, pair_filter, leaves: dict, buckets: list, demanded: list) -> Tree | None:
+    """`_instantiate`'s walk, left to right: node with its leaves replaced,
+    or None if one is vetoed; every leaf is visited either way."""
+    lab = node.label
+    if isinstance(lab, StateOverNode):
+        got = leaves.get(node.text)
+        if got is None:
+            marker = lab.node
+            pair = (marker.state, lab.state)
+            leaf = None
+            if pair_filter is None or pair_filter(*pair):
+                leaf = Tree(StateOverVariable(make_state(*pair), marker.index))
+            got = leaves[node.text] = (leaf, pair)
+        leaf, pair = got
+        if leaf is not None:
+            buckets[leaf.label.index - 1].add(leaf.label.state)
+            demanded.append(pair)
+        return leaf
+    if not node.children:
+        return node
+    kids = [_replace_leaves(c, make_state, pair_filter, leaves, buckets, demanded) for c in node.children]
+    return None if any(k is None for k in kids) else Tree(lab, kids)
 
 
 def build_hat_t1(t1: Transducer, t2: Transducer) -> Transducer:

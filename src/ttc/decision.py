@@ -19,7 +19,7 @@ from itertools import islice
 
 from .constructions import BuildReport, CompositionChain, build_m_over_hat, reduce_chain
 from .errors import ResourceLimit, ValidationError
-from .machines import LookaheadTransducer, Rule, Transducer, _domain_sizes, _evaluate, _label, _single_output, check_positive
+from .machines import LookaheadTransducer, Rule, Transducer, _Classes, _domain_sizes, _domain_trees, _evaluate, _label, check_positive
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
 
 DEFAULT_OUTPUT_CAP = 10**6
@@ -34,56 +34,40 @@ def chain_outputs(chain: CompositionChain | Transducer, tree: Tree, cap: int | N
         chain = CompositionChain((chain,))
     check_positive(cap, "cap", optional=True)
     check_ground_over(tree, chain.stages[0].input_alphabet)
-    return frozenset(_outputs(chain.stages, tree, cap, _stage_memos(chain.stages, None), None, None))
+    return frozenset(_outputs(chain.stages, tree, cap, _stage_memos(chain.stages, None), None))
 
 
-class _Accepts(dict):
-    """The memo of a plain automaton stage: the label memo of `_label` with
-    no base, with its table and classes, which give each tree the automaton
-    states that accept it."""
-
-    __slots__ = ("table", "classes")
-
-    def __init__(self):
-        super().__init__()
-        self.table, self.classes = {}, []
-
-    def clear(self):
-        super().clear()
-        self.table.clear()
-        self.classes.clear()
+def _stage_memos(stages, la: Transducer | None) -> list:
+    """One memo per stage, for `_outputs`: the class table of a plain
+    automaton stage, whose `accepts` give each tree the automaton states
+    that accept it, and an evaluation memo for any other stage and for the
+    annotated base of a look-ahead transducer (`la` given).  Whether a stage
+    is an automaton is decided here, once per call or check."""
+    return [_Classes(None, base) if la is None and base.is_automaton() else {} for base in stages]
 
 
-def _stage_memos(stages, la: Transducer | None) -> list[dict]:
-    """One memo per stage, for `_outputs`: `_Accepts` for a plain automaton
-    stage, an evaluation memo for any other stage and for the annotated base
-    of a look-ahead transducer (`la` given).  Whether a stage is an automaton
-    is decided here, once per call or check."""
-    return [_Accepts() if la is None and base.is_automaton() else {} for base in stages]
-
-
-def _outputs(stages, tree: Tree, cap: int | None, memos, labels: dict | None, classes: list | None) -> Collection[Tree]:
+def _outputs(stages, tree: Tree, cap: int | None, memos, cl: _Classes | None) -> Collection[Tree]:
     """The outputs of the stages, composed left to right, on a valid input,
     without repeats; stage i memoises in memos[i] (see `_stage_memos`), and
-    a look-ahead base reads its guards from the input's labels (see
+    a look-ahead base reads its guards from the input's labels in `cl` (see
     `_evaluate`).  An automaton stage relabels in place, so it passes each
     tree through, unbuilt, iff its initial state accepts it.  A chain's
     alphabets match, so every intermediate tree is valid for the next
     stage.  The cap bounds each stage's whole output set."""
     outs = (tree,)
     for base, memo in zip(stages, memos):
-        if type(memo) is _Accepts:
+        if type(memo) is _Classes:
             q = base.initial.name
-            outs = [t for t in outs if q in memo.classes[_label(None, base, t, memo, memo.table, memo.classes)][0]]
+            outs = [t for t in outs if q in memo.classes[_label(memo, t)][0]]
             continue
         if len(outs) == 1:
             # `_evaluate` returns a tuple without repeats: no set needed
             (t,) = outs
-            outs = _evaluate(base, base.initial, t, cap, memo, labels, classes)
+            outs = _evaluate(base, base.initial, t, cap, memo, cl)
             continue
         step = set()
         for t in outs:
-            step.update(_evaluate(base, base.initial, t, cap, memo, labels, classes))
+            step.update(_evaluate(base, base.initial, t, cap, memo, cl))
             if cap is not None and len(step) > cap:
                 raise ResourceLimit("output set exceeds cap %d" % cap)
         outs = step
@@ -123,11 +107,11 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     when every class in the domain puts the initial state in `one`, each
     input of that size has one output, and the size is counted, unbuilt.
     Any other size is built from the class table, in canonical order; for a
-    one-stage target an input whose class gives the initial state one output
-    (`_single_output`) is counted, and every other input has its outputs
-    built, its look-ahead guards read from the same classes.  All inputs
-    share one memo per stage and one class table, cleared when the check
-    ends, so the check keeps no memory and no machine state.
+    one-stage target an input whose class puts the initial state in `one`
+    is counted, and every other input has its outputs built, its look-ahead
+    guards read from the same classes.  All inputs share one memo per stage
+    and one class table, cleared when the check ends, so the check keeps no
+    memory and no machine state.
     """
     check_positive(max_size, "max_size")
     check_positive(output_cap, "output_cap", optional=True)
@@ -138,36 +122,31 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     else:
         initial, la, stages = target.stages[0].initial, None, target.stages
     memos = _stage_memos(stages, la)
-    labels, table, classes = {}, {}, []
+    cl = _Classes(stages[0], la)
+    alphabet = stages[0].input_alphabet
     one_stage = len(stages) == 1
-
-    def counted(domain):
-        # a one-stage size whose domain classes all give one output is counted, unbuilt
-        return one_stage and all(initial.name in classes[k][1] for k, _ in domain)
-
-    sizes = _domain_sizes(stages[0], la, initial.name, stages[0].input_alphabet, max_size, table, classes, counted)
     inputs_checked = 0
     single_output_inputs = 0
     inputs_enumerated = 0
     outputs_computed = 0
     counterexample = None
-    # An exception's traceback keeps this frame alive: free the enumeration,
-    # and clear the memos anyway.
+    # An exception's traceback keeps this frame alive: clear the memos anyway.
     try:
-        for size, (domain, layer) in enumerate(sizes, start=1):
+        for size, domain in enumerate(_domain_sizes(cl, initial.name, alphabet, max_size), start=1):
             count = sum(c for _, c in domain)
             inputs_enumerated += count
-            if layer is None:
+            if one_stage and all(initial.name in cl.classes[k][1] for k, _ in domain):
+                # every input of this size has one output: counted, unbuilt
                 inputs_checked += count
                 single_output_inputs += count
                 continue
-            for s in layer:
+            for s in _domain_trees(cl, domain, alphabet):
                 inputs_checked += 1
                 # labels s first: its proper subtrees' classes decide the guards
-                if one_stage and _single_output(stages[0], la, initial, s, labels, table, classes):
+                if one_stage and initial.name in cl.classes[_label(cl, s)][1]:
                     single_output_inputs += 1
                     continue
-                outs = _outputs(stages, s, output_cap, memos, labels, classes)
+                outs = _outputs(stages, s, output_cap, memos, cl)
                 outputs_computed += len(outs)
                 if len(outs) > 1:
                     counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
@@ -181,12 +160,12 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
             "inputs_enumerated": inputs_enumerated,
             "max_size_reached": size,
             "single_output_inputs": single_output_inputs,
-            "label_classes": len(classes),
-            "label_transitions": len(table),
+            "label_classes": len(cl.classes),
+            "label_transitions": len(cl.table),
         }
     finally:
-        sizes.close()
-        for memo in (labels, table, classes, *memos):
+        cl.clear()
+        for memo in memos:
             memo.clear()
     status = FUNCTIONAL if counterexample is None else NOT_FUNCTIONAL
     return Verdict(status, max_size, counterexample, stats)
@@ -237,26 +216,26 @@ def _markers(form: Tree):
     """Sentential-form markers: (output address, state, input address), in
     address order, which is the pre-order of the walk."""
     out = []
-
-    def walk(node, path):
+    stack = [(form, ())]
+    while stack:
+        node, path = stack.pop()
         if isinstance(node.label, StateOverNode):
             out.append((NodeAddress(path), node.label.state, node.label.node))
-        for i, c in enumerate(node.children, start=1):
-            walk(c, path + (i,))
-
-    walk(form, ())
+        stack.extend(reversed([(c, path + (i,)) for i, c in enumerate(node.children, start=1)]))
     return out
 
 
 def _replace_at(form: Tree, addr: NodeAddress, replacement: Tree) -> Tree:
-    def go(node, path):
-        if path == addr.path:
-            return replacement
-        if addr.path[: len(path)] != path:
-            return node
-        return Tree(node.label, tuple(go(c, path + (i,)) for i, c in enumerate(node.children, start=1)))
-
-    return go(form, ())
+    """form with the subtree at addr replaced: the nodes above it are rebuilt."""
+    above = []
+    for i in addr.path:
+        above.append(form)
+        form = form.children[i - 1]
+    for node, i in zip(reversed(above), reversed(addr.path)):
+        kids = list(node.children)
+        kids[i - 1] = replacement
+        replacement = Tree(node.label, kids)
+    return replacement
 
 
 def _instantiate_rhs(rhs: Tree, input_addr: NodeAddress) -> Tree:
@@ -276,23 +255,23 @@ def derivations(t: Transducer, tree: Tree):
     """
     check_ground_over(tree, t.input_alphabet)
     rule_index = {id(r): i + 1 for i, r in enumerate(t.rules)}
-    start = Tree(StateOverNode(t.initial, ROOT))
+    yield from _rewrites(t, tree, rule_index, Tree(StateOverNode(t.initial, ROOT)), ())
 
-    def rec(form, steps):
-        moves = []
-        for addr, state, input_addr in _markers(form):
-            symbol = subtree_at(tree, input_addr).label
-            for rule in t.rules_for(state, symbol):
-                moves.append((addr, input_addr, rule))
-        if not moves:
-            yield steps, form
-            return
-        for addr, input_addr, rule in moves:
-            new_form = _replace_at(form, addr, _instantiate_rhs(rule.rhs, input_addr))
-            step = TraceStep(addr, rule_index[id(rule)], rule, new_form)
-            yield from rec(new_form, steps + (step,))
 
-    yield from rec(start, ())
+def _rewrites(t: Transducer, tree: Tree, rule_index: dict, form: Tree, steps: tuple):
+    """`derivations` from the sentential form `form`, reached by `steps`."""
+    moves = []
+    for addr, state, input_addr in _markers(form):
+        symbol = subtree_at(tree, input_addr).label
+        for rule in t.rules_for(state, symbol):
+            moves.append((addr, input_addr, rule))
+    if not moves:
+        yield steps, form
+        return
+    for addr, input_addr, rule in moves:
+        new_form = _replace_at(form, addr, _instantiate_rhs(rule.rhs, input_addr))
+        step = TraceStep(addr, rule_index[id(rule)], rule, new_form)
+        yield from _rewrites(t, tree, rule_index, new_form, steps + (step,))
 
 
 def trace_derivation(t: Transducer, tree: Tree, branch: int = 0) -> DerivationTrace:

@@ -180,41 +180,58 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 
 # -- semantics ---------------------------------------------------------------
 #
-# ``la`` (of `_label`, `_class` and `_single_output`) is the look-ahead
-# machine, or None for a plain transducer; a None ``base`` labels with its
-# `accepts` alone (`translate_la`, and an automaton stage of a chain, passed
-# as ``la``).  The look-ahead machine is any plain transducer: a parsed
-# look-ahead automaton, `build_m`'s power-set automaton, or hat itself for
-# the check's M, whose guards name hat states (`Rule.guard`).  These
-# functions trust their input tree; the public entry points validate it.
+# A subtree's class (`_class`) depends only on its symbol and its children's
+# classes, like the state of a deterministic bottom-up relabeling, which is
+# how regular look-ahead is evaluated (Engelfriet 1977).  One `_Classes`
+# owns the class table of one machine, given as ``base`` and ``la``, the
+# look-ahead machine or None; a None ``base`` labels with `accepts` alone
+# (`translate_la`, and an automaton stage of a chain, passed as ``la``).
+# The look-ahead machine is any plain transducer: a parsed look-ahead
+# automaton, `build_m`'s power-set automaton, or hat itself for the check's
+# M, whose guards name hat states (`Rule.guard`).  A guard is read from the
+# owner's label memo and nowhere else; the domain of a state is the classes
+# whose `some` holds it (`_domain_sizes`, `_domain_trees`).
 #
-# The memos belong to the caller, which keeps them for one public call, one
-# chain_outputs call or one whole check.  The evaluation memo is keyed on
-# (state name, subtree text), which is how StateId and Tree define equality,
-# so equal subtrees of all inputs share one entry; the label memo maps a
-# subtree text to its class, an index into the caller's `classes`.  A
-# look-ahead guard is read from the label memo and nowhere else.  A marker
-# leaf names its result after itself (`_evaluate`).
-#
-# The same class table counts the trees of each size by class
-# (`_class_counts`) and builds the trees of one class (`_class_trees`); the
-# domain of a state is the classes whose `some` holds it, so
-# `enumerate_domain` and the check take it from `_domain_sizes`.
+# The owner and the evaluation memo belong to the caller, which keeps them
+# for one public call, one chain_outputs call or one whole check.  The
+# evaluation memo is keyed on (state name, subtree text), which is how
+# StateId and Tree define equality, so equal subtrees of all inputs share
+# one entry.  A marker leaf names its result after itself (`_evaluate`).
+# These functions trust their input tree; the public entry points validate it.
 
 
-def _evaluate(
-    base: Transducer, q: StateId, s: Tree, cap: int | None, memo: dict, labels: dict | None, classes: list | None
-) -> tuple[Tree, ...]:
+class _Classes:
+    """The subtree-class table of one machine (base, la): `table` maps a key
+    (symbol, child classes...) to an index into `classes`, `labels` a
+    subtree text to its class index, `counts` holds the trees of each size
+    counted by class (`_class_counts`) and `trees` the trees of a class at a
+    size (`_class_trees`).  Its length is the number of subtrees labelled."""
+
+    __slots__ = ("base", "la", "table", "classes", "labels", "counts", "trees")
+
+    def __init__(self, base: Transducer | None, la: Transducer | None):
+        self.base, self.la = base, la
+        self.table, self.classes, self.labels, self.counts, self.trees = {}, [], {}, [], {}
+
+    def __len__(self):
+        return len(self.labels)
+
+    def clear(self):
+        for memo in (self.table, self.classes, self.labels, self.counts, self.trees):
+            memo.clear()
+
+
+def _evaluate(base: Transducer, q: StateId, s: Tree, cap: int | None, memo: dict, cl: _Classes | None) -> tuple[Tree, ...]:
     """The trees derivable from q(s), without repeats; q meeting a rhs marker
     leaf q1(xi) yields the leaf q(q1(xi)), so `constructions.p_construction`
     evaluates a right-hand side as it stands.  A rule with
     look-ahead fires iff each guard is in its child's `accepts`, read
-    from the caller's label memo `labels` (see `_label`): the caller labels
-    s first, which stores the class of every proper subtree.  Plain callers
-    pass None for `labels` and `classes`.  The children's results go through
-    `memo`, the result for s itself does not: a check's inputs are distinct,
-    so it would not be looked up again.  Memo hits are answered in the
-    caller's loop, without a call."""
+    from the label memo of `cl` (see `_label`): the caller labels s first,
+    which stores the class of every proper subtree.  Plain callers pass
+    None for `cl`.  The children's results go through `memo`, the result
+    for s itself does not: a check's inputs are distinct, so it would not
+    be looked up again.  Memo hits are answered in the caller's loop,
+    without a call."""
     lab = s.label
     if isinstance(lab, StateOverVariable):
         return (Tree(StateOverNode(q, lab)),)
@@ -225,11 +242,11 @@ def _evaluate(
         fires = True
         if rule.guard is not None:
             for g, c in zip(rule.guard, kids):
-                fires = g <= classes[labels[c.text]][0]
+                fires = g <= cl.classes[cl.labels[c.text]][0]
                 if not fires:
                     break
         if fires:
-            alts.append(_expand(base, rule.rhs, s, cap, memo, labels, classes))
+            alts.append(_expand(base, rule.rhs, s, cap, memo, cl))
     if len(alts) == 1:  # already without repeats; skips hashing every tree
         return alts[0]
     acc = set().union(*alts)
@@ -238,30 +255,31 @@ def _evaluate(
     return tuple(acc)
 
 
-def _label(base: Transducer | None, la: Transducer | None, s: Tree, memo: dict, table: dict, classes: list) -> int:
-    """The class of s, an index into `classes` (see `_class`).  It depends
-    only on the label of s and its children's classes: `table` holds it once
-    per such key (`_transition`), and `memo` the children's classes by
-    subtree text; the class of s itself is not stored there, as a check's
-    inputs are distinct."""
+def _label(cl: _Classes, s: Tree) -> int:
+    """The class of s, an index into `cl.classes` (see `_class`), read from
+    `cl.table` (`_transition`); the children's classes go through
+    `cl.labels`, by subtree text.  The class of s itself is not stored
+    there, as a check's inputs are distinct."""
     key = [s.label]
+    labels = cl.labels
     for c in s.children:
-        k = memo.get(c.text)
+        k = labels.get(c.text)
         if k is None:
-            k = memo[c.text] = _label(base, la, c, memo, table, classes)
+            k = labels[c.text] = _label(cl, c)
         key.append(k)
-    return _transition(base, la, tuple(key), table, classes)
+    return _transition(cl, tuple(key))
 
 
-def _transition(base: Transducer | None, la: Transducer | None, key: tuple, table: dict, classes: list) -> int:
+def _transition(cl: _Classes, key: tuple) -> int:
     """The class at key = (symbol, child classes...), an index into
-    `classes`: read from `table`, computed by `_class` on a miss."""
-    k = table.get(key)
+    `cl.classes`: read from `cl.table`, computed by `_class` on a miss."""
+    k = cl.table.get(key)
     if k is None:
-        c = _class(base, la, key[0], [classes[i] for i in key[1:]])
+        classes = cl.classes
+        c = _class(cl.base, cl.la, key[0], [classes[i] for i in key[1:]])
         if c not in classes:
             classes.append(c)
-        k = table[key] = classes.index(c)
+        k = cl.table[key] = classes.index(c)
     return k
 
 
@@ -290,65 +308,62 @@ def _class(base: Transducer | None, la: Transducer | None, symbol, kids: list) -
     return accepts, frozenset(one), frozenset(some)
 
 
-def _class_counts(base: Transducer, la: Transducer | None, alphabet: RankedAlphabet, max_size: int, table: dict, classes: list, counts: list) -> Iterator[dict[int, int]]:
+def _class_counts(cl: _Classes, alphabet: RankedAlphabet, max_size: int) -> Iterator[dict[int, int]]:
     """For each size n from 1 to max_size, the number of ground trees of
     size n over the alphabet in each class, keyed on its index into
-    `classes`, appended to `counts` before it is yielded.  A tree's class
-    depends only on its symbol and its children's classes, like the state of
-    a deterministic bottom-up automaton, so the counts follow from those at
-    smaller sizes through `table`, over every symbol, split of n - 1 and
-    tuple of child classes, and no tree is built."""
+    `cl.classes`, appended to `cl.counts` before it is yielded.  A tree's
+    class depends only on its symbol and its children's classes, so the
+    counts follow from those at smaller sizes through `cl.table`, over every
+    symbol, split of n - 1 and tuple of child classes, and no tree is
+    built."""
+    counts = cl.counts
     for n in range(1, max_size + 1):
         layer = {}
         for sym, k in alphabet.items():
             for split in _compositions(n - 1, k):
                 for combo in product(*[counts[m - 1].items() for m in split]):
-                    c = _transition(base, la, (sym, *[kid for kid, _ in combo]), table, classes)
+                    c = _transition(cl, (sym, *[kid for kid, _ in combo]))
                     layer[c] = layer.get(c, 0) + prod([count for _, count in combo])
         counts.append(layer)
         yield layer
 
 
-def _class_trees(c: int, n: int, alphabet: RankedAlphabet, counts: list, table: dict, memo: dict) -> list[Tree]:
+def _class_trees(cl: _Classes, c: int, n: int, alphabet: RankedAlphabet) -> list[Tree]:
     """The trees of size n in class c, in no particular order, built from
-    `counts` and `table` as `_class_counts` left them at size n.  A tree has
-    one decomposition into its symbol, its children's sizes and their
-    classes, so the walk over every symbol, split of n - 1 and tuple of
-    child classes counted at those sizes whose `table` entry is c builds
-    each tree once; memoised on (c, n)."""
-    out = memo.get((c, n))
+    `cl.counts` and `cl.table` as `_class_counts` left them at size n.  A
+    tree has one decomposition into its symbol, its children's sizes and
+    their classes, so the walk over every symbol, split of n - 1 and tuple
+    of child classes counted at those sizes whose table entry is c builds
+    each tree once; memoised in `cl.trees` on (c, n)."""
+    out = cl.trees.get((c, n))
     if out is None:
         out = []
         for sym, k in alphabet.items():
             for split in _compositions(n - 1, k):
-                for kids in product(*[counts[m - 1] for m in split]):
-                    if table[(sym, *kids)] == c:
-                        parts = [_class_trees(kid, m, alphabet, counts, table, memo) for kid, m in zip(kids, split)]
+                for kids in product(*[cl.counts[m - 1] for m in split]):
+                    if cl.table[(sym, *kids)] == c:
+                        parts = [_class_trees(cl, kid, m, alphabet) for kid, m in zip(kids, split)]
                         out += [Tree(sym, combo) for combo in product(*parts)]
-        memo[c, n] = out
+        cl.trees[c, n] = out
     return out
 
 
-def _domain_sizes(base: Transducer, la: Transducer | None, q: str, alphabet: RankedAlphabet, max_size: int, table: dict, classes: list, counted=lambda domain: False) -> Iterator[tuple[list[tuple[int, int]], list[Tree] | None]]:
+def _domain_sizes(cl: _Classes, q: str, alphabet: RankedAlphabet, max_size: int) -> Iterator[list[tuple[int, int]]]:
     """For each size n from 1 to max_size, the domain of the state named q
     at size n: the (class, count) pairs of the classes whose `some` holds q
-    (`_class_counts`), and the trees of those classes sorted by text, or
-    None where `counted(pairs)` holds.  One list after the other, the trees
-    are dom(q) in canonical (size, text) order.  The trees built so far stay
-    in a memo until the generator ends; close it to free them at once."""
+    (`_class_counts`)."""
     check_positive(max_size, "max_size")
-    counts, memo = [], {}
-    try:
-        for n, layer in enumerate(_class_counts(base, la, alphabet, max_size, table, classes, counts), start=1):
-            domain = [(k, count) for k, count in layer.items() if q in classes[k][2]]
-            trees = None
-            if not counted(domain):
-                trees = [s for k, _ in domain for s in _class_trees(k, n, alphabet, counts, table, memo)]
-                trees.sort(key=attrgetter("text"))
-            yield domain, trees
-    finally:
-        counts.clear()
-        memo.clear()
+    for layer in _class_counts(cl, alphabet, max_size):
+        yield [(k, count) for k, count in layer.items() if q in cl.classes[k][2]]
+
+
+def _domain_trees(cl: _Classes, domain: list[tuple[int, int]], alphabet: RankedAlphabet) -> list[Tree]:
+    """The trees of the classes in `domain` at the size counted last, sorted
+    by text: one list per size of `_domain_sizes`, one after the other, are
+    the domain in canonical (size, text) order."""
+    trees = [s for k, _ in domain for s in _class_trees(cl, k, len(cl.counts), alphabet)]
+    trees.sort(key=attrgetter("text"))
+    return trees
 
 
 def _compositions(total: int, k: int):
@@ -365,14 +380,7 @@ def _compositions(total: int, k: int):
                 yield (first,) + rest
 
 
-def _single_output(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict, table: dict, classes: list) -> bool:
-    """True iff q is in `one` of the class of s: q has exactly one output on s."""
-    return q.name in classes[_label(base, la, s, memo, table, classes)][1]
-
-
-def _expand(
-    base: Transducer, node: Tree, s: Tree, cap: int | None, memo: dict, labels: dict | None, classes: list | None
-) -> tuple[Tree, ...]:
+def _expand(base: Transducer, node: Tree, s: Tree, cap: int | None, memo: dict, cl: _Classes | None) -> tuple[Tree, ...]:
     """The trees a right-hand side node yields at input node s, without repeats.
     A q(xi) child is looked up in `memo` here, and evaluated only on a miss;
     only a q(xi) at the root of a right-hand side comes in as `node`."""
@@ -382,7 +390,7 @@ def _expand(
         key = (lab.state.name, child.text)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = _evaluate(base, lab.state, child, cap, memo, labels, classes)
+            out = memo[key] = _evaluate(base, lab.state, child, cap, memo, cl)
         return out
     if not node.children:
         return (node,)
@@ -395,9 +403,9 @@ def _expand(
             key = (clab.state.name, child.text)
             a = memo.get(key)
             if a is None:
-                a = memo[key] = _evaluate(base, clab.state, child, cap, memo, labels, classes)
+                a = memo[key] = _evaluate(base, clab.state, child, cap, memo, cl)
         elif c.children:
-            a = _expand(base, c, s, cap, memo, labels, classes)
+            a = _expand(base, c, s, cap, memo, cl)
         else:
             a = (c,)
         alts.append(a)
@@ -533,14 +541,12 @@ class Transducer:
         """True iff every variable occurs exactly once in each rule's rhs."""
         for r in self.rules:
             counts = [0] * r.variables
-
-            def walk(node):
+            stack = [r.rhs]
+            while stack:
+                node = stack.pop()
                 if isinstance(node.label, StateOverVariable):
                     counts[node.label.index - 1] += 1
-                for c in node.children:
-                    walk(c)
-
-            walk(r.rhs)
+                stack.extend(node.children)
             if any(c != 1 for c in counts):
                 return False
         return True
@@ -551,7 +557,7 @@ class Transducer:
         """All ground output trees derivable from the initial state on a ground input."""
         check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)
-        return frozenset(_evaluate(self, self.initial, tree, cap, {}, None, None))
+        return frozenset(_evaluate(self, self.initial, tree, cap, {}, None))
 
 
 class LookaheadTransducer:
@@ -609,14 +615,14 @@ class LookaheadTransducer:
         are checked once, here."""
         check_positive(cap, "cap", optional=True)
         check_ground_over(tree, self.input_alphabet)
-        labels, classes = {}, []
-        _label(None, self.la, tree, labels, {}, classes)
-        return frozenset(_evaluate(self.base, self.base.initial, tree, cap, {}, labels, classes))
+        cl = _Classes(None, self.la)
+        _label(cl, tree)
+        return frozenset(_evaluate(self.base, self.base.initial, tree, cap, {}, cl))
 
     def enumerate_domain(self, max_size: int) -> list[Tree]:
         """All ground trees of size <= max_size in the domain, in canonical order."""
-        base = self.base
-        return [s for _, layer in _domain_sizes(base, self.la, base.initial.name, self.input_alphabet, max_size, {}, []) for s in layer]
+        cl, alphabet = _Classes(self.base, self.la), self.input_alphabet
+        return [s for domain in _domain_sizes(cl, self.base.initial.name, alphabet, max_size) for s in _domain_trees(cl, domain, alphabet)]
 
 
 def _trim_lookahead(base: Transducer, la: Transducer) -> tuple[Transducer, Transducer]:

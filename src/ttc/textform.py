@@ -68,10 +68,11 @@ class Workspace:
     chains: dict[str, CompositionChain] = field(default_factory=dict)
 
     def machine(self, name: str):
-        try:
+        if name in self.machines:
             return self.machines[name]
-        except KeyError:
-            raise ValidationError("unknown machine %r" % name) from None
+        if name in self.chains:
+            raise ValidationError("%r is a chain, not a machine" % name)
+        raise ValidationError("unknown machine %r" % name)
 
     def chain(self, name: str) -> CompositionChain:
         if name in self.chains:

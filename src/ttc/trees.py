@@ -215,45 +215,44 @@ def check_ground_over(t: Tree, alphabet: RankedAlphabet) -> None:
 
 def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     """Parse the tree grammar ``tree := NAME | NAME '(' tree (',' tree)* ')'``."""
-    pos = 0
-
-    def error(msg):
-        line = text.count("\n", 0, pos) + 1
-        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        raise TtcSyntaxError(msg, line, col)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_node():
-        nonlocal pos
-        skip_ws()
-        m = NAME_RE.match(text, pos)
-        if not m:
-            error("expected a symbol name")
-        name = m.group(0)
-        pos = m.end()
-        skip_ws()
-        children = []
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            children.append(parse_node())
-            skip_ws()
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                children.append(parse_node())
-                skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                error("expected ')' or ','")
-            pos += 1
-        return Tree(name, children)
-
-    tree = parse_node()
-    skip_ws()
+    tree, pos = _parse_node(text, 0)
+    pos = _skip_ws(text, pos)
     if pos != len(text):
-        error("trailing input after tree")
+        raise _syntax_error("trailing input after tree", text, pos)
     if alphabet is not None:
         check_ground_over(tree, alphabet)
     return tree
+
+
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _syntax_error(msg: str, text: str, pos: int) -> TtcSyntaxError:
+    line = text.count("\n", 0, pos) + 1
+    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return TtcSyntaxError(msg, line, col)
+
+
+def _parse_node(text: str, pos: int) -> tuple[Tree, int]:
+    """The tree that starts at pos, after any space, and the position after it."""
+    pos = _skip_ws(text, pos)
+    m = NAME_RE.match(text, pos)
+    if not m:
+        raise _syntax_error("expected a symbol name", text, pos)
+    pos = _skip_ws(text, m.end())
+    children = []
+    if pos < len(text) and text[pos] == "(":
+        child, pos = _parse_node(text, pos + 1)
+        children.append(child)
+        pos = _skip_ws(text, pos)
+        while pos < len(text) and text[pos] == ",":
+            child, pos = _parse_node(text, pos + 1)
+            children.append(child)
+            pos = _skip_ws(text, pos)
+        if pos >= len(text) or text[pos] != ")":
+            raise _syntax_error("expected ')' or ','", text, pos)
+        pos += 1
+    return Tree(m.group(0), children), pos

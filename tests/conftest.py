@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from ttc import Rule, StateId, Transducer, parse_workspace
-from ttc.machines import _domain_sizes
+from ttc.machines import _Classes, _domain_sizes, _domain_trees
 from ttc.trees import RankedAlphabet, Tree
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -65,8 +65,8 @@ def copy_t2_extra(copy_pair):
 def domain_of(machine, state, max_size):
     """dom(state) of a plain transducer up to max_size, in canonical order, by
     the enumeration the check uses."""
-    sizes = _domain_sizes(machine, None, state.name, machine.input_alphabet, max_size, {}, [])
-    return [s for _, layer in sizes for s in layer]
+    cl, alphabet = _Classes(machine, None), machine.input_alphabet
+    return [s for domain in _domain_sizes(cl, state.name, alphabet, max_size) for s in _domain_trees(cl, domain, alphabet)]
 
 
 def t(text):

@@ -88,6 +88,11 @@ class TestCheck:
         assert status == 2
         assert err.splitlines() == ["error: 'quadratic_la' is a look-ahead transducer, not a chain: use --machine"]
 
+    def test_machine_names_a_chain(self, capsys):
+        status, _, err = run_cli(capsys, "-w", FIXTURES, "check", "--machine", "worked")
+        assert status == 2
+        assert err.splitlines() == ["error: 'worked' is a chain, not a machine"]
+
 
 class TestOptions:
     """A command accepts only the options and formats it reads."""

@@ -216,23 +216,25 @@ class TestCheckMemo:
     @pytest.fixture
     def checked(self, monkeypatch):
         """Records (input, outputs) for every input a check translates, and
-        (input, None) for every input whose one output it counts unbuilt."""
+        (input, None) for every input whose class it reads and that it then
+        does not translate, so counts unbuilt."""
         seen = []
-        outputs, single_output = decision._outputs, decision._single_output
+        outputs, label = decision._outputs, decision._label
 
-        def spy(stages, s, cap, memos, labels, classes):
-            outs = outputs(stages, s, cap, memos, labels, classes)
+        def spy(stages, s, cap, memos, cl):
+            if seen and seen[-1] == (s, None):
+                seen.pop()
+            outs = outputs(stages, s, cap, memos, cl)
             seen.append((s, frozenset(outs)))
             return outs
 
-        def spy_one(base, la, q, s, memo, table, classes):
-            one = single_output(base, la, q, s, memo, table, classes)
-            if one:
+        def spy_label(cl, s):
+            if cl.base is not None:  # the check's table, not an automaton stage's
                 seen.append((s, None))
-            return one
+            return label(cl, s)
 
         monkeypatch.setattr(decision, "_outputs", spy)
-        monkeypatch.setattr(decision, "_single_output", spy_one)
+        monkeypatch.setattr(decision, "_label", spy_label)
         return seen
 
     @staticmethod
@@ -240,11 +242,13 @@ class TestCheckMemo:
         """The check records exactly the inputs that the reference check says
         it enumerates (none of a one-stage size counted by class), and each
         agrees with the oracle: on all outputs where they were built, on one
-        where it was counted."""
+        where it was counted.  Every other input is one the check counts
+        by class."""
         enumerated = reference_check(target, bound)[1]
         checked.clear()
-        check_functional_bounded(target, bound)
+        stats = check_functional_bounded(target, bound).stats
         assert [s for s, _ in checked] == enumerated, tag
+        assert sum(outs is not None for _, outs in checked) == stats["inputs_checked"] - stats["single_output_inputs"], tag
         for s, outs in checked:
             expected = oracle(s)
             assert len(expected) == 1 if outs is None else outs == expected, (tag, s.text)
@@ -360,23 +364,19 @@ class TestEvaluatorCalls:
         m, _ = build_m(*worked_pair)
         calls, labelled, builds = [], [], [0]
         evaluate, label, init = machines._evaluate, machines._label, Tree.__init__
-        single_output, class_trees = machines._single_output, machines._class_trees
+        class_trees = machines._class_trees
 
-        def spy_evaluate(base, q, s, cap, memo, labels, classes):
+        def spy_evaluate(base, q, s, cap, memo, cl):
             calls.append(("evaluate", q.name, s.text))
-            return evaluate(base, q, s, cap, memo, labels, classes)
+            return evaluate(base, q, s, cap, memo, cl)
 
-        def spy_single(base, la, q, s, memo, table, classes):
-            calls.append(("single", q.name, s.text))
-            return single_output(base, la, q, s, memo, table, classes)
-
-        def spy_class_trees(c, n, alphabet, counts, table, memo):
+        def spy_class_trees(cl, c, n, alphabet):
             calls.append(("class_trees", c, n))
-            return class_trees(c, n, alphabet, counts, table, memo)
+            return class_trees(cl, c, n, alphabet)
 
-        def spy_label(base, la, s, memo, table, classes):
+        def spy_label(cl, s):
             labelled.append(s.text)
-            return label(base, la, s, memo, table, classes)
+            return label(cl, s)
 
         def spy_init(self, label, children=()):
             builds[0] += 1
@@ -384,9 +384,8 @@ class TestEvaluatorCalls:
 
         for module in (decision, machines):
             monkeypatch.setattr(module, "_evaluate", spy_evaluate)
-            monkeypatch.setattr(module, "_single_output", spy_single)
+            monkeypatch.setattr(module, "_label", spy_label)
         monkeypatch.setattr(machines, "_class_trees", spy_class_trees)
-        monkeypatch.setattr(machines, "_label", spy_label)
         monkeypatch.setattr(Tree, "__init__", spy_init)
         verdict = check_functional_bounded(m, 11)
         assert verdict.status == FUNCTIONAL
@@ -403,19 +402,24 @@ class TestEvaluatorCalls:
         # from 3 on, so each of those sizes is built from the class table;
         # its one input of size 1 is counted, and size 2 has none
         m, _ = build_m(*random_pair(5))
-        generated, domain_sizes = [], machines._domain_sizes
+        generated, domain_sizes, domain_trees = [], machines._domain_sizes, machines._domain_trees
 
         def spy_domain_sizes(*args):
-            for domain, layer in domain_sizes(*args):
-                generated.append((domain, layer))
-                yield domain, layer
+            for domain in domain_sizes(*args):
+                generated.append(None)
+                yield domain
+
+        def spy_domain_trees(*args):
+            generated[-1] = domain_trees(*args)
+            return generated[-1]
 
         monkeypatch.setattr(decision, "_domain_sizes", spy_domain_sizes)
+        monkeypatch.setattr(decision, "_domain_trees", spy_domain_trees)
         verdict = check_functional_bounded(m, 6)
         expected, enumerated = reference_check(m, 6)
         assert verdict.status == expected.status == FUNCTIONAL
-        assert [None if layer is None else len(layer) for _, layer in generated] == [None, None, 1, 2, 5, 12]
-        assert [s for _, layer in generated for s in layer or ()] == enumerated
+        assert [None if layer is None else len(layer) for layer in generated] == [None, None, 1, 2, 5, 12]
+        assert [s for layer in generated for s in layer or ()] == enumerated
 
 
 class TestSingleOutputPath:
@@ -447,21 +451,21 @@ class TestSingleOutputPath:
 
     @pytest.fixture
     def paths(self, monkeypatch):
-        """Records ("one", input) for each input `_single_output` is asked
-        about, then ("all", input) for each whose outputs are built."""
+        """Records ("one", input) for each input whose class the check
+        reads, then ("all", input) for each whose outputs are built."""
         seen = []
-        outputs, single_output = decision._outputs, decision._single_output
+        outputs, label = decision._outputs, decision._label
 
-        def spy(stages, s, cap, memos, labels, classes):
+        def spy(stages, s, cap, memos, cl):
             seen.append(("all", s.text))
-            return outputs(stages, s, cap, memos, labels, classes)
+            return outputs(stages, s, cap, memos, cl)
 
-        def spy_one(base, la, q, s, memo, table, classes):
+        def spy_one(cl, s):
             seen.append(("one", s.text))
-            return single_output(base, la, q, s, memo, table, classes)
+            return label(cl, s)
 
         monkeypatch.setattr(decision, "_outputs", spy)
-        monkeypatch.setattr(decision, "_single_output", spy_one)
+        monkeypatch.setattr(decision, "_label", spy_one)
         return seen
 
     def test_two_firing_rules_with_equal_outputs(self, targets, paths):
@@ -507,43 +511,43 @@ class TestLookaheadGuards:
         return [(wrap_trivial_lookahead(twice), 4), (m, 6)]
 
     def test_guards_read_the_check_label_memo(self, targets, monkeypatch):
-        evaluate, label, single_output = machines._evaluate, machines._label, machines._single_output
+        evaluate, label = machines._evaluate, machines._label
         # the inputs each check enumerates: M counts its one input of size 1
         # by class, of 21 inputs in all
         for (target, bound), enumerated in zip(targets, (3, 20)):
-            memos, labelled, guards, inside = [], [], [], [0]
+            tables, labelled, guards, inside = [], [], [], [0]
 
-            def spy_single(base, la, q, s, memo, table, classes):
-                memos.append(memo)
+            def spy_input(cl, s):
+                tables.append(cl)
                 labelled.append(("input", s.text))
-                return single_output(base, la, q, s, memo, table, classes)
-
-            def spy_label(base, la, s, memo, table, classes):
-                if labelled[-1] != ("input", s.text):
-                    labelled.append(("child", s.text))
                 assert not inside[0], "labelled during evaluation: %s" % s.text
-                return label(base, la, s, memo, table, classes)
+                return label(cl, s)
 
-            def spy_evaluate(base, q, s, cap, memo, labels, classes):
-                assert labels is memos[0]
+            def spy_label(cl, s):
+                labelled.append(("child", s.text))
+                assert not inside[0], "labelled during evaluation: %s" % s.text
+                return label(cl, s)
+
+            def spy_evaluate(base, q, s, cap, memo, cl):
+                assert cl is tables[0]
                 for rule in base.rules_for(q, s.label):
                     if rule.lookahead is not None:
-                        guards.extend(c.text in labels for c in s.children)
+                        guards.extend(c.text in cl.labels for c in s.children)
                 inside[0] += 1
                 try:
-                    return evaluate(base, q, s, cap, memo, labels, classes)
+                    return evaluate(base, q, s, cap, memo, cl)
                 finally:
                     inside[0] -= 1
 
-            monkeypatch.setattr(decision, "_single_output", spy_single)
+            monkeypatch.setattr(decision, "_label", spy_input)
             monkeypatch.setattr(machines, "_label", spy_label)
             monkeypatch.setattr(decision, "_evaluate", spy_evaluate)
             monkeypatch.setattr(machines, "_evaluate", spy_evaluate)
             verdict = check_functional_bounded(target, bound)
             assert verdict.status == FUNCTIONAL, target.name
             assert verdict.stats["single_output_inputs"] < verdict.stats["inputs_checked"], target.name
-            # one label memo for the whole check, and every guard found in it
-            assert all(memo is memos[0] for memo in memos)
+            # one class table for the whole check, and every guard found in its label memo
+            assert all(cl is tables[0] for cl in tables)
             assert guards and all(guards), target.name
             # each input labelled once, and each subtree once below an input
             for kind in ("input", "child"):
@@ -597,15 +601,15 @@ class TestClassCounts:
                 continue
             trees = all_trees(base.input_alphabet, bound)
             domain = [s for s in trees if dom_member(target, base.initial, s)]
-            table, classes, counts = {}, [], []
-            layers = machines._class_counts(base, la, base.input_alphabet, bound, table, classes, counts)
+            cl = machines._Classes(base, la)
+            layers = machines._class_counts(cl, base.input_alphabet, bound)
             for n, count in enumerate(layers, start=1):
                 # every tree has one class, and the domain is the classes whose
                 # `some` holds the initial state
                 assert sum(count.values()) == sum(s.size == n for s in trees), (target.name, n)
                 in_domain = sum(s.size == n for s in domain)
-                assert sum(c for k, c in count.items() if base.initial.name in classes[k][2]) == in_domain, (target.name, n)
-            assert len(counts) == bound  # the caller's list holds every size
+                assert sum(c for k, c in count.items() if base.initial.name in cl.classes[k][2]) == in_domain, (target.name, n)
+            assert len(cl.counts) == bound  # the owner holds every size
             counted += len(domain)
             if la is not None:
                 assert target.enumerate_domain(bound) == domain, target.name

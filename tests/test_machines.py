@@ -16,7 +16,7 @@ from ttc import (
     p_construction,
 )
 from ttc.generate import random_chain3, random_pair
-from ttc.machines import _evaluate, _label, least_fixpoint
+from ttc.machines import _Classes, _evaluate, _label, least_fixpoint
 from ttc.trees import NodeAddress, StateOverNode, StateOverVariable, Tree, parse_tree
 
 from .conftest import domain_of
@@ -84,7 +84,7 @@ class TestEvaluate:
         _, t2 = worked_pair
         p1 = StateId.base("p1")
         marker = Tree(StateOverVariable(StateId.base("q"), 1))
-        got = _evaluate(t2, p1, Tree("f", (marker, marker)), None, {}, None, None)
+        got = _evaluate(t2, p1, Tree("f", (marker, marker)), None, {}, None)
         leaf = Tree(StateOverNode(p1, marker.label))
         assert got == (Tree("f", (leaf, leaf)),)
         assert leaf.text == "p1(q(x1))"
@@ -308,21 +308,20 @@ class TestSubtreeClasses:
     @staticmethod
     def check_classes(machine, trees, tag):
         base, la = (machine.base, machine.la) if isinstance(machine, LookaheadTransducer) else (machine, None)
-        memo, table, classes = {}, {}, []
-        alone = ({}, {}, [])
+        cl, alone = _Classes(base, la), _Classes(None, la)
         states = {q.name: q for q in base.states}
         singles = 0
         for s in trees:
-            accepts, one, some = classes[_label(base, la, s, memo, table, classes)]
+            accepts, one, some = cl.classes[_label(cl, s)]
             assert some == {q.name for q in base.states if dom_member(machine, q, s)}, (tag, s.text)
             if la is None:
                 assert accepts == frozenset(), (tag, s.text)
             else:
                 member = {l.name for l in la.states if dom_member(la, l, s)}
                 assert accepts == member, (tag, s.text)
-                assert alone[2][_label(None, la, s, *alone)] == (member,), (tag, s.text)
+                assert alone.classes[_label(alone, s)] == (member,), (tag, s.text)
             for name in one:
-                assert len(_evaluate(base, states[name], s, None, {}, memo, classes)) == 1, (tag, s.text, name)
+                assert len(_evaluate(base, states[name], s, None, {}, cl)) == 1, (tag, s.text, name)
             singles += len(one)
         return singles
 
@@ -351,9 +350,9 @@ class TestSubtreeClasses:
         for seed in range(200):
             hat = build_hat_t1(*random_pair(seed))
             assert not hat.is_automaton(), seed
-            memo, table, classes = {}, {}, []
+            cl = _Classes(None, hat)
             for s in all_trees(hat.input_alphabet, 5):
-                (accepts,) = classes[_label(None, hat, s, memo, table, classes)]
+                (accepts,) = cl.classes[_label(cl, s)]
                 assert accepts == {h.name for h in hat.states if dom_member(hat, h, s)}, (seed, s.text)
                 accepted += len(accepts)
         assert accepted > 300  # 446 (tree, state) pairs: not vacuous

@@ -18,7 +18,7 @@ from ttc.generate import random_chain3, random_pair
 
 from .conftest import domain_of
 from . import pair_properties
-from ttc.machines import _label
+from ttc.machines import _Classes, _label
 
 from .oracles import (
     all_trees,
@@ -78,8 +78,8 @@ def test_trivial_lookahead_matches_plain(seed):
     the states with exactly one output."""
 
     def one(base, la, s):
-        labels, classes = {}, []
-        return classes[_label(base, la, s, labels, {}, classes)][1]
+        cl = _Classes(base, la)
+        return cl.classes[_label(cl, s)][1]
 
     for machine in random_pair(seed):
         wrapped = wrap_trivial_lookahead(machine)
