@@ -14,6 +14,7 @@ import traceback
 
 from . import render
 from .constructions import (
+    CompositionChain,
     build_hat_t1,
     build_m,
     compose_linear_nondeleting,
@@ -22,7 +23,7 @@ from .constructions import (
     p_construction,
     reduce_chain,
 )
-from .decision import chain_outputs, check_functional_bounded, decide_functionality, trace_derivation
+from .decision import DEFAULT_OUTPUT_CAP, chain_outputs, check_functional_bounded, decide_functionality, trace_derivation
 from .errors import TtcError
 from .machines import LookaheadTransducer, Transducer
 from .textform import Workspace, parse_workspace
@@ -106,8 +107,6 @@ def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
     fmt = getattr(args, "format", "text")
 
     if command == "run":
-        from .decision import DEFAULT_OUTPUT_CAP
-
         if getattr(args, "chain", None):
             chain = workspace.chain(args.chain)
             tree = parse_tree(args.input, chain.stages[0].input_alphabet)
@@ -213,17 +212,18 @@ def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
 
 
 def _add_seeded_machines(workspace: Workspace, seed: int) -> None:
-    from .constructions import CompositionChain
     from .generate import random_chain3, random_pair
 
     t1, t2 = random_pair(seed)
     chain3 = random_chain3(seed)
-    workspace.machines["rnd_t1"] = t1
-    workspace.machines["rnd_t2"] = t2
-    for i, stage in enumerate(chain3.stages, start=1):
-        workspace.machines["rnd_c%d" % i] = stage
-    workspace.chains["rnd_pair"] = CompositionChain((t1, t2))
-    workspace.chains["rnd_chain3"] = chain3
+    machines = {"rnd_t1": t1, "rnd_t2": t2}
+    machines.update(("rnd_c%d" % i, stage) for i, stage in enumerate(chain3.stages, start=1))
+    chains = {"rnd_pair": CompositionChain((t1, t2)), "rnd_chain3": chain3}
+    clash = [n for n in (*machines, *chains) if n in workspace.machines or n in workspace.chains]
+    if clash:
+        raise TtcError("--seed adds %s, which the workspace already defines" % ", ".join(map(repr, clash)))
+    workspace.machines.update(machines)
+    workspace.chains.update(chains)
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from itertools import groupby
 from operator import attrgetter
 
@@ -19,20 +20,22 @@ from .constructions import BuildReport, CompositionChain
 from .decision import DerivationTrace, Verdict
 from .errors import ValidationError
 from .machines import LookaheadTransducer, Rule, StateId, Transducer
-from .trees import NAME_RE, AnnotatedSymbol, StateOverVariable, Tree, sort_trees
-
-
-import re
+from .trees import NAME_RE, AnnotatedSymbol, StateOverNode, StateOverVariable, Tree, sort_trees, subtree_at
 
 
 def _safe(name) -> bool:
     return isinstance(name, str) and NAME_RE.fullmatch(name) is not None
 
 
+def _sanitized(text: str) -> str:
+    """text with each run of non-name characters and '_' made one '_', then trimmed of '_'."""
+    return re.sub(r"[^A-Za-z0-9']+", "_", text).strip("_")
+
+
 def _safe_name(name: str) -> str:
     if _safe(name):
         return name
-    cleaned = re.sub(r"_+", "_", re.sub(r"[^A-Za-z0-9_']", "_", name)).strip("_")
+    cleaned = _sanitized(name)
     if not cleaned or not re.match(r"[A-Za-z_]", cleaned):
         cleaned = "m_" + cleaned
     return cleaned
@@ -59,7 +62,7 @@ def _content_name(sym) -> str:
     """Deterministic name derived from the symbol itself, so the same symbol
     renders identically in every block (chains stay alphabet-compatible)."""
     text = str(sym)
-    body = re.sub(r"_+", "_", re.sub(r"[^A-Za-z0-9_']", "_", text)).strip("_")[:24]
+    body = _sanitized(text)[:24]
     digest = hashlib.sha1(text.encode("utf-8")).hexdigest()[:6]
     if not body or not re.match(r"[A-Za-z_]", body):
         body = "c"
@@ -279,8 +282,6 @@ def machine_dot(machine) -> str:
 
 def render_form(form: Tree, source: Tree) -> str:
     """Render a sentential form with each marker showing its input subtree."""
-    from .trees import StateOverNode, subtree_at
-
     lab = form.label
     if isinstance(lab, StateOverNode):
         return "%s(%s)" % (lab.state, subtree_at(source, lab.node).text)

@@ -16,47 +16,33 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .constructions import CompositionChain
-from .errors import AlphabetMismatch, TtcSyntaxError, ValidationError
+from .errors import AlphabetMismatch, ValidationError
 from .machines import LookaheadTransducer, Rule, StateId, Transducer
-from .trees import RankedAlphabet, StateOverVariable, Tree
+from .trees import TOKEN_RE, RankedAlphabet, StateOverVariable, Tree, _syntax_error
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+|#[^\n]*)|(?P<arrow>->)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<int>\d+)|(?P<punct>[{}():,;|])"
-)
 _VAR_RE = re.compile(r"x([1-9][0-9]*)$")
 
-KEYWORDS = {"transducer", "lookahead", "chain", "input", "output", "initial", "rules", "base", "la"}
 
-
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
-    line: int
-    column: int
+    offset: int
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of text without space and comments, then ``eof``; line and
+    column are computed from a token's offset only when an error is raised."""
     tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise TtcSyntaxError("unexpected character %r" % text[pos], line, pos - line_start + 1)
-        col = pos - line_start + 1
-        if m.lastgroup == "ws":
-            chunk = m.group(0)
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + chunk.rfind("\n") + 1
-        else:
-            tokens.append(Token(m.lastgroup, m.group(0), line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    for m in TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _syntax_error("unexpected character %r" % m.group(), text, m.start())
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -86,8 +72,9 @@ class Workspace:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], workspace: Workspace):
-        self.tokens = tokens
+    def __init__(self, text: str, workspace: Workspace):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.ws = workspace
 
@@ -100,8 +87,7 @@ class _Parser:
         return tok
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise TtcSyntaxError(message, tok.line, tok.column)
+        raise _syntax_error(message, self.text, (tok or self.peek()).offset)
 
     def expect(self, kind, value=None) -> Token:
         tok = self.peek()
@@ -112,6 +98,14 @@ class _Parser:
     def at_punct(self, value) -> bool:
         tok = self.peek()
         return tok.kind == "punct" and tok.value == value
+
+    def separated(self, item, sep=","):
+        """item(), then (sep item())*: the items in order."""
+        items = [item()]
+        while self.at_punct(sep):
+            self.next()
+            items.append(item())
+        return items
 
     # -- grammar -------------------------------------------------------------
 
@@ -175,10 +169,7 @@ class _Parser:
             return []
         self.next()
         self.expect("punct", "{")
-        out = [self.expect("name")]
-        while self.at_punct(","):
-            self.next()
-            out.append(self.expect("name"))
+        out = self.separated(lambda: self.expect("name"))
         self.expect("punct", "}")
         return out
 
@@ -208,10 +199,7 @@ class _Parser:
         name = self.expect("name")
         self.declare(name)
         self.expect("punct", "{")
-        stage_toks = [self.expect("name")]
-        while self.at_punct(","):
-            self.next()
-            stage_toks.append(self.expect("name"))
+        stage_toks = self.separated(lambda: self.expect("name"))
         self.expect("punct", "}")
         stages = []
         for tok in stage_toks:
@@ -235,20 +223,14 @@ class _Parser:
             variables = []
             if self.at_punct("("):
                 self.next()
-                variables.append(self.parse_variable(annotated))
-                while self.at_punct(","):
-                    self.next()
-                    variables.append(self.parse_variable(annotated))
+                variables = self.separated(lambda: self.parse_variable(annotated))
                 self.expect("punct", ")")
             self.expect("punct", ")")
             for expected, (tok, _idx, _la) in enumerate(variables, start=1):
                 if _idx != expected:
                     self.fail("variables must be x1..xk in order", tok)
             self.expect("arrow")
-            rhss = [self.parse_rhs()]
-            while self.at_punct("|"):
-                self.next()
-                rhss.append(self.parse_rhs())
+            rhss = self.separated(self.parse_rhs, "|")
             self.expect("punct", ";")
             raw.append((head, symbol, variables, rhss))
         self.expect("punct", "}")
@@ -277,10 +259,7 @@ class _Parser:
         children = []
         if self.at_punct("("):
             self.next()
-            children.append(self.parse_rhs_arg())
-            while self.at_punct(","):
-                self.next()
-                children.append(self.parse_rhs_arg())
+            children = self.separated(self.parse_rhs_arg)
             self.expect("punct", ")")
         return (tok, children)
 
@@ -366,7 +345,7 @@ class _Parser:
 
     def build_lookahead(self, name_tok, base: Transducer, la: Transducer, raw_rules):
         allowed = {s.name for s in base.states}
-        initial_tok = Token("name", base.initial.name, name_tok.line, name_tok.column)
+        initial_tok = Token("name", base.initial.name, name_tok.offset)
         states = self.collect_states(initial_tok, [], raw_rules, allowed=allowed)
         for s in base.states:
             states.setdefault(s.name, s)
@@ -388,4 +367,4 @@ class _Parser:
 
 def parse_workspace(text: str, workspace: Workspace | None = None) -> Workspace:
     """Parse one definition source, adding to an existing workspace if given."""
-    return _Parser(_tokenize(text), workspace or Workspace()).parse()
+    return _Parser(text, workspace or Workspace()).parse()

@@ -23,6 +23,11 @@ from .errors import (
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+# the one scanner of workspaces and tree text; `bad` is any other character
+TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<arrow>->)|(?P<name>%s)|(?P<int>\d+)"
+    r"|(?P<punct>[{}():,;|])|(?P<bad>.)" % NAME_RE.pattern
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -200,59 +205,57 @@ class RankedAlphabet:
 
 
 def check_ground_over(t: Tree, alphabet: RankedAlphabet) -> None:
-    """Raise AlphabetMismatch unless t is a ground tree over the alphabet."""
-    if isinstance(t.label, MARKER_TYPES):
-        raise AlphabetMismatch("tree %s is not ground" % t)
-    if t.label not in alphabet:
-        raise AlphabetMismatch("symbol %s is not in the input alphabet" % (t.label,))
-    if alphabet.rank(t.label) != len(t.children):
-        raise AlphabetMismatch(
-            "symbol %s has rank %d but %d children" % (t.label, alphabet.rank(t.label), len(t.children))
-        )
-    for c in t.children:
-        check_ground_over(c, alphabet)
+    """Raise AlphabetMismatch unless t is a ground tree over the alphabet; the
+    walk is pre-order, so the fault reported is the first in the text."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t.label, MARKER_TYPES):
+            raise AlphabetMismatch("tree %s is not ground" % t)
+        if t.label not in alphabet:
+            raise AlphabetMismatch("symbol %s is not in the input alphabet" % (t.label,))
+        if alphabet.rank(t.label) != len(t.children):
+            raise AlphabetMismatch(
+                "symbol %s has rank %d but %d children" % (t.label, alphabet.rank(t.label), len(t.children))
+            )
+        stack.extend(reversed(t.children))
 
 
 def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
-    """Parse the tree grammar ``tree := NAME | NAME '(' tree (',' tree)* ')'``."""
-    tree, pos = _parse_node(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise _syntax_error("trailing input after tree", text, pos)
+    """Parse the tree grammar ``tree := NAME | NAME '(' tree (',' tree)* ')'``
+    over `TOKEN_RE`'s tokens, with an explicit stack, so any depth parses."""
+    tokens = [m for m in TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+    tokens.reverse()  # the next token is the last
+    stack = []  # (label, children) of each open node, innermost last
+    while True:
+        if not tokens or tokens[-1].lastgroup != "name":
+            raise _syntax_error("expected a symbol name", text, tokens[-1].start() if tokens else len(text))
+        label = tokens.pop().group()
+        if tokens and tokens[-1].group() == "(":
+            tokens.pop()
+            stack.append((label, []))
+            continue
+        tree = Tree(label)
+        while stack and tokens and tokens[-1].group() == ")":
+            tokens.pop()
+            label, children = stack.pop()
+            children.append(tree)
+            tree = Tree(label, children)
+        if not stack:
+            break
+        if not tokens or tokens[-1].group() != ",":
+            raise _syntax_error("expected ')' or ','", text, tokens[-1].start() if tokens else len(text))
+        tokens.pop()
+        stack[-1][1].append(tree)
+    if tokens:
+        raise _syntax_error("trailing input after tree", text, tokens[-1].start())
     if alphabet is not None:
         check_ground_over(tree, alphabet)
     return tree
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
 def _syntax_error(msg: str, text: str, pos: int) -> TtcSyntaxError:
+    """The error at offset pos of text, located by line and column."""
     line = text.count("\n", 0, pos) + 1
     col = pos - (text.rfind("\n", 0, pos) + 1) + 1
     return TtcSyntaxError(msg, line, col)
-
-
-def _parse_node(text: str, pos: int) -> tuple[Tree, int]:
-    """The tree that starts at pos, after any space, and the position after it."""
-    pos = _skip_ws(text, pos)
-    m = NAME_RE.match(text, pos)
-    if not m:
-        raise _syntax_error("expected a symbol name", text, pos)
-    pos = _skip_ws(text, m.end())
-    children = []
-    if pos < len(text) and text[pos] == "(":
-        child, pos = _parse_node(text, pos + 1)
-        children.append(child)
-        pos = _skip_ws(text, pos)
-        while pos < len(text) and text[pos] == ",":
-            child, pos = _parse_node(text, pos + 1)
-            children.append(child)
-            pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ")":
-            raise _syntax_error("expected ')' or ','", text, pos)
-        pos += 1
-    return Tree(m.group(0), children), pos

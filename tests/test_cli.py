@@ -269,6 +269,17 @@ class TestSeededMachines:
         _, out2, _ = run_cli(capsys, "--seed", "11", "check", "--chain", "rnd_chain3", "--format", "json")
         assert normalized(out1) == normalized(out2)
 
+    def test_seed_refuses_to_redefine_a_workspace_name(self, capsys, tmp_path):
+        clash = tmp_path / "clash.ttc"
+        clash.write_text(
+            "transducer rnd_t1 { input { e:0 } output { e:0 } initial q rules { q(e) -> e; } }\n"
+            "chain rnd_pair { rnd_t1 }\n",
+            encoding="utf-8",
+        )
+        status, out, err = run_cli(capsys, "-w", str(clash), "--seed", "1", "run", "--machine", "rnd_t1", "--input", "e")
+        assert (status, out) == (2, "")
+        assert err.splitlines() == ["error: --seed adds 'rnd_t1', 'rnd_pair', which the workspace already defines"]
+
 
 class TestErrors:
     def test_unknown_machine(self, capsys):

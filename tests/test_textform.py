@@ -169,6 +169,55 @@ class TestValidation:
         )
 
 
+class TestErrorLocations:
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            # the scan runs before the grammar, so the character comes first
+            ("transducer 1 { \u00e9 }", "unexpected character '\u00e9'", 1, 16),
+            ("transducer t\u00e9 { }", "unexpected character '\u00e9'", 1, 13),
+            (
+                "transducer t { input { e:0 } output { e:0 } initial q\n  rules { q(e) - e; } }",
+                "unexpected character '-'",
+                2,
+                16,
+            ),
+            ("transducer t {\n\tinput { e:0 }\n\toutput { e:0 } x", "expected initial", 3, 17),
+            ("transducer t { input { e:0 }", "expected output", 1, 29),
+            (
+                "transducer t { input { e:0 } output { e:0 } initial q rules { q(e) -> e; }",
+                "expected }",
+                1,
+                75,
+            ),
+            ("# only a comment\nchain", "expected name", 2, 6),
+            ("\n\n  lookahead", "expected name", 3, 12),
+            ("chain c { a b }", "expected }", 1, 13),
+            (
+                "transducer t { input { e:0, } output { e:0 } initial q rules { q(e) -> e | ; } }",
+                "expected name",
+                1,
+                76,
+            ),
+            (MINI + "chain tiny { tiny }", "name 'tiny' is already defined", 13, 7),
+            (
+                MINI + "transducer u { input { e:0 } output { e:0 } initial q\n\trules { q(e) -> ghost; } }",
+                "unknown output symbol 'ghost'",
+                14,
+                18,
+            ),
+        ],
+    )
+    def test_message_line_and_column(self, text, message, line, column):
+        with pytest.raises(TtcSyntaxError) as err:
+            parse_workspace(text)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            "line %d, column %d: %s" % (line, column, message),
+            line,
+            column,
+        )
+
+
 class TestRoundTrip:
     def test_fixture_fixpoint(self, workspace):
         serialized = []

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ttc.errors import InvalidAddress, TtcSyntaxError, ValidationError
+from ttc.errors import AlphabetMismatch, InvalidAddress, TtcSyntaxError, ValidationError
 from ttc.trees import (
     AnnotatedSymbol,
     NodeAddress,
@@ -141,12 +141,51 @@ class TestParsing:
     def test_alphabet_validation(self):
         alpha = RankedAlphabet({"f": 2, "a": 0})
         parse_tree("f(a,a)", alpha)
-        from ttc.errors import AlphabetMismatch
-
         with pytest.raises(AlphabetMismatch):
             parse_tree("f(a)", alpha)
         with pytest.raises(AlphabetMismatch):
             parse_tree("g(a,a)", alpha)
+
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("", "expected a symbol name", 1, 1),
+            ("   ", "expected a symbol name", 1, 4),
+            ("f(", "expected a symbol name", 1, 3),
+            ("f(a,)", "expected a symbol name", 1, 5),
+            ("f(a))", "trailing input after tree", 1, 5),
+            ("f a", "trailing input after tree", 1, 3),
+            ("e # x", "trailing input after tree", 1, 3),
+            ("f(a\tb)", "expected ')' or ','", 1, 5),
+            ("f(a,\n  b\n  c)", "expected ')' or ','", 3, 3),
+            ("f(a, b", "expected ')' or ','", 1, 7),
+            ("f(\u00e9)", "expected a symbol name", 1, 3),
+            ("f(a -> b)", "expected ')' or ','", 1, 5),
+            ("1(a)", "expected a symbol name", 1, 1),
+            ("f(a,  \n", "expected a symbol name", 2, 1),
+            ("f(a)\n  g", "trailing input after tree", 2, 3),
+        ],
+    )
+    def test_error_location(self, text, message, line, column):
+        with pytest.raises(TtcSyntaxError) as err:
+            parse_tree(text)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            "line %d, column %d: %s" % (line, column, message),
+            line,
+            column,
+        )
+
+    def test_any_depth_parses(self):
+        spine = parse_tree("a(" * 3000 + "e" + ")" * 3000, RankedAlphabet({"a": 1, "e": 0}))
+        assert spine.size == 3001
+
+    def test_first_fault_in_the_text_is_reported(self):
+        # g (under the first child) precedes h (the second child) in the text
+        alpha = RankedAlphabet({"f": 2, "a": 1, "e": 0})
+        with pytest.raises(AlphabetMismatch, match="^symbol g is not in the input alphabet$"):
+            parse_tree("f(a(g), h)", alpha)
+        with pytest.raises(AlphabetMismatch, match="^symbol a has rank 1 but 2 children$"):
+            parse_tree("f(a(e, e), h)", alpha)
 
 
 class TestRankedAlphabet:
