@@ -23,7 +23,7 @@ from .constructions import (
     p_construction,
     reduce_chain,
 )
-from .decision import DEFAULT_OUTPUT_CAP, chain_outputs, check_functional_bounded, decide_functionality, trace_derivation
+from .decision import chain_outputs, check_functional_bounded, decide_functionality, trace_derivation
 from .errors import TtcError
 from .machines import LookaheadTransducer, Transducer
 from .textform import Workspace, parse_workspace
@@ -114,11 +114,7 @@ def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
         else:
             machine = workspace.machine(_require(args, "machine"))
             tree = parse_tree(args.input, machine.input_alphabet)
-            outs = (
-                machine.translate_la(tree, cap=DEFAULT_OUTPUT_CAP)
-                if isinstance(machine, LookaheadTransducer)
-                else machine.translate(tree, cap=DEFAULT_OUTPUT_CAP)
-            )
+            outs = machine.translate_la(tree) if isinstance(machine, LookaheadTransducer) else machine.translate(tree)
         if fmt == "json":
             return 0, render.to_json({"input": tree.text, "outputs": [t.text for t in sort_trees(outs)]})
         return 0, render.outputs_text(outs)

@@ -44,6 +44,12 @@ def _require(kind: type, what: str, *machines) -> None:
             raise ValidationError("%s needs a %s, not %r" % (what, kind.__name__, machine))
 
 
+def _composable(t1: Transducer, t2: Transducer) -> None:
+    """Raise AlphabetMismatch, naming both machines, unless t2 reads what t1 writes."""
+    if t1.output_alphabet != t2.input_alphabet:
+        raise AlphabetMismatch("output alphabet of %s differs from input alphabet of %s" % (t1.name, t2.name))
+
+
 @dataclass
 class BuildReport:
     """What a construction produced: the machine, pruning counts, provenance."""
@@ -69,11 +75,7 @@ class CompositionChain:
             if not isinstance(stage, Transducer):
                 raise ValidationError("chain stage %r is not a plain transducer" % (stage,))
         for left, right in zip(self.stages, self.stages[1:]):
-            if left.output_alphabet != right.input_alphabet:
-                raise AlphabetMismatch(
-                    "output alphabet of %s differs from input alphabet of %s"
-                    % (left.name, right.name)
-                )
+            _composable(left, right)
 
     def __len__(self):
         return len(self.stages)
@@ -82,14 +84,20 @@ class CompositionChain:
         return iter(self.stages)
 
 
-def merge_vectors(merged: set, alternatives: Collection[tuple]) -> set:
+def merge_vectors(merged: set, alternatives: Collection[tuple], cap: int) -> set:
     """One step of the requirement-merging fold: the position-wise union of
     every vector in `merged` with every vector in `alternatives` (a
     collection, read once per vector of `merged`), without repeats.  Folded
     over groups of alternatives, starting from the all-empty vector, it
     gives the distinct merges of one choice per group.  Entries are int
-    bitmasks, whose `|` is union."""
-    return {tuple(map(or_, m, a)) for m in merged for a in alternatives}
+    bitmasks, whose `|` is union.  Raises ResourceLimit as soon as more than
+    `cap` vectors exist, checked after each vector of `merged`."""
+    out = set()
+    for m in merged:
+        out.update([tuple(map(or_, m, a)) for a in alternatives])
+        if len(out) > cap:
+            raise ResourceLimit("domain automaton exceeds %d rules" % RULE_CAP)
+    return out
 
 
 def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), name: str | None = None) -> Transducer:
@@ -105,11 +113,12 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
 
     Inside, a state set is an int bitmask over the states in name order.
     RULE_CAP is checked after each rule's merge in the first fold, on its
-    unions, and after each member's merge in the second, on the rules so far
-    plus the merged vectors, before any rule is built.  An intermediate
-    merge can be larger than the final one, so the cap limits the work, not
-    only the output.  Rules are emitted sorted by child-state names; each is
-    given its child states, read off its vector, instead of walking its rhs.
+    unions, and while each member merges in the second, on the rules so far
+    plus the vectors merged so far (`merge_vectors`), before any rule is
+    built.  An intermediate merge can be larger than the final one, so the
+    cap limits the memory, not only the output.  Rules are emitted sorted by
+    child-state names; each is given its child states, read off its vector,
+    instead of walking its rhs.
     """
     _require(Transducer, "domain_automaton", t)
     sigma = t.input_alphabet
@@ -139,7 +148,7 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
             sigs = unions[key] = set()
             for r in t.rules_for(q, sym):
                 sig = tuple(sum(bit[x.name] for x in req) for req in r.child_states)
-                sigs |= merge_vectors(sigs, (sig,))
+                sigs |= merge_vectors(sigs, (sig,), RULE_CAP)
                 sigs.add(sig)
                 if len(sigs) > RULE_CAP:
                     raise ResourceLimit("domain automaton exceeds %d rules" % RULE_CAP)
@@ -180,9 +189,7 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
         for sym, k in sigma.items():
             merged = {(0,) * k}
             for q in state.parts:
-                merged = merge_vectors(merged, unions_of(q, sym))
-                if len(rules) + len(merged) > RULE_CAP:
-                    raise ResourceLimit("domain automaton exceeds %d rules" % RULE_CAP)
+                merged = merge_vectors(merged, unions_of(q, sym), RULE_CAP - len(rules))
             for vec in sorted(merged, key=lambda vec: [state_of(c).name for c in vec]):
                 rules.append(rule_of(state, sym, vec))
                 for c in vec:
@@ -219,10 +226,7 @@ def p_construction(
     annotation.
     """
     _require(Transducer, "p_construction", t1, t2)
-    if t1.output_alphabet != t2.input_alphabet:
-        raise AlphabetMismatch(
-            "output alphabet of %s differs from input alphabet of %s" % (t1.name, t2.name)
-        )
+    _composable(t1, t2)
     make_state = make_state or StateId.pair
 
     init = (t1.initial, t2.initial)
@@ -235,6 +239,7 @@ def p_construction(
 
     # each source rhs is evaluated as it stands, unchecked: `_validate` has
     # checked it over t1's output alphabet, which is t2's input alphabet.
+    # Each translation makes a rule, so RULE_CAP caps their number.
     # q2 meeting a marker q1(xi) yields q2 over that marker wherever it sits
     # (`_evaluate`), so one evaluation memo, keyed on (state name, subtree
     # text), serves every (pair, rule) of this construction.  A marker's text
@@ -252,7 +257,7 @@ def p_construction(
         q1, q2 = queue.popleft()
         head = make_state(q1, q2)
         for src in t1.rules_of(q1):
-            for psi in sorted(_evaluate(t2, q2, src.rhs, None, memo, None), key=attrgetter("text")):
+            for psi in sorted(_evaluate(t2, q2, src.rhs, RULE_CAP, memo, None), key=attrgetter("text")):
                 got = made.get((psi.text, src.variables))
                 if got is None:
                     got = made[psi.text, src.variables] = _instantiate(psi, src.variables, make_state, pair_filter, leaves)
@@ -327,6 +332,8 @@ def _replace_leaves(node: Tree, make_state, pair_filter, leaves: dict, buckets: 
 def build_hat_t1(t1: Transducer, t2: Transducer) -> Transducer:
     """Restrict t1 so its outputs land in the domains t2 will need: the
     p-construction of t1 with the domain automaton of t2."""
+    _require(Transducer, "build_hat_t1", t1, t2)
+    _composable(t1, t2)
     aut = domain_automaton(t2)
     machine, _ = p_construction(t1, aut, name="hat(%s)" % t1.name)
     return machine
@@ -354,6 +361,7 @@ def _annotated_base(t1: Transducer, t2: Transducer, reports: list) -> tuple[Tran
     on each variable; its guard names their members, so it holds on a child
     iff every member's domain holds the child."""
     _require(Transducer, "build_m", t1, t2)
+    _composable(t1, t2)
     t0 = time.perf_counter()
     aut = domain_automaton(t2)
     _report(reports, "domain-automaton", aut, len(aut.states), {s: "subset of %s states" % t2.name for s in aut.states}, t0)

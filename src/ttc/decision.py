@@ -19,34 +19,31 @@ from itertools import islice
 
 from .constructions import BuildReport, CompositionChain, build_m_over_hat, reduce_chain
 from .errors import ResourceLimit, ValidationError
-from .machines import LookaheadTransducer, Rule, Transducer, _Classes, _domain_sizes, _domain_trees, _evaluate, _label, check_positive
+from .machines import DEFAULT_OUTPUT_CAP, LookaheadTransducer, Rule, Transducer, _Classes, _domain_sizes, _domain_trees, _evaluate, _label, check_positive
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
-
-DEFAULT_OUTPUT_CAP = 10**6
 
 FUNCTIONAL = "functional-up-to-bound"
 NOT_FUNCTIONAL = "not-functional"
 
 
-def chain_outputs(chain: CompositionChain | Transducer, tree: Tree, cap: int | None = DEFAULT_OUTPUT_CAP) -> frozenset[Tree]:
+def chain_outputs(chain: CompositionChain | Transducer, tree: Tree) -> frozenset[Tree]:
     """Left-to-right relational composition of the stage translations."""
     if not isinstance(chain, CompositionChain):
         chain = CompositionChain((chain,))
-    check_positive(cap, "cap", optional=True)
     check_ground_over(tree, chain.stages[0].input_alphabet)
-    return frozenset(_outputs(chain.stages, tree, cap, _stage_memos(chain.stages, None), None))
+    return frozenset(_outputs(chain.stages, tree, DEFAULT_OUTPUT_CAP, _stage_memos(chain.stages, None), None))
 
 
 def _stage_memos(stages, la: Transducer | None) -> list:
     """One memo per stage, for `_outputs`: the class table of a plain
-    automaton stage, whose `accepts` give each tree the automaton states
+    automaton stage, whose `some` gives each tree the automaton states
     that accept it, and an evaluation memo for any other stage and for the
     annotated base of a look-ahead transducer (`la` given).  Whether a stage
     is an automaton is decided here, once per call or check."""
-    return [_Classes(None, base) if la is None and base.is_automaton() else {} for base in stages]
+    return [_Classes(base, None) if la is None and base.is_automaton() else {} for base in stages]
 
 
-def _outputs(stages, tree: Tree, cap: int | None, memos, cl: _Classes | None) -> Collection[Tree]:
+def _outputs(stages, tree: Tree, cap: int, memos, cl: _Classes | None) -> Collection[Tree]:
     """The outputs of the stages, composed left to right, on a valid input,
     without repeats; stage i memoises in memos[i] (see `_stage_memos`), and
     a look-ahead base reads its guards from the input's labels in `cl` (see
@@ -58,7 +55,7 @@ def _outputs(stages, tree: Tree, cap: int | None, memos, cl: _Classes | None) ->
     for base, memo in zip(stages, memos):
         if type(memo) is _Classes:
             q = base.initial.name
-            outs = [t for t in outs if q in memo.classes[_label(memo, t)][0]]
+            outs = [t for t in outs if q in memo.classes[_label(memo, t)][2]]
             continue
         if len(outs) == 1:
             # `_evaluate` returns a tuple without repeats: no set needed
@@ -68,7 +65,7 @@ def _outputs(stages, tree: Tree, cap: int | None, memos, cl: _Classes | None) ->
         step = set()
         for t in outs:
             step.update(_evaluate(base, base.initial, t, cap, memo, cl))
-            if cap is not None and len(step) > cap:
+            if len(step) > cap:
                 raise ResourceLimit("output set exceeds cap %d" % cap)
         outs = step
     return outs
@@ -94,7 +91,7 @@ class Verdict:
         return self.status == FUNCTIONAL
 
 
-def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OUTPUT_CAP) -> Verdict:
+def check_functional_bounded(target, max_size: int) -> Verdict:
     """Exhaustively check single-valuedness on all domain members up to max_size.
 
     The target is a composition chain (a bare transducer counts as a 1-chain)
@@ -114,7 +111,6 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     memory and no machine state.
     """
     check_positive(max_size, "max_size")
-    check_positive(output_cap, "output_cap", optional=True)
     if not isinstance(target, (CompositionChain, LookaheadTransducer)):
         target = CompositionChain((target,))
     if isinstance(target, LookaheadTransducer):
@@ -146,7 +142,7 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
                 if one_stage and initial.name in cl.classes[_label(cl, s)][1]:
                     single_output_inputs += 1
                     continue
-                outs = _outputs(stages, s, output_cap, memos, cl)
+                outs = _outputs(stages, s, DEFAULT_OUTPUT_CAP, memos, cl)
                 outputs_computed += len(outs)
                 if len(outs) > 1:
                     counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
@@ -171,14 +167,13 @@ def check_functional_bounded(target, max_size: int, output_cap: int = DEFAULT_OU
     return Verdict(status, max_size, counterexample, stats)
 
 
-def decide_functionality(chain: CompositionChain | Transducer, max_size: int, output_cap: int = DEFAULT_OUTPUT_CAP) -> tuple[Verdict, list[BuildReport]]:
+def decide_functionality(chain: CompositionChain | Transducer, max_size: int) -> tuple[Verdict, list[BuildReport]]:
     """Reduce the chain to two stages, build the look-ahead transducer for the
     final pair, and check it at the bound (a one-stage chain, or a bare
     transducer, is checked as it is); returns every intermediate report.
     The final pair's M is `build_m_over_hat`'s, with no power-set
     look-ahead automaton and no trim; its report comes last."""
     check_positive(max_size, "max_size")
-    check_positive(output_cap, "output_cap", optional=True)
     chain = chain if isinstance(chain, CompositionChain) else CompositionChain((chain,))
     reports: list[BuildReport] = []
     while len(chain) > 2:
@@ -188,7 +183,7 @@ def decide_functionality(chain: CompositionChain | Transducer, max_size: int, ou
     if len(chain) == 2:
         target, step_reports = build_m_over_hat(chain.stages[0], chain.stages[1])
         reports.extend(step_reports)
-    verdict = check_functional_bounded(target, max_size, output_cap=output_cap)
+    verdict = check_functional_bounded(target, max_size)
     return verdict, reports
 
 
@@ -276,11 +271,12 @@ def _rewrites(t: Transducer, tree: Tree, rule_index: dict, form: Tree, steps: tu
 
 def trace_derivation(t: Transducer, tree: Tree, branch: int = 0) -> DerivationTrace:
     """One maximal rewrite sequence; `branch` indexes the depth-first
-    enumeration of all (node, rule) choice sequences."""
+    enumeration of all (node, rule) choice sequences.  It is complete iff
+    its final form holds no marker, all of which are `StateOverNode`s."""
     if branch < 0:
         raise ValidationError("branch must be >= 0")
     got = list(islice(derivations(t, tree), branch, branch + 1))
     if not got:
         raise ValidationError("branch %d is out of range" % branch)
     steps, final = got[0]
-    return DerivationTrace(t, tree, steps, final, final.is_ground())
+    return DerivationTrace(t, tree, steps, final, not _markers(final))

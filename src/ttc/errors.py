@@ -32,12 +32,10 @@ class ValidationError(TtcError):
 class TtcSyntaxError(TtcError):
     """Definition-language syntax error, with source location."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line, column):
         self.line = line
         self.column = column
-        if line is not None:
-            message = "line %d, column %d: %s" % (line, column, message)
-        super().__init__(message)
+        super().__init__("line %d, column %d: %s" % (line, column, message))
 
 
 class ValidationWarning(UserWarning):

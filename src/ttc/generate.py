@@ -14,9 +14,9 @@ from .machines import Rule, StateId, Transducer
 from .trees import RankedAlphabet, StateOverVariable, Tree
 
 
-def random_alphabet(rng: random.Random, prefix: str, max_symbols: int = 3, max_rank: int = 2) -> RankedAlphabet:
-    n = rng.randint(1, max_symbols)
-    ranks = [0] + [rng.randint(0, max_rank) for _ in range(n - 1)]
+def random_alphabet(rng: random.Random, prefix: str) -> RankedAlphabet:
+    """One to three symbols of rank at most 2, one of them of rank 0."""
+    ranks = [0] + [rng.randint(0, 2) for _ in range(rng.randint(1, 3) - 1)]
     rng.shuffle(ranks)
     return RankedAlphabet({"%s%d" % (prefix, i): r for i, r in enumerate(ranks)})
 
@@ -82,7 +82,7 @@ def random_pair(seed: int, max_states: int = 3, max_rules: int = 6) -> tuple[Tra
     return t1, t2
 
 
-def random_chain3(seed: int, max_states: int = 2, max_rules: int = 5) -> CompositionChain:
+def random_chain3(seed: int) -> CompositionChain:
     """A three-stage chain, kept small so chain reduction stays desk-sized."""
     rng = random.Random(seed)
     a0 = random_alphabet(rng, "a")
@@ -91,8 +91,8 @@ def random_chain3(seed: int, max_states: int = 2, max_rules: int = 5) -> Composi
     a3 = random_alphabet(rng, "b")
     return CompositionChain(
         (
-            random_transducer(rng, "C1s%d" % seed, a0, a1, max_states, max_rules),
-            random_transducer(rng, "C2s%d" % seed, a1, a2, max_states, max_rules),
-            random_transducer(rng, "C3s%d" % seed, a2, a3, max_states, max_rules),
+            random_transducer(rng, "C1s%d" % seed, a0, a1, 2, 5),
+            random_transducer(rng, "C2s%d" % seed, a1, a2, 2, 5),
+            random_transducer(rng, "C3s%d" % seed, a2, a3, 2, 5),
         )
     )

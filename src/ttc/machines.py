@@ -31,6 +31,9 @@ from .trees import (
     check_ground_over,
 )
 
+# the bound on the size of any output set of a translation
+DEFAULT_OUTPUT_CAP = 10**6
+
 
 class StateId:
     """State identifier with a provenance tag; not interned: equality and
@@ -171,11 +174,10 @@ def _check_rhs(rhs: Tree, variables: int, state_names: Collection[str], output_r
     return None
 
 
-def check_positive(value, what: str, optional: bool = False) -> None:
-    """Raise ValidationError unless value is an int >= 1, or None if optional:
-    a size bound, or an output cap where None means no cap."""
-    if not (optional and value is None or type(value) is int and value >= 1):
-        raise ValidationError("%s must be %san int >= 1, not %r" % (what, "None or " if optional else "", value))
+def check_positive(value, what: str) -> None:
+    """Raise ValidationError unless value, a size bound or a cap, is an int >= 1."""
+    if not (type(value) is int and value >= 1):
+        raise ValidationError("%s must be an int >= 1, not %r" % (what, value))
 
 
 # -- semantics ---------------------------------------------------------------
@@ -184,8 +186,8 @@ def check_positive(value, what: str, optional: bool = False) -> None:
 # classes, like the state of a deterministic bottom-up relabeling, which is
 # how regular look-ahead is evaluated (Engelfriet 1977).  One `_Classes`
 # owns the class table of one machine, given as ``base`` and ``la``, the
-# look-ahead machine or None; a None ``base`` labels with `accepts` alone
-# (`translate_la`, and an automaton stage of a chain, passed as ``la``).
+# look-ahead machine or None (a plain machine, such as an automaton stage of
+# a chain, whose domain is the classes whose `some` holds its initial state).
 # The look-ahead machine is any plain transducer: a parsed look-ahead
 # automaton, `build_m`'s power-set automaton, or hat itself for the check's
 # M, whose guards name hat states (`Rule.guard`).  A guard is read from the
@@ -209,7 +211,7 @@ class _Classes:
 
     __slots__ = ("base", "la", "table", "classes", "labels", "counts", "trees")
 
-    def __init__(self, base: Transducer | None, la: Transducer | None):
+    def __init__(self, base: Transducer, la: Transducer | None):
         self.base, self.la = base, la
         self.table, self.classes, self.labels, self.counts, self.trees = {}, [], {}, [], {}
 
@@ -221,7 +223,7 @@ class _Classes:
             memo.clear()
 
 
-def _evaluate(base: Transducer, q: StateId, s: Tree, cap: int | None, memo: dict, cl: _Classes | None) -> tuple[Tree, ...]:
+def _evaluate(base: Transducer, q: StateId, s: Tree, cap: int, memo: dict, cl: _Classes | None) -> tuple[Tree, ...]:
     """The trees derivable from q(s), without repeats; q meeting a rhs marker
     leaf q1(xi) yields the leaf q(q1(xi)), so `constructions.p_construction`
     evaluates a right-hand side as it stands.  A rule with
@@ -250,7 +252,7 @@ def _evaluate(base: Transducer, q: StateId, s: Tree, cap: int | None, memo: dict
     if len(alts) == 1:  # already without repeats; skips hashing every tree
         return alts[0]
     acc = set().union(*alts)
-    if cap is not None and len(acc) > cap:
+    if len(acc) > cap:
         raise ResourceLimit("output set exceeds cap %d" % cap)
     return tuple(acc)
 
@@ -283,9 +285,9 @@ def _transition(cl: _Classes, key: tuple) -> int:
     return k
 
 
-def _class(base: Transducer | None, la: Transducer | None, symbol, kids: list) -> tuple[frozenset[str], ...]:
+def _class(base: Transducer, la: Transducer | None, symbol, kids: list) -> tuple[frozenset[str], ...]:
     """The class at a symbol over children of the classes `kids`: the
-    state-name sets (accepts, one, some), or (accepts,) when base is None.
+    state-name sets (accepts, one, some).
     accepts: the look-ahead states with a rule on the symbol whose calls are
     each in their child's accepts, which is the domain of each state of any
     plain transducer, bottom up (Engelfriet 1977).  A base rule fires when
@@ -296,8 +298,6 @@ def _class(base: Transducer | None, la: Transducer | None, symbol, kids: list) -
     an output."""
     states = la.states if la is not None else ()
     accepts = frozenset([l.name for l in states if any(all(q.name in k[0] for req, k in zip(r.child_states, kids) for q in req) for r in la.rules_for(l, symbol))])
-    if base is None:
-        return (accepts,)
     one, some = [], []
     for q in base.states:
         fired = [r for r in base.rules_for(q, symbol) if r.guard is None or all(g <= k[0] for g, k in zip(r.guard, kids))]
@@ -380,7 +380,7 @@ def _compositions(total: int, k: int):
                 yield (first,) + rest
 
 
-def _expand(base: Transducer, node: Tree, s: Tree, cap: int | None, memo: dict, cl: _Classes | None) -> tuple[Tree, ...]:
+def _expand(base: Transducer, node: Tree, s: Tree, cap: int, memo: dict, cl: _Classes | None) -> tuple[Tree, ...]:
     """The trees a right-hand side node yields at input node s, without repeats.
     A q(xi) child is looked up in `memo` here, and evaluated only on a miss;
     only a q(xi) at the root of a right-hand side comes in as `node`."""
@@ -412,7 +412,7 @@ def _expand(base: Transducer, node: Tree, s: Tree, cap: int | None, memo: dict, 
         count *= len(a)
     if count == 1:  # one combination: no product
         return (Tree(lab, [a[0] for a in alts]),)
-    if cap is not None and count > cap:
+    if count > cap:
         raise ResourceLimit("output set exceeds cap %d" % cap)
     return tuple([Tree(lab, combo) for combo in product(*alts)])
 
@@ -459,7 +459,7 @@ class Transducer:
         output_alphabet: RankedAlphabet,
         rules: Sequence[Rule],
         initial: StateId,
-        states: Iterable[StateId] | None = None,
+        states: Iterable[StateId],
         _annotated: bool = False,
     ):
         self.name = name
@@ -467,12 +467,6 @@ class Transducer:
         self.output_alphabet = output_alphabet
         self.rules = tuple(rules)
         self.initial = initial
-        if states is None:
-            states = {initial}
-            for r in self.rules:
-                states.add(r.state)
-                for req in r.child_states:
-                    states |= req
         self.states = frozenset(states)
         self._validate(_annotated)
         # keyed on state names, which hash without a call into Python
@@ -553,9 +547,10 @@ class Transducer:
 
     # -- semantics ---------------------------------------------------------
 
-    def translate(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
-        """All ground output trees derivable from the initial state on a ground input."""
-        check_positive(cap, "cap", optional=True)
+    def translate(self, tree: Tree, cap: int = DEFAULT_OUTPUT_CAP) -> frozenset[Tree]:
+        """All ground output trees derivable from the initial state on a
+        ground input; `cap` stays a keyword, as perfbench's tracer passes it."""
+        check_positive(cap, "cap")
         check_ground_over(tree, self.input_alphabet)
         return frozenset(_evaluate(self, self.initial, tree, cap, {}, None))
 
@@ -607,15 +602,15 @@ class LookaheadTransducer:
             len(self.la.states),
         )
 
-    def translate_la(self, tree: Tree, cap: int | None = None) -> frozenset[Tree]:
+    def translate_la(self, tree: Tree, cap: int = DEFAULT_OUTPUT_CAP) -> frozenset[Tree]:
         """Two-phase semantics: the input is labelled bottom up with subtree
         classes (`_label`), the deterministic relabeling that evaluates the
         look-ahead, then the shared evaluator fires a rule at a node iff
         every child's class accepts its guard.  The input and the cap
-        are checked once, here."""
-        check_positive(cap, "cap", optional=True)
+        are checked once, here; `cap` stays, as for `Transducer.translate`."""
+        check_positive(cap, "cap")
         check_ground_over(tree, self.input_alphabet)
-        cl = _Classes(None, self.la)
+        cl = _Classes(self.base, self.la)
         _label(cl, tree)
         return frozenset(_evaluate(self.base, self.base.initial, tree, cap, {}, cl))
 

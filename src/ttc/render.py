@@ -3,9 +3,9 @@ build reports, and verdicts.
 
 Constructed machines may carry structured state ids ("(q,{p0})") and
 annotated symbols that are not legal names in the definition language; the
-text serializer then renames them canonically (s0, s1, ... / c0, c1, ...,
-sorted by rendering) and records the mapping in comments, so serialized
-output always reparses.
+text serializer then renames them canonically (s0, s1, ... in name order,
+skipping the machine's symbols / a name made from the symbol) and records
+the mapping in comments, so serialized output always reparses.
 """
 
 from __future__ import annotations
@@ -13,18 +13,18 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from itertools import groupby
+from itertools import count, groupby
 from operator import attrgetter
 
 from .constructions import BuildReport, CompositionChain
 from .decision import DerivationTrace, Verdict
 from .errors import ValidationError
 from .machines import LookaheadTransducer, Rule, StateId, Transducer
-from .trees import NAME_RE, AnnotatedSymbol, StateOverNode, StateOverVariable, Tree, sort_trees, subtree_at
+from .trees import NAME_RE, VAR_RE, AnnotatedSymbol, StateOverNode, StateOverVariable, Tree, sort_trees, subtree_at
 
 
 def _safe(name) -> bool:
-    return isinstance(name, str) and NAME_RE.fullmatch(name) is not None
+    return isinstance(name, str) and NAME_RE.fullmatch(name) is not None and not VAR_RE.fullmatch(name)
 
 
 def _sanitized(text: str) -> str:
@@ -45,7 +45,9 @@ def _state_map(machines) -> dict[StateId, str]:
     states = sorted({s for m in machines for s in m.states}, key=lambda s: s.name)
     if all(_safe(s.name) for s in states):
         return {s: s.name for s in states}
-    return {s: "s%d" % i for i, s in enumerate(states)}
+    symbols = {sym for m in machines for alpha in (m.input_alphabet, m.output_alphabet) for sym in alpha}
+    fresh = ("s%d" % i for i in count())
+    return {s: next(name for name in fresh if name not in symbols) for s in states}
 
 
 def _symbol_map(machines) -> dict[object, str]:

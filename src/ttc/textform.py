@@ -14,16 +14,13 @@ use it for rule-less states).  Errors carry source line and column.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .constructions import CompositionChain
 from .errors import AlphabetMismatch, ValidationError
 from .machines import LookaheadTransducer, Rule, StateId, Transducer
-from .trees import TOKEN_RE, RankedAlphabet, StateOverVariable, Tree, _syntax_error
-
-_VAR_RE = re.compile(r"x([1-9][0-9]*)$")
+from .trees import TOKEN_RE, VAR_RE, RankedAlphabet, StateOverVariable, Tree, _syntax_error
 
 
 class Token(NamedTuple):
@@ -133,7 +130,7 @@ class _Parser:
         symbols = {}
         while not self.at_punct("}"):
             sym = self.expect("name")
-            if _VAR_RE.fullmatch(sym.value):
+            if VAR_RE.fullmatch(sym.value):
                 self.fail("symbol name %r is reserved for variables" % sym.value, sym)
             self.expect("punct", ":")
             rank = self.expect("int")
@@ -238,7 +235,7 @@ class _Parser:
 
     def parse_variable(self, annotated: bool):
         tok = self.expect("name")
-        m = _VAR_RE.fullmatch(tok.value)
+        m = VAR_RE.fullmatch(tok.value)
         if not m:
             self.fail("expected a variable x1, x2, ...", tok)
         la = None
@@ -254,7 +251,7 @@ class _Parser:
     # rhs syntax tree: (token, [children]) where a leaf child may be ("var", token, index)
     def parse_rhs(self):
         tok = self.expect("name")
-        if _VAR_RE.fullmatch(tok.value):
+        if VAR_RE.fullmatch(tok.value):
             self.fail("a variable may only appear directly under a state", tok)
         children = []
         if self.at_punct("("):
@@ -265,7 +262,7 @@ class _Parser:
 
     def parse_rhs_arg(self):
         tok = self.peek()
-        m = _VAR_RE.fullmatch(tok.value) if tok.kind == "name" else None
+        m = VAR_RE.fullmatch(tok.value) if tok.kind == "name" else None
         if m:
             self.next()
             return ("var", tok, int(m.group(1)))

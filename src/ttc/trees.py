@@ -23,6 +23,7 @@ from .errors import (
 )
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+VAR_RE = re.compile(r"x([1-9][0-9]*)")  # the names reserved for variables
 # the one scanner of workspaces and tree text; `bad` is any other character
 TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<arrow>->)|(?P<name>%s)|(?P<int>\d+)"
@@ -123,12 +124,6 @@ class Tree:
 
     def __repr__(self):
         return "Tree(%s)" % self.text
-
-    def is_ground(self) -> bool:
-        """True iff no state marker occurs anywhere."""
-        if isinstance(self.label, MARKER_TYPES):
-            return False
-        return all(c.is_ground() for c in self.children)
 
 
 def sort_trees(trees: Iterable[Tree]) -> list[Tree]:

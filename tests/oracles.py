@@ -502,7 +502,7 @@ def identity_automaton(alphabet, state_name="u", name="identity"):
     for sym, k in alphabet.items():
         rhs = Tree(sym, tuple(Tree(StateOverVariable(u, i)) for i in range(1, k + 1)))
         rules.append(Rule(u, sym, k, rhs))
-    return Transducer(name, alphabet, alphabet, rules, u)
+    return Transducer(name, alphabet, alphabet, rules, u, states=[u])
 
 
 def wrap_trivial_lookahead(t):

@@ -314,6 +314,12 @@ class TestErrors:
         assert "Traceback" not in err
         assert err.splitlines() == ["error: %s needs plain transducers" % command]
 
+    @pytest.mark.parametrize("command", ["hat", "product", "build-m"])
+    def test_alphabet_mismatch_names_the_given_machines(self, capsys, command):
+        status, _, err = run_cli(capsys, "-w", FIXTURES, command, "--t1", "quadratic", "--t2", "ex4_t2")
+        assert status == 2
+        assert err.splitlines() == ["error: output alphabet of quadratic differs from input alphabet of ex4_t2"]
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

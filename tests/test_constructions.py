@@ -2,6 +2,7 @@ import importlib.util
 import pathlib
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -208,7 +209,7 @@ class TestDomainAutomaton:
             Rule(q, "f", 2, Tree("e'")),
             Rule(q, "e", 0, Tree("e'")),
         ]
-        machine = Transducer("multi", sigma, delta, rules, q0)
+        machine = Transducer("multi", sigma, delta, rules, q0, states=[q0, q])
         aut = domain_automaton(machine)
         assert "{q0}(f(x1,x2)) -> f({q,q0}(x1),{q}(x2))" in rule_strings(aut)
         pair_properties.domain_automaton_tracks_intersections(machine, 4)
@@ -222,7 +223,7 @@ class TestDomainAutomaton:
             Rule(q0, "a", 1, Tree("k'")),
             Rule(q0, "e", 0, Tree("k")),
         ]
-        machine = Transducer("ground", sigma, delta, rules, q0)
+        machine = Transducer("ground", sigma, delta, rules, q0, states=[q0])
         aut = domain_automaton(machine)
         assert rule_strings(aut) == {
             "{q0}(a(x1)) -> a({}(x1))",
@@ -266,14 +267,14 @@ class TestDomainAutomatonReference:
         4,095 unions of their subsets: the cap stops their fold, before the
         member merge sees them."""
         sigma = RankedAlphabet({"a": 1, "e": 0})
-        q = StateId.base("q")
-        rules = [Rule(q, "a", 1, Tree("a", [Tree(StateOverVariable(StateId.base("p%d" % i), 1))])) for i in range(12)]
-        fan = Transducer("fan", sigma, sigma, rules, q)
+        q, ps = StateId.base("q"), [StateId.base("p%d" % i) for i in range(12)]
+        rules = [Rule(q, "a", 1, Tree("a", [Tree(StateOverVariable(p, 1))])) for p in ps]
+        fan = Transducer("fan", sigma, sigma, rules, q, states=[q, *ps])
         sizes = []
         merge = constructions.merge_vectors
 
-        def spy(merged, alternatives):
-            out = merge(merged, alternatives)
+        def spy(merged, alternatives, cap):
+            out = merge(merged, alternatives, cap)
             sizes.append(len(out))
             return out
 
@@ -282,6 +283,26 @@ class TestDomainAutomatonReference:
         with pytest.raises(ResourceLimit, match="domain automaton exceeds 100 rules"):
             domain_automaton(fan)
         assert max(sizes) <= 100
+
+    def test_rule_cap_bounds_the_member_merge_while_it_merges(self):
+        """q0 puts {q1,q2} on a child, and q1 and q2 each have 10 rules on a
+        of distinct child sets: 1,023 unions each, 1,046,529 merged vectors
+        in all, and a 112 MB tracemalloc peak when the merge ran to its end
+        before the cap was checked."""
+        sigma, out = RankedAlphabet({"a": 1, "e": 0}), RankedAlphabet({"f": 2, "e": 0})
+        qs = [StateId.base("q%d" % i) for i in range(23)]
+        sv = lambda q: Tree(StateOverVariable(q, 1))
+        rules = [Rule(qs[0], "a", 1, Tree("f", [sv(qs[1]), sv(qs[2])]))]
+        rules += [Rule(qs[1 + i // 10], "a", 1, sv(q)) for i, q in enumerate(qs[3:])]
+        machine = Transducer("merge", sigma, out, rules, qs[0], states=qs)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="domain automaton exceeds %d rules" % constructions.RULE_CAP):
+                domain_automaton(machine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
 
     def test_rule_cap_stops_the_merge(self, monkeypatch, doubled_rotation):
         # without the cap, the look-ahead automaton of k=3 reaches the
@@ -458,6 +479,35 @@ class TestPConstruction:
         }
         assert sorted(x.text for x in n.translate(t("a(e,e)"))) == ["e1", "e2"]
 
+    def test_rhs_translations_are_capped_before_they_are_built(self, monkeypatch):
+        """A rhs a^8(e) that t2 translates in 2^8 ways: the translation stops
+        as it passes RULE_CAP, before the 256 results are built."""
+        text = """
+        transducer deep { input { g:0 } output { a:1, e:0 } initial q rules { q(g) -> %s; } }
+        transducer fork {
+          input { a:1, e:0 }
+          output { b:1, c:1, e:0 }
+          initial p
+          rules { p(a(x1)) -> b(p(x1)) | c(p(x1)); p(e) -> e; }
+        }
+        chain forking { deep, fork }
+        """ % ("a(" * 8 + "e" + ")" * 8)
+        built = [0]
+
+        class Counted(Tree):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built[0] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(machines, "Tree", Counted)
+        monkeypatch.setattr(constructions, "RULE_CAP", 50)
+        with pytest.raises(ResourceLimit, match="output set exceeds cap 50$"):
+            decide_functionality(parse_workspace(text).chains["forking"], 3)
+        # 134: 8 for hat, then 2 + 4 + ... + 64, up to the first set over 50
+        assert built[0] < 256
+
     def test_identity_second_component(self, quadratic):
         ident = identity_automaton(quadratic.output_alphabet)
         paired, _ = p_construction(quadratic, ident)
@@ -531,7 +581,7 @@ class TestBuildM:
     def test_identity_single_symbol(self):
         alpha = RankedAlphabet({"c": 0})
         q = StateId.base("q")
-        ident = Transducer("one", alpha, alpha, [Rule(q, "c", 0, Tree("c"))], q)
+        ident = Transducer("one", alpha, alpha, [Rule(q, "c", 0, Tree("c"))], q, states=[q])
         m, _ = build_m(ident, ident)
         assert m.translate_la(t("c")) == frozenset((t("c"),))
 
@@ -820,7 +870,8 @@ class TestMachineKinds:
             (lambda: build_m(la, plain), "build_m needs a Transducer, not LookaheadTransducer"),
             (lambda: build_m(plain, la), "build_m needs a Transducer, not LookaheadTransducer"),
             (lambda: p_construction(la, plain), "p_construction needs a Transducer, not LookaheadTransducer"),
-            (lambda: build_hat_t1(plain, la), "domain_automaton needs a Transducer, not LookaheadTransducer"),
+            (lambda: build_hat_t1(plain, la), "build_hat_t1 needs a Transducer, not LookaheadTransducer"),
+            (lambda: build_hat_t1(la, plain), "build_hat_t1 needs a Transducer, not LookaheadTransducer"),
             (lambda: compose_linear_nondeleting(plain, la), "compose_linear_nondeleting needs a Transducer, not"),
         ]
         for call, message in calls:

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import pickle
 import tracemalloc
 import types
@@ -6,6 +7,7 @@ import types
 import pytest
 
 from ttc import (
+    AlphabetMismatch,
     CompositionChain,
     LookaheadTransducer,
     ResourceLimit,
@@ -26,7 +28,7 @@ from ttc.constructions import domain_automaton
 from ttc.decision import FUNCTIONAL, NOT_FUNCTIONAL, derivations
 from ttc.generate import random_chain3, random_pair
 from ttc.render import serialize_machine
-from ttc.trees import Tree, parse_tree
+from ttc.trees import Tree, check_ground_over, parse_tree
 
 from .conftest import domain_of
 from .oracles import (
@@ -76,7 +78,7 @@ class TestChainOutputs:
             with pytest.raises(ValidationError, match="is not a plain transducer"):
                 chain_outputs(other, t("e"))
 
-    def test_cap_bounds_the_composed_set(self):
+    def test_cap_bounds_the_composed_set(self, monkeypatch):
         # s1 gives 8 trees on a(a(a(e))) and s2 gives 8 on each of them, all
         # within the cap; together they are all 27 words over {a, b, c}
         text = """
@@ -96,9 +98,11 @@ class TestChainOutputs:
         """
         chain = parse_workspace(text).chains["branching"]
         s = t("a(a(a(e)))")
-        assert len(chain_outputs(chain, s, cap=27)) == 27
+        monkeypatch.setattr(decision, "DEFAULT_OUTPUT_CAP", 27)
+        assert len(chain_outputs(chain, s)) == 27
+        monkeypatch.setattr(decision, "DEFAULT_OUTPUT_CAP", 10)
         with pytest.raises(ResourceLimit, match="output set exceeds cap 10$"):
-            chain_outputs(chain, s, cap=10)
+            chain_outputs(chain, s)
 
 
 class TestCheckFunctionalBounded:
@@ -168,29 +172,31 @@ class TestCheckFunctionalBounded:
 
 
 class TestBoundsAndCaps:
-    """An output cap is None or an int >= 1, a size bound an int >= 1;
-    anything else is a ValidationError, raised before any work."""
+    """An output cap given to a translation is an int >= 1, with no uncapped
+    mode, and a size bound an int >= 1; anything else is a ValidationError,
+    raised before any work.  Chains and checks read the one constant cap."""
 
-    @pytest.mark.parametrize("cap", [0, -5, 2.5, True, "3"])
-    def test_bad_cap(self, cap, quadratic, copy_chain, worked_pair):
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, True, "3", None])
+    def test_bad_cap(self, cap, quadratic, worked_pair):
         m, _ = build_m(*worked_pair)
-        s = t("a(e)")
         calls = [
-            lambda: quadratic.translate(s, cap=cap),
+            lambda: quadratic.translate(t("a(e)"), cap=cap),
             lambda: m.translate_la(t("f(e,d)"), cap=cap),
-            lambda: chain_outputs(copy_chain, s, cap=cap),
-            lambda: check_functional_bounded(quadratic, 3, output_cap=cap),
-            lambda: decide_functionality(copy_chain, 3, output_cap=cap),
         ]
         for call in calls:
-            with pytest.raises(ValidationError, match="cap must be None or an int >= 1, not"):
+            with pytest.raises(ValidationError, match="^cap must be an int >= 1, not"):
                 call()
 
-    def test_no_cap_and_the_least_cap(self, quadratic, copy_chain):
+    def test_the_cap_is_a_constant(self):
+        for call in (chain_outputs, check_functional_bounded, decide_functionality):
+            assert not {"cap", "output_cap"} & set(inspect.signature(call).parameters), call.__name__
+        assert decision.DEFAULT_OUTPUT_CAP == machines.DEFAULT_OUTPUT_CAP == 10**6
+
+    def test_the_least_cap(self, quadratic, monkeypatch):
         s = t("a(e)")
-        assert quadratic.translate(s, cap=1) == quadratic.translate(s, cap=None) == {t("f(e,e)")}
-        assert chain_outputs(copy_chain, s, cap=None) == {t("f(e,e)")}
-        assert check_functional_bounded(quadratic, 3, output_cap=None).functional
+        assert quadratic.translate(s, cap=1) == quadratic.translate(s) == {t("f(e,e)")}
+        monkeypatch.setattr(decision, "DEFAULT_OUTPUT_CAP", 1)
+        assert check_functional_bounded(quadratic, 3).functional
 
     @pytest.mark.parametrize("size", [0, -1, 2.5, None, True, "3"])
     def test_bad_max_size(self, size, quadratic, worked_pair, monkeypatch):
@@ -229,7 +235,7 @@ class TestCheckMemo:
             return outs
 
         def spy_label(cl, s):
-            if cl.base is not None:  # the check's table, not an automaton stage's
+            if cl.counts:  # the check's table, which counted the domain; an automaton stage's counts nothing
                 seen.append((s, None))
             return label(cl, s)
 
@@ -269,7 +275,7 @@ class TestCheckMemo:
             for stages in (chain.stages, *((stage,) for stage in chain.stages)):
                 self.agree(checked, CompositionChain(stages), 4, lambda s: staged_compose(stages, s), seed)
 
-    def test_resource_limit_does_not_poison_the_next_check(self, checked):
+    def test_resource_limit_does_not_poison_the_next_check(self, checked, monkeypatch):
         # e has one output; a(e) has two, one more than the cap of 1
         text = """
         transducer late {
@@ -283,10 +289,12 @@ class TestCheckMemo:
         fresh = parse_workspace(text).machines["late"]
         for target, clean in ((machine, fresh), (wrap_trivial_lookahead(machine), wrap_trivial_lookahead(fresh))):
             checked.clear()
+            monkeypatch.setattr(decision, "DEFAULT_OUTPUT_CAP", 1)
             with pytest.raises(ResourceLimit):
-                check_functional_bounded(target, 4, output_cap=1)
+                check_functional_bounded(target, 4)
             # e, the one input of size 1, is counted by class, unbuilt
             assert [s.text for s, _ in checked] == []
+            monkeypatch.setattr(decision, "DEFAULT_OUTPUT_CAP", machines.DEFAULT_OUTPUT_CAP)
             after = check_functional_bounded(target, 4)
             assert after == check_functional_bounded(clean, 4)
             assert after.counterexample.input == t("a(e)")
@@ -489,13 +497,14 @@ class TestSingleOutputPath:
             # e, the one input of size 1, is counted by class
             assert paths == [("one", "a(e)"), ("all", "a(e)")]
 
-    def test_cap_is_enforced_where_outputs_are_built(self, targets, paths):
+    def test_cap_is_enforced_where_outputs_are_built(self, targets, paths, monkeypatch):
         # the classes build nothing: a(e) is not single, and building its
         # outputs meets q1(e), whose two outputs exceed the cap
+        monkeypatch.setattr(decision, "DEFAULT_OUTPUT_CAP", 1)
         for target in targets["branch"]:
             paths.clear()
             with pytest.raises(ResourceLimit, match="output set exceeds cap 1$"):
-                check_functional_bounded(target, 4, output_cap=1)
+                check_functional_bounded(target, 4)
             assert paths == [("one", "a(e)"), ("all", "a(e)")]
 
 
@@ -712,12 +721,14 @@ class TestAutomatonStages:
         (out,) = chain_outputs(CompositionChain((leaf, leaf)), s)
         assert out is s
 
-    def test_cap(self, stages):
+    def test_cap(self, stages, monkeypatch):
         chain = CompositionChain((stages["grow"], stages["leaf"]))
         s = t("a(a(e))")
-        assert chain_outputs(chain, s, cap=3) == {t("e")}
+        monkeypatch.setattr(decision, "DEFAULT_OUTPUT_CAP", 3)
+        assert chain_outputs(chain, s) == {t("e")}
+        monkeypatch.setattr(decision, "DEFAULT_OUTPUT_CAP", 2)
         with pytest.raises(ResourceLimit, match="output set exceeds cap 2$"):
-            chain_outputs(chain, s, cap=2)
+            chain_outputs(chain, s)
 
     def test_builds_no_tree(self, workspace, monkeypatch):
         quadratic, identity = workspace.machines["quadratic"], workspace.machines["quad_out_id"]
@@ -942,7 +953,8 @@ class TestTrace:
         t1, _ = del_pair
         trace = trace_derivation(t1, t("a(e,e)"))
         assert not trace.complete
-        assert not trace.final.is_ground()
+        with pytest.raises(AlphabetMismatch, match="is not ground"):
+            check_ground_over(trace.final, t1.output_alphabet)
 
     def test_final_is_a_translation_member(self, copy_pair):
         t1, _ = copy_pair

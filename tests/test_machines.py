@@ -15,8 +15,9 @@ from ttc import (
     domain_automaton,
     p_construction,
 )
+from ttc.constructions import build_m_over_hat
 from ttc.generate import random_chain3, random_pair
-from ttc.machines import _Classes, _evaluate, _label, least_fixpoint
+from ttc.machines import DEFAULT_OUTPUT_CAP, _Classes, _evaluate, _label, least_fixpoint
 from ttc.trees import NodeAddress, StateOverNode, StateOverVariable, Tree, parse_tree
 
 from .conftest import domain_of
@@ -303,12 +304,13 @@ class TestSubtreeClasses:
     domain holds it, and `some` exactly the base states whose domain holds
     it, by the top-down membership reference in `oracles`, which the package
     does not use; each state in `one` has exactly one output on it.
-    Labelled with no base, a subtree gets the same `accepts` alone."""
+    Labelled as a base with no look-ahead machine, as a chain labels an
+    automaton stage, a look-ahead automaton gets as `some` its `accepts`."""
 
     @staticmethod
     def check_classes(machine, trees, tag):
         base, la = (machine.base, machine.la) if isinstance(machine, LookaheadTransducer) else (machine, None)
-        cl, alone = _Classes(base, la), _Classes(None, la)
+        cl, as_base = _Classes(base, la), _Classes(la, None) if la is not None else None
         states = {q.name: q for q in base.states}
         singles = 0
         for s in trees:
@@ -319,9 +321,9 @@ class TestSubtreeClasses:
             else:
                 member = {l.name for l in la.states if dom_member(la, l, s)}
                 assert accepts == member, (tag, s.text)
-                assert alone.classes[_label(alone, s)] == (member,), (tag, s.text)
+                assert as_base.classes[_label(as_base, s)][2] == member, (tag, s.text)
             for name in one:
-                assert len(_evaluate(base, states[name], s, None, {}, cl)) == 1, (tag, s.text, name)
+                assert len(_evaluate(base, states[name], s, DEFAULT_OUTPUT_CAP, {}, cl)) == 1, (tag, s.text, name)
             singles += len(one)
         return singles
 
@@ -348,11 +350,12 @@ class TestSubtreeClasses:
         subtree."""
         accepted = 0
         for seed in range(200):
-            hat = build_hat_t1(*random_pair(seed))
+            m, _ = build_m_over_hat(*random_pair(seed))
+            hat = m.la
             assert not hat.is_automaton(), seed
-            cl = _Classes(None, hat)
+            cl = _Classes(m.base, hat)
             for s in all_trees(hat.input_alphabet, 5):
-                (accepts,) = cl.classes[_label(cl, s)]
+                accepts = cl.classes[_label(cl, s)][0]
                 assert accepts == {h.name for h in hat.states if dom_member(hat, h, s)}, (seed, s.text)
                 accepted += len(accepts)
         assert accepted > 300  # 446 (tree, state) pairs: not vacuous

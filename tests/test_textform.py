@@ -1,7 +1,8 @@
 import pytest
 
-from ttc import LookaheadTransducer, TtcSyntaxError, parse_workspace
+from ttc import LookaheadTransducer, RankedAlphabet, Rule, StateId, Transducer, TtcSyntaxError, p_construction, parse_workspace
 from ttc.render import serialize_chain, serialize_machine
+from ttc.trees import StateOverVariable, Tree, parse_tree
 
 from .oracles import all_trees, machines_equal, workspaces_equal
 
@@ -265,6 +266,29 @@ class TestRoundTrip:
         assert len(again.base.rules) == len(m.base.rules)
         for s in all_trees(m.input_alphabet, 4):
             assert again.translate_la(s) == m.translate_la(s)
+
+    def test_renamed_states_skip_the_symbol_names(self):
+        # w writes and r reads s0, the first name a renamed state would get
+        ws = parse_workspace(
+            "transducer w { input { e:0 } output { s0:0 } initial q rules { q(e) -> s0; } }\n"
+            "transducer r { input { s0:0 } output { s0:0 } initial p rules { p(s0) -> s0; } }\n"
+        )
+        product, _ = p_construction(ws.machines["w"], ws.machines["r"])
+        text = serialize_machine(product, name="prod")
+        assert "initial s1" in text and "s1(e) -> s0;" in text
+        again = parse_workspace(text).machines["prod"]
+        assert again.translate(parse_tree("e")) == product.translate(parse_tree("e")) == {parse_tree("s0")}
+
+    def test_variable_like_state_is_renamed(self):
+        x1 = StateId.base("x1")
+        alpha = RankedAlphabet({"a": 1, "e": 0})
+        rules = [Rule(x1, "a", 1, Tree("a", [Tree(StateOverVariable(x1, 1))])), Rule(x1, "e", 0, Tree("e"))]
+        machine = Transducer("m", alpha, alpha, rules, x1, states=[x1])
+        text = serialize_machine(machine)
+        assert "s0(a(x1)) -> a(s0(x1));" in text
+        again = parse_workspace(text).machines["m"]
+        for s in all_trees(alpha, 4):
+            assert again.translate(s) == machine.translate(s) == {s}
 
     def test_chain_serialization_reparses(self, copy_chain):
         text = serialize_chain(copy_chain, name="roundtrip")
