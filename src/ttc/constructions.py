@@ -30,6 +30,7 @@ from .machines import (
     StateId,
     Transducer,
     _evaluate,
+    universal_states,
 )
 from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree
 
@@ -228,6 +229,7 @@ def p_construction(
     _require(Transducer, "p_construction", t1, t2)
     _composable(t1, t2)
     make_state = make_state or StateId.pair
+    name = name or "p(%s,%s)" % (t1.name, t2.name)
 
     init = (t1.initial, t2.initial)
     seen_pairs = {init}
@@ -257,7 +259,11 @@ def p_construction(
         q1, q2 = queue.popleft()
         head = make_state(q1, q2)
         for src in t1.rules_of(q1):
-            for psi in sorted(_evaluate(t2, q2, src.rhs, RULE_CAP, memo, None), key=attrgetter("text")):
+            try:
+                results = _evaluate(t2, q2, src.rhs, RULE_CAP, memo, None)
+            except ResourceLimit as e:
+                raise ResourceLimit("%s: rule %s of %s: %s" % (name, src.lhs_text(), t1.name, e)) from e
+            for psi in sorted(results, key=attrgetter("text")):
                 got = made.get((psi.text, src.variables))
                 if got is None:
                     got = made[psi.text, src.variables] = _instantiate(psi, src.variables, make_state, pair_filter, leaves)
@@ -281,7 +287,7 @@ def p_construction(
                             raise ResourceLimit("product construction exceeds %d states" % STATE_CAP)
 
     machine = Transducer(
-        name or "p(%s,%s)" % (t1.name, t2.name),
+        name,
         t1.input_alphabet,
         t2.output_alphabet,
         rules,
@@ -409,6 +415,16 @@ def _annotated_base(t1: Transducer, t2: Transducer, reports: list) -> tuple[Tran
     return hat, base
 
 
+def _over_hat(hat: Transducer, base: Transducer, reports: list) -> LookaheadTransducer:
+    """`build_m_over_hat`'s M from hat and M's base, reported."""
+    t0 = time.perf_counter()
+    m = LookaheadTransducer(base, hat)
+    provenance = {s: "triple (q,S,q')" for s in base.states}
+    provenance.update({s: "look-ahead state (hat state)" for s in hat.states})
+    _report(reports, "look-ahead-transducer", m, len(base.states) + len(hat.states), provenance, t0)
+    return m
+
+
 def build_m_over_hat(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[BuildReport]]:
     """`build_m`'s M without its power-set look-ahead automaton or its trim:
     the look-ahead machine is hat itself, whose `accepts` on a subtree holds
@@ -418,27 +434,12 @@ def build_m_over_hat(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransduce
     it; listing and `decompose_la` need `build_m`."""
     reports: list[BuildReport] = []
     hat, base = _annotated_base(t1, t2, reports)
-    t0 = time.perf_counter()
-    m = LookaheadTransducer(base, hat)
-    provenance = {s: "triple (q,S,q')" for s in base.states}
-    provenance.update({s: "look-ahead state (hat state)" for s in hat.states})
-    _report(reports, "look-ahead-transducer", m, len(base.states) + len(hat.states), provenance, t0)
-    return m, reports
+    return _over_hat(hat, base, reports), reports
 
 
-def build_m(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[BuildReport]]:
-    """The look-ahead transducer M for the composition of t1 and t2.
-
-    Base rules come from the triple product of the restricted first component
-    with t2; each rule derived from a hat rule with right-hand side xi is
-    annotated with exactly the state sets xi puts on each variable.  The
-    look-ahead automaton is the domain automaton of the restricted first
-    component, seeded so every annotation is one of its states; empty-domain
-    look-ahead states and the rules they kill are pruned.
-    """
-    reports: list[BuildReport] = []
-    hat, base = _annotated_base(t1, t2, reports)
-
+def _over_la_automaton(t1: Transducer, t2: Transducer, hat: Transducer, base: Transducer, reports: list) -> LookaheadTransducer:
+    """`build_m`'s M from hat and M's base: the power-set look-ahead
+    automaton, then the trim, each reported."""
     t0 = time.perf_counter()
     seeds = {frozenset(l.parts) for r in base.rules for l in r.lookahead}
     la = domain_automaton(hat, seeds=seeds, name="la(%s,%s)" % (t1.name, t2.name))
@@ -453,7 +454,22 @@ def build_m(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[B
     provenance = {s: "triple (q,S,q')" for s in m.base.states}
     provenance.update({s: "look-ahead state (set of hat states)" for s in m.la.states})
     _report(reports, "look-ahead-transducer", m, before, provenance, t0)
-    return m, reports
+    return m
+
+
+def build_m(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[BuildReport]]:
+    """The look-ahead transducer M for the composition of t1 and t2.
+
+    Base rules come from the triple product of the restricted first component
+    with t2; each rule derived from a hat rule with right-hand side xi is
+    annotated with exactly the state sets xi puts on each variable.  The
+    look-ahead automaton is the domain automaton of the restricted first
+    component, seeded so every annotation is one of its states; empty-domain
+    look-ahead states and the rules they kill are pruned.
+    """
+    reports: list[BuildReport] = []
+    hat, base = _annotated_base(t1, t2, reports)
+    return _over_la_automaton(t1, t2, hat, base, reports), reports
 
 
 def decompose_la(m: LookaheadTransducer) -> tuple[Transducer, Transducer]:
@@ -528,16 +544,56 @@ def compose_linear_nondeleting(t1: Transducer, t2: Transducer) -> Transducer:
     return machine
 
 
+def _fuse_reduction(stages: tuple[Transducer, ...], hat: Transducer, base: Transducer, reports: list) -> CompositionChain:
+    """The paper's reduction of the last pair, from its hat and M's base: M
+    over the power-set look-ahead automaton, split into a relabeling and a
+    reader, the relabeling fused into stage n-2."""
+    m = _over_la_automaton(stages[-2], stages[-1], hat, base, reports)
+    relabeling, reader = decompose_la(m)
+    fused = compose_linear_nondeleting(stages[-3], relabeling)
+    return CompositionChain(stages[:-3] + (fused, reader))
+
+
 def reduce_chain(chain: CompositionChain) -> tuple[CompositionChain, list[BuildReport]]:
     """Shorten an n-fold chain (n >= 3) to n-1 stages preserving per-input
     singleton-ness: build M for the last pair, split it into a relabeling and
     a reader, and fuse the relabeling into stage n-2."""
     if len(chain) < 3:
         raise ChainTooShort("chain reduction needs at least three stages")
-    stages = chain.stages
-    m, reports = build_m(stages[-2], stages[-1])
-    relabeling, reader = decompose_la(m)
-    fused = compose_linear_nondeleting(stages[-3], relabeling)
-    reduced = CompositionChain(stages[:-3] + (fused, reader))
-    return reduced, reports
+    reports: list[BuildReport] = []
+    hat, base = _annotated_base(chain.stages[-2], chain.stages[-1], reports)
+    return _fuse_reduction(chain.stages, hat, base, reports), reports
 
+
+def _lookahead_vacuous(hat: Transducer, base: Transducer) -> bool:
+    """True if no guard of M's base can fail: every hat state that a guard
+    names accepts every tree (`universal_states`)."""
+    universal = universal_states(hat)
+    return all(g <= universal for r in base.rules for g in r.guard)
+
+
+def _reduce_for_check(chain: CompositionChain) -> tuple[CompositionChain, list[BuildReport]]:
+    """`decide_functionality`'s reduction of an n-fold chain (n >= 3).  If no
+    guard of M's base can fail, M's translation is its base's (Engelfriet
+    1977), which R and T would only split again: the last two stages become
+    the base without its look-ahead, and the reports are
+    `build_m_over_hat`'s then `look-ahead-dropped`.  Otherwise it is
+    `reduce_chain`'s step, from the same hat and base."""
+    stages = chain.stages
+    reports: list[BuildReport] = []
+    hat, base = _annotated_base(stages[-2], stages[-1], reports)
+    if not _lookahead_vacuous(hat, base):
+        return _fuse_reduction(stages, hat, base, reports), reports
+    _over_hat(hat, base, reports)
+    t0 = time.perf_counter()
+    rules, seen = [], set()
+    for r in base.rules:
+        # rules that differ only in their annotations are one plain rule
+        key = (r.state.name, r.symbol, r.rhs.text)
+        if key not in seen:
+            seen.add(key)
+            rules.append(Rule(r.state, r.symbol, r.variables, r.rhs, child_states=r.child_states))
+    plain = Transducer(base.name, base.input_alphabet, base.output_alphabet, rules, base.initial, states=base.states)
+    before = len(base.states) + len(hat.states)
+    _report(reports, "look-ahead-dropped", plain, before, {s: "triple (q,S,q')" for s in plain.states}, t0)
+    return CompositionChain(stages[:-2] + (plain,)), reports

@@ -17,7 +17,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .constructions import BuildReport, CompositionChain, build_m_over_hat, reduce_chain
+from .constructions import BuildReport, CompositionChain, _reduce_for_check, build_m_over_hat
 from .errors import ResourceLimit, ValidationError
 from .machines import DEFAULT_OUTPUT_CAP, LookaheadTransducer, Rule, Transducer, _Classes, _domain_sizes, _domain_trees, _evaluate, _label, check_positive
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
@@ -171,13 +171,17 @@ def decide_functionality(chain: CompositionChain | Transducer, max_size: int) ->
     """Reduce the chain to two stages, build the look-ahead transducer for the
     final pair, and check it at the bound (a one-stage chain, or a bare
     transducer, is checked as it is); returns every intermediate report.
-    The final pair's M is `build_m_over_hat`'s, with no power-set
-    look-ahead automaton and no trim; its report comes last."""
+    A reduction whose look-ahead cannot fail, as every hat state that a
+    guard names accepts every tree, replaces the last pair with M's base
+    without its look-ahead; any other is `reduce_chain`'s, through R, T and
+    fusion (`constructions._reduce_for_check`).  The final pair's M is
+    `build_m_over_hat`'s, with no power-set look-ahead automaton and no
+    trim; its report comes last."""
     check_positive(max_size, "max_size")
     chain = chain if isinstance(chain, CompositionChain) else CompositionChain((chain,))
     reports: list[BuildReport] = []
     while len(chain) > 2:
-        chain, step_reports = reduce_chain(chain)
+        chain, step_reports = _reduce_for_check(chain)
         reports.extend(step_reports)
     target = chain
     if len(chain) == 2:

@@ -432,6 +432,25 @@ def least_fixpoint(keys: Sequence[Hashable], children: Sequence[Collection]) -> 
     return live
 
 
+def universal_states(t: Transducer) -> frozenset[str]:
+    """The greatest set of state names in which every state has, on every
+    input symbol, a rule whose child states are all in the set.  Each state
+    in it accepts every tree, by induction on height.  Sound, not complete:
+    a state whose rules cover every tree only together is dropped."""
+    kept = {q.name for q in t.states}
+    changed = True
+    while changed:
+        changed = False
+        for q in t.states:
+            if q.name in kept and not all(
+                any(all(c.name in kept for req in r.child_states for c in req) for r in t.rules_for(q, sym))
+                for sym in t.input_alphabet
+            ):
+                kept.discard(q.name)
+                changed = True
+    return frozenset(kept)
+
+
 def reachable(starts: Iterable[StateId], rules: Iterable[Rule]) -> dict[str, StateId]:
     """The states reachable from `starts` through `rules`, by name."""
     by_state: dict[str, list[Rule]] = {}

@@ -1,4 +1,6 @@
+import importlib
 import pathlib
+import sys
 
 import pytest
 
@@ -7,6 +9,7 @@ from ttc.machines import _Classes, _domain_sizes, _domain_trees
 from ttc.trees import RankedAlphabet, Tree
 
 DATA = pathlib.Path(__file__).parent / "data"
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 FIXTURE_TEXT = (DATA / "fixtures.ttc").read_text(encoding="utf-8")
 
@@ -138,3 +141,20 @@ def doubled_rotation():
         return ws.machines["t1"], ws.machines["t2"]
 
     return make
+
+
+def benchmark_modules():
+    """The benchmark's `workloads` and `workspaces` modules."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads"), importlib.import_module("workspaces")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def rotation_chains_text(ks) -> str:
+    """A workspace of the benchmark's rotation pair t1, t2 (k = 2) and, for
+    each k in ks, the chain `t1x<k>`: k copies of t1, then t2."""
+    _, bench = benchmark_modules()
+    text = bench.render_transducer("t1", bench.ROT_T1) + bench.render_transducer("t2", bench.rotation_t2(2))
+    return text + "".join("chain t1x%d { %s, t2 }\n" % (k, ", ".join(["t1"] * k)) for k in ks)

@@ -1,11 +1,14 @@
 import json
 import pathlib
+import time
 
 import pytest
 
 from ttc import Transducer, decide_functionality
 from ttc.cli import main
 from ttc.render import verdict_json
+
+from .conftest import rotation_chains_text
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURES = str(DATA / "fixtures.ttc")
@@ -82,6 +85,28 @@ class TestCheck:
                 assert run_cli(capsys, *common, "--chain", "one_" + name) == by_machine, (name, fmt)
                 statuses.add(by_machine[0])
         assert statuses == {0, 1}
+
+    def test_long_rotation_chains(self, capsys, tmp_path):
+        """T1;T1;T1;T2_2 reaches a verdict, and its reports show the two
+        reductions that dropped their look-ahead; T1^4;T2_2 and T1^5;T2_2
+        end in an error within 1 s."""
+        path = tmp_path / "rotation.ttc"
+        path.write_text(rotation_chains_text([3, 4, 5]), encoding="utf-8")
+        common = ("-w", str(path), "check", "--max-size", "3", "--chain")
+        status, out, _ = run_cli(capsys, *common, "t1x3")
+        assert status == 1
+        assert "not-functional (bound 3)" in out and "counterexample input: d" in out
+        assert [line.split(":")[0] for line in out.splitlines()].count("look-ahead-dropped") == 2
+        status, out, _ = run_cli(capsys, *common, "t1x3", "--format", "json")
+        doc = json.loads(out)
+        assert doc["counterexample"]["input"] == "d"
+        assert [r["label"] for r in doc["reports"]].count("look-ahead-dropped") == 2
+        for k in (4, 5):
+            start = time.perf_counter()
+            status, out, err = run_cli(capsys, *common, "t1x%d" % k)
+            assert time.perf_counter() - start < 1.0, k
+            assert status == 2 and out == ""
+            assert err.splitlines() == ["error: domain automaton exceeds 60000 rules"]
 
     def test_chain_names_a_lookahead_machine(self, capsys):
         status, _, err = run_cli(capsys, "-w", FIXTURES, "check", "--chain", "quadratic_la")
@@ -319,6 +344,31 @@ class TestErrors:
         status, _, err = run_cli(capsys, "-w", FIXTURES, command, "--t1", "quadratic", "--t2", "ex4_t2")
         assert status == 2
         assert err.splitlines() == ["error: output alphabet of quadratic differs from input alphabet of ex4_t2"]
+
+    def test_product_rhs_over_the_rule_cap_names_the_construction(self, capsys, tmp_path):
+        """t2 translates t1's one right-hand side a^20(e) in 2^20 ways, more
+        than the triple product may have rules: the error names the product,
+        the hat rule and the cap, in under 1 s."""
+        path = tmp_path / "forking.ttc"
+        path.write_text(
+            """
+            transducer deep { input { g:0 } output { a:1, e:0 } initial q rules { q(g) -> %s; } }
+            transducer fork {
+              input { a:1, e:0 }
+              output { b:1, c:1, e:0 }
+              initial p
+              rules { p(a(x1)) -> b(p(x1)) | c(p(x1)); p(e) -> e; }
+            }
+            chain forking { deep, fork }
+            """
+            % ("a(" * 20 + "e" + ")" * 20),
+            encoding="utf-8",
+        )
+        start = time.perf_counter()
+        status, _, err = run_cli(capsys, "-w", str(path), "check", "--chain", "forking", "--max-size", "3")
+        assert time.perf_counter() - start < 1.0
+        assert status == 2
+        assert err.splitlines() == ["error: N(deep,fork): rule (q,{p})(g) of hat(deep): output set exceeds cap 60000"]
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import pickle
+import time
 import tracemalloc
 import types
 
@@ -13,6 +14,7 @@ from ttc import (
     ResourceLimit,
     Transducer,
     ValidationError,
+    build_hat_t1,
     build_m,
     chain_outputs,
     check_functional_bounded,
@@ -30,13 +32,14 @@ from ttc.generate import random_chain3, random_pair
 from ttc.render import serialize_machine
 from ttc.trees import Tree, check_ground_over, parse_tree
 
-from .conftest import domain_of
+from .conftest import benchmark_modules, domain_of, rotation_chains_text
 from .oracles import (
     all_trees,
     dom_member,
     first_counterexample,
     identity_automaton,
     reference_check,
+    rewrite_translate,
     staged_compose,
     translate_la_eager,
     wrap_trivial_lookahead,
@@ -204,7 +207,7 @@ class TestBoundsAndCaps:
             raise AssertionError("built before the bound was checked")
 
         monkeypatch.setattr(decision, "build_m_over_hat", no_build)
-        monkeypatch.setattr(decision, "reduce_chain", no_build)
+        monkeypatch.setattr(decision, "_reduce_for_check", no_build)
         calls = [
             lambda: check_functional_bounded(quadratic, size),
             lambda: decide_functionality(CompositionChain(worked_pair), size),
@@ -840,6 +843,117 @@ class TestDecideFunctionality:
         assert verdict.status == direct.status == FUNCTIONAL
         # two reduction rounds plus the final pair: three construction groups
         assert len([r for r in reports if r.label == "look-ahead-transducer"]) == 3
+
+
+class TestDroppedLookahead:
+    """A reduction step of the check whose guards name only hat states that
+    accept every tree keeps M's base without its look-ahead, and builds no
+    power-set automaton, relabeling, reader or fused stage."""
+
+    def test_universal_states_accept_every_tree(self, workspace):
+        pairs = [random_pair(seed) for seed in range(300)] + [c.stages for c in workspace.chains.values()]
+        certified = 0
+        for t1, t2 in pairs:
+            hat = build_hat_t1(t1, t2)
+            universal = machines.universal_states(hat)
+            trees = all_trees(hat.input_alphabet, 6)
+            for q in hat.states:
+                if q.name in universal:
+                    certified += 1
+                    for s in trees:
+                        assert rewrite_translate(hat, s, q), (hat.name, q.name, s.text)
+        assert certified == 140
+
+    def test_the_shortcut_keeps_every_verdict(self, workspace, monkeypatch):
+        """Status, inputs checked, counterexample and outputs are those of
+        the paper's reduction, on `random_chain3` 0-99, the fixture pairs
+        behind an identity automaton and the benchmark's rotation members."""
+        _, bench = benchmark_modules()
+        targets = [(random_chain3(seed), 5) for seed in range(100)]
+        for chain in workspace.chains.values():
+            ident = identity_automaton(chain.stages[0].input_alphabet, name="id0")
+            targets += [(CompositionChain((ident, *chain.stages)), bound) for bound in (3, 5)]
+        for seed in (1, 2, 3):
+            targets += [(parse_workspace(ws.text).chains[ws.chain], ws.bound) for ws in bench.rotation(seed)]
+
+        def results():
+            got, dropped = [], 0
+            for chain, bound in targets:
+                verdict, reports = decide_functionality(chain, bound)
+                cex = verdict.counterexample
+                got.append((verdict.status, verdict.stats["inputs_checked"], cex and cex.input, cex and cex.outputs))
+                dropped += [r.label for r in reports].count("look-ahead-dropped")
+            return got, dropped
+
+        shortcut, dropped = results()
+        monkeypatch.setattr(constructions, "_lookahead_vacuous", lambda hat, base: False)
+        paper, none_dropped = results()
+        assert shortcut == paper
+        assert (dropped, none_dropped) == (95, 0)
+
+    DELETING = """
+    transducer t1 {
+      input { a:2, e:0 }
+      output { f:2, e:0 }
+      initial q
+      rules {
+        q(a(x1,x2)) -> f(r(x1),r(x2)) | f(r(x1),s(x2));
+        q(e) -> e;
+        r(a(x1,x2)) -> f(r(x1),r(x2)); r(e) -> e;
+        s(a(x1,x2)) -> f(s(x1),s(x2)); s(e) -> e;
+      }
+    }
+    transducer t2 { input { f:2, e:0 } output { g:1, e:0 } initial p rules { p(f(x1,x2)) -> g(p(x1)); p(e) -> e; } }
+    transducer id { input { a:2, e:0 } output { a:2, e:0 } initial u rules { u(a(x1,x2)) -> a(u(x1),u(x2)); u(e) -> e; } }
+    chain three { id, t1, t2 }
+    """
+
+    def test_the_dropped_lookahead_is_reported(self):
+        """t2 deletes what t1 puts under x2 by r or by s, which accept
+        every tree: two base rules that differ only in their annotations
+        become one plain rule."""
+        chain = parse_workspace(self.DELETING).chains["three"]
+        verdict, reports = decide_functionality(chain, 5)
+        assert verdict.status == FUNCTIONAL
+        assert [r.label for r in reports] == [
+            "domain-automaton",
+            "restricted-first",
+            "triple-product",
+            "look-ahead-transducer",
+            "look-ahead-dropped",
+            "domain-automaton",
+            "restricted-first",
+            "triple-product",
+            "look-ahead-transducer",
+        ]
+        m, dropped = reports[3].machine, reports[4]
+        plain = dropped.machine
+        assert m.la is reports[1].machine  # M over hat
+        assert type(plain) is Transducer and plain.name == m.name
+        assert dropped.states_before == len(m.base.states) + len(m.la.states)
+        assert dropped.states_after == len(plain.states) == len(m.base.states)
+        keys = [(r.state.name, r.symbol, r.rhs.text) for r in plain.rules]
+        assert len(keys) == len(set(keys)) == len(m.base.rules) - 1
+        assert set(keys) == {(r.state.name, r.symbol, r.rhs.text) for r in m.base.rules}
+        assert all(r.lookahead is None and r.child_states == machines._child_states(r) for r in plain.rules)
+        for s in all_trees(plain.input_alphabet, 5):
+            assert plain.translate(s) == m.translate_la(s), s.text
+        # the final pair is the first stage and the plain base
+        assert reports[-1].machine.base.name == "M(%s,%s)" % (chain.stages[0].name, plain.name)
+
+    def test_long_rotation_chains(self):
+        """T1;T1;T1;T2_2 reaches a verdict; each of its reductions drops its
+        look-ahead.  Longer chains end in ResourceLimit, within 1 s."""
+        chains = parse_workspace(rotation_chains_text([3, 4, 5])).chains
+        verdict, reports = decide_functionality(chains["t1x3"], 3)
+        assert verdict.status == NOT_FUNCTIONAL
+        assert verdict.counterexample.input == t("d")
+        assert [r.label for r in reports].count("look-ahead-dropped") == 2
+        for k in (4, 5):
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimit):
+                decide_functionality(chains["t1x%d" % k], 3)
+            assert time.perf_counter() - start < 1.0, k
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,6 @@ frees what it allocates by reference counting alone, so when a collection
 runs, and what a peak-memory reading includes, does not depend on it."""
 
 import gc
-import importlib
-import pathlib
-import sys
 
 from ttc import (
     build_m,
@@ -13,26 +10,21 @@ from ttc import (
     decide_functionality,
     decompose_la,
     parse_tree,
+    parse_workspace,
     reduce_chain,
     trace_derivation,
 )
 from ttc.generate import random_chain3
 
-PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
-
-
-def benchmark_modules():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        return importlib.import_module("workloads"), importlib.import_module("workspaces")
-    finally:
-        sys.path.remove(str(PERFBENCH))
+from .conftest import benchmark_modules, rotation_chains_text
 
 
 def test_operations_leave_no_cyclic_garbage(workspace, quadratic, worked_pair):
     workloads, workspaces = benchmark_modules()
     spaces = {name: make(1) for name, make in sorted(workspaces.WORKLOADS.items())}
     chains = list(workspace.chains.values())
+    # T1;T1;T1;T2_2: two reductions that drop their look-ahead
+    chains.append(parse_workspace(rotation_chains_text([3])).chains["t1x3"])
     chain3 = random_chain3(1)
     spine = parse_tree("a(a(e))")
     gc.collect()
