@@ -3,8 +3,10 @@
 Everything here is a pure function from machines to machines: the power-set
 domain automaton, the product (p-) construction, the domain-restricted first
 component, the triple-state product, the look-ahead transducer M, look-ahead
-removal, fusion with a linear nondeleting second component, and the chain
-reduction that trades the last two stages of a composition for M.
+removal, fusion with a linear nondeleting second component, the chain
+reduction that trades the last two stages of a composition for M, and the
+check's step on the last pair, which gives M over hat for the final pair
+and shortens a longer chain the cheapest way its look-ahead allows.
 """
 
 from __future__ import annotations
@@ -117,11 +119,13 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
     unions, and while each member merges in the second, on the rules so far
     plus the vectors merged so far (`merge_vectors`), before any rule is
     built.  An intermediate merge can be larger than the final one, so the
-    cap limits the memory, not only the output.  Rules are emitted sorted by
+    cap limits the memory, not only the output.  The ResourceLimit of
+    either cap names the automaton: dom(t), or the name given.  Rules are emitted sorted by
     child-state names; each is given its child states, read off its vector,
     instead of walking its rhs.
     """
     _require(Transducer, "domain_automaton", t)
+    name = name or "dom(%s)" % t.name
     sigma = t.input_alphabet
     ordered_seeds = sorted(
         (frozenset(s) for s in seeds), key=lambda m: sorted(x.name for x in m)
@@ -185,23 +189,26 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
             known.add(mask)
             queue.append(mask)
 
-    while queue:
-        state = state_of(queue.popleft())
-        for sym, k in sigma.items():
-            merged = {(0,) * k}
-            for q in state.parts:
-                merged = merge_vectors(merged, unions_of(q, sym), RULE_CAP - len(rules))
-            for vec in sorted(merged, key=lambda vec: [state_of(c).name for c in vec]):
-                rules.append(rule_of(state, sym, vec))
-                for c in vec:
-                    if c not in known:
-                        known.add(c)
-                        queue.append(c)
-                        if len(known) > STATE_CAP:
-                            raise ResourceLimit("domain automaton exceeds %d states" % STATE_CAP)
+    try:
+        while queue:
+            state = state_of(queue.popleft())
+            for sym, k in sigma.items():
+                merged = {(0,) * k}
+                for q in state.parts:
+                    merged = merge_vectors(merged, unions_of(q, sym), RULE_CAP - len(rules))
+                for vec in sorted(merged, key=lambda vec: [state_of(c).name for c in vec]):
+                    rules.append(rule_of(state, sym, vec))
+                    for c in vec:
+                        if c not in known:
+                            known.add(c)
+                            queue.append(c)
+                            if len(known) > STATE_CAP:
+                                raise ResourceLimit("domain automaton exceeds %d states" % STATE_CAP)
+    except ResourceLimit as e:
+        raise ResourceLimit("%s: %s" % (name, e)) from e
 
     return Transducer(
-        name or "dom(%s)" % t.name,
+        name,
         sigma,
         sigma,
         rules,
@@ -266,7 +273,10 @@ def p_construction(
             for psi in sorted(results, key=attrgetter("text")):
                 got = made.get((psi.text, src.variables))
                 if got is None:
-                    got = made[psi.text, src.variables] = _instantiate(psi, src.variables, make_state, pair_filter, leaves)
+                    buckets, demanded = [set() for _ in range(src.variables)], []
+                    gamma = _replace_leaves(psi, make_state, pair_filter, leaves, buckets, demanded)
+                    # a veto is memoised as (), not None, so it is not redone
+                    got = made[psi.text, src.variables] = () if gamma is None else (gamma, tuple(map(frozenset, buckets)), demanded)
                 if not got:
                     continue
                 gamma, child_states, demanded = got
@@ -297,23 +307,13 @@ def p_construction(
     return machine, sources
 
 
-def _instantiate(psi: Tree, variables: int, make_state, pair_filter, leaves: dict):
-    """psi with each leaf q2(q1(xi)), where q2 met the marker q1(xi), replaced
-    by (q1,q2)(xi); returns that tree, its child states over x1..x<variables>
-    and the pairs it demands in order, or () if pair_filter vetoes one.
-    `leaves` maps a leaf's text to its replacement and pair, or to None and
-    the pair for a veto, for the whole construction."""
-    buckets = [set() for _ in range(variables)]
-    demanded = []
-    gamma = _replace_leaves(psi, make_state, pair_filter, leaves, buckets, demanded)
-    if gamma is None:
-        return ()
-    return gamma, tuple(map(frozenset, buckets)), demanded
-
-
 def _replace_leaves(node: Tree, make_state, pair_filter, leaves: dict, buckets: list, demanded: list) -> Tree | None:
-    """`_instantiate`'s walk, left to right: node with its leaves replaced,
-    or None if one is vetoed; every leaf is visited either way."""
+    """node with each leaf q2(q1(xi)), where q2 met the marker q1(xi),
+    replaced by (q1,q2)(xi), walked left to right, or None if pair_filter
+    vetoes one.  Every leaf is visited either way; each replacement adds its
+    state to buckets[i - 1] and its pair to `demanded`.  `leaves` maps a
+    leaf's text to its replacement and pair, or to None and the pair for a
+    veto, for the whole construction."""
     lab = node.label
     if isinstance(lab, StateOverNode):
         got = leaves.get(node.text)
@@ -350,7 +350,8 @@ def _triple_state(q1: StateId, q2: StateId) -> StateId:
 
 
 def _triple_filter(q1: StateId, q2: StateId) -> bool:
-    return q1.kind == "pair" and q1.parts[1].kind == "set" and q2 in q1.parts[1].parts
+    """q1 is a hat state (q, S): only the pairs with q2 in S are kept."""
+    return q2 in q1.parts[1].parts
 
 
 def _report(reports: list, label: str, machine, before: int, provenance: dict, t0: float) -> None:
@@ -413,28 +414,6 @@ def _annotated_base(t1: Transducer, t2: Transducer, reports: list) -> tuple[Tran
         _annotated=True,
     )
     return hat, base
-
-
-def _over_hat(hat: Transducer, base: Transducer, reports: list) -> LookaheadTransducer:
-    """`build_m_over_hat`'s M from hat and M's base, reported."""
-    t0 = time.perf_counter()
-    m = LookaheadTransducer(base, hat)
-    provenance = {s: "triple (q,S,q')" for s in base.states}
-    provenance.update({s: "look-ahead state (hat state)" for s in hat.states})
-    _report(reports, "look-ahead-transducer", m, len(base.states) + len(hat.states), provenance, t0)
-    return m
-
-
-def build_m_over_hat(t1: Transducer, t2: Transducer) -> tuple[LookaheadTransducer, list[BuildReport]]:
-    """`build_m`'s M without its power-set look-ahead automaton or its trim:
-    the look-ahead machine is hat itself, whose `accepts` on a subtree holds
-    the hat states whose domain holds it, so a guard holds iff it holds every
-    member of the annotation.  A rule with an empty-domain annotation never
-    fires, and one of an unreachable state is never called.  The check uses
-    it; listing and `decompose_la` need `build_m`."""
-    reports: list[BuildReport] = []
-    hat, base = _annotated_base(t1, t2, reports)
-    return _over_hat(hat, base, reports), reports
 
 
 def _over_la_automaton(t1: Transducer, t2: Transducer, hat: Transducer, base: Transducer, reports: list) -> LookaheadTransducer:
@@ -572,19 +551,30 @@ def _lookahead_vacuous(hat: Transducer, base: Transducer) -> bool:
     return all(g <= universal for r in base.rules for g in r.guard)
 
 
-def _reduce_for_check(chain: CompositionChain) -> tuple[CompositionChain, list[BuildReport]]:
-    """`decide_functionality`'s reduction of an n-fold chain (n >= 3).  If no
-    guard of M's base can fail, M's translation is its base's (Engelfriet
-    1977), which R and T would only split again: the last two stages become
-    the base without its look-ahead, and the reports are
-    `build_m_over_hat`'s then `look-ahead-dropped`.  Otherwise it is
-    `reduce_chain`'s step, from the same hat and base."""
+def _check_step(chain: CompositionChain, reports: list) -> CompositionChain | LookaheadTransducer:
+    """`decide_functionality`'s step on the last pair of a chain of two or
+    more stages, from one hat and M's base (`_annotated_base`).  A final pair
+    becomes M over hat: the look-ahead machine is hat itself, whose
+    `accepts` on a subtree holds the hat states whose domain holds it, so a
+    guard holds iff it holds every member of the annotation, and no
+    power-set automaton or trim is built (listing and `decompose_la` need
+    `build_m`).  In a longer chain, if no guard of the base can fail, M's
+    translation is its base's (Engelfriet 1977), which R and T would only
+    split again: the last two stages become the base without its
+    look-ahead, reported after M as `look-ahead-dropped`.  Any other step is
+    `reduce_chain`'s, from the same hat and base."""
     stages = chain.stages
-    reports: list[BuildReport] = []
     hat, base = _annotated_base(stages[-2], stages[-1], reports)
-    if not _lookahead_vacuous(hat, base):
-        return _fuse_reduction(stages, hat, base, reports), reports
-    _over_hat(hat, base, reports)
+    if len(stages) > 2 and not _lookahead_vacuous(hat, base):
+        return _fuse_reduction(stages, hat, base, reports)
+    t0 = time.perf_counter()
+    m = LookaheadTransducer(base, hat)
+    before = len(base.states) + len(hat.states)
+    provenance = {s: "triple (q,S,q')" for s in base.states}
+    provenance.update({s: "look-ahead state (hat state)" for s in hat.states})
+    _report(reports, "look-ahead-transducer", m, before, provenance, t0)
+    if len(stages) == 2:
+        return m
     t0 = time.perf_counter()
     rules, seen = [], set()
     for r in base.rules:
@@ -594,6 +584,5 @@ def _reduce_for_check(chain: CompositionChain) -> tuple[CompositionChain, list[B
             seen.add(key)
             rules.append(Rule(r.state, r.symbol, r.variables, r.rhs, child_states=r.child_states))
     plain = Transducer(base.name, base.input_alphabet, base.output_alphabet, rules, base.initial, states=base.states)
-    before = len(base.states) + len(hat.states)
     _report(reports, "look-ahead-dropped", plain, before, {s: "triple (q,S,q')" for s in plain.states}, t0)
-    return CompositionChain(stages[:-2] + (plain,)), reports
+    return CompositionChain(stages[:-2] + (plain,))

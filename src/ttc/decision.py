@@ -1,5 +1,9 @@
 """Composition-chain semantics, the bounded functionality checker, and traces.
 
+`decide_functionality` trades the last pair of a chain for one stage, one
+step at a time (`constructions._check_step`), until one stage is left: a
+plain transducer, or M over hat for the final pair.
+
 The checker goes through the domain of its target (not all trees) up to a
 size bound, counts the outputs of each input, and reports the first input
 with two distinct outputs in canonical order.  It counts the trees of each
@@ -17,7 +21,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .constructions import BuildReport, CompositionChain, _reduce_for_check, build_m_over_hat
+from .constructions import BuildReport, CompositionChain, _check_step
 from .errors import ResourceLimit, ValidationError
 from .machines import DEFAULT_OUTPUT_CAP, LookaheadTransducer, Rule, Transducer, _Classes, _domain_sizes, _domain_trees, _evaluate, _label, check_positive
 from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
@@ -119,7 +123,6 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
         initial, la, stages = target.stages[0].initial, None, target.stages
     memos = _stage_memos(stages, la)
     cl = _Classes(stages[0], la)
-    alphabet = stages[0].input_alphabet
     one_stage = len(stages) == 1
     inputs_checked = 0
     single_output_inputs = 0
@@ -128,7 +131,7 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
     counterexample = None
     # An exception's traceback keeps this frame alive: clear the memos anyway.
     try:
-        for size, domain in enumerate(_domain_sizes(cl, initial.name, alphabet, max_size), start=1):
+        for size, domain in enumerate(_domain_sizes(cl, initial.name, max_size), start=1):
             count = sum(c for _, c in domain)
             inputs_enumerated += count
             if one_stage and all(initial.name in cl.classes[k][1] for k, _ in domain):
@@ -136,7 +139,7 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
                 inputs_checked += count
                 single_output_inputs += count
                 continue
-            for s in _domain_trees(cl, domain, alphabet):
+            for s in _domain_trees(cl, domain):
                 inputs_checked += 1
                 # labels s first: its proper subtrees' classes decide the guards
                 if one_stage and initial.name in cl.classes[_label(cl, s)][1]:
@@ -168,25 +171,19 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
 
 
 def decide_functionality(chain: CompositionChain | Transducer, max_size: int) -> tuple[Verdict, list[BuildReport]]:
-    """Reduce the chain to two stages, build the look-ahead transducer for the
-    final pair, and check it at the bound (a one-stage chain, or a bare
-    transducer, is checked as it is); returns every intermediate report.
-    A reduction whose look-ahead cannot fail, as every hat state that a
-    guard names accepts every tree, replaces the last pair with M's base
-    without its look-ahead; any other is `reduce_chain`'s, through R, T and
-    fusion (`constructions._reduce_for_check`).  The final pair's M is
-    `build_m_over_hat`'s, with no power-set look-ahead automaton and no
-    trim; its report comes last."""
+    """Trade the last pair of the chain for one stage until one is left,
+    and check that at the bound (a one-stage chain, or a bare transducer, is
+    checked as it is); returns every intermediate report.  Each step is
+    `constructions._check_step`: a longer chain's last pair becomes M's base
+    without its look-ahead when no guard can fail, and otherwise
+    `reduce_chain`'s reader and fused relabeling; the final pair becomes M
+    over hat, with no power-set look-ahead automaton and no trim, whose
+    report comes last."""
     check_positive(max_size, "max_size")
-    chain = chain if isinstance(chain, CompositionChain) else CompositionChain((chain,))
+    target = chain if isinstance(chain, CompositionChain) else CompositionChain((chain,))
     reports: list[BuildReport] = []
-    while len(chain) > 2:
-        chain, step_reports = _reduce_for_check(chain)
-        reports.extend(step_reports)
-    target = chain
-    if len(chain) == 2:
-        target, step_reports = build_m_over_hat(chain.stages[0], chain.stages[1])
-        reports.extend(step_reports)
+    while isinstance(target, CompositionChain) and len(target) > 1:
+        target = _check_step(target, reports)
     verdict = check_functional_bounded(target, max_size)
     return verdict, reports
 

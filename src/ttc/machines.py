@@ -120,7 +120,7 @@ class Rule:
     `guard` is, for each variable x_i of a look-ahead rule, the names of the
     look-ahead states whose domains must all hold child i: by default the
     annotation's own name; M over hat passes the members of each annotation
-    set (`constructions.build_m_over_hat`)."""
+    set (`constructions._check_step`)."""
 
     state: StateId
     symbol: object
@@ -308,18 +308,18 @@ def _class(base: Transducer, la: Transducer | None, symbol, kids: list) -> tuple
     return accepts, frozenset(one), frozenset(some)
 
 
-def _class_counts(cl: _Classes, alphabet: RankedAlphabet, max_size: int) -> Iterator[dict[int, int]]:
+def _class_counts(cl: _Classes, max_size: int) -> Iterator[dict[int, int]]:
     """For each size n from 1 to max_size, the number of ground trees of
-    size n over the alphabet in each class, keyed on its index into
-    `cl.classes`, appended to `cl.counts` before it is yielded.  A tree's
-    class depends only on its symbol and its children's classes, so the
-    counts follow from those at smaller sizes through `cl.table`, over every
-    symbol, split of n - 1 and tuple of child classes, and no tree is
-    built."""
+    size n over the input alphabet of `cl.base` in each class, keyed on its
+    index into `cl.classes`, appended to `cl.counts` before it is yielded.
+    A tree's class depends only on its symbol and its children's classes,
+    so the counts follow from those at smaller sizes through `cl.table`,
+    over every symbol, split of n - 1 and tuple of child classes, and no
+    tree is built."""
     counts = cl.counts
     for n in range(1, max_size + 1):
         layer = {}
-        for sym, k in alphabet.items():
+        for sym, k in cl.base.input_alphabet.items():
             for split in _compositions(n - 1, k):
                 for combo in product(*[counts[m - 1].items() for m in split]):
                     c = _transition(cl, (sym, *[kid for kid, _ in combo]))
@@ -328,7 +328,7 @@ def _class_counts(cl: _Classes, alphabet: RankedAlphabet, max_size: int) -> Iter
         yield layer
 
 
-def _class_trees(cl: _Classes, c: int, n: int, alphabet: RankedAlphabet) -> list[Tree]:
+def _class_trees(cl: _Classes, c: int, n: int) -> list[Tree]:
     """The trees of size n in class c, in no particular order, built from
     `cl.counts` and `cl.table` as `_class_counts` left them at size n.  A
     tree has one decomposition into its symbol, its children's sizes and
@@ -338,30 +338,30 @@ def _class_trees(cl: _Classes, c: int, n: int, alphabet: RankedAlphabet) -> list
     out = cl.trees.get((c, n))
     if out is None:
         out = []
-        for sym, k in alphabet.items():
+        for sym, k in cl.base.input_alphabet.items():
             for split in _compositions(n - 1, k):
                 for kids in product(*[cl.counts[m - 1] for m in split]):
                     if cl.table[(sym, *kids)] == c:
-                        parts = [_class_trees(cl, kid, m, alphabet) for kid, m in zip(kids, split)]
+                        parts = [_class_trees(cl, kid, m) for kid, m in zip(kids, split)]
                         out += [Tree(sym, combo) for combo in product(*parts)]
         cl.trees[c, n] = out
     return out
 
 
-def _domain_sizes(cl: _Classes, q: str, alphabet: RankedAlphabet, max_size: int) -> Iterator[list[tuple[int, int]]]:
+def _domain_sizes(cl: _Classes, q: str, max_size: int) -> Iterator[list[tuple[int, int]]]:
     """For each size n from 1 to max_size, the domain of the state named q
     at size n: the (class, count) pairs of the classes whose `some` holds q
     (`_class_counts`)."""
     check_positive(max_size, "max_size")
-    for layer in _class_counts(cl, alphabet, max_size):
+    for layer in _class_counts(cl, max_size):
         yield [(k, count) for k, count in layer.items() if q in cl.classes[k][2]]
 
 
-def _domain_trees(cl: _Classes, domain: list[tuple[int, int]], alphabet: RankedAlphabet) -> list[Tree]:
+def _domain_trees(cl: _Classes, domain: list[tuple[int, int]]) -> list[Tree]:
     """The trees of the classes in `domain` at the size counted last, sorted
     by text: one list per size of `_domain_sizes`, one after the other, are
     the domain in canonical (size, text) order."""
-    trees = [s for k, _ in domain for s in _class_trees(cl, k, len(cl.counts), alphabet)]
+    trees = [s for k, _ in domain for s in _class_trees(cl, k, len(cl.counts))]
     trees.sort(key=attrgetter("text"))
     return trees
 
@@ -635,8 +635,8 @@ class LookaheadTransducer:
 
     def enumerate_domain(self, max_size: int) -> list[Tree]:
         """All ground trees of size <= max_size in the domain, in canonical order."""
-        cl, alphabet = _Classes(self.base, self.la), self.input_alphabet
-        return [s for domain in _domain_sizes(cl, self.base.initial.name, alphabet, max_size) for s in _domain_trees(cl, domain, alphabet)]
+        cl = _Classes(self.base, self.la)
+        return [s for domain in _domain_sizes(cl, self.base.initial.name, max_size) for s in _domain_trees(cl, domain)]
 
 
 def _trim_lookahead(base: Transducer, la: Transducer) -> tuple[Transducer, Transducer]:

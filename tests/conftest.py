@@ -68,8 +68,8 @@ def copy_t2_extra(copy_pair):
 def domain_of(machine, state, max_size):
     """dom(state) of a plain transducer up to max_size, in canonical order, by
     the enumeration the check uses."""
-    cl, alphabet = _Classes(machine, None), machine.input_alphabet
-    return [s for domain in _domain_sizes(cl, state.name, alphabet, max_size) for s in _domain_trees(cl, domain, alphabet)]
+    cl = _Classes(machine, None)
+    return [s for domain in _domain_sizes(cl, state.name, max_size) for s in _domain_trees(cl, domain)]
 
 
 def t(text):

@@ -89,7 +89,8 @@ class TestCheck:
     def test_long_rotation_chains(self, capsys, tmp_path):
         """T1;T1;T1;T2_2 reaches a verdict, and its reports show the two
         reductions that dropped their look-ahead; T1^4;T2_2 and T1^5;T2_2
-        end in an error within 1 s."""
+        end in an error within 1 s that names the automaton that outgrew its
+        cap."""
         path = tmp_path / "rotation.ttc"
         path.write_text(rotation_chains_text([3, 4, 5]), encoding="utf-8")
         common = ("-w", str(path), "check", "--max-size", "3", "--chain")
@@ -106,7 +107,7 @@ class TestCheck:
             status, out, err = run_cli(capsys, *common, "t1x%d" % k)
             assert time.perf_counter() - start < 1.0, k
             assert status == 2 and out == ""
-            assert err.splitlines() == ["error: domain automaton exceeds 60000 rules"]
+            assert err.splitlines() == ["error: dom(M(t1,M(t1,M(t1,t2)))): domain automaton exceeds 60000 rules"]
 
     def test_chain_names_a_lookahead_machine(self, capsys):
         status, _, err = run_cli(capsys, "-w", FIXTURES, "check", "--chain", "quadratic_la")

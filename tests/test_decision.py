@@ -206,8 +206,7 @@ class TestBoundsAndCaps:
         def no_build(*args):
             raise AssertionError("built before the bound was checked")
 
-        monkeypatch.setattr(decision, "build_m_over_hat", no_build)
-        monkeypatch.setattr(decision, "_reduce_for_check", no_build)
+        monkeypatch.setattr(decision, "_check_step", no_build)
         calls = [
             lambda: check_functional_bounded(quadratic, size),
             lambda: decide_functionality(CompositionChain(worked_pair), size),
@@ -381,9 +380,9 @@ class TestEvaluatorCalls:
             calls.append(("evaluate", q.name, s.text))
             return evaluate(base, q, s, cap, memo, cl)
 
-        def spy_class_trees(cl, c, n, alphabet):
+        def spy_class_trees(cl, c, n):
             calls.append(("class_trees", c, n))
-            return class_trees(cl, c, n, alphabet)
+            return class_trees(cl, c, n)
 
         def spy_label(cl, s):
             labelled.append(s.text)
@@ -614,7 +613,7 @@ class TestClassCounts:
             trees = all_trees(base.input_alphabet, bound)
             domain = [s for s in trees if dom_member(target, base.initial, s)]
             cl = machines._Classes(base, la)
-            layers = machines._class_counts(cl, base.input_alphabet, bound)
+            layers = machines._class_counts(cl, bound)
             for n, count in enumerate(layers, start=1):
                 # every tree has one class, and the domain is the classes whose
                 # `some` holds the initial state
@@ -941,6 +940,31 @@ class TestDroppedLookahead:
         # the final pair is the first stage and the plain base
         assert reports[-1].machine.base.name == "M(%s,%s)" % (chain.stages[0].name, plain.name)
 
+    @pytest.mark.parametrize("seed", [11, 23])
+    def test_a_step_that_keeps_its_lookahead_fuses(self, seed):
+        """Of `random_chain3` 0-99, only 11, 23, 28, 47, 50, 79, 84 and 89
+        have a reduction whose look-ahead can fail: the check reports
+        `build_m`'s five steps for the last pair, then the final pair of
+        `reduce_chain`'s fused relabeling and reader."""
+        chain = random_chain3(seed)
+        verdict, reports = decide_functionality(chain, 5)
+        assert [r.label for r in reports] == [
+            "domain-automaton",
+            "restricted-first",
+            "triple-product",
+            "look-ahead-automaton",
+            "look-ahead-transducer",
+            "domain-automaton",
+            "restricted-first",
+            "triple-product",
+            "look-ahead-transducer",
+        ]
+        fused, reader = reduce_chain(chain)[0].stages
+        assert reports[-1].machine.base.name == "M(%s,%s)" % (fused.name, reader.name)
+        direct = check_functional_bounded(chain, 5)
+        assert verdict.status == direct.status == NOT_FUNCTIONAL
+        assert verdict.counterexample == direct.counterexample
+
     def test_long_rotation_chains(self):
         """T1;T1;T1;T2_2 reaches a verdict; each of its reductions drops its
         look-ahead.  Longer chains end in ResourceLimit, within 1 s."""
@@ -970,7 +994,7 @@ def final_pairs(workspace):
 
 class TestMOverHat:
     """The final pair's M reads its guards through hat's own domain sets
-    (`build_m_over_hat`), `build_m`'s M through the power-set look-ahead
+    (`constructions._check_step`), `build_m`'s M through the power-set look-ahead
     automaton, trimmed: the same translation, domain, verdict and stats."""
 
     def test_agrees_with_build_m(self, final_pairs):

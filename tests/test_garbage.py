@@ -25,6 +25,8 @@ def test_operations_leave_no_cyclic_garbage(workspace, quadratic, worked_pair):
     chains = list(workspace.chains.values())
     # T1;T1;T1;T2_2: two reductions that drop their look-ahead
     chains.append(parse_workspace(rotation_chains_text([3])).chains["t1x3"])
+    # a reduction whose look-ahead can fail: fused, not dropped
+    chains.append(random_chain3(11))
     chain3 = random_chain3(1)
     spine = parse_tree("a(a(e))")
     gc.collect()

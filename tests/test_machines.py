@@ -4,6 +4,7 @@ import pytest
 
 from ttc import (
     AlphabetMismatch,
+    CompositionChain,
     LookaheadTransducer,
     RankedAlphabet,
     Rule,
@@ -12,10 +13,10 @@ from ttc import (
     ValidationError,
     build_hat_t1,
     build_m,
+    decide_functionality,
     domain_automaton,
     p_construction,
 )
-from ttc.constructions import build_m_over_hat
 from ttc.generate import random_chain3, random_pair
 from ttc.machines import DEFAULT_OUTPUT_CAP, _Classes, _evaluate, _label, least_fixpoint
 from ttc.trees import NodeAddress, StateOverNode, StateOverVariable, Tree, parse_tree
@@ -350,7 +351,7 @@ class TestSubtreeClasses:
         subtree."""
         accepted = 0
         for seed in range(200):
-            m, _ = build_m_over_hat(*random_pair(seed))
+            m = decide_functionality(CompositionChain(random_pair(seed)), 1)[1][-1].machine
             hat = m.la
             assert not hat.is_automaton(), seed
             cl = _Classes(m.base, hat)

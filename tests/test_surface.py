@@ -2,7 +2,8 @@
 `src/ttc` is referenced somewhere in `src/ttc` or `perfbench/`, apart from
 the test-only entry points named here, and is entered by the library's real
 traffic: the benchmark's validation of its workloads and every CLI command.
-A re-export in `__init__.py` is an import, not a reference."""
+Every private one is referenced in `src/ttc` outside its own body.  A
+re-export in `__init__.py` is an import, not a reference."""
 
 import ast
 import contextlib
@@ -10,6 +11,7 @@ import importlib
 import io
 import pathlib
 import sys
+from collections import Counter
 
 import pytest
 
@@ -57,6 +59,29 @@ def test_every_public_function_has_a_library_caller():
     unreferenced = {name for name in public_definitions() if name.split(".")[-1] not in referenced}
     assert unreferenced - TEST_ONLY == set(), "public, but only the tests call it"
     assert TEST_ONLY - unreferenced == set(), "has a library caller now: remove it from TEST_ONLY"
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name is read as a variable or an attribute in tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_function_has_a_library_caller():
+    """A private module-level function or method of `src/ttc` (not a
+    special method) is read somewhere in `src/ttc` outside its own body, so
+    a refactor leaves no helper behind that only the tests call."""
+    modules = [ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "ttc").glob("*.py")]
+    reads = sum(map(names_read, modules), Counter())
+    private = [
+        item
+        for module in modules
+        for node in module.body
+        for item in (node.body if isinstance(node, ast.ClassDef) else [node])
+        if isinstance(item, ast.FunctionDef) and item.name.startswith("_") and not item.name.endswith("__")
+    ]
+    assert len(private) > 40  # not vacuous
+    uncalled = sorted(f.name for f in private if reads[f.name] == names_read(f)[f.name])
+    assert uncalled == [], "private, but only the tests call it"
 
 
 FIXTURES = str(ROOT / "tests" / "data" / "fixtures.ttc")
