@@ -31,6 +31,7 @@ from .machines import (
     Rule,
     StateId,
     Transducer,
+    _Classes,
     _evaluate,
     universal_states,
 )
@@ -250,15 +251,16 @@ def p_construction(
     # checked it over t1's output alphabet, which is t2's input alphabet.
     # Each translation makes a rule, so RULE_CAP caps their number.
     # q2 meeting a marker q1(xi) yields q2 over that marker wherever it sits
-    # (`_evaluate`), so one evaluation memo, keyed on (state name, subtree
-    # text), serves every (pair, rule) of this construction.  A marker's text
-    # never equals a ground subtree's: t1's state names may not be symbols of
-    # its output alphabet.  Each distinct (result, variable count) is
-    # instantiated once (`made`), with one leaf or veto per marker (`leaves`),
-    # and the new rules share its tree and child states.  A pair is dequeued
-    # once and its results per rule are distinct, so a rule made twice comes from
-    # two source rules: `rules` lists it once (`seen_rules`), `sources` twice.
-    memo: dict = {}
+    # (`_evaluate`), so the evaluation memo of one owner of t2, keyed on
+    # (state name, subtree text), serves every (pair, rule) of this
+    # construction.  A marker's text never equals a ground subtree's: t1's
+    # state names may not be symbols of its output alphabet.  Each distinct
+    # (result, variable count) is instantiated once (`made`), with one leaf
+    # or veto per marker (`leaves`), and the new rules share its tree and
+    # child states.  A pair is dequeued once and its results per rule are
+    # distinct, so a rule made twice comes from two source rules: `rules`
+    # lists it once (`seen_rules`), `sources` twice.
+    cl = _Classes(t2, None)
     leaves: dict[str, tuple] = {}
     made: dict[tuple[str, int], tuple] = {}
 
@@ -267,7 +269,7 @@ def p_construction(
         head = make_state(q1, q2)
         for src in t1.rules_of(q1):
             try:
-                results = _evaluate(t2, q2, src.rhs, RULE_CAP, memo, None)
+                results = _evaluate(cl, q2, src.rhs, RULE_CAP)
             except ResourceLimit as e:
                 raise ResourceLimit("%s: rule %s of %s: %s" % (name, src.lhs_text(), t1.name, e)) from e
             for psi in sorted(results, key=attrgetter("text")):
@@ -287,14 +289,14 @@ def p_construction(
                     seen_rules.add(key)
                     rules.append(rule)
                 if len(sources) > RULE_CAP:
-                    raise ResourceLimit("product construction exceeds %d rules" % RULE_CAP)
+                    raise ResourceLimit("%s: product construction exceeds %d rules" % (name, RULE_CAP))
                 for pair in demanded:
                     if pair not in seen_pairs:
                         seen_pairs.add(pair)
                         queue.append(pair)
                         states.add(make_state(*pair))
                         if len(states) > STATE_CAP:
-                            raise ResourceLimit("product construction exceeds %d states" % STATE_CAP)
+                            raise ResourceLimit("%s: product construction exceeds %d states" % (name, STATE_CAP))
 
     machine = Transducer(
         name,

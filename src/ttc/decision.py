@@ -35,40 +35,33 @@ def chain_outputs(chain: CompositionChain | Transducer, tree: Tree) -> frozenset
     if not isinstance(chain, CompositionChain):
         chain = CompositionChain((chain,))
     check_ground_over(tree, chain.stages[0].input_alphabet)
-    return frozenset(_outputs(chain.stages, tree, DEFAULT_OUTPUT_CAP, _stage_memos(chain.stages, None), None))
+    # whether a stage passes its input through is decided once per call
+    owners = [_Classes(base, None, base.is_automaton()) for base in chain.stages]
+    return frozenset(_outputs(owners, tree, DEFAULT_OUTPUT_CAP))
 
 
-def _stage_memos(stages, la: Transducer | None) -> list:
-    """One memo per stage, for `_outputs`: the class table of a plain
-    automaton stage, whose `some` gives each tree the automaton states
-    that accept it, and an evaluation memo for any other stage and for the
-    annotated base of a look-ahead transducer (`la` given).  Whether a stage
-    is an automaton is decided here, once per call or check."""
-    return [_Classes(base, None) if la is None and base.is_automaton() else {} for base in stages]
-
-
-def _outputs(stages, tree: Tree, cap: int, memos, cl: _Classes | None) -> Collection[Tree]:
-    """The outputs of the stages, composed left to right, on a valid input,
-    without repeats; stage i memoises in memos[i] (see `_stage_memos`), and
-    a look-ahead base reads its guards from the input's labels in `cl` (see
-    `_evaluate`).  An automaton stage relabels in place, so it passes each
-    tree through, unbuilt, iff its initial state accepts it.  A chain's
+def _outputs(owners: list[_Classes], tree: Tree, cap: int) -> Collection[Tree]:
+    """The outputs of the stages, one owner each, composed left to right,
+    on a valid input, without repeats; a look-ahead base reads its guards
+    from the input's labels in its owner (see `_evaluate`).  An automaton
+    stage (`through`) relabels in place, so it passes each tree through,
+    unbuilt, iff the `some` of its class holds the initial state.  A chain's
     alphabets match, so every intermediate tree is valid for the next
     stage.  The cap bounds each stage's whole output set."""
     outs = (tree,)
-    for base, memo in zip(stages, memos):
-        if type(memo) is _Classes:
-            q = base.initial.name
-            outs = [t for t in outs if q in memo.classes[_label(memo, t)][2]]
+    for cl in owners:
+        q = cl.base.initial
+        if cl.through:
+            outs = [t for t in outs if q.name in cl.classes[_label(cl, t)][2]]
             continue
         if len(outs) == 1:
             # `_evaluate` returns a tuple without repeats: no set needed
             (t,) = outs
-            outs = _evaluate(base, base.initial, t, cap, memo, cl)
+            outs = _evaluate(cl, q, t, cap)
             continue
         step = set()
         for t in outs:
-            step.update(_evaluate(base, base.initial, t, cap, memo, cl))
+            step.update(_evaluate(cl, q, t, cap))
             if len(step) > cap:
                 raise ResourceLimit("output set exceeds cap %d" % cap)
         outs = step
@@ -110,26 +103,28 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
     Any other size is built from the class table, in canonical order; for a
     one-stage target an input whose class puts the initial state in `one`
     is counted, and every other input has its outputs built, its look-ahead
-    guards read from the same classes.  All inputs share one memo per stage
-    and one class table, cleared when the check ends, so the check keeps no
+    guards read from the same classes.  All inputs share one owner per
+    stage (`_Classes`), whose first is the class table of the domain, and
+    the owners are cleared when the check ends, so the check keeps no
     memory and no machine state.
     """
     check_positive(max_size, "max_size")
     if not isinstance(target, (CompositionChain, LookaheadTransducer)):
         target = CompositionChain((target,))
     if isinstance(target, LookaheadTransducer):
-        initial, la, stages = target.base.initial, target.la, [target.base]
+        owners = [_Classes(target.base, target.la)]
     else:
-        initial, la, stages = target.stages[0].initial, None, target.stages
-    memos = _stage_memos(stages, la)
-    cl = _Classes(stages[0], la)
-    one_stage = len(stages) == 1
+        # whether a stage passes its input through is decided once per check
+        owners = [_Classes(base, None, base.is_automaton()) for base in target.stages]
+    cl = owners[0]
+    initial = cl.base.initial
+    one_stage = len(owners) == 1
     inputs_checked = 0
     single_output_inputs = 0
     inputs_enumerated = 0
     outputs_computed = 0
     counterexample = None
-    # An exception's traceback keeps this frame alive: clear the memos anyway.
+    # An exception's traceback keeps this frame alive: clear the owners anyway.
     try:
         for size, domain in enumerate(_domain_sizes(cl, initial.name, max_size), start=1):
             count = sum(c for _, c in domain)
@@ -145,7 +140,7 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
                 if one_stage and initial.name in cl.classes[_label(cl, s)][1]:
                     single_output_inputs += 1
                     continue
-                outs = _outputs(stages, s, DEFAULT_OUTPUT_CAP, memos, cl)
+                outs = _outputs(owners, s, DEFAULT_OUTPUT_CAP)
                 outputs_computed += len(outs)
                 if len(outs) > 1:
                     counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
@@ -155,7 +150,7 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
         stats = {
             "inputs_checked": inputs_checked,
             "outputs_computed": outputs_computed + single_output_inputs,
-            "memo_entries": sum(len(memo) for memo in memos),
+            "memo_entries": sum(len(o.labels if o.through else o.memo) for o in owners),
             "inputs_enumerated": inputs_enumerated,
             "max_size_reached": size,
             "single_output_inputs": single_output_inputs,
@@ -163,9 +158,8 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
             "label_transitions": len(cl.table),
         }
     finally:
-        cl.clear()
-        for memo in memos:
-            memo.clear()
+        for o in owners:
+            o.clear()
     status = FUNCTIONAL if counterexample is None else NOT_FUNCTIONAL
     return Verdict(status, max_size, counterexample, stats)
 

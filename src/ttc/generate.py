@@ -71,14 +71,14 @@ def random_transducer(
     return Transducer(name, input_alphabet, output_alphabet, rules, states[0], states=states)
 
 
-def random_pair(seed: int, max_states: int = 3, max_rules: int = 6) -> tuple[Transducer, Transducer]:
+def random_pair(seed: int) -> tuple[Transducer, Transducer]:
     """An alphabet-compatible pair (T1, T2) for two-fold composition tests."""
     rng = random.Random(seed)
     sigma = random_alphabet(rng, "a")
     middle = random_alphabet(rng, "m")
     delta = random_alphabet(rng, "b")
-    t1 = random_transducer(rng, "T1s%d" % seed, sigma, middle, max_states, max_rules)
-    t2 = random_transducer(rng, "T2s%d" % seed, middle, delta, max_states, max_rules)
+    t1 = random_transducer(rng, "T1s%d" % seed, sigma, middle)
+    t2 = random_transducer(rng, "T2s%d" % seed, middle, delta)
     return t1, t2
 
 

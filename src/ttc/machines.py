@@ -185,62 +185,61 @@ def check_positive(value, what: str) -> None:
 # A subtree's class (`_class`) depends only on its symbol and its children's
 # classes, like the state of a deterministic bottom-up relabeling, which is
 # how regular look-ahead is evaluated (Engelfriet 1977).  One `_Classes`
-# owns the class table of one machine, given as ``base`` and ``la``, the
-# look-ahead machine or None (a plain machine, such as an automaton stage of
-# a chain, whose domain is the classes whose `some` holds its initial state).
+# owns the class table and the evaluation memo of one machine, given as
+# ``base`` and ``la``, the look-ahead machine or None (a plain machine, such
+# as an automaton stage of a chain, whose domain is the classes whose `some`
+# holds its initial state).
 # The look-ahead machine is any plain transducer: a parsed look-ahead
 # automaton, `build_m`'s power-set automaton, or hat itself for the check's
 # M, whose guards name hat states (`Rule.guard`).  A guard is read from the
 # owner's label memo and nowhere else; the domain of a state is the classes
 # whose `some` holds it (`_domain_sizes`, `_domain_trees`).
 #
-# The owner and the evaluation memo belong to the caller, which keeps them
-# for one public call, one chain_outputs call or one whole check.  The
-# evaluation memo is keyed on (state name, subtree text), which is how
-# StateId and Tree define equality, so equal subtrees of all inputs share
-# one entry.  A marker leaf names its result after itself (`_evaluate`).
-# These functions trust their input tree; the public entry points validate it.
+# The caller makes one owner per machine and keeps it for one public call,
+# one chain_outputs call or one whole check.  The evaluation memo is keyed
+# on (state name, subtree text), which is how StateId and Tree define
+# equality, so equal subtrees of all inputs share one entry.  A marker leaf
+# names its result after itself (`_evaluate`).  These functions trust their
+# input tree; the public entry points validate it.
 
 
 class _Classes:
-    """The subtree-class table of one machine (base, la): `table` maps a key
-    (symbol, child classes...) to an index into `classes`, `labels` a
-    subtree text to its class index, `counts` holds the trees of each size
-    counted by class (`_class_counts`) and `trees` the trees of a class at a
-    size (`_class_trees`).  Its length is the number of subtrees labelled."""
+    """The per-call state of one machine (base, la): `memo` maps (state
+    name, subtree text) to the outputs of that state on that subtree
+    (`_evaluate`), `table` maps a key (symbol, child classes...) to an index
+    into `classes`, `labels` a subtree text to its class index, `counts`
+    holds the trees of each size counted by class (`_class_counts`) and
+    `trees` the trees of a class at a size (`_class_trees`).  `through`
+    marks a chain stage that passes its input through (`_outputs`)."""
 
-    __slots__ = ("base", "la", "table", "classes", "labels", "counts", "trees")
+    __slots__ = ("base", "la", "through", "memo", "table", "classes", "labels", "counts", "trees")
 
-    def __init__(self, base: Transducer, la: Transducer | None):
-        self.base, self.la = base, la
-        self.table, self.classes, self.labels, self.counts, self.trees = {}, [], {}, [], {}
-
-    def __len__(self):
-        return len(self.labels)
+    def __init__(self, base: Transducer, la: Transducer | None, through: bool = False):
+        self.base, self.la, self.through = base, la, through
+        self.memo, self.table, self.classes, self.labels, self.counts, self.trees = {}, {}, [], {}, [], {}
 
     def clear(self):
-        for memo in (self.table, self.classes, self.labels, self.counts, self.trees):
+        for memo in (self.memo, self.table, self.classes, self.labels, self.counts, self.trees):
             memo.clear()
 
 
-def _evaluate(base: Transducer, q: StateId, s: Tree, cap: int, memo: dict, cl: _Classes | None) -> tuple[Tree, ...]:
-    """The trees derivable from q(s), without repeats; q meeting a rhs marker
-    leaf q1(xi) yields the leaf q(q1(xi)), so `constructions.p_construction`
-    evaluates a right-hand side as it stands.  A rule with
-    look-ahead fires iff each guard is in its child's `accepts`, read
-    from the label memo of `cl` (see `_label`): the caller labels s first,
-    which stores the class of every proper subtree.  Plain callers pass
-    None for `cl`.  The children's results go through `memo`, the result
-    for s itself does not: a check's inputs are distinct, so it would not
-    be looked up again.  Memo hits are answered in the caller's loop,
-    without a call."""
+def _evaluate(cl: _Classes, q: StateId, s: Tree, cap: int) -> tuple[Tree, ...]:
+    """The trees derivable from q(s) by the machine of `cl`, without
+    repeats; q meeting a rhs marker leaf q1(xi) yields the leaf q(q1(xi)),
+    so `constructions.p_construction` evaluates a right-hand side as it
+    stands.  A rule with look-ahead fires iff each guard is in its child's
+    `accepts`, read from the label memo of `cl` (see `_label`): the caller
+    labels s first, which stores the class of every proper subtree.  The
+    children's results go through `cl.memo`, the result for s itself does
+    not: a check's inputs are distinct, so it would not be looked up again.
+    Memo hits are answered in the caller's loop, without a call."""
     lab = s.label
     if isinstance(lab, StateOverVariable):
         return (Tree(StateOverNode(q, lab)),)
     # loops, not comprehensions, which would add a frame per input level
     kids = s.children
     alts = []
-    for rule in base.rules_for(q, lab):
+    for rule in cl.base.rules_for(q, lab):
         fires = True
         if rule.guard is not None:
             for g, c in zip(rule.guard, kids):
@@ -248,7 +247,7 @@ def _evaluate(base: Transducer, q: StateId, s: Tree, cap: int, memo: dict, cl: _
                 if not fires:
                     break
         if fires:
-            alts.append(_expand(base, rule.rhs, s, cap, memo, cl))
+            alts.append(_expand(cl, rule.rhs, s, cap))
     if len(alts) == 1:  # already without repeats; skips hashing every tree
         return alts[0]
     acc = set().union(*alts)
@@ -380,17 +379,19 @@ def _compositions(total: int, k: int):
                 yield (first,) + rest
 
 
-def _expand(base: Transducer, node: Tree, s: Tree, cap: int, memo: dict, cl: _Classes | None) -> tuple[Tree, ...]:
-    """The trees a right-hand side node yields at input node s, without repeats.
-    A q(xi) child is looked up in `memo` here, and evaluated only on a miss;
-    only a q(xi) at the root of a right-hand side comes in as `node`."""
+def _expand(cl: _Classes, node: Tree, s: Tree, cap: int) -> tuple[Tree, ...]:
+    """The trees a right-hand side node of the machine of `cl` yields at
+    input node s, without repeats.  A q(xi) child is looked up in `cl.memo`
+    here, and evaluated only on a miss; only a q(xi) at the root of a
+    right-hand side comes in as `node`."""
     lab = node.label
+    memo = cl.memo
     if isinstance(lab, StateOverVariable):
         child = s.children[lab.index - 1]
         key = (lab.state.name, child.text)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = _evaluate(base, lab.state, child, cap, memo, cl)
+            out = memo[key] = _evaluate(cl, lab.state, child, cap)
         return out
     if not node.children:
         return (node,)
@@ -403,9 +404,9 @@ def _expand(base: Transducer, node: Tree, s: Tree, cap: int, memo: dict, cl: _Cl
             key = (clab.state.name, child.text)
             a = memo.get(key)
             if a is None:
-                a = memo[key] = _evaluate(base, clab.state, child, cap, memo, cl)
+                a = memo[key] = _evaluate(cl, clab.state, child, cap)
         elif c.children:
-            a = _expand(base, c, s, cap, memo, cl)
+            a = _expand(cl, c, s, cap)
         else:
             a = (c,)
         alts.append(a)
@@ -571,7 +572,7 @@ class Transducer:
         ground input; `cap` stays a keyword, as perfbench's tracer passes it."""
         check_positive(cap, "cap")
         check_ground_over(tree, self.input_alphabet)
-        return frozenset(_evaluate(self, self.initial, tree, cap, {}, None))
+        return frozenset(_evaluate(_Classes(self, None), self.initial, tree, cap))
 
 
 class LookaheadTransducer:
@@ -631,7 +632,7 @@ class LookaheadTransducer:
         check_ground_over(tree, self.input_alphabet)
         cl = _Classes(self.base, self.la)
         _label(cl, tree)
-        return frozenset(_evaluate(self.base, self.base.initial, tree, cap, {}, cl))
+        return frozenset(_evaluate(cl, self.base.initial, tree, cap))
 
     def enumerate_domain(self, max_size: int) -> list[Tree]:
         """All ground trees of size <= max_size in the domain, in canonical order."""

@@ -124,7 +124,7 @@ def test_criterion_5_bounded_property_suite(announce, copy_pair, del_pair, worke
         for pair in (copy_pair, del_pair, worked_pair):
             pair_properties.check_pair(*pair, size=5)
         for seed in PAIR_SEEDS:
-            t1, t2 = random_pair(seed, max_states=3, max_rules=6)
+            t1, t2 = random_pair(seed)
             pair_properties.check_pair(t1, t2, size=5)
         assert time.perf_counter() - start < 120.0
 

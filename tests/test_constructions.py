@@ -317,15 +317,18 @@ class TestDomainAutomatonReference:
         "cap, value, message",
         [
             ("RULE_CAP", 8, "dom(ex4_t2): domain automaton exceeds 8 rules"),
+            ("RULE_CAP", 10, "hat(ex4_t1): product construction exceeds 10 rules"),
             ("RULE_CAP", 14, "la(ex4_t1,ex4_t2): domain automaton exceeds 14 rules"),
             ("STATE_CAP", 2, "dom(ex4_t2): domain automaton exceeds 2 states"),
+            ("STATE_CAP", 3, "hat(ex4_t1): product construction exceeds 3 states"),
             ("STATE_CAP", 6, "la(ex4_t1,ex4_t2): domain automaton exceeds 6 states"),
         ],
     )
     def test_caps_name_the_automaton(self, worked_pair, monkeypatch, cap, value, message):
         """dom(t2) has 3 states and 9 rules, hat 5 and 13, N 4 and 9, and
-        the power-set look-ahead automaton 7 and 15: a cap between the
-        first and the last stops the look-ahead automaton."""
+        the power-set look-ahead automaton 7 and 15, built in that order: a
+        cap stops the first machine that exceeds it, and its message names
+        that machine."""
         monkeypatch.setattr(constructions, cap, value)
         with pytest.raises(ResourceLimit) as caught:
             build_m(*worked_pair)

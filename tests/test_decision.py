@@ -229,10 +229,10 @@ class TestCheckMemo:
         seen = []
         outputs, label = decision._outputs, decision._label
 
-        def spy(stages, s, cap, memos, cl):
+        def spy(owners, s, cap):
             if seen and seen[-1] == (s, None):
                 seen.pop()
-            outs = outputs(stages, s, cap, memos, cl)
+            outs = outputs(owners, s, cap)
             seen.append((s, frozenset(outs)))
             return outs
 
@@ -366,6 +366,28 @@ class TestCheckMemo:
                 tracemalloc.stop()
             assert retained < 4096
 
+    def test_a_check_that_raises_keeps_no_memo(self, worked_chain, worked_pair, monkeypatch):
+        """An exception's traceback keeps the check's frame alive: every
+        container of every owner among its locals is empty all the same.
+        At cap 1 the worked chain raises with memo entries in both stages,
+        and ex4_t1 with labels too."""
+        monkeypatch.setattr(decision, "DEFAULT_OUTPUT_CAP", 1)
+        for target in (worked_chain, worked_pair[0]):
+            with pytest.raises(ResourceLimit) as caught:
+                check_functional_bounded(target, 5)
+            tb = caught.value.__traceback__
+            while tb.tb_frame.f_code is not check_functional_bounded.__code__:
+                tb = tb.tb_next
+            found = list(tb.tb_frame.f_locals.values())
+            found += [x for v in found if isinstance(v, (list, tuple)) for x in v]
+            owners = [v for v in found if isinstance(v, machines._Classes)]
+            assert owners, target.name
+            for cl in owners:
+                for slot in machines._Classes.__slots__:
+                    value = getattr(cl, slot)
+                    if isinstance(value, (dict, list)):
+                        assert not value, (target.name, slot)
+
 
 class TestEvaluatorCalls:
     """Counts, never the clock: memo and table hits are answered without a call."""
@@ -376,9 +398,9 @@ class TestEvaluatorCalls:
         evaluate, label, init = machines._evaluate, machines._label, Tree.__init__
         class_trees = machines._class_trees
 
-        def spy_evaluate(base, q, s, cap, memo, cl):
+        def spy_evaluate(cl, q, s, cap):
             calls.append(("evaluate", q.name, s.text))
-            return evaluate(base, q, s, cap, memo, cl)
+            return evaluate(cl, q, s, cap)
 
         def spy_class_trees(cl, c, n):
             calls.append(("class_trees", c, n))
@@ -466,9 +488,9 @@ class TestSingleOutputPath:
         seen = []
         outputs, label = decision._outputs, decision._label
 
-        def spy(stages, s, cap, memos, cl):
+        def spy(owners, s, cap):
             seen.append(("all", s.text))
-            return outputs(stages, s, cap, memos, cl)
+            return outputs(owners, s, cap)
 
         def spy_one(cl, s):
             seen.append(("one", s.text))
@@ -539,14 +561,14 @@ class TestLookaheadGuards:
                 assert not inside[0], "labelled during evaluation: %s" % s.text
                 return label(cl, s)
 
-            def spy_evaluate(base, q, s, cap, memo, cl):
+            def spy_evaluate(cl, q, s, cap):
                 assert cl is tables[0]
-                for rule in base.rules_for(q, s.label):
+                for rule in cl.base.rules_for(q, s.label):
                     if rule.lookahead is not None:
                         guards.extend(c.text in cl.labels for c in s.children)
                 inside[0] += 1
                 try:
-                    return evaluate(base, q, s, cap, memo, cl)
+                    return evaluate(cl, q, s, cap)
                 finally:
                     inside[0] -= 1
 
@@ -756,6 +778,32 @@ class TestAutomatonStages:
             assert tested[0] == len(stages)
         assert got[0] == got[1] == got[2]
         assert got[0][1] > 0
+
+    def test_a_check_makes_one_owner_per_stage(self, stages, worked_pair, monkeypatch):
+        """An automaton first stage passes its inputs through by the class
+        table that counts the domain: no second table."""
+        made = []
+
+        class Counted(machines._Classes):
+            __slots__ = ()
+
+            def __init__(self, base, *rest):
+                made.append(base.name)
+                super().__init__(base, *rest)
+
+        monkeypatch.setattr(decision, "_Classes", Counted)
+        grow, leaf = stages["grow"], stages["leaf"]
+        m, _ = build_m(*worked_pair)
+        targets = [
+            (CompositionChain((leaf, grow)), ["leaf", "grow"]),
+            (CompositionChain((grow, leaf, grow)), ["grow", "leaf", "grow"]),
+            (grow, ["grow"]),
+            (m, [m.base.name]),
+        ]
+        for target, names in targets:
+            made.clear()
+            check_functional_bounded(target, 4)
+            assert made == names, names
 
 
 class TestDecideFunctionality:

@@ -86,7 +86,7 @@ class TestEvaluate:
         _, t2 = worked_pair
         p1 = StateId.base("p1")
         marker = Tree(StateOverVariable(StateId.base("q"), 1))
-        got = _evaluate(t2, p1, Tree("f", (marker, marker)), None, {}, None)
+        got = _evaluate(_Classes(t2, None), p1, Tree("f", (marker, marker)), DEFAULT_OUTPUT_CAP)
         leaf = Tree(StateOverNode(p1, marker.label))
         assert got == (Tree("f", (leaf, leaf)),)
         assert leaf.text == "p1(q(x1))"
@@ -324,7 +324,7 @@ class TestSubtreeClasses:
                 assert accepts == member, (tag, s.text)
                 assert as_base.classes[_label(as_base, s)][2] == member, (tag, s.text)
             for name in one:
-                assert len(_evaluate(base, states[name], s, DEFAULT_OUTPUT_CAP, {}, cl)) == 1, (tag, s.text, name)
+                assert len(_evaluate(cl, states[name], s, DEFAULT_OUTPUT_CAP)) == 1, (tag, s.text, name)
             singles += len(one)
         return singles
 

@@ -2,6 +2,7 @@
 same checks at the full advertised counts)."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from ttc import (
     decide_functionality,
     decompose_la,
 )
-from ttc.generate import random_chain3, random_pair
+from ttc.generate import random_alphabet, random_chain3, random_pair, random_transducer
 
 from .conftest import domain_of
 from . import pair_properties
@@ -47,10 +48,19 @@ def test_translate_matches_rewrite_oracle(seed):
             assert machine.translate(s) == frozenset(rewrite_translate(machine, s)), s.text
 
 
+def larger_pair(seed):
+    """`random_pair`'s draws, with up to 4 states and 8 rules a machine."""
+    rng = random.Random(seed)
+    sigma, middle, delta = [random_alphabet(rng, prefix) for prefix in "amb"]
+    t1 = random_transducer(rng, "T1s%d" % seed, sigma, middle, 4, 8)
+    t2 = random_transducer(rng, "T2s%d" % seed, middle, delta, 4, 8)
+    return t1, t2
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_translate_matches_oracle_at_larger_bounds(seed):
     """Same agreement with up to 4 states and 8 rules on inputs of size 6."""
-    for machine in random_pair(seed + 10_000, max_states=4, max_rules=8):
+    for machine in larger_pair(seed + 10_000):
         for s in all_trees(machine.input_alphabet, 6):
             assert machine.translate(s) == frozenset(rewrite_translate(machine, s)), s.text
 
