@@ -228,8 +228,12 @@ def main(argv=None) -> int:
     try:
         workspace = Workspace()
         for path in args.workspace:
-            with open(path, "r", encoding="utf-8") as handle:
-                parse_workspace(handle.read(), workspace)
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:  # an input error, like an unreadable file
+                raise TtcError("%s is not UTF-8: %s" % (path, exc)) from None
+            parse_workspace(text, workspace)
         if args.seed is not None:
             _add_seeded_machines(workspace, args.seed)
         status, text = dispatch(args.command, args, workspace)

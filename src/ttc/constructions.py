@@ -240,12 +240,10 @@ def p_construction(
     name = name or "p(%s,%s)" % (t1.name, t2.name)
 
     init = (t1.initial, t2.initial)
-    seen_pairs = {init}
+    seen_pairs = {init}  # make_state is one-to-one: a pair is its state
     queue = deque([init])
-    states = {make_state(*init)}
-    rules: list[Rule] = []
+    rules: dict[Rule, None] = {}  # each distinct rule once, by `Rule` equality
     sources: list[tuple[Rule, Rule]] = []
-    seen_rules: set[tuple] = set()
 
     # each source rhs is evaluated as it stands, unchecked: `_validate` has
     # checked it over t1's output alphabet, which is t2's input alphabet.
@@ -259,7 +257,7 @@ def p_construction(
     # or veto per marker (`leaves`), and the new rules share its tree and
     # child states.  A pair is dequeued once and its results per rule are
     # distinct, so a rule made twice comes from two source rules: `rules`
-    # lists it once (`seen_rules`), `sources` twice.
+    # lists it once, `sources` twice.
     cl = _Classes(t2, None)
     leaves: dict[str, tuple] = {}
     made: dict[tuple[str, int], tuple] = {}
@@ -284,18 +282,14 @@ def p_construction(
                 gamma, child_states, demanded = got
                 rule = Rule(head, src.symbol, src.variables, gamma, child_states=child_states)
                 sources.append((rule, src))
-                key = (head.name, src.symbol, gamma.text)
-                if key not in seen_rules:
-                    seen_rules.add(key)
-                    rules.append(rule)
+                rules[rule] = None
                 if len(sources) > RULE_CAP:
                     raise ResourceLimit("%s: product construction exceeds %d rules" % (name, RULE_CAP))
                 for pair in demanded:
                     if pair not in seen_pairs:
                         seen_pairs.add(pair)
                         queue.append(pair)
-                        states.add(make_state(*pair))
-                        if len(states) > STATE_CAP:
+                        if len(seen_pairs) > STATE_CAP:
                             raise ResourceLimit("%s: product construction exceeds %d states" % (name, STATE_CAP))
 
     machine = Transducer(
@@ -304,7 +298,7 @@ def p_construction(
         t2.output_alphabet,
         rules,
         make_state(*init),
-        states=states,
+        states=[make_state(*pair) for pair in seen_pairs],
     )
     return machine, sources
 
@@ -394,18 +388,11 @@ def _annotated_base(t1: Transducer, t2: Transducer, reports: list) -> tuple[Tran
     _report(reports, "triple-product", n_machine, len(n_machine.states) + len(vetoed), {s: "triple (q,S,q')" for s in n_machine.states}, t0)
     reports[-1].stats["pairs_vetoed"] = len(vetoed)
 
-    annotated_rules = []
-    seen_annotated = set()
+    annotated_rules: dict[Rule, None] = {}
     for rule, src in sources:
         annots = tuple(StateId.of_set(req) for req in src.child_states)
-        key = (rule.state.name, rule.symbol, tuple(a.name for a in annots), rule.rhs.text)
-        if key in seen_annotated:
-            continue
-        seen_annotated.add(key)
         guard = tuple([frozenset([q.name for q in req]) for req in src.child_states])
-        annotated_rules.append(
-            Rule(rule.state, rule.symbol, rule.variables, rule.rhs, annots, rule.child_states, guard)
-        )
+        annotated_rules[Rule(rule.state, rule.symbol, rule.variables, rule.rhs, annots, rule.child_states, guard)] = None
     base = Transducer(
         "M(%s,%s)" % (t1.name, t2.name),
         n_machine.input_alphabet,
@@ -492,18 +479,12 @@ def decompose_la(m: LookaheadTransducer) -> tuple[Transducer, Transducer]:
         else:
             covering[l] = [l]
 
-    t_rules: list[Rule] = []
-    seen = set()
+    t_rules: dict[Rule, None] = {}
     for rule in base.rules:
         for variant in product(*(covering[l] for l in rule.lookahead)):
             sym = ann_symbols.get((rule.symbol, tuple(variant)))
-            if sym is None:
-                continue
-            key = (rule.state.name, sym, rule.rhs.text)
-            if key in seen:
-                continue
-            seen.add(key)
-            t_rules.append(Rule(rule.state, sym, rule.variables, rule.rhs, child_states=rule.child_states))
+            if sym is not None:
+                t_rules[Rule(rule.state, sym, rule.variables, rule.rhs, child_states=rule.child_states)] = None
 
     reader = Transducer(
         "T(%s)" % m.name,
@@ -578,13 +559,10 @@ def _check_step(chain: CompositionChain, reports: list) -> CompositionChain | Lo
     if len(stages) == 2:
         return m
     t0 = time.perf_counter()
-    rules, seen = [], set()
+    rules: dict[Rule, None] = {}
     for r in base.rules:
         # rules that differ only in their annotations are one plain rule
-        key = (r.state.name, r.symbol, r.rhs.text)
-        if key not in seen:
-            seen.add(key)
-            rules.append(Rule(r.state, r.symbol, r.variables, r.rhs, child_states=r.child_states))
+        rules[Rule(r.state, r.symbol, r.variables, r.rhs, child_states=r.child_states)] = None
     plain = Transducer(base.name, base.input_alphabet, base.output_alphabet, rules, base.initial, states=base.states)
     _report(reports, "look-ahead-dropped", plain, before, {s: "triple (q,S,q')" for s in plain.states}, t0)
     return CompositionChain(stages[:-2] + (plain,))

@@ -49,25 +49,16 @@ def random_transducer(
     states = [StateId.base("q%d" % i) for i in range(n_states)]
     in_syms = list(input_alphabet.items())
     nullary_in = [s for s, r in in_syms if r == 0]
-    rules = []
-    seen = set()
-
-    def add_rule(state, sym, k, rhs):
-        rule = Rule(state, sym, k, rhs)
-        key = (rule.state, rule.symbol, rule.rhs)
-        if key not in seen:
-            seen.add(key)
-            rules.append(rule)
-
+    rules: dict[Rule, None] = {}  # a rule drawn twice is listed once
     for state in states:
         # ground a random share of the states so domains are often inhabited
         if rng.random() < 0.85:
             sym = rng.choice(nullary_in)
-            add_rule(state, sym, 0, _random_rhs(rng, output_alphabet, states, 0, 1))
+            rules[Rule(state, sym, 0, _random_rhs(rng, output_alphabet, states, 0, 1))] = None
     while len(rules) < rng.randint(n_states, max_rules):
         state = rng.choice(states)
         sym, k = rng.choice(in_syms)
-        add_rule(state, sym, k, _random_rhs(rng, output_alphabet, states, k, 2))
+        rules[Rule(state, sym, k, _random_rhs(rng, output_alphabet, states, k, 2))] = None
     return Transducer(name, input_alphabet, output_alphabet, rules, states[0], states=states)
 
 

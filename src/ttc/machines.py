@@ -16,7 +16,7 @@ look-ahead rule with no guard, so one evaluator serves both kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from operator import attrgetter
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
@@ -366,17 +366,15 @@ def _domain_trees(cl: _Classes, domain: list[tuple[int, int]]) -> list[Tree]:
 
 
 def _compositions(total: int, k: int):
-    """All ways to write total as an ordered sum of k positive integers."""
+    """All ways to write total as an ordered sum of k positive integers, in
+    lexicographic order: by k - 1 cuts of 1..total-1, so no rank recurses."""
     if k == 0:
         if total == 0:
             yield ()
-    elif k == 1:
-        if total >= 1:
-            yield (total,)
-    else:
-        for first in range(1, total - k + 2):
-            for rest in _compositions(total - first, k - 1):
-                yield (first,) + rest
+    elif total >= 1:
+        for cuts in combinations(range(1, total), k - 1):
+            ends = (0, *cuts, total)
+            yield tuple([b - a for a, b in zip(ends, ends[1:])])
 
 
 def _expand(cl: _Classes, node: Tree, s: Tree, cap: int) -> tuple[Tree, ...]:
@@ -477,7 +475,7 @@ class Transducer:
         name: str,
         input_alphabet: RankedAlphabet,
         output_alphabet: RankedAlphabet,
-        rules: Sequence[Rule],
+        rules: Iterable[Rule],
         initial: StateId,
         states: Iterable[StateId],
         _annotated: bool = False,

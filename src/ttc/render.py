@@ -51,12 +51,9 @@ def _state_map(machines) -> dict[StateId, str]:
 
 
 def _symbol_map(machines) -> dict[object, str]:
-    symbols = []
-    for m in machines:
-        for alpha in (m.input_alphabet, m.output_alphabet):
-            for sym in alpha:
-                if sym not in symbols:
-                    symbols.append(sym)
+    symbols = dict.fromkeys(
+        sym for m in machines for alpha in (m.input_alphabet, m.output_alphabet) for sym in alpha
+    )
     return {sym: sym if _safe(sym) else _content_name(sym) for sym in symbols}
 
 

@@ -324,6 +324,27 @@ class TestErrors:
         status, _, err = run_cli(capsys, "-w", FIXTURES, "run", "--machine", "quadratic", "--input", "zz(e)")
         assert status == 2
 
+    def test_workspace_not_in_utf8_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ttc"
+        bad.write_bytes(b"transducer t { input { e:0 } output { e:0 } initial q rules { q(e) -> e; } }\n\xff\n")
+        status, out, err = run_cli(capsys, "-w", str(bad), "check", "--machine", "t")
+        assert (status, out) == (2, "")
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "error: %s is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 77: invalid start byte" % bad
+        ]
+
+    def test_symbol_of_high_rank_ends_in_a_verdict(self, capsys, tmp_path):
+        """The one input of size 1,201 over a:1200 is a(e,...,e), outside
+        the domain, which holds only e."""
+        path = tmp_path / "wide.ttc"
+        path.write_text(
+            "transducer t { input { a:1200, e:0 } output { e:0 } initial q rules { q(e) -> e; } }\n", encoding="utf-8"
+        )
+        status, out, err = run_cli(capsys, "-w", str(path), "check", "--machine", "t", "--max-size", "1201")
+        assert (status, err) == (0, "")
+        assert out.splitlines()[0] == "functional-up-to-bound (bound 1201)"
+
     def test_deep_input_is_an_error_not_a_verdict(self, capsys):
         spine = "a(" * 1999 + "e" + ")" * 1999
         status, _, err = run_cli(capsys, "-w", FIXTURES, "run", "--machine", "quadratic", "--input", spine)

@@ -33,7 +33,7 @@ from ttc.generate import random_chain3, random_pair
 from ttc.render import serialize_machine
 from ttc.trees import StateOverVariable, Tree, parse_tree
 
-from .conftest import domain_of
+from .conftest import domain_of, rotation_chains_text
 from . import pair_properties
 from .oracles import (
     all_trees,
@@ -479,6 +479,91 @@ class TestGivenChildStates:
             verdict, _ = decide_functionality(parse_workspace(ws.text).chains[ws.chain], ws.bound)
             assert verdict.status == "not-functional"
         assert len(walks) <= 68
+
+
+ERASING_CHAIN = """
+transducer id {
+  input { a:1, b:1, e:0 } output { a:1, b:1, e:0 } initial s
+  rules { s(a(x1)) -> a(s(x1)); s(b(x1)) -> b(s(x1)); s(e) -> e; }
+}
+transducer t1 {
+  input { a:1, b:1, e:0 } output { f:1, g:1, h:2, e:0 } initial q
+  rules {
+    q(a(x1)) -> f(q(x1)) | g(r(x1)); q(b(x1)) -> h(q(x1),r(x1)); q(e) -> e;
+    r(a(x1)) -> r(x1); r(b(x1)) -> r(x1); r(e) -> e;
+  }
+}
+transducer t2 {
+  input { f:1, g:1, h:2, e:0 } output { e:0 } initial p
+  rules { p(f(x1)) -> e; p(g(x1)) -> e; p(h(x1,x2)) -> e; p(e) -> e; }
+}
+chain erasing { id, t1, t2 }
+"""
+
+
+class TestEachRuleOnce:
+    """A construction lists each distinct rule once, distinct by `Rule`
+    equality (state, symbol, variables, right-hand side, look-ahead).  In
+    the erasing chain, t2 erases what t1 writes, so two hat rules of
+    (q,{p}) on a, over (q,{}) and over (r,{}), give one N rule, two rules
+    of M's base that differ only in their look-ahead, one rule of T over
+    the annotation {(q,{}),(r,{})} that covers both, and one rule of the
+    base without its look-ahead, which `_check_step` drops, as q and r
+    accept every tree."""
+
+    @staticmethod
+    def targets(workspace):
+        """The fixture pairs and 100 seeded pairs; the erasing chain, the
+        benchmark's rotation chain of three stages and 50 seeded three-stage
+        chains."""
+        pairs = [chain.stages for chain in workspace.chains.values() if len(chain) == 2]
+        pairs += [random_pair(seed) for seed in range(100)]
+        chains = [parse_workspace(ERASING_CHAIN).chains["erasing"]]
+        chains.append(parse_workspace(rotation_chains_text([2])).chains["t1x2"])
+        chains += [random_chain3(seed) for seed in range(50)]
+        return pairs, chains
+
+    @staticmethod
+    def constructed(pairs, chains):
+        """(label, machine) for dom, hat and N, M's base, the trimmed M, R
+        and T of each pair and each chain's last pair; each chain's fused
+        stage, and `_check_step`'s dropped base where the step drops the
+        look-ahead."""
+        for pair in pairs + [chain.stages[-2:] for chain in chains]:
+            m, reports = build_m(*pair)
+            yield from ((r.label, r.machine) for r in reports[:3])
+            yield "M's base", constructions._annotated_base(*pair, [])[1]
+            yield from [("trimmed M base", m.base), ("trimmed M la", m.la)]
+            yield from zip(("R", "T"), decompose_la(m))
+        for chain in chains:
+            yield "fused", reduce_chain(chain)[0].stages[-2]
+            reports = []
+            step = constructions._check_step(chain, reports)
+            if reports[-1].label == "look-ahead-dropped":
+                yield "dropped", step.stages[-1]
+
+    def test_every_constructed_machine_lists_each_rule_once(self, workspace):
+        labels = set()
+        for label, machine in self.constructed(*self.targets(workspace)):
+            assert len(set(machine.rules)) == len(machine.rules), (label, machine.name)
+            labels.add(label)
+        assert "dropped" in labels and "fused" in labels
+
+    def test_the_erasing_chain_merges_at_every_construction(self):
+        chain = parse_workspace(ERASING_CHAIN).chains["erasing"]
+        _, t1, t2 = chain.stages
+        n, sources = p_construction(build_hat_t1(t1, t2), t2, constructions._triple_state, constructions._triple_filter)
+        assert (len(sources), len(n.rules)) == (4, 3)
+        base = constructions._annotated_base(t1, t2, [])[1]
+        first, second = [r for r in base.rules if r.symbol == "a"]
+        assert [str(first), str(second)] == ["(q,{p},p)(a(x1:{(q,{})})) -> e", "(q,{p},p)(a(x1:{(r,{})})) -> e"]
+        assert Rule(first.state, "a", 1, first.rhs) == Rule(second.state, "a", 1, second.rhs)
+        _, reader = decompose_la(build_m(t1, t2)[0])
+        assert [str(r) for r in reader.rules].count("(q,{p},p)(<a,{(q,{}),(r,{})}>(x1)) -> e") == 1
+        reports = []
+        dropped = constructions._check_step(chain, reports).stages[-1]
+        assert reports[-1].label == "look-ahead-dropped"
+        assert [str(r) for r in dropped.rules] == ["(q,{p},p)(a(x1)) -> e", "(q,{p},p)(b(x1)) -> e", "(q,{p},p)(e) -> e"]
 
 
 class TestPConstruction:

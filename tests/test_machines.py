@@ -18,7 +18,7 @@ from ttc import (
     p_construction,
 )
 from ttc.generate import random_chain3, random_pair
-from ttc.machines import DEFAULT_OUTPUT_CAP, _Classes, _evaluate, _label, least_fixpoint
+from ttc.machines import DEFAULT_OUTPUT_CAP, _Classes, _compositions, _evaluate, _label, least_fixpoint
 from ttc.trees import NodeAddress, StateOverNode, StateOverVariable, Tree, parse_tree
 
 from .conftest import domain_of
@@ -367,6 +367,35 @@ class TestSubtreeClasses:
             plain += random_pair(seed)
         for m in plain:
             self.check_classes(m, all_trees(m.input_alphabet, 5), m.name)
+
+
+class TestCompositions:
+    @staticmethod
+    def by_bitmask(total):
+        """Every ordered sum of positive integers that makes total, one per
+        subset of the 1..total-1 places where a part ends, sorted."""
+        if total == 0:
+            return [()]
+        sums = []
+        for mask in range(2 ** (total - 1)):
+            parts, run = [], 1
+            for place in range(total - 1):
+                if mask >> place & 1:
+                    parts.append(run)
+                    run = 0
+                run += 1
+            sums.append(tuple(parts + [run]))
+        return sorted(sums)
+
+    def test_lexicographic_order_matches_brute_force(self):
+        for total in range(16):
+            every = self.by_bitmask(total)
+            for k in range(9):
+                assert list(_compositions(total, k)) == [c for c in every if len(c) == k], (total, k)
+
+    def test_a_high_rank_does_not_recurse(self):
+        assert list(_compositions(1200, 1200)) == [(1,) * 1200]
+        assert list(_compositions(1201, 1200))[:2] == [(1,) * 1199 + (2,), (1,) * 1198 + (2, 1)]
 
 
 class TestRequirementEnumeration:
