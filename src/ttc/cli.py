@@ -24,7 +24,7 @@ from .constructions import (
     reduce_chain,
 )
 from .decision import chain_outputs, check_functional_bounded, decide_functionality, trace_derivation
-from .errors import TtcError
+from .errors import TtcError, TtcSyntaxError
 from .machines import LookaheadTransducer, Transducer
 from .textform import Workspace, parse_workspace
 from .trees import parse_tree, sort_trees
@@ -95,6 +95,14 @@ def _machine_output(machine, fmt):
     return render.serialize_machine(machine)
 
 
+def _parsed(source: str, parse, *args):
+    """parse(*args), with a syntax error naming its source."""
+    try:
+        return parse(*args)
+    except TtcSyntaxError as exc:
+        raise TtcError("%s: %s" % (source, exc)) from None
+
+
 def _require(args, attr):
     value = getattr(args, attr, None)
     if value is None:
@@ -109,11 +117,11 @@ def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
     if command == "run":
         if getattr(args, "chain", None):
             chain = workspace.chain(args.chain)
-            tree = parse_tree(args.input, chain.stages[0].input_alphabet)
+            tree = _parsed("--input", parse_tree, args.input, chain.stages[0].input_alphabet)
             outs = chain_outputs(chain, tree)
         else:
             machine = workspace.machine(_require(args, "machine"))
-            tree = parse_tree(args.input, machine.input_alphabet)
+            tree = _parsed("--input", parse_tree, args.input, machine.input_alphabet)
             outs = machine.translate_la(tree) if isinstance(machine, LookaheadTransducer) else machine.translate(tree)
         if fmt == "json":
             return 0, render.to_json({"input": tree.text, "outputs": [t.text for t in sort_trees(outs)]})
@@ -196,7 +204,7 @@ def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
         machine = workspace.machine(_require(args, "machine"))
         if not isinstance(machine, Transducer):
             raise TtcError("trace needs a plain transducer")
-        tree = parse_tree(args.input, machine.input_alphabet)
+        tree = _parsed("--input", parse_tree, args.input, machine.input_alphabet)
         trace = trace_derivation(machine, tree, branch=args.branch)
         if fmt == "json":
             return 0, render.to_json(render.trace_json(trace))
@@ -233,7 +241,7 @@ def main(argv=None) -> int:
                     text = handle.read()
             except UnicodeDecodeError as exc:  # an input error, like an unreadable file
                 raise TtcError("%s is not UTF-8: %s" % (path, exc)) from None
-            parse_workspace(text, workspace)
+            _parsed(path, parse_workspace, text, workspace)
         if args.seed is not None:
             _add_seeded_machines(workspace, args.seed)
         status, text = dispatch(args.command, args, workspace)

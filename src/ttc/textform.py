@@ -15,32 +15,11 @@ use it for rule-less states).  Errors carry source line and column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .constructions import CompositionChain
 from .errors import AlphabetMismatch, ValidationError
 from .machines import LookaheadTransducer, Rule, StateId, Transducer
-from .trees import TOKEN_RE, VAR_RE, RankedAlphabet, StateOverVariable, Tree, _syntax_error
-
-
-class Token(NamedTuple):
-    kind: str
-    value: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    """The tokens of text without space and comments, then ``eof``; line and
-    column are computed from a token's offset only when an error is raised."""
-    tokens = []
-    for m in TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise _syntax_error("unexpected character %r" % m.group(), text, m.start())
-        if kind != "ws" and kind != "comment":
-            tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
-    return tokens
+from .trees import VAR_RE, RankedAlphabet, StateOverVariable, Tree, _parse_term, _scan, _syntax_error
 
 
 @dataclass
@@ -69,76 +48,70 @@ class Workspace:
 
 
 class _Parser:
+    """Reads `_scan`'s tokens by index: kinds, values and offsets."""
+
     def __init__(self, text: str, workspace: Workspace):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _scan(text, {"ws", "comment"})
+        self.kinds, self.values, self.offsets = self.tokens
+        if "bad" in self.kinds:  # the scan comes before the grammar
+            i = self.kinds.index("bad")
+            self.fail("unexpected character %r" % self.values[i], i)
         self.pos = 0
         self.ws = workspace
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message, i=None):
+        raise _syntax_error(message, self.text, self.offsets[self.pos if i is None else i])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        raise _syntax_error(message, self.text, (tok or self.peek()).offset)
-
-    def expect(self, kind, value=None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
+    def expect(self, kind, value=None) -> int:
+        """The index of the next token, which must be of kind (and value)."""
+        i = self.pos
+        if self.kinds[i] != kind or (value is not None and self.values[i] != value):
             self.fail("expected %s" % (value or kind))
-        return self.next()
+        self.pos = i + 1
+        return i
 
-    def at_punct(self, value) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+    def at(self, value) -> bool:
+        return self.values[self.pos] == value
 
     def separated(self, item, sep=","):
         """item(), then (sep item())*: the items in order."""
         items = [item()]
-        while self.at_punct(sep):
-            self.next()
+        while self.at(sep):
+            self.pos += 1
             items.append(item())
         return items
 
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> Workspace:
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "name":
+        blocks = {"transducer": self.parse_transducer, "lookahead": self.parse_lookahead, "chain": self.parse_chain}
+        while self.kinds[self.pos] != "eof":
+            if self.values[self.pos] not in blocks:
                 self.fail("expected 'transducer', 'lookahead', or 'chain'")
-            if tok.value == "transducer":
-                self.parse_transducer()
-            elif tok.value == "lookahead":
-                self.parse_lookahead()
-            elif tok.value == "chain":
-                self.parse_chain()
-            else:
-                self.fail("expected 'transducer', 'lookahead', or 'chain'")
+            blocks[self.values[self.pos]]()
         return self.ws
 
-    def declare(self, name_tok: Token):
-        if name_tok.value in self.ws.machines or name_tok.value in self.ws.chains:
-            self.fail("name %r is already defined" % name_tok.value, name_tok)
+    def declare(self, i: int):
+        name = self.values[i]
+        if name in self.ws.machines or name in self.ws.chains:
+            self.fail("name %r is already defined" % name, i)
 
     def parse_alphabet(self) -> RankedAlphabet:
         self.expect("punct", "{")
         symbols = {}
-        while not self.at_punct("}"):
-            sym = self.expect("name")
-            if VAR_RE.fullmatch(sym.value):
-                self.fail("symbol name %r is reserved for variables" % sym.value, sym)
+        while not self.at("}"):
+            i = self.expect("name")
+            sym = self.values[i]
+            if VAR_RE.fullmatch(sym):
+                self.fail("symbol name %r is reserved for variables" % sym, i)
             self.expect("punct", ":")
             rank = self.expect("int")
-            if sym.value in symbols:
-                self.fail("duplicate symbol %r" % sym.value, sym)
-            symbols[sym.value] = int(rank.value)
-            if self.at_punct(","):
-                self.next()
+            if sym in symbols:
+                self.fail("duplicate symbol %r" % sym, i)
+            symbols[sym] = int(self.values[rank])
+            if self.at(","):
+                self.pos += 1
         self.expect("punct", "}")
         return RankedAlphabet(symbols)
 
@@ -152,23 +125,31 @@ class _Parser:
         self.expect("name", "output")
         output_alpha = self.parse_alphabet()
         self.expect("name", "initial")
-        initial = self.expect("name")
-        extra_states = self.parse_states_clause()
+        initial = self.values[self.expect("name")]
+        declared = [initial]
+        if self.at("states"):
+            self.pos += 1
+            declared += [self.values[i] for i in self.name_list()]
         self.expect("name", "rules")
-        raw_rules = self.parse_rule_block(annotated=False)
+        block = self.parse_rule_block(annotated=False)
         self.expect("punct", "}")
-        machine = self.build_transducer(name, input_alpha, output_alpha, initial, extra_states, raw_rules)
-        self.ws.machines[name.value] = machine
+        names = dict.fromkeys(declared + [self.values[rule[0]] for rule in block])
+        states = {name: self.ids.setdefault(name, StateId.base(name)) for name in names}
+        rules = self.build_rules(block, states, input_alpha, output_alpha)
+        try:
+            machine = Transducer(
+                self.values[name], input_alpha, output_alpha, rules, states[initial], states=states.values()
+            )
+        except ValidationError as exc:
+            self.fail("invalid transducer %s: %s" % (self.values[name], exc), name)
+        self.ws.machines[self.values[name]] = machine
 
-    def parse_states_clause(self) -> list[Token]:
-        tok = self.peek()
-        if tok.kind != "name" or tok.value != "states":
-            return []
-        self.next()
+    def name_list(self) -> list[int]:
+        """``'{' NAME (',' NAME)* '}'``: the indices of the names."""
         self.expect("punct", "{")
-        out = self.separated(lambda: self.expect("name"))
+        names = self.separated(lambda: self.expect("name"))
         self.expect("punct", "}")
-        return out
+        return names
 
     def parse_lookahead(self):
         self.expect("name", "lookahead")
@@ -180,176 +161,22 @@ class _Parser:
         self.expect("name", "la")
         la_tok = self.expect("name")
         self.expect("name", "rules")
-        raw_rules = self.parse_rule_block(annotated=True)
+        block = self.parse_rule_block(annotated=True)
         self.expect("punct", "}")
-        base = self.ws.machines.get(base_tok.value)
+        base = self.ws.machines.get(self.values[base_tok])
         if not isinstance(base, Transducer):
-            self.fail("base %r is not a transducer defined earlier" % base_tok.value, base_tok)
-        la = self.ws.machines.get(la_tok.value)
+            self.fail("base %r is not a transducer defined earlier" % self.values[base_tok], base_tok)
+        la = self.ws.machines.get(self.values[la_tok])
         if not isinstance(la, Transducer) or not la.is_automaton():
-            self.fail("la %r is not an automaton defined earlier" % la_tok.value, la_tok)
-        machine = self.build_lookahead(name, base, la, raw_rules)
-        self.ws.machines[name.value] = machine
-
-    def parse_chain(self):
-        self.expect("name", "chain")
-        name = self.expect("name")
-        self.declare(name)
-        self.expect("punct", "{")
-        stage_toks = self.separated(lambda: self.expect("name"))
-        self.expect("punct", "}")
-        stages = []
-        for tok in stage_toks:
-            m = self.ws.machines.get(tok.value)
-            if not isinstance(m, Transducer):
-                self.fail("chain stage %r is not a transducer" % tok.value, tok)
-            stages.append(m)
-        try:
-            self.ws.chains[name.value] = CompositionChain(tuple(stages))
-        except AlphabetMismatch as exc:
-            self.fail("incompatible chain: %s" % exc, name)
-
-    # raw rule: (head token, symbol token, [(var index, la token or None)], [rhs syntax trees])
-    def parse_rule_block(self, annotated: bool):
-        self.expect("punct", "{")
-        raw = []
-        while not self.at_punct("}"):
-            head = self.expect("name")
-            self.expect("punct", "(")
-            symbol = self.expect("name")
-            variables = []
-            if self.at_punct("("):
-                self.next()
-                variables = self.separated(lambda: self.parse_variable(annotated))
-                self.expect("punct", ")")
-            self.expect("punct", ")")
-            for expected, (tok, _idx, _la) in enumerate(variables, start=1):
-                if _idx != expected:
-                    self.fail("variables must be x1..xk in order", tok)
-            self.expect("arrow")
-            rhss = self.separated(self.parse_rhs, "|")
-            self.expect("punct", ";")
-            raw.append((head, symbol, variables, rhss))
-        self.expect("punct", "}")
-        return raw
-
-    def parse_variable(self, annotated: bool):
-        tok = self.expect("name")
-        m = VAR_RE.fullmatch(tok.value)
-        if not m:
-            self.fail("expected a variable x1, x2, ...", tok)
-        la = None
-        if self.at_punct(":"):
-            self.next()
-            la = self.expect("name")
-            if not annotated:
-                self.fail("look-ahead annotations belong in lookahead blocks", la)
-        elif annotated:
-            self.fail("every variable of a look-ahead rule needs an annotation", tok)
-        return (tok, int(m.group(1)), la)
-
-    # rhs syntax tree: (token, [children]) where a leaf child may be ("var", token, index)
-    def parse_rhs(self):
-        tok = self.expect("name")
-        if VAR_RE.fullmatch(tok.value):
-            self.fail("a variable may only appear directly under a state", tok)
-        children = []
-        if self.at_punct("("):
-            self.next()
-            children = self.separated(self.parse_rhs_arg)
-            self.expect("punct", ")")
-        return (tok, children)
-
-    def parse_rhs_arg(self):
-        tok = self.peek()
-        m = VAR_RE.fullmatch(tok.value) if tok.kind == "name" else None
-        if m:
-            self.next()
-            return ("var", tok, int(m.group(1)))
-        return self.parse_rhs()
-
-    # -- resolution ------------------------------------------------------------
-
-    def build_rhs(self, syntax, states, output_alpha, k):
-        tok, children = syntax
-        if children and len(children) == 1 and children[0][0] == "var":
-            _, var_tok, index = children[0]
-            if tok.value not in states:
-                self.fail("undeclared state %r" % tok.value, tok)
-            if index > k:
-                self.fail("variable x%d out of range [%d]" % (index, k), var_tok)
-            return Tree(StateOverVariable(states[tok.value], index))
-        if any(c[0] == "var" for c in children):
-            self.fail("a variable may only appear as the sole argument of a state", tok)
-        if tok.value in states and children:
-            self.fail("state %r must be applied to a single variable" % tok.value, tok)
-        if tok.value not in output_alpha:
-            if tok.value in states:
-                self.fail("state %r used as a nullary output symbol" % tok.value, tok)
-            self.fail("unknown output symbol %r" % tok.value, tok)
-        rank = output_alpha.rank(tok.value)
-        if rank != len(children):
-            self.fail("symbol %s has rank %d but %d arguments" % (tok.value, rank, len(children)), tok)
-        return Tree(tok.value, tuple(self.build_rhs(c, states, output_alpha, k) for c in children))
-
-    def collect_states(self, initial_tok, extra_states, raw_rules, allowed=None):
-        states: dict[str, StateId] = {}
-        for tok in [initial_tok] + extra_states + [head for head, _, _, _ in raw_rules]:
-            if allowed is not None and tok.value not in allowed:
-                self.fail("state %r is not a state of the base machine" % tok.value, tok)
-            states.setdefault(tok.value, StateId.base(tok.value))
-        return states
-
-    def build_rules(self, raw_rules, states, input_alpha, output_alpha, la=None):
-        rules = []
-        for head, symbol, variables, rhss in raw_rules:
-            if symbol.value not in input_alpha:
-                self.fail("unknown input symbol %r" % symbol.value, symbol)
-            k = input_alpha.rank(symbol.value)
-            if k != len(variables):
-                self.fail(
-                    "symbol %s has rank %d but %d variables" % (symbol.value, k, len(variables)),
-                    symbol,
-                )
-            annotations = None
-            if la is not None:
-                annotations = []
-                for var_tok, _idx, la_tok in variables:
-                    la_state = StateId.base(la_tok.value)
-                    if la_state not in la.states:
-                        self.fail("unknown look-ahead state %r" % la_tok.value, la_tok)
-                    annotations.append(la_state)
-                annotations = tuple(annotations)
-            for rhs_syntax in rhss:
-                rhs = self.build_rhs(rhs_syntax, states, output_alpha, k)
-                rules.append(Rule(states[head.value], symbol.value, k, rhs, lookahead=annotations))
-        return rules
-
-    def build_transducer(self, name_tok, input_alpha, output_alpha, initial_tok, extra_states, raw_rules):
-        states = self.collect_states(initial_tok, extra_states, raw_rules)
-        rules = self.build_rules(raw_rules, states, input_alpha, output_alpha)
-        try:
-            return Transducer(
-                name_tok.value,
-                input_alpha,
-                output_alpha,
-                rules,
-                states[initial_tok.value],
-                states=states.values(),
-            )
-        except ValidationError as exc:
-            self.fail("invalid transducer %s: %s" % (name_tok.value, exc), name_tok)
-
-    def build_lookahead(self, name_tok, base: Transducer, la: Transducer, raw_rules):
-        allowed = {s.name for s in base.states}
-        initial_tok = Token("name", base.initial.name, name_tok.offset)
-        states = self.collect_states(initial_tok, [], raw_rules, allowed=allowed)
-        for s in base.states:
-            states.setdefault(s.name, s)
-        rules = self.build_rules(raw_rules, states, base.input_alphabet, base.output_alphabet, la=la)
+            self.fail("la %r is not an automaton defined earlier" % self.values[la_tok], la_tok)
+        states = {s.name: s for s in base.states}
+        for head, *_ in block:
+            if self.values[head] not in states:
+                self.fail("state %r is not a state of the base machine" % self.values[head], head)
+        rules = self.build_rules(block, states, base.input_alphabet, base.output_alphabet, la)
         try:
             annotated = Transducer(
-                name_tok.value,
+                self.values[name],
                 base.input_alphabet,
                 base.output_alphabet,
                 rules,
@@ -357,9 +184,147 @@ class _Parser:
                 states=base.states,
                 _annotated=True,
             )
-            return LookaheadTransducer.trimmed(annotated, la)
+            machine = LookaheadTransducer.trimmed(annotated, la)
         except ValidationError as exc:
-            self.fail("invalid lookahead %s: %s" % (name_tok.value, exc), name_tok)
+            self.fail("invalid lookahead %s: %s" % (self.values[name], exc), name)
+        self.ws.machines[self.values[name]] = machine
+
+    def parse_chain(self):
+        self.expect("name", "chain")
+        name = self.expect("name")
+        self.declare(name)
+        stages = []
+        for i in self.name_list():
+            m = self.ws.machines.get(self.values[i])
+            if not isinstance(m, Transducer):
+                self.fail("chain stage %r is not a transducer" % self.values[i], i)
+            stages.append(m)
+        try:
+            self.ws.chains[self.values[name]] = CompositionChain(tuple(stages))
+        except AlphabetMismatch as exc:
+            self.fail("incompatible chain: %s" % exc, name)
+
+    def parse_rule_block(self, annotated: bool) -> list[tuple]:
+        """Read a rule block in one walk: per rule (head, symbol, variables,
+        right-hand sides, end of its nodes), as token indices and `Tree`s.
+        The checks that need the machine wait for `build_rules`: the token
+        index of each right-hand-side node waits in `node_tokens`, its
+        `Tree` (None for a misplaced variable) in `nodes`.  `ids` holds one
+        `StateId` per state name."""
+        self.expect("punct", "{")
+        self.node_tokens, self.nodes, self.ids = [], [], {}
+        block = []
+        while not self.at("}"):
+            head = self.expect("name")
+            self.expect("punct", "(")
+            symbol = self.expect("name")
+            variables = []
+            if self.at("("):
+                self.pos += 1
+                variables = self.separated(lambda: self.parse_variable(annotated))
+                self.expect("punct", ")")
+            self.expect("punct", ")")
+            for expected, i in enumerate(variables, start=1):
+                if self.values[i] != "x%d" % expected:
+                    self.fail("variables must be x1..xk in order", i)
+            self.expect("arrow")
+            rhss = self.separated(self.read_rhs, "|")
+            self.expect("punct", ";")
+            block.append((head, symbol, variables, rhss, len(self.nodes)))
+        self.expect("punct", "}")
+        return block
+
+    def parse_variable(self, annotated: bool) -> int:
+        """The index of a variable; its annotation, if any, is two tokens on."""
+        i = self.expect("name")
+        if not VAR_RE.fullmatch(self.values[i]):
+            self.fail("expected a variable x1, x2, ...", i)
+        if self.at(":"):
+            self.pos += 1
+            la = self.expect("name")
+            if not annotated:
+                self.fail("look-ahead annotations belong in lookahead blocks", la)
+        elif annotated:
+            self.fail("every variable of a look-ahead rule needs an annotation", i)
+        return i
+
+    def read_rhs(self) -> Tree:
+        """A right-hand side as its `Tree`: ``name(xi)`` is a state over a
+        variable, any other name an output symbol.  A variable leaf is its
+        index until its parent takes it."""
+        values, ids, node_tokens, nodes = self.values, self.ids, self.node_tokens, self.nodes
+
+        def make(i, children):
+            name = values[i]
+            if VAR_RE.fullmatch(name):
+                if children:
+                    self.fail("a variable may only appear directly under a state", i)
+                return int(name[1:])
+            if len(children) == 1 and children[0].__class__ is int:
+                if name not in ids:
+                    ids[name] = StateId.base(name)
+                node = Tree(StateOverVariable(ids[name], children[0]))
+            elif any(c.__class__ is int for c in children):
+                node = None  # a variable beside other arguments
+            else:
+                node = Tree(name, children)
+            node_tokens.append(i)
+            nodes.append(node)
+            return node or Tree(name)  # the parent's build goes on; the check fails
+
+        start = self.pos
+        rhs, self.pos = _parse_term(self.text, self.tokens, start, make)
+        if rhs.__class__ is int:
+            self.fail("a variable may only appear directly under a state", start)
+        return rhs
+
+    # -- resolution ------------------------------------------------------------
+
+    def build_rules(self, block, states, input_alpha, output_alpha, la=None) -> list[Rule]:
+        """Run the rules' checks in text order, then build them."""
+        rules = []
+        start = 0
+        for head, symbol, variables, rhss, end in block:
+            name = self.values[symbol]
+            if name not in input_alpha:
+                self.fail("unknown input symbol %r" % name, symbol)
+            k = input_alpha.rank(name)
+            if k != len(variables):
+                self.fail("symbol %s has rank %d but %d variables" % (name, k, len(variables)), symbol)
+            annotations = None if la is None else tuple(StateId.base(self.values[i + 2]) for i in variables)
+            for i, la_state in zip(variables, annotations or ()):
+                if la_state not in la.states:
+                    self.fail("unknown look-ahead state %r" % la_state.name, i + 2)
+            faults = [fault for j in range(start, end) if (fault := self.rhs_fault(j, states, output_alpha, k))]
+            if faults:
+                i, message = min(faults)  # the first in the text
+                self.fail(message, i)
+            start = end
+            rules.extend(Rule(states[self.values[head]], name, k, rhs, lookahead=annotations) for rhs in rhss)
+        return rules
+
+    def rhs_fault(self, j, states, output_alpha, k):
+        """The first fault of right-hand-side node j, as (token index,
+        message), or None; a rule's variables are x1..xk."""
+        i, node = self.node_tokens[j], self.nodes[j]
+        name = self.values[i]
+        if node is None:
+            return i, "a variable may only appear as the sole argument of a state"
+        label, n = node.label, len(node.children)
+        if label.__class__ is StateOverVariable:
+            if name not in states:
+                return i, "undeclared state %r" % name
+            if label.index > k:
+                return i + 2, "variable x%d out of range [%d]" % (label.index, k)
+        elif n and name in states:
+            return i, "state %r must be applied to a single variable" % name
+        elif name not in output_alpha and name in states:
+            return i, "state %r used as a nullary output symbol" % name
+        elif name not in output_alpha:
+            return i, "unknown output symbol %r" % name
+        elif output_alpha.rank(name) != n:
+            return i, "symbol %s has rank %d but %d arguments" % (name, output_alpha.rank(name), n)
+        return None
 
 
 def parse_workspace(text: str, workspace: Workspace | None = None) -> Workspace:

@@ -216,34 +216,58 @@ def check_ground_over(t: Tree, alphabet: RankedAlphabet) -> None:
         stack.extend(reversed(t.children))
 
 
-def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
-    """Parse the tree grammar ``tree := NAME | NAME '(' tree (',' tree)* ')'``
-    over `TOKEN_RE`'s tokens, with an explicit stack, so any depth parses."""
-    tokens = [m for m in TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
-    tokens.reverse()  # the next token is the last
-    stack = []  # (label, children) of each open node, innermost last
+def _scan(text: str, skip) -> tuple[list, list, list]:
+    """The tokens of text by `TOKEN_RE`, without the kinds in skip, as three
+    flat lists, their kinds, values and offsets, each ending in ``eof``."""
+    kinds, values, offsets = [], [], []
+    for m in TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind not in skip:
+            kinds.append(kind)
+            values.append(m[0])
+            offsets.append(m.start())
+    kinds.append("eof")
+    values.append("")
+    offsets.append(len(text))
+    return kinds, values, offsets
+
+
+def _parse_term(text: str, tokens, i: int, make):
+    """Read ``term := NAME | NAME '(' term (',' term)* ')'`` from token i of
+    `_scan`'s tokens with an explicit stack, so any depth parses; make(j,
+    children) builds the node named by token j once its children are built.
+    Returns the term and the index of the token after it."""
+    kinds, values, offsets = tokens
+    names, kids = [], []  # the name token and the children of each open node
     while True:
-        if not tokens or tokens[-1].lastgroup != "name":
-            raise _syntax_error("expected a symbol name", text, tokens[-1].start() if tokens else len(text))
-        label = tokens.pop().group()
-        if tokens and tokens[-1].group() == "(":
-            tokens.pop()
-            stack.append((label, []))
+        if kinds[i] != "name":
+            raise _syntax_error("expected a symbol name", text, offsets[i])
+        if values[i + 1] == "(":
+            names.append(i)
+            kids.append([])
+            i += 2
             continue
-        tree = Tree(label)
-        while stack and tokens and tokens[-1].group() == ")":
-            tokens.pop()
-            label, children = stack.pop()
-            children.append(tree)
-            tree = Tree(label, children)
-        if not stack:
-            break
-        if not tokens or tokens[-1].group() != ",":
-            raise _syntax_error("expected ')' or ','", text, tokens[-1].start() if tokens else len(text))
-        tokens.pop()
-        stack[-1][1].append(tree)
-    if tokens:
-        raise _syntax_error("trailing input after tree", text, tokens[-1].start())
+        term = make(i, ())
+        i += 1
+        while names and values[i] == ")":
+            children = kids.pop()
+            children.append(term)
+            term = make(names.pop(), children)
+            i += 1
+        if not names:
+            return term, i
+        if values[i] != ",":
+            raise _syntax_error("expected ')' or ','", text, offsets[i])
+        kids[-1].append(term)
+        i += 1
+
+
+def parse_tree(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
+    """Parse one term of tree text; a comment is trailing input."""
+    kinds, values, offsets = tokens = _scan(text, {"ws"})
+    tree, i = _parse_term(text, tokens, 0, lambda j, children: Tree(values[j], children))
+    if kinds[i] != "eof":
+        raise _syntax_error("trailing input after tree", text, offsets[i])
     if alphabet is not None:
         check_ground_over(tree, alphabet)
     return tree

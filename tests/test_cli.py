@@ -320,6 +320,19 @@ class TestErrors:
         assert status == 2
         assert "error" in err
 
+    def test_syntax_error_names_its_workspace_file(self, capsys, tmp_path):
+        ok, bad = tmp_path / "ok.ttc", tmp_path / "bad.ttc"
+        ok.write_text("transducer a { input { e:0 } output { e:0 } initial q rules { q(e) -> e; } }\n", encoding="utf-8")
+        bad.write_text("transducer b { input { e:0 } output { e:0 } initial q rules { q(e) -> ; } }\n", encoding="utf-8")
+        status, out, err = run_cli(capsys, "-w", str(ok), "-w", str(bad), "check", "--machine", "a")
+        assert (status, out) == (2, "")
+        assert err.splitlines() == ["error: %s: line 1, column 71: expected a symbol name" % bad]
+
+    def test_syntax_error_in_the_input_tree_names_it(self, capsys):
+        status, out, err = run_cli(capsys, "-w", FIXTURES, "run", "--machine", "quadratic", "--input", "a(e")
+        assert (status, out) == (2, "")
+        assert err.splitlines() == ["error: --input: line 1, column 4: expected ')' or ','"]
+
     def test_bad_input_tree(self, capsys):
         status, _, err = run_cli(capsys, "-w", FIXTURES, "run", "--machine", "quadratic", "--input", "zz(e)")
         assert status == 2

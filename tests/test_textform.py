@@ -196,7 +196,7 @@ class TestErrorLocations:
             ("chain c { a b }", "expected }", 1, 13),
             (
                 "transducer t { input { e:0, } output { e:0 } initial q rules { q(e) -> e | ; } }",
-                "expected name",
+                "expected a symbol name",
                 1,
                 76,
             ),
@@ -217,6 +217,26 @@ class TestErrorLocations:
             line,
             column,
         )
+
+
+class TestOneTermGrammar:
+    @pytest.mark.parametrize("term", ["f(a,)", "f(a b)", "f(", "(a)"])
+    def test_tree_text_and_a_right_hand_side_fail_alike(self, term):
+        """The same message at the same offset from the term's start: a
+        right-hand side is read by the tree text's term parser."""
+        with pytest.raises(TtcSyntaxError) as in_tree:
+            parse_tree(term)
+        prefix = "transducer t { input { e:0 } output { f:2, a:0 } initial q rules { q(e) -> "
+        with pytest.raises(TtcSyntaxError) as in_rhs:
+            parse_workspace(prefix + term + "; } }")
+        assert in_rhs.value.args[0].split(": ", 1)[1] == in_tree.value.args[0].split(": ", 1)[1]
+        assert (in_rhs.value.line, in_rhs.value.column - len(prefix)) == (in_tree.value.line, in_tree.value.column)
+
+    def test_any_depth_parses_in_a_right_hand_side(self):
+        depth = 5000
+        text = "transducer deep { input { g:0 } output { a:1, e:0 } initial q rules { q(g) -> %se%s; } }"
+        rule = parse_workspace(text % ("a(" * depth, ")" * depth)).machines["deep"].rules[0]
+        assert rule.rhs.size == depth + 1
 
 
 class TestRoundTrip:
