@@ -65,6 +65,11 @@ class BuildReport:
     provenance: dict[StateId, str] = field(default_factory=dict)
     stats: dict[str, float] = field(default_factory=dict)
 
+    @property
+    def name(self) -> str:
+        """What the report shows as its subject: the machine's name."""
+        return self.machine.name
+
 
 @dataclass(frozen=True)
 class CompositionChain:

@@ -1,8 +1,11 @@
 """Composition-chain semantics, the bounded functionality checker, and traces.
 
-`decide_functionality` trades the last pair of a chain for one stage, one
-step at a time (`constructions._check_step`), until one stage is left: a
-plain transducer, or M over hat for the final pair.
+`decide_functionality` first checks a chain of two or more stages on
+itself, up to a small size (`_refute`): a counterexample there is the
+verdict, and no construction runs.  Otherwise it trades the last pair of
+the chain for one stage, one step at a time (`constructions._check_step`),
+until one stage is left: a plain transducer, or M over hat for the final
+pair.
 
 The checker goes through the domain of its target (not all trees) up to a
 size bound, counts the outputs of each input, and reports the first input
@@ -17,6 +20,7 @@ counterexample of size up to the bound exists.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import islice
@@ -29,14 +33,21 @@ from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, ch
 FUNCTIONAL = "functional-up-to-bound"
 NOT_FUNCTIONAL = "not-functional"
 
+# `_refute` checks a chain on itself up to this size, with every output set
+# bounded by this cap: 4,096 admits 2**12 outputs and gives up on 2**13
+# within a fraction of a second, after which M's check runs as it would have
+PROBE_SIZE = 1
+PROBE_CAP = 4096
+
 
 def chain_outputs(chain: CompositionChain | Transducer, tree: Tree) -> frozenset[Tree]:
     """Left-to-right relational composition of the stage translations."""
     if not isinstance(chain, CompositionChain):
         chain = CompositionChain((chain,))
     check_ground_over(tree, chain.stages[0].input_alphabet)
-    # whether a stage passes its input through is decided once per call
-    owners = [_Classes(base, None, base.is_automaton()) for base in chain.stages]
+    # whether a stage passes its input through is decided once per call,
+    # when an input first reaches it
+    owners = [_Classes(base, None, None) for base in chain.stages]
     return frozenset(_outputs(owners, tree, DEFAULT_OUTPUT_CAP))
 
 
@@ -45,12 +56,15 @@ def _outputs(owners: list[_Classes], tree: Tree, cap: int) -> Collection[Tree]:
     on a valid input, without repeats; a look-ahead base reads its guards
     from the input's labels in its owner (see `_evaluate`).  An automaton
     stage (`through`) relabels in place, so it passes each tree through,
-    unbuilt, iff the `some` of its class holds the initial state.  A chain's
-    alphabets match, so every intermediate tree is valid for the next
-    stage.  The cap bounds each stage's whole output set."""
+    unbuilt, iff the `some` of its class holds the initial state; that is
+    decided when the first tree reaches the stage.  A chain's alphabets
+    match, so every intermediate tree is valid for the next stage.  The cap
+    bounds each stage's whole output set."""
     outs = (tree,)
     for cl in owners:
         q = cl.base.initial
+        if cl.through is None:
+            cl.through = cl.base.is_automaton()
         if cl.through:
             outs = [t for t in outs if q.name in cl.classes[_label(cl, t)][2]]
             continue
@@ -103,19 +117,26 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
     Any other size is built from the class table, in canonical order; for a
     one-stage target an input whose class puts the initial state in `one`
     is counted, and every other input has its outputs built, its look-ahead
-    guards read from the same classes.  All inputs share one owner per
-    stage (`_Classes`), whose first is the class table of the domain, and
-    the owners are cleared when the check ends, so the check keeps no
-    memory and no machine state.
+    guards read from the same classes.  A chain's domain is the inputs with
+    an output after its last stage: only those are counted.  All inputs
+    share one owner per stage (`_Classes`), whose first is the class table
+    of the domain, and the owners are cleared when the check ends, so the
+    check keeps no memory and no machine state.
     """
+    return _check(target, max_size, DEFAULT_OUTPUT_CAP)
+
+
+def _check(target, max_size: int, cap: int) -> Verdict:
+    """`check_functional_bounded` with every output set bounded by cap."""
     check_positive(max_size, "max_size")
     if not isinstance(target, (CompositionChain, LookaheadTransducer)):
         target = CompositionChain((target,))
     if isinstance(target, LookaheadTransducer):
         owners = [_Classes(target.base, target.la)]
     else:
-        # whether a stage passes its input through is decided once per check
-        owners = [_Classes(base, None, base.is_automaton()) for base in target.stages]
+        # whether a stage passes its input through is decided once per
+        # check, when an input first reaches it
+        owners = [_Classes(base, None, None) for base in target.stages]
     cl = owners[0]
     initial = cl.base.initial
     one_stage = len(owners) == 1
@@ -135,12 +156,15 @@ def check_functional_bounded(target, max_size: int) -> Verdict:
                 single_output_inputs += count
                 continue
             for s in _domain_trees(cl, domain):
-                inputs_checked += 1
                 # labels s first: its proper subtrees' classes decide the guards
                 if one_stage and initial.name in cl.classes[_label(cl, s)][1]:
+                    inputs_checked += 1
                     single_output_inputs += 1
                     continue
-                outs = _outputs(owners, s, DEFAULT_OUTPUT_CAP)
+                outs = _outputs(owners, s, cap)
+                if not outs:  # a later stage drops it: not in the chain's domain
+                    continue
+                inputs_checked += 1
                 outputs_computed += len(outs)
                 if len(outs) > 1:
                     counterexample = Counterexample(s, tuple(sort_trees(outs)[:2]))
@@ -172,14 +196,74 @@ def decide_functionality(chain: CompositionChain | Transducer, max_size: int) ->
     without its look-ahead when no guard can fail, and otherwise
     `reduce_chain`'s reader and fused relabeling; the final pair becomes M
     over hat, with no power-set look-ahead automaton and no trim, whose
-    report comes last."""
+    report comes last.  A longer chain is first checked on itself up to
+    PROBE_SIZE (`_refute`); if that finds a counterexample, the chain's
+    verdict and its one `chain-refuted` report are returned, and no step
+    runs."""
     check_positive(max_size, "max_size")
     target = chain if isinstance(chain, CompositionChain) else CompositionChain((chain,))
+    if len(target) > 1:
+        refuted = _refute(target, max_size)
+        if refuted is not None:
+            return refuted
     reports: list[BuildReport] = []
+    verdict = check_functional_bounded(_reduce(target, reports), max_size)
+    return verdict, reports
+
+
+def _reduce(target: CompositionChain, reports: list) -> CompositionChain | LookaheadTransducer:
+    """The one stage `decide_functionality` checks: the chain after
+    `_check_step` on its last pair until one stage is left."""
     while isinstance(target, CompositionChain) and len(target) > 1:
         target = _check_step(target, reports)
-    verdict = check_functional_bounded(target, max_size)
-    return verdict, reports
+    return target
+
+
+def _refute(chain: CompositionChain, max_size: int) -> tuple[Verdict, list[BuildReport]] | None:
+    """The chain's own verdict up to PROBE_SIZE (at most max_size), with
+    its `chain-refuted` report, if it is not functional there; None if it
+    is, or if an output set outgrows PROBE_CAP.  The bounded check is exact
+    relative to its bound on the chain as on M, and visits the same domain
+    in the same order, so its counterexample, outputs, size reached and
+    inputs checked are the ones M's check would give."""
+    t0 = time.perf_counter()
+    try:
+        verdict = _check(chain, min(max_size, PROBE_SIZE), PROBE_CAP)
+    except ResourceLimit:
+        return None
+    if verdict.functional:
+        return None
+    verdict.bound = max_size
+    stats = {key: verdict.stats[key] for key in ("max_size_reached", "inputs_checked", "outputs_computed")}
+    stats["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+    return verdict, [_ChainRefuted(chain, stats)]
+
+
+class _ChainRefuted(BuildReport):
+    """The report of a chain that `_refute` refuted: no construction ran.
+    It names the chain's stages, counts their states, and holds the
+    probe's size reached, inputs checked, outputs computed and time.  Its
+    machine is M, which the check would have checked: built by the check's
+    own steps (`_reduce`) when it is first read, and kept."""
+
+    def __init__(self, chain: CompositionChain, stats: dict):
+        self.label = "chain-refuted"
+        self.states_before = self.states_after = sum(len(t.states) for t in chain)
+        self.provenance, self.stats = {}, stats
+        self.chain, self._machine = chain, None
+
+    def __repr__(self):  # the dataclass's would build M
+        return "_ChainRefuted(%s)" % self.name
+
+    @property
+    def name(self) -> str:
+        return ";".join(t.name for t in self.chain)
+
+    @property
+    def machine(self):
+        if self._machine is None:
+            self._machine = _reduce(self.chain, [])
+        return self._machine
 
 
 # -- derivation tracing -------------------------------------------------------

@@ -210,11 +210,12 @@ class _Classes:
     into `classes`, `labels` a subtree text to its class index, `counts`
     holds the trees of each size counted by class (`_class_counts`) and
     `trees` the trees of a class at a size (`_class_trees`).  `through`
-    marks a chain stage that passes its input through (`_outputs`)."""
+    marks a chain stage that passes its input through (`_outputs`); None
+    leaves that undecided until an input reaches the stage."""
 
     __slots__ = ("base", "la", "through", "memo", "table", "classes", "labels", "counts", "trees")
 
-    def __init__(self, base: Transducer, la: Transducer | None, through: bool = False):
+    def __init__(self, base: Transducer, la: Transducer | None, through: bool | None = False):
         self.base, self.la, self.through = base, la, through
         self.memo, self.table, self.classes, self.labels, self.counts, self.trees = {}, {}, [], {}, [], {}
 
@@ -299,7 +300,10 @@ def _class(base: Transducer, la: Transducer | None, symbol, kids: list) -> tuple
     accepts = frozenset([l.name for l in states if any(all(q.name in k[0] for req, k in zip(r.child_states, kids) for q in req) for r in la.rules_for(l, symbol))])
     one, some = [], []
     for q in base.states:
-        fired = [r for r in base.rules_for(q, symbol) if r.guard is None or all(g <= k[0] for g, k in zip(r.guard, kids))]
+        rules = base.rules_for(q, symbol)
+        if not rules:  # in neither `one` nor `some`
+            continue
+        fired = [r for r in rules if r.guard is None or all(g <= k[0] for g, k in zip(r.guard, kids))]
         if len(fired) == 1 and all(q2.name in k[1] for req, k in zip(fired[0].child_states, kids) for q2 in req):
             one.append(q.name)
         if any(all(q2.name in k[2] for req, k in zip(r.child_states, kids) for q2 in req) for r in fired):

@@ -69,13 +69,28 @@ def _content_name(sym) -> str:
 
 
 def _render_rhs(tree: Tree, states, symbols) -> str:
-    lab = tree.label
-    if isinstance(lab, StateOverVariable):
-        return "%s(x%d)" % (states[lab.state], lab.index)
-    head = symbols[lab]
-    if not tree.children:
-        return head
-    return "%s(%s)" % (head, ", ".join(_render_rhs(c, states, symbols) for c in tree.children))
+    """A right-hand side in the definition language, written with an
+    explicit stack of subtrees and closing text, so any depth renders."""
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        lab = node.label
+        if isinstance(lab, StateOverVariable):
+            out.append("%s(x%d)" % (states[lab.state], lab.index))
+        elif not node.children:
+            out.append(symbols[lab])
+        else:
+            out.append("%s(" % symbols[lab])
+            kids = node.children
+            stack.append(")")
+            for c in reversed(kids[1:]):
+                stack += (c, ", ")
+            stack.append(kids[0])
+    return "".join(out)
 
 
 def _rule_lines(rules, states, symbols, la_states=None) -> list[str]:
@@ -230,7 +245,7 @@ def verdict_json(verdict: Verdict):
 def report_json(report: BuildReport):
     return {
         "label": report.label,
-        "machine": report.machine.name,
+        "machine": report.name,
         "states_before": report.states_before,
         "states_after": report.states_after,
         "provenance": {s.name: desc for s, desc in sorted(report.provenance.items(), key=lambda kv: kv[0].name)},
@@ -341,7 +356,7 @@ def trace_text(trace: DerivationTrace) -> str:
 def report_text(report: BuildReport) -> str:
     return "%s: %s, states %d -> %d (%.3f ms)\n" % (
         report.label,
-        report.machine.name,
+        report.name,
         report.states_before,
         report.states_after,
         report.stats.get("elapsed_ms", 0.0),

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ttc import Rule, StateId, Transducer, parse_workspace
+from ttc import Rule, StateId, Transducer, decision, parse_workspace
 from ttc.machines import _Classes, _domain_sizes, _domain_trees
 from ttc.trees import RankedAlphabet, Tree
 
@@ -63,6 +63,13 @@ def copy_t2_extra(copy_pair):
     q2pp = StateId.base("q2''")
     rules = list(t2.rules) + [Rule(q2pp, "e3", 0, Tree("e''"))]
     return Transducer("copy_t2_extra", t2.input_alphabet, out, rules, t2.initial, states=t2.states)
+
+
+@pytest.fixture
+def no_probe(monkeypatch):
+    """`decide_functionality` without its check of a chain on itself
+    (`decision._refute`): every chain goes through its constructions."""
+    monkeypatch.setattr(decision, "_refute", lambda chain, max_size: None)
 
 
 def domain_of(machine, state, max_size):

@@ -451,8 +451,9 @@ def reference_check(target, max_size):
     the bound in canonical order, every one with an output of the first
     stage (of M, for a look-ahead transducer) is an input and has all its
     outputs built (`chain_outputs`, or `translate_la` for a
-    look-ahead transducer), and the first input with two outputs ends the
-    check at its size.  A one-stage input counts as a single output input
+    look-ahead transducer), an input is checked iff it has an output after
+    the last stage, and the first input with two outputs ends the check at
+    its size.  A one-stage input counts as a single output input
     iff `single_output` holds for the initial state.  Returns the verdict,
     with the counted stats, and the inputs a one-stage check enumerates: the
     checked inputs of each size that holds an input without a single output
@@ -480,6 +481,8 @@ def reference_check(target, max_size):
         checked = []
         for (s, outs), single in zip(layer, singles):
             checked.append(s)
+            if not outs:  # a later stage of a chain drops it
+                continue
             stats["inputs_checked"] += 1
             stats["outputs_computed"] += len(outs)
             stats["single_output_inputs"] += single

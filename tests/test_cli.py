@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ttc import Transducer, decide_functionality
+from ttc import Transducer, decide_functionality, decision
 from ttc.cli import main
 from ttc.render import verdict_json
 
@@ -86,11 +86,11 @@ class TestCheck:
                 statuses.add(by_machine[0])
         assert statuses == {0, 1}
 
-    def test_long_rotation_chains(self, capsys, tmp_path):
-        """T1;T1;T1;T2_2 reaches a verdict, and its reports show the two
-        reductions that dropped their look-ahead; T1^4;T2_2 and T1^5;T2_2
-        end in an error within 1 s that names the automaton that outgrew its
-        cap."""
+    def test_long_rotation_chains(self, capsys, tmp_path, no_probe):
+        """Without the check of a chain on itself, T1;T1;T1;T2_2 reaches a
+        verdict, and its reports show the two reductions that dropped their
+        look-ahead; T1^4;T2_2 and T1^5;T2_2 end in an error within 1 s that
+        names the automaton that outgrew its cap."""
         path = tmp_path / "rotation.ttc"
         path.write_text(rotation_chains_text([3, 4, 5]), encoding="utf-8")
         common = ("-w", str(path), "check", "--max-size", "3", "--chain")
@@ -108,6 +108,38 @@ class TestCheck:
             assert time.perf_counter() - start < 1.0, k
             assert status == 2 and out == ""
             assert err.splitlines() == ["error: dom(M(t1,M(t1,M(t1,t2)))): domain automaton exceeds 60000 rules"]
+
+    def test_long_rotation_chains_are_refuted_on_the_chain(self, capsys, tmp_path, monkeypatch):
+        """T1^3;T2_2 to T1^5;T2_2 are refuted on d, their first input, with
+        one chain-refuted report in text and JSON, and no construction."""
+        steps = []
+        monkeypatch.setattr(decision, "_check_step", lambda chain, reports: steps.append(chain))
+        path = tmp_path / "rotation.ttc"
+        path.write_text(rotation_chains_text([3, 4, 5]), encoding="utf-8")
+        common = ("-w", str(path), "check", "--max-size", "3", "--chain")
+        for k in (3, 4, 5):
+            name = ";".join(["t1"] * k + ["t2"])
+            status, out, _ = run_cli(capsys, *common, "t1x%d" % k)
+            assert status == 1
+            lines = out.splitlines()
+            assert lines[0].startswith("chain-refuted: %s, states %d -> %d (" % (name, k + 2, k + 2))
+            assert lines[1:] == [
+                "not-functional (bound 3)",
+                "counterexample input: d",
+                "  output: d",
+                "  output: e",
+                "inputs checked: 1, outputs computed: 2",
+            ]
+            status, out, _ = run_cli(capsys, *common, "t1x%d" % k, "--format", "json")
+            assert status == 1
+            doc = json.loads(out)
+            assert (doc["status"], doc["bound"], doc["counterexample"]) == ("not-functional", 3, {"input": "d", "outputs": ["d", "e"]})
+            (report,) = doc["reports"]
+            assert report["label"] == "chain-refuted" and report["machine"] == name
+            assert report["provenance"] == {} and report["states_before"] == report["states_after"] == k + 2
+            del report["stats"]["elapsed_ms"]
+            assert report["stats"] == {"max_size_reached": 1, "inputs_checked": 1, "outputs_computed": 2}
+        assert steps == []
 
     def test_chain_names_a_lookahead_machine(self, capsys):
         status, _, err = run_cli(capsys, "-w", FIXTURES, "check", "--chain", "quadratic_la")

@@ -108,7 +108,27 @@ class TestChainOutputs:
             chain_outputs(chain, s)
 
 
+# t2 has no rule on a: the chain's domain is b alone, while t1's is a and b
+DROPPING_CHAIN = """
+transducer t1 { input { a:0, b:0 } output { a:0, b:0, c:0 } initial q rules { q(a) -> a; q(b) -> b | c; } }
+transducer t2 { input { a:0, b:0, c:0 } output { b:0, c:0 } initial p rules { p(b) -> b; p(c) -> c; } }
+chain dropping { t1, t2 }
+"""
+
+
 class TestCheckFunctionalBounded:
+    def test_a_chain_counts_only_its_own_domain(self):
+        """The chain enumerates a and b, the domain of its first stage, but
+        checks only b, as M, whose domain is the chain's, does."""
+        chain = parse_workspace(DROPPING_CHAIN).chains["dropping"]
+        direct = check_functional_bounded(chain, 3)
+        via_m = check_functional_bounded(build_m(*chain.stages)[0], 3)
+        for verdict in (direct, via_m):
+            assert verdict.status == NOT_FUNCTIONAL
+            assert verdict.counterexample == decision.Counterexample(t("b"), (t("b"), t("c")))
+            assert (verdict.stats["inputs_checked"], verdict.stats["max_size_reached"]) == (1, 1)
+        assert (direct.stats["inputs_enumerated"], via_m.stats["inputs_enumerated"]) == (2, 1)
+
     def test_neither_chain_nor_machine_is_rejected(self):
         with pytest.raises(ValidationError, match="is not a plain transducer"):
             check_functional_bounded("quadratic", 3)
@@ -256,7 +276,8 @@ class TestCheckMemo:
         checked.clear()
         stats = check_functional_bounded(target, bound).stats
         assert [s for s, _ in checked] == enumerated, tag
-        assert sum(outs is not None for _, outs in checked) == stats["inputs_checked"] - stats["single_output_inputs"], tag
+        # a chain's input that a later stage drops is translated, not checked
+        assert sum(bool(outs) for _, outs in checked if outs is not None) == stats["inputs_checked"] - stats["single_output_inputs"], tag
         for s, outs in checked:
             expected = oracle(s)
             assert len(expected) == 1 if outs is None else outs == expected, (tag, s.text)
@@ -376,7 +397,7 @@ class TestCheckMemo:
             with pytest.raises(ResourceLimit) as caught:
                 check_functional_bounded(target, 5)
             tb = caught.value.__traceback__
-            while tb.tb_frame.f_code is not check_functional_bounded.__code__:
+            while tb.tb_frame.f_code is not decision._check.__code__:
                 tb = tb.tb_next
             found = list(tb.tb_frame.f_locals.values())
             found += [x for v in found if isinstance(v, (list, tuple)) for x in v]
@@ -892,10 +913,13 @@ class TestDecideFunctionality:
         assert len([r for r in reports if r.label == "look-ahead-transducer"]) == 3
 
 
+@pytest.mark.usefixtures("no_probe")
 class TestDroppedLookahead:
     """A reduction step of the check whose guards name only hat states that
     accept every tree keeps M's base without its look-ahead, and builds no
-    power-set automaton, relabeling, reader or fused stage."""
+    power-set automaton, relabeling, reader or fused stage.  The check of a
+    chain on itself is off: it refutes most of these chains before any
+    step."""
 
     def test_universal_states_accept_every_tree(self, workspace):
         pairs = [random_pair(seed) for seed in range(300)] + [c.stages for c in workspace.chains.values()]
@@ -1028,6 +1052,121 @@ class TestDroppedLookahead:
             assert time.perf_counter() - start < 1.0, k
 
 
+def forking_chain(d: int) -> CompositionChain:
+    """The d-chain: t1 writes a^d(e) on g, and t2 turns each a into b or c,
+    so g has 2^d outputs."""
+    text = """
+    transducer deep { input { g:0 } output { a:1, e:0 } initial q rules { q(g) -> %s; } }
+    transducer fork {
+      input { a:1, e:0 }
+      output { b:1, c:1, e:0 }
+      initial p
+      rules { p(a(x1)) -> b(p(x1)) | c(p(x1)); p(e) -> e; }
+    }
+    chain forking { deep, fork }
+    """ % ("a(" * d + "e" + ")" * d)
+    return parse_workspace(text).chains["forking"]
+
+
+class TestRefutationOnTheChain:
+    """`decide_functionality` checks a chain of two or more stages on
+    itself, up to PROBE_SIZE and under PROBE_CAP, before any construction
+    (`decision._refute`).  A counterexample there is the verdict, reported
+    by one `chain-refuted` report whose machine is M, built on first read."""
+
+    @staticmethod
+    def targets(workspace):
+        """`random_pair` 0-299 at 6, `random_chain3` 0-99 at 5, the fixture
+        chains at 3 and 5, the benchmark's rotation members of seeds 1-3 and
+        the dropping chain."""
+        _, bench = benchmark_modules()
+        targets = [(CompositionChain(random_pair(seed)), 6) for seed in range(300)]
+        targets += [(random_chain3(seed), 5) for seed in range(100)]
+        targets += [(chain, bound) for chain in workspace.chains.values() for bound in (3, 5)]
+        for seed in (1, 2, 3):
+            targets += [(parse_workspace(ws.text).chains[ws.chain], ws.bound) for ws in bench.rotation(seed)]
+        targets.append((parse_workspace(DROPPING_CHAIN).chains["dropping"], 3))
+        return targets
+
+    def test_the_probe_keeps_every_verdict(self, workspace, monkeypatch):
+        """Status, bound, inputs checked, size reached, counterexample input
+        and both outputs are those of the check through M."""
+        targets = self.targets(workspace)
+
+        def results():
+            got, refuted = [], []
+            for i, (chain, bound) in enumerate(targets):
+                verdict, reports = decide_functionality(chain, bound)
+                cex = verdict.counterexample
+                stats = verdict.stats["inputs_checked"], verdict.stats["max_size_reached"]
+                got.append((verdict.status, verdict.bound, stats, cex and cex.input, cex and cex.outputs))
+                if reports[0].label == "chain-refuted":
+                    assert [r.label for r in reports] == ["chain-refuted"]
+                    refuted.append(i)
+            return got, refuted
+
+        probed, refuted = results()
+        monkeypatch.setattr(decision, "_refute", lambda chain, max_size: None)
+        through_m, none_refuted = results()
+        assert probed == through_m
+        # 62 pairs, 15 chains, the 9 rotation members and the dropping chain
+        groups = [sum(lo <= i < hi for i in refuted) for lo, hi in ((0, 300), (300, 400), (400, len(targets)))]
+        assert (groups, none_refuted) == ([62, 15, 10], [])
+
+    def test_long_rotation_chains_are_refuted_on_d(self, monkeypatch):
+        """T1^3;T2_2 to T1^5;T2_2 fail on d, the first input of size 1,
+        and no step of the check runs: T1^4 and T1^5, whose domain
+        automata outgrow their cap through M, get their verdict too."""
+        steps = []
+        monkeypatch.setattr(decision, "_check_step", lambda chain, reports: steps.append(chain))
+        chains = parse_workspace(rotation_chains_text([3, 4, 5])).chains
+        for k in (3, 4, 5):
+            start = time.perf_counter()
+            verdict, reports = decide_functionality(chains["t1x%d" % k], 3)
+            assert time.perf_counter() - start < 0.1, k
+            assert (verdict.status, verdict.bound) == (NOT_FUNCTIONAL, 3)
+            assert verdict.counterexample == decision.Counterexample(t("d"), (t("d"), t("e")))
+            assert (verdict.stats["inputs_checked"], verdict.stats["max_size_reached"]) == (1, 1)
+            (report,) = reports
+            assert (report.label, report.name) == ("chain-refuted", ";".join(["t1"] * k + ["t2"]))
+            assert {key: report.stats[key] for key in ("max_size_reached", "inputs_checked", "outputs_computed")} == {
+                "max_size_reached": 1,
+                "inputs_checked": 1,
+                "outputs_computed": 2,
+            }
+        assert steps == []
+
+    def test_the_report_builds_m_on_first_read(self, monkeypatch):
+        """The report's machine is the M of the check through M, built by
+        the same steps when it is first read, and kept."""
+        chain = parse_workspace(rotation_chains_text([2])).chains["t1x2"]
+        verdict, (report,) = decide_functionality(chain, 3)
+        steps = []
+        step = decision._check_step
+        monkeypatch.setattr(decision, "_check_step", lambda chain, reports: steps.append(len(chain)) or step(chain, reports))
+        m = report.machine
+        assert steps == [3, 2] and report.machine is m
+        monkeypatch.setattr(decision, "_refute", lambda chain, max_size: None)
+        expected_verdict, reports = decide_functionality(chain, 3)
+        expected = reports[-1].machine
+        assert m.name == expected.name == "M(t1,M(t1,t2))"
+        for got, want in ((m.base, expected.base), (m.la, expected.la)):
+            assert (got.name, got.states, got.rules) == (want.name, want.states, want.rules)
+        assert expected_verdict.counterexample == verdict.counterexample
+
+    def test_the_probe_cap_admits_2_to_the_12_outputs(self):
+        """The d-chain is refuted on g at d = 12; at d = 13, g has more
+        outputs than PROBE_CAP, and the probe gives no verdict."""
+        assert decision.PROBE_CAP == 2**12
+        start = time.perf_counter()
+        verdict, (report,) = decision._refute(forking_chain(12), 3)
+        assert verdict.counterexample.input == t("g")
+        assert verdict.counterexample.outputs == (t("b(" * 12 + "e" + ")" * 12), t("b(" * 11 + "c(e)" + ")" * 11))
+        assert report.stats["outputs_computed"] == 2**12
+        assert decision._refute(forking_chain(13), 3) is None
+        assert time.perf_counter() - start < 1.0
+
+
 @pytest.fixture(scope="module")
 def final_pairs(workspace):
     """(t1, t2, bound): `random_pair` 0-299 at 6, the final pair of the
@@ -1045,7 +1184,8 @@ class TestMOverHat:
     (`constructions._check_step`), `build_m`'s M through the power-set look-ahead
     automaton, trimmed: the same translation, domain, verdict and stats."""
 
-    def test_agrees_with_build_m(self, final_pairs):
+    def test_agrees_with_build_m(self, final_pairs, no_probe):
+        # without the check on the chain, which refutes pairs before M
         not_functional = domains = trees = 0
         for t1, t2, bound in final_pairs:
             m, _ = build_m(t1, t2)

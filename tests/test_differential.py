@@ -39,8 +39,8 @@ PINNED = {
     "build_m": "33da26dc316ce9eb77c43b21f0491cef855fe9af0e401d96c9316da057fd3c8f",
     "decompose_la": "f7e1aa1c2ac5fb7a6a00f9c81efdeabadd2c1368f093d24af3282153fcaaa52b",
     "reduce_chain": "216946d54dfdc50a2308afd46779465fa1372d3f89855f2cdb7cfa7d8b737c28",
-    "decide": "96204fb39c26a9a0168245d23b2521ff3d57d5226da8533bb8d9a61caffb3470",
-    "decide_chain": "7322040c384c112c9fbc571e1274a6a3c4a59e7a5fcd9e20bd10f532b2a11846",
+    "decide": "39a8c6524688a6c671c993c0ef4620cf7750a5f59f2b7abd50a5309e5f3d2f11",
+    "decide_chain": "414ac3c78f901bbbd57d958b4ca8525fec9cef01a97a1f7eaf09f0f2eeaaa490",
 }
 
 

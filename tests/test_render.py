@@ -3,7 +3,7 @@ and DOT renderings, and the JSON is serializable with the documented keys."""
 
 import json
 
-from ttc import build_m, check_functional_bounded, decompose_la, p_construction, trace_derivation
+from ttc import build_m, check_functional_bounded, decompose_la, p_construction, parse_workspace, trace_derivation
 from ttc.render import (
     machine_dot,
     machine_json,
@@ -81,3 +81,16 @@ def test_trace_renderers(quadratic):
     assert dot.count("->") == len(trace.steps)
     # sentential forms show the input subtrees under markers
     assert "q0(a(a(e)))" in dot
+
+
+def test_a_deep_right_hand_side_round_trips():
+    """A right-hand side nested 1,000 deep, deeper than Python's default
+    recursion limit, is written and read back as it was."""
+    rhs = "a(" * 1000 + "g(q(x1), h(e, q(x1)))" + ")" * 1000
+    text = "transducer deep { input { b:1, e:0 } output { a:1, g:2, h:2, e:0 } initial q rules { q(b(x1)) -> %s | e; q(e) -> e; } }" % rhs
+    machine = parse_workspace(text).machines["deep"]
+    listing = serialize_machine(machine)
+    again = parse_workspace(listing).machines["deep"]
+    assert [r.rhs.text for r in again.rules] == [r.rhs.text for r in machine.rules]
+    assert max(r.rhs.size for r in machine.rules) == 1005
+    assert serialize_machine(again) == listing

@@ -100,6 +100,7 @@ CLI_CALLS = [
     (["fuse", "--t1", "quadratic", "--t2", "quad_out_id"], ALL),
     (["--seed", "1", "reduce", "--chain", "rnd_chain3"], ALL),
     (["check", "--chain", "worked"], ALL),
+    (["--seed", "1", "check", "--chain", "rnd_pair"], ALL),  # refuted on the chain itself
     (["check", "--machine", "quadratic_la"], ALL),
     (["trace", "--machine", "quadratic", "--input", "a(a(e))"], ALL),
 ]
