@@ -115,13 +115,12 @@ def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
     fmt = getattr(args, "format", "text")
 
     if command == "run":
+        # checked against the alphabet by the entry point below
+        tree = _parsed("--input", parse_tree, args.input)
         if getattr(args, "chain", None):
-            chain = workspace.chain(args.chain)
-            tree = _parsed("--input", parse_tree, args.input, chain.stages[0].input_alphabet)
-            outs = chain_outputs(chain, tree)
+            outs = chain_outputs(workspace.chain(args.chain), tree)
         else:
             machine = workspace.machine(_require(args, "machine"))
-            tree = _parsed("--input", parse_tree, args.input, machine.input_alphabet)
             outs = machine.translate_la(tree) if isinstance(machine, LookaheadTransducer) else machine.translate(tree)
         if fmt == "json":
             return 0, render.to_json({"input": tree.text, "outputs": [t.text for t in sort_trees(outs)]})

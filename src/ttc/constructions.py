@@ -456,7 +456,7 @@ def decompose_la(m: LookaheadTransducer) -> tuple[Transducer, Transducer]:
     relabeling run that merged several annotations still matches.
     """
     _require(LookaheadTransducer, "decompose_la", m)
-    if not m.la.is_automaton():
+    if not m.la.automaton:
         raise ValidationError("decompose_la needs a look-ahead automaton, as build_m's M has")
     la, base = m.la, m.base
     ann_symbols: dict[tuple, AnnotatedSymbol] = {}

@@ -45,9 +45,7 @@ def chain_outputs(chain: CompositionChain | Transducer, tree: Tree) -> frozenset
     if not isinstance(chain, CompositionChain):
         chain = CompositionChain((chain,))
     check_ground_over(tree, chain.stages[0].input_alphabet)
-    # whether a stage passes its input through is decided once per call,
-    # when an input first reaches it
-    owners = [_Classes(base, None, None) for base in chain.stages]
+    owners = [_Classes(base, None) for base in chain.stages]
     return frozenset(_outputs(owners, tree, DEFAULT_OUTPUT_CAP))
 
 
@@ -55,17 +53,14 @@ def _outputs(owners: list[_Classes], tree: Tree, cap: int) -> Collection[Tree]:
     """The outputs of the stages, one owner each, composed left to right,
     on a valid input, without repeats; a look-ahead base reads its guards
     from the input's labels in its owner (see `_evaluate`).  An automaton
-    stage (`through`) relabels in place, so it passes each tree through,
-    unbuilt, iff the `some` of its class holds the initial state; that is
-    decided when the first tree reaches the stage.  A chain's alphabets
-    match, so every intermediate tree is valid for the next stage.  The cap
-    bounds each stage's whole output set."""
+    stage (`Transducer.automaton`) relabels in place, so it passes each tree
+    through, unbuilt, iff the `some` of its class holds the initial state.
+    A chain's alphabets match, so every intermediate tree is valid for the
+    next stage.  The cap bounds each stage's whole output set."""
     outs = (tree,)
     for cl in owners:
         q = cl.base.initial
-        if cl.through is None:
-            cl.through = cl.base.is_automaton()
-        if cl.through:
+        if cl.base.automaton:
             outs = [t for t in outs if q.name in cl.classes[_label(cl, t)][2]]
             continue
         if len(outs) == 1:
@@ -134,9 +129,7 @@ def _check(target, max_size: int, cap: int) -> Verdict:
     if isinstance(target, LookaheadTransducer):
         owners = [_Classes(target.base, target.la)]
     else:
-        # whether a stage passes its input through is decided once per
-        # check, when an input first reaches it
-        owners = [_Classes(base, None, None) for base in target.stages]
+        owners = [_Classes(base, None) for base in target.stages]
     cl = owners[0]
     initial = cl.base.initial
     one_stage = len(owners) == 1
@@ -174,7 +167,7 @@ def _check(target, max_size: int, cap: int) -> Verdict:
         stats = {
             "inputs_checked": inputs_checked,
             "outputs_computed": outputs_computed + single_output_inputs,
-            "memo_entries": sum(len(o.labels if o.through else o.memo) for o in owners),
+            "memo_entries": sum(len(o.labels if o.base.automaton else o.memo) for o in owners),
             "inputs_enumerated": inputs_enumerated,
             "max_size_reached": size,
             "single_output_inputs": single_output_inputs,
@@ -213,9 +206,14 @@ def decide_functionality(chain: CompositionChain | Transducer, max_size: int) ->
 
 def _reduce(target: CompositionChain, reports: list) -> CompositionChain | LookaheadTransducer:
     """The one stage `decide_functionality` checks: the chain after
-    `_check_step` on its last pair until one stage is left."""
+    `_check_step` on its last pair until one stage is left.  A step's cap
+    names the user's stages it folds, from the pair's first to the last."""
+    n = len(target)
     while isinstance(target, CompositionChain) and len(target) > 1:
-        target = _check_step(target, reports)
+        try:
+            target = _check_step(target, reports)
+        except ResourceLimit as e:
+            raise ResourceLimit("reducing stages %d-%d of %d: %s" % (len(target) - 1, n, n, e)) from e
     return target
 
 
@@ -329,23 +327,32 @@ def derivations(t: Transducer, tree: Tree):
     """
     check_ground_over(tree, t.input_alphabet)
     rule_index = {id(r): i + 1 for i, r in enumerate(t.rules)}
-    yield from _rewrites(t, tree, rule_index, Tree(StateOverNode(t.initial, ROOT)), ())
-
-
-def _rewrites(t: Transducer, tree: Tree, rule_index: dict, form: Tree, steps: tuple):
-    """`derivations` from the sentential form `form`, reached by `steps`."""
-    moves = []
-    for addr, state, input_addr in _markers(form):
-        symbol = subtree_at(tree, input_addr).label
-        for rule in t.rules_for(state, symbol):
-            moves.append((addr, input_addr, rule))
-    if not moves:
-        yield steps, form
-        return
-    for addr, input_addr, rule in moves:
-        new_form = _replace_at(form, addr, _instantiate_rhs(rule.rhs, input_addr))
-        step = TraceStep(addr, rule_index[id(rule)], rule, new_form)
-        yield from _rewrites(t, tree, rule_index, new_form, steps + (step,))
+    form = Tree(StateOverNode(t.initial, ROOT))
+    # each form from the initial one down to `form` with the moves it has
+    # left, and the steps that reach `form`
+    path, steps = [], []
+    while True:
+        moves = []
+        for addr, state, input_addr in _markers(form):
+            symbol = subtree_at(tree, input_addr).label
+            for rule in t.rules_for(state, symbol):
+                moves.append((addr, input_addr, rule))
+        if moves:
+            path.append((form, iter(moves)))
+        else:
+            yield tuple(steps), form
+        while path:
+            form, rest = path[-1]
+            move = next(rest, None)
+            if move is not None:
+                break
+            path.pop()
+        else:
+            return
+        addr, input_addr, rule = move
+        form = _replace_at(form, addr, _instantiate_rhs(rule.rhs, input_addr))
+        del steps[len(path) - 1 :]
+        steps.append(TraceStep(addr, rule_index[id(rule)], rule, form))
 
 
 def trace_derivation(t: Transducer, tree: Tree, branch: int = 0) -> DerivationTrace:

@@ -209,14 +209,12 @@ class _Classes:
     (`_evaluate`), `table` maps a key (symbol, child classes...) to an index
     into `classes`, `labels` a subtree text to its class index, `counts`
     holds the trees of each size counted by class (`_class_counts`) and
-    `trees` the trees of a class at a size (`_class_trees`).  `through`
-    marks a chain stage that passes its input through (`_outputs`); None
-    leaves that undecided until an input reaches the stage."""
+    `trees` the trees of a class at a size (`_class_trees`)."""
 
-    __slots__ = ("base", "la", "through", "memo", "table", "classes", "labels", "counts", "trees")
+    __slots__ = ("base", "la", "memo", "table", "classes", "labels", "counts", "trees")
 
-    def __init__(self, base: Transducer, la: Transducer | None, through: bool | None = False):
-        self.base, self.la, self.through = base, la, through
+    def __init__(self, base: Transducer, la: Transducer | None):
+        self.base, self.la = base, la
         self.memo, self.table, self.classes, self.labels, self.counts, self.trees = {}, {}, [], {}, [], {}
 
     def clear(self):
@@ -472,7 +470,9 @@ def reachable(starts: Iterable[StateId], rules: Iterable[Rule]) -> dict[str, Sta
 
 
 class Transducer:
-    """Nondeterministic top-down tree transducer; immutable after construction."""
+    """Nondeterministic top-down tree transducer; immutable after construction.
+    `automaton` is True iff it relabels in place: unannotated, with equal
+    alphabets, each rhs its rule's symbol over q1(x1),...,qk(xk) in order."""
 
     def __init__(
         self,
@@ -491,6 +491,12 @@ class Transducer:
         self.initial = initial
         self.states = frozenset(states)
         self._validate(_annotated)
+        self.automaton = not _annotated and input_alphabet == output_alphabet and all(
+            r.rhs.label == r.symbol
+            and len(r.rhs.children) == r.variables
+            and all(isinstance(c.label, StateOverVariable) and c.label.index == i for i, c in enumerate(r.rhs.children, start=1))
+            for r in self.rules
+        )
         # keyed on state names, which hash without a call into Python
         by_head: dict[tuple[str, object], list[Rule]] = {}
         for r in self.rules:
@@ -538,20 +544,6 @@ class Transducer:
         """The rules of one state, symbol by symbol, through the same index."""
         for symbol in self.input_alphabet:
             yield from self.rules_for(state, symbol)
-
-    def is_automaton(self) -> bool:
-        """True iff alphabets coincide and every rule just relabels in place."""
-        if self.input_alphabet != self.output_alphabet:
-            return False
-        for r in self.rules:
-            rhs = r.rhs
-            if rhs.label != r.symbol or len(rhs.children) != r.variables:
-                return False
-            for i, c in enumerate(rhs.children, start=1):
-                lab = c.label
-                if not isinstance(lab, StateOverVariable) or lab.index != i:
-                    return False
-        return True
 
     def is_linear_nondeleting(self) -> bool:
         """True iff every variable occurs exactly once in each rule's rhs."""
@@ -603,7 +595,7 @@ class LookaheadTransducer:
         annotations, trimmed by `_trim_lookahead`; the annotations are checked
         first, as the trim would drop a rule with a foreign one as dead."""
         m = cls(base, la)
-        if not la.is_automaton():
+        if not la.automaton:
             raise ValidationError("the look-ahead machine must be an automaton")
         m.base, m.la = _trim_lookahead(base, la)
         return m

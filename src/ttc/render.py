@@ -145,7 +145,7 @@ def serialize_lookahead(m: LookaheadTransducer, name: str | None = None) -> str:
     """Three blocks: the base as a plain transducer (without annotations, it
     only declares states and alphabets), the look-ahead automaton, and the
     lookahead block holding the annotated rules."""
-    if not m.la.is_automaton():
+    if not m.la.automaton:
         raise ValidationError("only a look-ahead automaton has a listing, as build_m's M has")
     name = _safe_name(name or m.name)
     base_states = _state_map([m.base])

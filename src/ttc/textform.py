@@ -167,7 +167,7 @@ class _Parser:
         if not isinstance(base, Transducer):
             self.fail("base %r is not a transducer defined earlier" % self.values[base_tok], base_tok)
         la = self.ws.machines.get(self.values[la_tok])
-        if not isinstance(la, Transducer) or not la.is_automaton():
+        if not isinstance(la, Transducer) or not la.automaton:
             self.fail("la %r is not an automaton defined earlier" % self.values[la_tok], la_tok)
         states = {s.name: s for s in base.states}
         for head, *_ in block:

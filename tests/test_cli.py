@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ttc import Transducer, decide_functionality, decision
+from ttc import ResourceLimit, Transducer, decide_functionality, decision, parse_workspace
 from ttc.cli import main
 from ttc.render import verdict_json
 
@@ -90,7 +90,8 @@ class TestCheck:
         """Without the check of a chain on itself, T1;T1;T1;T2_2 reaches a
         verdict, and its reports show the two reductions that dropped their
         look-ahead; T1^4;T2_2 and T1^5;T2_2 end in an error within 1 s that
-        names the automaton that outgrew its cap."""
+        names the automaton that outgrew its cap and the user's stages that
+        the step was folding: the pair at chain length 2 and 3."""
         path = tmp_path / "rotation.ttc"
         path.write_text(rotation_chains_text([3, 4, 5]), encoding="utf-8")
         common = ("-w", str(path), "check", "--max-size", "3", "--chain")
@@ -102,12 +103,15 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["counterexample"]["input"] == "d"
         assert [r["label"] for r in doc["reports"]].count("look-ahead-dropped") == 2
-        for k in (4, 5):
+        for k, first in ((4, 1), (5, 2)):
             start = time.perf_counter()
             status, out, err = run_cli(capsys, *common, "t1x%d" % k)
             assert time.perf_counter() - start < 1.0, k
             assert status == 2 and out == ""
-            assert err.splitlines() == ["error: dom(M(t1,M(t1,M(t1,t2)))): domain automaton exceeds 60000 rules"]
+            assert err.splitlines() == [
+                "error: reducing stages %d-%d of %d: dom(M(t1,M(t1,M(t1,t2)))): domain automaton exceeds 60000 rules"
+                % (first, k + 1, k + 1)
+            ]
 
     def test_long_rotation_chains_are_refuted_on_the_chain(self, capsys, tmp_path, monkeypatch):
         """T1^3;T2_2 to T1^5;T2_2 are refuted on d, their first input, with
@@ -140,6 +144,26 @@ class TestCheck:
             del report["stats"]["elapsed_ms"]
             assert report["stats"] == {"max_size_reached": 1, "inputs_checked": 1, "outputs_computed": 2}
         assert steps == []
+
+    def test_a_refuted_chain_builds_its_machine_only_when_read(self, capsys, tmp_path, monkeypatch):
+        """The M of T1^4;T2_2 outgrows a cap: reading the chain-refuted
+        report's machine raises it, with the step, while `ttc check` in each
+        format gives the chain's verdict without reading it."""
+        path = tmp_path / "rotation.ttc"
+        path.write_text(rotation_chains_text([4]), encoding="utf-8")
+        verdict, (report,) = decide_functionality(parse_workspace(path.read_text()).chains["t1x4"], 3)
+        assert not verdict.functional and report.label == "chain-refuted"
+        with pytest.raises(ResourceLimit) as exc:
+            report.machine
+        assert str(exc.value) == (
+            "reducing stages 1-5 of 5: dom(M(t1,M(t1,M(t1,t2)))): domain automaton exceeds 60000 rules"
+        )
+        reads = []
+        monkeypatch.setattr(decision._ChainRefuted, "machine", property(reads.append))
+        for fmt in ("text", "json", "dot"):
+            status, _, _ = run_cli(capsys, "-w", str(path), "check", "--max-size", "3", "--chain", "t1x4", "--format", fmt)
+            assert status == 1, fmt
+        assert reads == []
 
     def test_chain_names_a_lookahead_machine(self, capsys):
         status, _, err = run_cli(capsys, "-w", FIXTURES, "check", "--chain", "quadratic_la")
@@ -218,6 +242,17 @@ class TestTrace:
             capsys, "-w", FIXTURES, "trace", "--machine", "quadratic", "--input", "a(e)", "--branch", "1"
         )
         assert out0 != out1
+
+    def test_a_derivation_of_any_length(self, capsys):
+        """A spine of 45 a's takes 1,081 steps, one Python frame each when
+        the enumeration recursed per step."""
+        spine = "a(" * 45 + "e" + ")" * 45
+        status, out, _ = run_cli(
+            capsys, "-w", FIXTURES, "trace", "--machine", "quadratic", "--input", spine, "--format", "json"
+        )
+        assert status == 0
+        doc = json.loads(out)
+        assert len(doc["steps"]) == 1081 and doc["complete"]
 
     def test_negative_branch(self, capsys):
         status, out, err = run_cli(
@@ -366,8 +401,14 @@ class TestErrors:
         assert err.splitlines() == ["error: --input: line 1, column 4: expected ')' or ','"]
 
     def test_bad_input_tree(self, capsys):
-        status, _, err = run_cli(capsys, "-w", FIXTURES, "run", "--machine", "quadratic", "--input", "zz(e)")
-        assert status == 2
+        lines = {
+            "zz(e)": "error: symbol zz is not in the input alphabet",
+            "a(e,e)": "error: symbol a has rank 1 but 2 children",
+        }
+        for target in (("--machine", "quadratic"), ("--machine", "quadratic_la"), ("--chain", "copying")):
+            for tree, line in lines.items():
+                status, out, err = run_cli(capsys, "-w", FIXTURES, "run", *target, "--input", tree)
+                assert (status, out, err.splitlines()) == (2, "", [line]), (target, tree)
 
     def test_workspace_not_in_utf8_is_an_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.ttc"
@@ -414,8 +455,8 @@ class TestErrors:
 
     def test_product_rhs_over_the_rule_cap_names_the_construction(self, capsys, tmp_path):
         """t2 translates t1's one right-hand side a^20(e) in 2^20 ways, more
-        than the triple product may have rules: the error names the product,
-        the hat rule and the cap, in under 1 s."""
+        than the triple product may have rules: the error names the step,
+        the product, the hat rule and the cap, in under 1 s."""
         path = tmp_path / "forking.ttc"
         path.write_text(
             """
@@ -435,7 +476,9 @@ class TestErrors:
         status, _, err = run_cli(capsys, "-w", str(path), "check", "--chain", "forking", "--max-size", "3")
         assert time.perf_counter() - start < 1.0
         assert status == 2
-        assert err.splitlines() == ["error: N(deep,fork): rule (q,{p})(g) of hat(deep): output set exceeds cap 60000"]
+        assert err.splitlines() == [
+            "error: reducing stages 1-2 of 2: N(deep,fork): rule (q,{p})(g) of hat(deep): output set exceeds cap 60000"
+        ]
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

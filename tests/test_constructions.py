@@ -138,7 +138,7 @@ class TestWorkedPairGolden:
         aut = domain_automaton(t2)
         assert rule_strings(aut) == A_EXPECTED
         assert aut.initial.name == "{p0}"
-        assert aut.is_automaton()
+        assert aut.automaton
 
     def test_hat(self, worked_pair):
         hat = build_hat_t1(*worked_pair)

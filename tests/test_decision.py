@@ -739,7 +739,7 @@ class TestAutomatonStages:
         for seed in range(200):
             t1, t2 = random_pair(seed)
             dom = domain_automaton(t2)
-            assert dom.is_automaton(), seed
+            assert dom.automaton, seed
             for s in all_trees(t1.input_alphabet, 5):
                 kept = {o for o in staged_compose((t1,), s) if dom_member(t2, t2.initial, o)}
                 assert chain_outputs(CompositionChain((t1, dom)), s) == kept, (seed, s.text)
@@ -778,25 +778,19 @@ class TestAutomatonStages:
     def test_builds_no_tree(self, workspace, monkeypatch):
         quadratic, identity = workspace.machines["quadratic"], workspace.machines["quad_out_id"]
         s = t("a(a(a(e)))")
-        builds, tested = [0], [0]
-        init, is_automaton = Tree.__init__, Transducer.is_automaton
+        assert not quadratic.automaton and identity.automaton
+        builds = [0]
+        init = Tree.__init__
 
         def spy_init(self, label, children=()):
             builds[0] += 1
             init(self, label, children)
 
-        def spy_is_automaton(self):
-            tested[0] += 1
-            return is_automaton(self)
-
         monkeypatch.setattr(Tree, "__init__", spy_init)
-        monkeypatch.setattr(Transducer, "is_automaton", spy_is_automaton)
         got = []
         for stages in ((quadratic,), (quadratic, identity), (quadratic, identity, identity)):
-            builds[0] = tested[0] = 0
+            builds[0] = 0
             got.append((chain_outputs(CompositionChain(stages), s), builds[0]))
-            # decided once a call, for each stage
-            assert tested[0] == len(stages)
         assert got[0] == got[1] == got[2]
         assert got[0][1] > 0
 

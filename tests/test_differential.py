@@ -47,7 +47,7 @@ PINNED = {
 def _machine_text(machine) -> str:
     """A listing of any machine: M over hat, whose look-ahead machine is not
     an automaton, lists its base rules with their annotations."""
-    if isinstance(machine, LookaheadTransducer) and not machine.la.is_automaton():
+    if isinstance(machine, LookaheadTransducer) and not machine.la.automaton:
         rules = "".join("%s\n" % r for r in machine.base.rules)
         return serialize_transducer(machine.base) + rules + serialize_transducer(machine.la)
     return serialize_machine(machine)

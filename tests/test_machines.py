@@ -22,7 +22,15 @@ from ttc.machines import DEFAULT_OUTPUT_CAP, _Classes, _compositions, _evaluate,
 from ttc.trees import NodeAddress, StateOverNode, StateOverVariable, Tree, parse_tree
 
 from .conftest import domain_of
-from .oracles import all_trees, dom_member, identity_automaton, rewrite_translate, set_productive, translate_la_eager
+from .oracles import (
+    all_trees,
+    dom_member,
+    identity_automaton,
+    rewrite_translate,
+    set_productive,
+    translate_la_eager,
+    wrap_trivial_lookahead,
+)
 
 t = parse_tree
 
@@ -41,10 +49,10 @@ def live_states(aut):
 class TestShapePredicates:
     def test_domain_automaton_is_automaton(self, worked_pair):
         _, t2 = worked_pair
-        assert domain_automaton(t2).is_automaton()
+        assert domain_automaton(t2).automaton
 
     def test_quadratic_is_not_automaton(self, quadratic):
-        assert not quadratic.is_automaton()
+        assert not quadratic.automaton
 
     def test_zero_rules_is_automaton(self, quadratic):
         empty = Transducer(
@@ -55,7 +63,14 @@ class TestShapePredicates:
             quadratic.initial,
             states=[quadratic.initial],
         )
-        assert empty.is_automaton()
+        assert empty.automaton
+
+    def test_an_annotated_machine_is_not_automaton(self, quadratic):
+        """Its rules relabel in place, but each carries a look-ahead guard,
+        so a chain never passes its input through it unchecked."""
+        identity = identity_automaton(quadratic.input_alphabet)
+        assert identity.automaton
+        assert not wrap_trivial_lookahead(identity).base.automaton
 
     def test_automata_are_linear_nondeleting(self, worked_pair):
         _, t2 = worked_pair
@@ -353,7 +368,7 @@ class TestSubtreeClasses:
         for seed in range(200):
             m = decide_functionality(CompositionChain(random_pair(seed)), 1)[1][-1].machine
             hat = m.la
-            assert not hat.is_automaton(), seed
+            assert not hat.automaton, seed
             cl = _Classes(m.base, hat)
             for s in all_trees(hat.input_alphabet, 5):
                 accepts = cl.classes[_label(cl, s)][0]

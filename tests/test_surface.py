@@ -153,3 +153,44 @@ def test_every_public_function_is_entered_by_the_real_traffic():
         sys.setprofile(None)
     never = sorted(waiting.values())
     assert never == [], "public, but the benchmark's validation and the CLI never enter %s" % never
+
+
+# The functions of `src/ttc` that recurse, directly or through others, so a
+# deep enough tree or right-hand side can exhaust the interpreter's stack.
+# A new one shows up here; one given an explicit stack leaves the set.
+RECURSIVE = {
+    "_class_trees",
+    "_evaluate",
+    "_expand",
+    "_instantiate_rhs",
+    "_label",
+    "_random_rhs",
+    "_replace_leaves",
+    "render_form",
+    "tree_json",
+}
+
+
+def test_recursion_inventory():
+    """The functions on a cycle of the call graph of `src/ttc`, whose edges
+    are the calls each function (nested ones included) makes by bare name."""
+    calls: dict[str, set[str]] = {}
+    for path in (ROOT / "src" / "ttc").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                calls.setdefault(node.name, set()).update(
+                    c.func.id for c in ast.walk(node) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                )
+
+    def on_cycle(f):
+        seen, todo = set(), list(calls[f])
+        while todo:
+            g = todo.pop()
+            if g == f:
+                return True
+            if g in calls and g not in seen:
+                seen.add(g)
+                todo.extend(calls[g])
+        return False
+
+    assert {f for f in calls if on_cycle(f)} == RECURSIVE
