@@ -33,19 +33,13 @@ from .machines import (
     Transducer,
     _Classes,
     _evaluate,
+    _require,
     universal_states,
 )
 from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree
 
 STATE_CAP = 5000
 RULE_CAP = 60000
-
-
-def _require(kind: type, what: str, *machines) -> None:
-    """Raise ValidationError, naming the expected kind, for a machine of another kind."""
-    for machine in machines:
-        if not isinstance(machine, kind):
-            raise ValidationError("%s needs a %s, not %r" % (what, kind.__name__, machine))
 
 
 def _composable(t1: Transducer, t2: Transducer) -> None:
@@ -81,7 +75,7 @@ class CompositionChain:
         if not self.stages:
             raise ValidationError("a composition chain needs at least one stage")
         for stage in self.stages:
-            if not isinstance(stage, Transducer):
+            if not isinstance(stage, Transducer) or stage.annotated:
                 raise ValidationError("chain stage %r is not a plain transducer" % (stage,))
         for left, right in zip(self.stages, self.stages[1:]):
             _composable(left, right)
@@ -405,7 +399,6 @@ def _annotated_base(t1: Transducer, t2: Transducer, reports: list) -> tuple[Tran
         annotated_rules,
         n_machine.initial,
         states=n_machine.states,
-        _annotated=True,
     )
     return hat, base
 
@@ -421,7 +414,7 @@ def _over_la_automaton(t1: Transducer, t2: Transducer, hat: Transducer, base: Tr
     t0 = time.perf_counter()
     # each annotation is now a state of la: its guard is its own name
     rules = [Rule(r.state, r.symbol, r.variables, r.rhs, r.lookahead, r.child_states) for r in base.rules]
-    base = Transducer(base.name, base.input_alphabet, base.output_alphabet, rules, base.initial, states=base.states, _annotated=True)
+    base = Transducer(base.name, base.input_alphabet, base.output_alphabet, rules, base.initial, states=base.states)
     before = len(base.states) + len(la.states)
     m = LookaheadTransducer.trimmed(base, la)
     provenance = {s: "triple (q,S,q')" for s in m.base.states}

@@ -174,6 +174,14 @@ def _check_rhs(rhs: Tree, variables: int, state_names: Collection[str], output_r
     return None
 
 
+def _require(kind: type, what: str, *machines) -> None:
+    """Raise ValidationError, naming the expected kind, for a machine of
+    another kind or an annotated Transducer, whose guards `what` ignores."""
+    for machine in machines:
+        if not isinstance(machine, kind) or (kind is Transducer and machine.annotated):
+            raise ValidationError("%s needs a %s, not %r" % (what, kind.__name__, machine))
+
+
 def check_positive(value, what: str) -> None:
     """Raise ValidationError unless value, a size bound or a cap, is an int >= 1."""
     if not (type(value) is int and value >= 1):
@@ -214,6 +222,8 @@ class _Classes:
     __slots__ = ("base", "la", "memo", "table", "classes", "labels", "counts", "trees")
 
     def __init__(self, base: Transducer, la: Transducer | None):
+        if la is None:
+            _require(Transducer, "evaluation without a look-ahead machine", base)
         self.base, self.la = base, la
         self.memo, self.table, self.classes, self.labels, self.counts, self.trees = {}, {}, [], {}, [], {}
 
@@ -471,8 +481,9 @@ def reachable(starts: Iterable[StateId], rules: Iterable[Rule]) -> dict[str, Sta
 
 class Transducer:
     """Nondeterministic top-down tree transducer; immutable after construction.
-    `automaton` is True iff it relabels in place: unannotated, with equal
-    alphabets, each rhs its rule's symbol over q1(x1),...,qk(xk) in order."""
+    `annotated` is True iff a rule carries look-ahead, `automaton` iff it relabels
+    in place: unannotated, equal alphabets, each rhs its rule's symbol over
+    q1(x1),...,qk(xk) in order."""
 
     def __init__(
         self,
@@ -482,7 +493,6 @@ class Transducer:
         rules: Iterable[Rule],
         initial: StateId,
         states: Iterable[StateId],
-        _annotated: bool = False,
     ):
         self.name = name
         self.input_alphabet = input_alphabet
@@ -490,8 +500,9 @@ class Transducer:
         self.rules = tuple(rules)
         self.initial = initial
         self.states = frozenset(states)
-        self._validate(_annotated)
-        self.automaton = not _annotated and input_alphabet == output_alphabet and all(
+        self._validate()
+        self.annotated = any(r.lookahead is not None for r in self.rules)
+        self.automaton = not self.annotated and input_alphabet == output_alphabet and all(
             r.rhs.label == r.symbol
             and len(r.rhs.children) == r.variables
             and all(isinstance(c.label, StateOverVariable) and c.label.index == i for i, c in enumerate(r.rhs.children, start=1))
@@ -503,7 +514,7 @@ class Transducer:
             by_head.setdefault((r.state.name, r.symbol), []).append(r)
         self._by_head = {key: tuple(rs) for key, rs in by_head.items()}
 
-    def _validate(self, annotated):
+    def _validate(self):
         """Check every rule; the text of a failing rule is built only then."""
         if self.initial not in self.states:
             raise ValidationError("initial state %s not among the states" % self.initial)
@@ -522,10 +533,6 @@ class Transducer:
                 problem = "symbol not in the input alphabet"
             elif input_ranks[r.symbol] != r.variables:
                 problem = "symbol rank differs from variable count"
-            elif annotated and (r.lookahead is None or len(r.lookahead) != r.variables):
-                problem = "expected one look-ahead state per variable"
-            elif not annotated and r.lookahead is not None:
-                problem = "look-ahead annotations on a plain transducer"
             elif (id(r.rhs), r.variables) in walked:
                 continue
             else:
@@ -535,7 +542,7 @@ class Transducer:
                 raise ValidationError("rule %s: %s" % (r.lhs_text(), problem))
 
     def __repr__(self):
-        return "Transducer(%s: %d states, %d rules)" % (self.name, len(self.states), len(self.rules))
+        return "Transducer(%s: %d states, %d rules%s)" % (self.name, len(self.states), len(self.rules), ", annotated" if self.annotated else "")
 
     def rules_for(self, state: StateId, symbol) -> tuple[Rule, ...]:
         return self._by_head.get((state.name, symbol), ())
@@ -582,7 +589,7 @@ class LookaheadTransducer:
         names = {s.name for s in la.states}
         for r in base.rules:
             if r.lookahead is None or len(r.lookahead) != r.variables:
-                raise ValidationError("rule %s lacks look-ahead annotations" % r.lhs_text())
+                raise ValidationError("rule %s: expected one look-ahead state per variable" % r.lhs_text())
             for l, g in zip(r.lookahead, r.guard):
                 if not g <= names:
                     raise ValidationError("rule %s: annotation %s is not a look-ahead state" % (r.lhs_text(), l))
@@ -659,7 +666,6 @@ def _trim_lookahead(base: Transducer, la: Transducer) -> tuple[Transducer, Trans
             base_rules,
             base.initial,
             states=base_states.values(),
-            _annotated=True,
         ),
         Transducer(la.name, la.input_alphabet, la.output_alphabet, la_rules, la.initial, states=la_states.values()),
     )

@@ -20,7 +20,7 @@ from .constructions import BuildReport, CompositionChain
 from .decision import DerivationTrace, Verdict
 from .errors import ValidationError
 from .machines import LookaheadTransducer, Rule, StateId, Transducer
-from .trees import NAME_RE, VAR_RE, AnnotatedSymbol, StateOverNode, StateOverVariable, Tree, sort_trees, subtree_at
+from .trees import MARKER_TYPES, NAME_RE, VAR_RE, AnnotatedSymbol, StateOverVariable, Tree, sort_trees, subtree_at
 
 
 def _safe(name) -> bool:
@@ -68,9 +68,11 @@ def _content_name(sym) -> str:
     return "%s_%s" % (body, digest)
 
 
-def _render_rhs(tree: Tree, states, symbols) -> str:
-    """A right-hand side in the definition language, written with an
-    explicit stack of subtrees and closing text, so any depth renders."""
+def _term_text(tree: Tree, marker, symbol, sep: str) -> str:
+    """tree as text, written with an explicit stack of subtrees and closing
+    text, so any depth renders: a marker leaf as marker(label), any other
+    node as symbol(label), with its children's texts joined by sep in
+    parentheses."""
     out = []
     stack = [tree]
     while stack:
@@ -79,18 +81,23 @@ def _render_rhs(tree: Tree, states, symbols) -> str:
             out.append(node)
             continue
         lab = node.label
-        if isinstance(lab, StateOverVariable):
-            out.append("%s(x%d)" % (states[lab.state], lab.index))
+        if isinstance(lab, MARKER_TYPES):
+            out.append(marker(lab))
         elif not node.children:
-            out.append(symbols[lab])
+            out.append(symbol(lab))
         else:
-            out.append("%s(" % symbols[lab])
+            out.append("%s(" % symbol(lab))
             kids = node.children
             stack.append(")")
             for c in reversed(kids[1:]):
-                stack += (c, ", ")
+                stack += (c, sep)
             stack.append(kids[0])
     return "".join(out)
+
+
+def _render_rhs(tree: Tree, states, symbols) -> str:
+    """A right-hand side in the definition language."""
+    return _term_text(tree, lambda lab: "%s(x%d)" % (states[lab.state], lab.index), symbols.__getitem__, ", ")
 
 
 def _rule_lines(rules, states, symbols, la_states=None) -> list[str]:
@@ -178,10 +185,24 @@ def serialize_chain(chain: CompositionChain, name: str = "chain") -> str:
 
 
 def tree_json(tree: Tree):
-    lab = tree.label
-    if isinstance(lab, StateOverVariable):
-        return {"state": lab.state.name, "variable": lab.index}
-    return {"symbol": symbol_json(lab), "children": [tree_json(c) for c in tree.children]}
+    """tree as nested dicts, filled top down with an explicit stack, so any
+    depth converts."""
+
+    def node_json(node):
+        lab = node.label
+        if isinstance(lab, StateOverVariable):
+            return {"state": lab.state.name, "variable": lab.index}
+        return {"symbol": symbol_json(lab), "children": []}
+
+    root = node_json(tree)
+    stack = [(tree, root)]
+    while stack:
+        node, doc = stack.pop()
+        for c in node.children:
+            kid = node_json(c)
+            doc["children"].append(kid)
+            stack.append((c, kid))
+    return root
 
 
 def symbol_json(sym):
@@ -267,7 +288,32 @@ def trace_json(trace: DerivationTrace):
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline, for string
+    keys, written with an explicit stack of values and text, so any depth of
+    nesting writes: the standard encoder recurses once per level."""
+    out = []
+    stack = [(obj, "")]  # (value, its indent), or (text, None)
+    while stack:
+        value, pad = stack.pop()
+        if pad is None:
+            out.append(value)
+            continue
+        if isinstance(value, dict) and value:
+            items = [(json.dumps(k) + ": ", v) for k, v in sorted(value.items())]
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)) and value:
+            items = [("", v) for v in value]
+            brackets = "[]"
+        else:
+            out.append(json.dumps(value))
+            continue
+        inner = pad + "  "
+        out.append(brackets[0])
+        stack.append(("\n" + pad + brackets[1], None))
+        for i in reversed(range(len(items))):
+            key, v = items[i]
+            stack += ((v, inner), ("%s\n%s%s" % ("," if i else "", inner, key), None))
+    return "".join(out) + "\n"
 
 
 # -- DOT ----------------------------------------------------------------------
@@ -296,12 +342,7 @@ def machine_dot(machine) -> str:
 
 def render_form(form: Tree, source: Tree) -> str:
     """Render a sentential form with each marker showing its input subtree."""
-    lab = form.label
-    if isinstance(lab, StateOverNode):
-        return "%s(%s)" % (lab.state, subtree_at(source, lab.node).text)
-    if not form.children:
-        return str(lab)
-    return "%s(%s)" % (lab, ",".join(render_form(c, source) for c in form.children))
+    return _term_text(form, lambda lab: "%s(%s)" % (lab.state, subtree_at(source, lab.node).text), str, ",")
 
 
 def trace_dot(trace: DerivationTrace) -> str:

@@ -182,7 +182,6 @@ class _Parser:
                 rules,
                 base.initial,
                 states=base.states,
-                _annotated=True,
             )
             machine = LookaheadTransducer.trimmed(annotated, la)
         except ValidationError as exc:

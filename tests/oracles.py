@@ -356,7 +356,7 @@ def trim_lookahead_by_rebuild(base, la):
                 changed = True
     live_rules = [r for r in base.rules if all(l in live for l in r.lookahead)]
     base1 = Transducer(
-        base.name, base.input_alphabet, base.output_alphabet, live_rules, base.initial, states=base.states, _annotated=True
+        base.name, base.input_alphabet, base.output_alphabet, live_rules, base.initial, states=base.states
     )
     seen = {base1.initial}
     todo = [base1.initial]
@@ -375,7 +375,6 @@ def trim_lookahead_by_rebuild(base, la):
         [r for r in base1.rules if r.state in seen and all(req <= seen for req in r.child_states)],
         base1.initial,
         states=seen,
-        _annotated=True,
     )
     used = {l for r in base2.rules for l in r.lookahead} | {la.initial}
     keep = set(used & live)
@@ -514,7 +513,7 @@ def wrap_trivial_lookahead(t):
     la = identity_automaton(t.input_alphabet, name="universal(%s)" % t.name)
     u = la.initial
     rules = [Rule(r.state, r.symbol, r.variables, r.rhs, lookahead=(u,) * r.variables) for r in t.rules]
-    base = Transducer(t.name, t.input_alphabet, t.output_alphabet, rules, t.initial, states=t.states, _annotated=True)
+    base = Transducer(t.name, t.input_alphabet, t.output_alphabet, rules, t.initial, states=t.states)
     return LookaheadTransducer(base, la)
 
 

@@ -1,12 +1,13 @@
 import json
 import pathlib
+import sys
 import time
 
 import pytest
 
-from ttc import ResourceLimit, Transducer, decide_functionality, decision, parse_workspace
+from ttc import ResourceLimit, Transducer, decide_functionality, decision, parse_tree, parse_workspace, trace_derivation
 from ttc.cli import main
-from ttc.render import verdict_json
+from ttc.render import trace_dot, trace_text, verdict_json
 
 from .conftest import rotation_chains_text
 
@@ -254,6 +255,28 @@ class TestTrace:
         doc = json.loads(out)
         assert len(doc["steps"]) == 1081 and doc["complete"]
 
+    def test_a_branch_past_the_budget_is_a_resource_limit(self, capsys):
+        """Branch 100,000 of a spine of 10 a's lies past `TRACE_BUDGET`
+        forms, which took 20 s to walk when nothing bounded it."""
+        spine = "a(" * 10 + "e" + ")" * 10
+        start = time.perf_counter()
+        status, out, err = run_cli(
+            capsys, "-w", FIXTURES, "trace", "--machine", "quadratic", "--input", spine, "--branch", "100000"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (2, "")
+        assert err.splitlines() == ["error: trace visits more than %d sentential forms, on branch 1683" % decision.TRACE_BUDGET]
+
+    def test_a_deep_sentential_form_renders(self, workspace):
+        """Each form of `quad_out_id` on a spine of 600 a's is 600 deep; its
+        text and DOT renderings used to recurse once per level."""
+        spine = parse_tree("a(" * 600 + "e" + ")" * 600)
+        trace = trace_derivation(workspace.machines["quad_out_id"], spine)
+        assert trace.complete and trace.final == spine
+        text, dot = trace_text(trace), trace_dot(trace)
+        assert text.splitlines()[-2].endswith("=> %s" % spine.text)
+        assert dot.count("->") == len(trace.steps) == 601
+
     def test_negative_branch(self, capsys):
         status, out, err = run_cli(
             capsys, "-w", FIXTURES, "trace", "--machine", "quadratic", "--input", "a(e)", "--branch", "-1"
@@ -262,6 +285,54 @@ class TestTrace:
         assert out == ""
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: branch must be >= 0"]
+
+
+DEEP_RHS = "a(" * 1000 + "e" + ")" * 1000
+
+
+@pytest.fixture
+def deep_file(tmp_path):
+    """A plain machine and a look-ahead machine over it, each with the one
+    rule q(g) -> a(a(...a(e)...)), nested 1,000 deep."""
+    path = tmp_path / "deep.ttc"
+    path.write_text(
+        """
+        transducer deep { input { g:0 } output { a:1, e:0 } initial q rules { q(g) -> %s; } }
+        transducer gla { input { g:0 } output { g:0 } initial l rules { l(g) -> g; } }
+        lookahead deep_la { base deep la gla rules { q(g) -> %s; } }
+        """
+        % (DEEP_RHS, DEEP_RHS),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+class TestDeepRightHandSides:
+    """A right-hand side deeper than Python's default recursion limit is
+    traced and written as JSON, each of which recursed once per level."""
+
+    def test_trace(self, capsys, deep_file):
+        for fmt in ("text", "json", "dot"):
+            status, out, err = run_cli(capsys, "-w", deep_file, "trace", "--machine", "deep", "--input", "g", "--format", fmt)
+            assert (status, err) == (0, ""), fmt
+            assert DEEP_RHS in out
+
+    def test_decompose_la_json(self, capsys, deep_file):
+        status, out, err = run_cli(capsys, "-w", deep_file, "decompose-la", "--machine", "deep_la", "--format", "json")
+        assert (status, err) == (0, "")
+        # reading it back takes a deeper stack than writing it now does
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(5000)
+        try:
+            doc = json.loads(out)
+            assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        finally:
+            sys.setrecursionlimit(limit)
+        node, depth = doc["reader"]["rules"][0]["rhs"], 1
+        while node["children"]:
+            (node,) = node["children"]
+            depth += 1
+        assert (depth, node["symbol"]) == (1001, "e")
 
 
 class TestConstructionCommands:

@@ -13,9 +13,13 @@ from ttc import (
     ValidationError,
     build_hat_t1,
     build_m,
+    chain_outputs,
+    check_functional_bounded,
+    compose_linear_nondeleting,
     decide_functionality,
     domain_automaton,
     p_construction,
+    trace_derivation,
 )
 from ttc.generate import random_chain3, random_pair
 from ttc.machines import DEFAULT_OUTPUT_CAP, _Classes, _compositions, _evaluate, _label, least_fixpoint
@@ -476,26 +480,37 @@ class TestValidate:
             (Rule(Q, "a", 1, Tree("f", (var(Q, 1),))), "rule q(a(x1)): symbol f has rank 2 but 1 children"),
             (Rule(Q, "b", 0, Tree("e")), "rule q(b): symbol not in the input alphabet"),
             (Rule(Q, "a", 0, Tree("e")), "rule q(a): symbol rank differs from variable count"),
-            (Rule(Q, "a", 1, var(Q, 1), lookahead=(L,)), "rule q(a(x1:l)): look-ahead annotations on a plain transducer"),
+            (
+                Rule(Q, "a", 1, var(Q, 1), lookahead=(L,)),
+                "evaluation without a look-ahead machine needs a Transducer, not Transducer(m: 1 states, 2 rules, annotated)",
+            ),
         ],
         ids=["undeclared-state", "node-marker", "output-symbol", "rhs-rank", "input-symbol", "variable-count", "annotations"],
     )
     def test_rule_failure_names_the_rule(self, rule, message):
+        """Each fault but the last is the rule's, caught when the machine
+        is built; an annotated rule makes an annotated machine, which an
+        entry point that reads it as plain rejects, here `translate`."""
         with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
-            Transducer("m", IN, OUT, [GOOD, rule], Q, states=[Q])
+            Transducer("m", IN, OUT, [GOOD, rule], Q, states=[Q]).translate(t("e"))
 
     def test_missing_annotations(self):
-        rule = Rule(Q, "a", 1, var(Q, 1))
+        """A rule with no annotation, or too many, beside an annotated one
+        makes an annotated machine, which `LookaheadTransducer` rejects."""
         good = Rule(Q, "e", 0, Tree("e"), lookahead=())
-        message = "rule q(a(x1)): expected one look-ahead state per variable"
-        with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
-            Transducer("m", IN, OUT, [good, rule], Q, states=[Q], _annotated=True)
+        la = identity_automaton(IN)
+        for rule in (Rule(Q, "a", 1, var(Q, 1)), Rule(Q, "a", 1, var(Q, 1), lookahead=(la.initial,) * 2)):
+            base = Transducer("m", IN, OUT, [good, rule], Q, states=[Q])
+            assert base.annotated and not base.automaton
+            message = "rule %s: expected one look-ahead state per variable" % rule.lhs_text()
+            with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+                LookaheadTransducer(base, la)
 
     def test_unknown_annotation_names_the_rule(self):
         # such a rule is dead, so the trim would drop it without a word
         ghost = StateId.base("ghost")
         rules = [Rule(Q, "e", 0, Tree("e"), lookahead=()), Rule(Q, "a", 1, Tree("f", (var(Q, 1), var(Q, 1))), lookahead=(ghost,))]
-        base = Transducer("m", IN, OUT, rules, Q, states=[Q], _annotated=True)
+        base = Transducer("m", IN, OUT, rules, Q, states=[Q])
         message = "rule q(a(x1:ghost)): annotation ghost is not a look-ahead state"
         with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
             LookaheadTransducer(base, identity_automaton(IN))
@@ -512,3 +527,48 @@ class TestValidate:
         rules = [Rule(Q, "e", 0, rhs), Rule(Q, "b", 0, rhs)]
         with pytest.raises(ValidationError, match="^%s$" % re.escape("rule q(b): symbol not in the input alphabet")):
             Transducer("m", IN, OUT, rules, Q, states=[Q])
+
+
+# every entry point that reads a machine as a plain transducer, given the
+# look-ahead base `base` of the fixture quadratic_la, with the machines
+# spine_la (which writes what `base` reads) and quad_out_id (which reads
+# what `base` writes)
+PLAIN_ENTRY_POINTS = {
+    "translate": lambda base, ws: base.translate(t("a(a(e))")),
+    "chain_outputs": lambda base, ws: chain_outputs(base, t("a(a(e))")),
+    "check_functional_bounded": lambda base, ws: check_functional_bounded(base, 3),
+    "decide_functionality": lambda base, ws: decide_functionality(base, 3),
+    "CompositionChain": lambda base, ws: CompositionChain((base, ws.machines["quad_out_id"])),
+    "domain_automaton": lambda base, ws: domain_automaton(base),
+    "p_construction-t1": lambda base, ws: p_construction(base, ws.machines["quad_out_id"]),
+    "p_construction-t2": lambda base, ws: p_construction(ws.machines["spine_la"], base),
+    "build_hat_t1-t1": lambda base, ws: build_hat_t1(base, ws.machines["quad_out_id"]),
+    "build_hat_t1-t2": lambda base, ws: build_hat_t1(ws.machines["spine_la"], base),
+    "build_m-t1": lambda base, ws: build_m(base, ws.machines["quad_out_id"]),
+    "build_m-t2": lambda base, ws: build_m(ws.machines["spine_la"], base),
+    "compose_linear_nondeleting-t1": lambda base, ws: compose_linear_nondeleting(base, ws.machines["quad_out_id"]),
+    "compose_linear_nondeleting-t2": lambda base, ws: compose_linear_nondeleting(ws.machines["spine_la"], base),
+    "trace_derivation": lambda base, ws: trace_derivation(base, t("a(e)")),
+}
+
+
+class TestAnnotatedBase:
+    """A look-ahead base is annotated, and no entry point that reads a
+    plain transducer takes it, where each used to ignore its guards."""
+
+    def test_annotated_is_read_off_the_rules(self, workspace, worked_pair):
+        assert workspace.machines["quadratic_la"].base.annotated
+        assert repr(workspace.machines["quadratic_la"].base) == "Transducer(quadratic_la: 2 states, 4 rules, annotated)"
+        assert not workspace.machines["quadratic"].annotated
+        m, _ = build_m(*worked_pair)
+        assert m.base.annotated and not m.la.annotated
+
+    @pytest.mark.parametrize("call", PLAIN_ENTRY_POINTS.values(), ids=PLAIN_ENTRY_POINTS.keys())
+    def test_a_plain_entry_point_rejects_it(self, workspace, call):
+        with pytest.raises(ValidationError, match=re.escape("Transducer(quadratic_la: 2 states, 4 rules, annotated)")):
+            call(workspace.machines["quadratic_la"].base, workspace)
+
+    def test_the_lookahead_transducer_is_checked_on_its_domain(self, workspace):
+        """Its domain up to size 3 is e, a(e) and a(a(e))."""
+        verdict = check_functional_bounded(workspace.machines["quadratic_la"], 3)
+        assert verdict.functional and verdict.stats["inputs_checked"] == 3

@@ -162,12 +162,9 @@ RECURSIVE = {
     "_class_trees",
     "_evaluate",
     "_expand",
-    "_instantiate_rhs",
     "_label",
     "_random_rhs",
     "_replace_leaves",
-    "render_form",
-    "tree_json",
 }
 
 
@@ -194,3 +191,17 @@ def test_recursion_inventory():
         return False
 
     assert {f for f in calls if on_cycle(f)} == RECURSIVE
+
+
+def test_no_private_parameters():
+    """No function or method of `src/ttc` takes a `_`-prefixed parameter:
+    a mode a caller must remember to pass is a fact the callee can read off
+    its input, or a second function."""
+    private = []
+    for path in (ROOT / "src" / "ttc").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                private += ["%s: %s(%s)" % (path.name, getattr(node, "name", "lambda"), p.arg) for p in params if p.arg.startswith("_")]
+    assert private == []
