@@ -2,8 +2,8 @@
 
 Workspace files (.ttc) define machines and chains; one command runs per
 process.  Exit status: 0 on success, 1 when a functionality check returns
-not-functional, 2 on any error, including an unexpected exception such as
-RecursionError on a very deep input.
+not-functional, 2 on any error, including a usage error and an unexpected
+exception such as RecursionError on a very deep input.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from functools import partial
 
 from . import render
 from .constructions import (
@@ -53,46 +54,36 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, machine=False, chain=False, inp=False, formats=("text", "json", "dot")):
+    def common(p, target=None, pair=False, inp=False, formats=("text", "json", "dot")):
+        """p's options; target is "machine", "chain", or "either" for exactly one of the two."""
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", metavar="PATH", help="write the result to PATH instead of stdout")
-        if machine:
-            p.add_argument("--machine", metavar="NAME")
-        if chain:
-            p.add_argument("--chain", metavar="NAME")
+        if target == "either":
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--machine", metavar="NAME")
+            group.add_argument("--chain", metavar="NAME")
+        elif target:
+            p.add_argument("--" + target, metavar="NAME", required=True)
+        if pair:
+            p.add_argument("--t1", required=True)
+            p.add_argument("--t2", required=True)
         if inp:
             p.add_argument("--input", metavar="TREE", required=True)
         return p
 
-    common(sub.add_parser("run", help="translate an input tree"), machine=True, chain=True, inp=True, formats=("text", "json"))
-    common(sub.add_parser("domaut", help="domain automaton of a transducer"), machine=True)
-    p = common(sub.add_parser("hat", help="domain-restricted first component"))
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    p = common(sub.add_parser("product", help="p-construction of two transducers"))
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    p = common(sub.add_parser("build-m", help="look-ahead transducer for a pair"))
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    common(sub.add_parser("decompose-la", help="split a look-ahead transducer into relabeling and reader"), machine=True)
-    p = common(sub.add_parser("fuse", help="fuse with a linear nondeleting second component"))
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    common(sub.add_parser("reduce", help="shorten a chain by one stage"), chain=True)
-    p = common(sub.add_parser("check", help="bounded functionality check"), machine=True, chain=True)
+    common(sub.add_parser("run", help="translate an input tree"), "either", inp=True, formats=("text", "json"))
+    common(sub.add_parser("domaut", help="domain automaton of a transducer"), "machine")
+    common(sub.add_parser("hat", help="domain-restricted first component"), pair=True)
+    common(sub.add_parser("product", help="p-construction of two transducers"), pair=True)
+    common(sub.add_parser("build-m", help="look-ahead transducer for a pair"), pair=True)
+    common(sub.add_parser("decompose-la", help="split a look-ahead transducer into relabeling and reader"), "machine")
+    common(sub.add_parser("fuse", help="fuse with a linear nondeleting second component"), pair=True)
+    common(sub.add_parser("reduce", help="shorten a chain by one stage"), "chain")
+    p = common(sub.add_parser("check", help="bounded functionality check"), "either")
     p.add_argument("--max-size", type=int, default=5, metavar="N")
-    p = common(sub.add_parser("trace", help="one derivation of an input"), machine=True, inp=True)
+    p = common(sub.add_parser("trace", help="one derivation of an input"), "machine", inp=True)
     p.add_argument("--branch", type=int, default=0, metavar="I")
     return parser
-
-
-def _machine_output(machine, fmt):
-    if fmt == "json":
-        return render.to_json(render.machine_json(machine))
-    if fmt == "dot":
-        return render.machine_dot(machine)
-    return render.serialize_machine(machine)
 
 
 def _parsed(source: str, parse, *args):
@@ -103,115 +94,99 @@ def _parsed(source: str, parse, *args):
         raise TtcError("%s: %s" % (source, exc)) from None
 
 
-def _require(args, attr):
-    value = getattr(args, attr, None)
-    if value is None:
-        raise TtcError("this command needs --%s" % attr)
-    return value
+def _plain(command: str, *machines):
+    """machines, each of which must be a plain transducer for command."""
+    if not all(isinstance(m, Transducer) for m in machines):
+        raise TtcError("%s needs %s" % (command, "plain transducers" if len(machines) > 1 else "a plain transducer"))
+    return machines
 
 
-def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
-    """Execute one command against a parsed workspace; returns (exit status, text)."""
-    fmt = getattr(args, "format", "text")
+def _views(result, text=render.serialize_machine, doc=render.machine_json, dot=render.machine_dot):
+    """result's text, document and graphs, a machine's by default, each rendered when called."""
+    return tuple(partial(f, result) for f in (text, doc, dot))
 
+
+def _result(command: str, args, workspace: Workspace):
+    """(exit status, build reports, (text, document, graphs)) of one command,
+    each of the last three built when called."""
     if command == "run":
         # checked against the alphabet by the entry point below
         tree = _parsed("--input", parse_tree, args.input)
-        if getattr(args, "chain", None):
+        if args.chain:
             outs = chain_outputs(workspace.chain(args.chain), tree)
         else:
-            machine = workspace.machine(_require(args, "machine"))
+            machine = workspace.machine(args.machine)
             outs = machine.translate_la(tree) if isinstance(machine, LookaheadTransducer) else machine.translate(tree)
-        if fmt == "json":
-            return 0, render.to_json({"input": tree.text, "outputs": [t.text for t in sort_trees(outs)]})
-        return 0, render.outputs_text(outs)
+        return 0, [], (
+            lambda: render.outputs_text(outs),
+            lambda: {"input": tree.text, "outputs": [t.text for t in sort_trees(outs)]},
+            None,  # run has no DOT format
+        )
 
     if command == "domaut":
-        machine = workspace.machine(_require(args, "machine"))
-        if not isinstance(machine, Transducer):
-            raise TtcError("domaut needs a plain transducer")
-        return 0, _machine_output(domain_automaton(machine), fmt)
+        (machine,) = _plain(command, workspace.machine(args.machine))
+        return 0, [], _views(domain_automaton(machine))
 
     if command in ("hat", "product", "fuse", "build-m"):
-        t1 = workspace.machine(args.t1)
-        t2 = workspace.machine(args.t2)
-        if not (isinstance(t1, Transducer) and isinstance(t2, Transducer)):
-            raise TtcError("%s needs plain transducers" % command)
+        t1, t2 = _plain(command, workspace.machine(args.t1), workspace.machine(args.t2))
         if command == "hat":
-            return 0, _machine_output(build_hat_t1(t1, t2), fmt)
+            return 0, [], _views(build_hat_t1(t1, t2))
         if command == "product":
-            machine, _ = p_construction(t1, t2)
-            return 0, _machine_output(machine, fmt)
+            return 0, [], _views(p_construction(t1, t2)[0])
         if command == "fuse":
-            return 0, _machine_output(compose_linear_nondeleting(t1, t2), fmt)
+            return 0, [], _views(compose_linear_nondeleting(t1, t2))
         m, reports = build_m(t1, t2)
-        if fmt == "json":
-            doc = render.machine_json(m)
-            doc["reports"] = [render.report_json(r) for r in reports]
-            return 0, render.to_json(doc)
-        if fmt == "dot":
-            return 0, render.machine_dot(m)
-        text = "".join(render.report_text(r) for r in reports)
-        return 0, text + _machine_output(m, fmt)
+        return 0, reports, _views(m)
 
     if command == "decompose-la":
-        machine = workspace.machine(_require(args, "machine"))
+        machine = workspace.machine(args.machine)
         if not isinstance(machine, LookaheadTransducer):
             raise TtcError("decompose-la needs a look-ahead transducer")
-        relabeling, reader = decompose_la(machine)
-        if fmt == "json":
-            return 0, render.to_json(
-                {"relabeling": render.machine_json(relabeling), "reader": render.machine_json(reader)}
-            )
-        return 0, _machine_output(relabeling, fmt) + "\n" + _machine_output(reader, fmt)
+        parts = decompose_la(machine)
+        return 0, [], (
+            lambda: "\n".join(map(render.serialize_machine, parts)),
+            lambda: dict(zip(("relabeling", "reader"), map(render.machine_json, parts))),
+            lambda: "\n".join(map(render.machine_dot, parts)),
+        )
 
     if command == "reduce":
-        chain = workspace.chain(_require(args, "chain"))
-        reduced, reports = reduce_chain(chain)
-        if fmt == "json":
-            return 0, render.to_json(
-                {
-                    "stages": [render.machine_json(t) for t in reduced.stages],
-                    "reports": [render.report_json(r) for r in reports],
-                }
-            )
-        if fmt == "dot":
-            return 0, "\n".join(render.machine_dot(t) for t in reduced.stages)
-        text = "".join(render.report_text(r) for r in reports)
-        return 0, text + render.serialize_chain(reduced, name="reduced")
+        reduced, reports = reduce_chain(workspace.chain(args.chain))
+        return 0, reports, (
+            lambda: render.serialize_chain(reduced, name="reduced"),
+            lambda: {"stages": [render.machine_json(t) for t in reduced.stages]},
+            lambda: "\n".join(map(render.machine_dot, reduced.stages)),
+        )
 
     if command == "check":
-        if getattr(args, "chain", None):
-            chain = workspace.chain(args.chain)
-            verdict, reports = decide_functionality(chain, args.max_size)
+        if args.chain:
+            verdict, reports = decide_functionality(workspace.chain(args.chain), args.max_size)
         else:
-            machine = workspace.machine(_require(args, "machine"))
-            verdict = check_functional_bounded(machine, args.max_size)
-            reports = []
-        status = 0 if verdict.functional else 1
-        if fmt == "json":
-            doc = render.verdict_json(verdict)
-            if reports:
-                doc["reports"] = [render.report_json(r) for r in reports]
-            return status, render.to_json(doc)
-        if fmt == "dot":
-            return status, render.verdict_dot(verdict)
-        text = "".join(render.report_text(r) for r in reports)
-        return status, text + render.verdict_text(verdict)
+            verdict, reports = check_functional_bounded(workspace.machine(args.machine), args.max_size), []
+        return 0 if verdict.functional else 1, reports, _views(verdict, render.verdict_text, render.verdict_json, render.verdict_dot)
 
     if command == "trace":
-        machine = workspace.machine(_require(args, "machine"))
-        if not isinstance(machine, Transducer):
-            raise TtcError("trace needs a plain transducer")
+        (machine,) = _plain(command, workspace.machine(args.machine))
         tree = _parsed("--input", parse_tree, args.input, machine.input_alphabet)
         trace = trace_derivation(machine, tree, branch=args.branch)
-        if fmt == "json":
-            return 0, render.to_json(render.trace_json(trace))
-        if fmt == "dot":
-            return 0, render.trace_dot(trace)
-        return 0, render.trace_text(trace)
+        return 0, [], _views(trace, render.trace_text, render.trace_json, render.trace_dot)
 
     raise TtcError("unknown command %r" % command)
+
+
+def dispatch(command: str, args, workspace: Workspace) -> tuple[int, str]:
+    """Execute one command against a parsed workspace; returns (exit status,
+    text).  One policy renders every result: text is the reports' lines,
+    then the result's text; JSON is the result's document, with "reports"
+    added when there are any; DOT is the graphs alone."""
+    status, reports, (text, doc, dot) = _result(command, args, workspace)
+    if args.format == "dot":
+        return status, dot()
+    if args.format == "json":
+        result = doc()
+        if reports:
+            result["reports"] = [render.report_json(r) for r in reports]
+        return status, render.to_json(result)
+    return status, "".join(map(render.report_text, reports)) + text()
 
 
 def _add_seeded_machines(workspace: Workspace, seed: int) -> None:
@@ -244,7 +219,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _add_seeded_machines(workspace, args.seed)
         status, text = dispatch(args.command, args, workspace)
-        if getattr(args, "output", None):
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         else:

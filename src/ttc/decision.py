@@ -28,7 +28,7 @@ from itertools import islice
 from .constructions import BuildReport, CompositionChain, _check_step
 from .errors import ResourceLimit, ValidationError
 from .machines import DEFAULT_OUTPUT_CAP, LookaheadTransducer, Rule, Transducer, _Classes, _domain_sizes, _domain_trees, _evaluate, _label, _require, check_positive
-from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees, subtree_at
+from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees
 
 FUNCTIONAL = "functional-up-to-bound"
 NOT_FUNCTIONAL = "not-functional"
@@ -347,34 +347,38 @@ def derivations(t: Transducer, tree: Tree):
     check_ground_over(tree, t.input_alphabet)
     rule_index = {id(r): i + 1 for i, r in enumerate(t.rules)}
     form = Tree(StateOverNode(t.initial, ROOT))
-    # each form from the initial one down to `form` with the moves it has
-    # left, and the steps that reach `form`
+    # `form`'s markers, in address order, each with its input subtree
+    markers = [(ROOT, t.initial, ROOT, tree)]
+    # each form from the initial one down to `form` with its markers and the
+    # moves it has left, and the steps that reach `form`
     path, steps = [], []
     visited = branch = 0
     while True:
         visited += 1
         if visited > TRACE_BUDGET:
             raise ResourceLimit("trace visits more than %d sentential forms, on branch %d" % (TRACE_BUDGET, branch))
-        moves = []
-        for addr, state, input_addr in _markers(form):
-            symbol = subtree_at(tree, input_addr).label
-            for rule in t.rules_for(state, symbol):
-                moves.append((addr, input_addr, rule))
+        moves = [(j, rule) for j, (_, state, _, sub) in enumerate(markers) for rule in t.rules_for(state, sub.label)]
         if moves:
-            path.append((form, iter(moves)))
+            path.append((form, markers, iter(moves)))
         else:
             yield tuple(steps), form
             branch += 1
         while path:
-            form, rest = path[-1]
+            form, markers, rest = path[-1]
             move = next(rest, None)
             if move is not None:
                 break
             path.pop()
         else:
             return
-        addr, input_addr, rule = move
-        form = _replace_at(form, addr, _instantiate_rhs(rule.rhs, input_addr))
+        j, rule = move
+        addr, _, input_addr, sub = markers[j]
+        rhs = _instantiate_rhs(rule.rhs, input_addr)
+        form = _replace_at(form, addr, rhs)
+        # the right-hand side's markers lie below addr, so they take its place
+        # in address order; each q(v.i) reads the i-th child of v's subtree
+        below = [(NodeAddress(addr.path + a.path), q, v, sub.children[v.path[-1] - 1]) for a, q, v in _markers(rhs)]
+        markers = markers[:j] + below + markers[j + 1 :]
         del steps[len(path) - 1 :]
         steps.append(TraceStep(addr, rule_index[id(rule)], rule, form))
 

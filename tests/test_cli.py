@@ -1,5 +1,7 @@
+import hashlib
 import json
 import pathlib
+import re
 import sys
 import time
 
@@ -10,6 +12,7 @@ from ttc.cli import main
 from ttc.render import trace_dot, trace_text, verdict_json
 
 from .conftest import rotation_chains_text
+from .test_surface import CLI_CALLS
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURES = str(DATA / "fixtures.ttc")
@@ -178,15 +181,36 @@ class TestCheck:
 
 
 class TestOptions:
-    """A command accepts only the options and formats it reads."""
+    """A command accepts only the options and formats it reads, and needs
+    the one target it reads: run and check exactly one of --machine and
+    --chain."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["domaut", "--machine", "quadratic", "--max-size", "3"],
             ["run", "--machine", "quadratic", "--input", "e", "--format", "dot"],
+            ["run", "--machine", "quadratic", "--chain", "copying", "--input", "e"],
+            ["check", "--machine", "quadratic", "--chain", "copying"],
+            ["run", "--input", "e"],
+            ["check"],
+            ["domaut"],
+            ["decompose-la"],
+            ["trace", "--input", "e"],
+            ["reduce"],
         ],
-        ids=["domaut-max-size", "run-dot"],
+        ids=[
+            "domaut-max-size",
+            "run-dot",
+            "run-both-targets",
+            "check-both-targets",
+            "run-no-target",
+            "check-no-target",
+            "domaut-no-machine",
+            "decompose-la-no-machine",
+            "trace-no-machine",
+            "reduce-no-chain",
+        ],
     )
     def test_unread_option_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -573,3 +597,63 @@ class TestErrors:
         assert status == 0
         assert out == ""
         assert json.loads(target.read_text())["status"] == "functional-up-to-bound"
+
+
+# sha256 of "<exit status>\n<stdout>" for every CLI_CALLS entry in each of its
+# formats on the fixtures, report times masked
+PINNED_OUTPUT = {
+    ('run --machine quadratic --input a(a(e))', 'text'): '0183c8b85e46c8bbcc306fc6b7596aafec0894d60ff93f4677af4de23a2081e2',
+    ('run --machine quadratic --input a(a(e))', 'json'): '9a00badfd97628e6123141bf22d233502932a75e3f8dc70ae58b159086cd2aec',
+    ('run --machine quadratic_la --input a(a(e))', 'text'): '0183c8b85e46c8bbcc306fc6b7596aafec0894d60ff93f4677af4de23a2081e2',
+    ('run --machine quadratic_la --input a(a(e))', 'json'): '9a00badfd97628e6123141bf22d233502932a75e3f8dc70ae58b159086cd2aec',
+    ('run --chain copying --input a(e)', 'text'): '6af452a58592bc7f06d24de3b17fca9f61f78edf2d89f10d848dcb5be0137702',
+    ('run --chain copying --input a(e)', 'json'): 'f2e2889b8644eae7f934476d88113262a89476b24de3a1935643746d702bf710',
+    ('domaut --machine quadratic', 'text'): 'a9ddfd6638971f81abe4baa979a31c0b179c5567a988ecdd72b8b87f5276c65d',
+    ('domaut --machine quadratic', 'json'): 'e35aba0261ca5adce6b749168992ad07df29c4f74f164b0428b05b65f0af2928',
+    ('domaut --machine quadratic', 'dot'): 'fcd8859eecc64891f8711491f1e1605525a794fff45678d9aaa56233164dc294',
+    ('hat --t1 ex4_t1 --t2 ex4_t2', 'text'): '2177f7ed9d4fe673286137b1066f6f3b5fcae5802777dcfa4c27a5b17f13e9fb',
+    ('hat --t1 ex4_t1 --t2 ex4_t2', 'json'): '1e11fb4c74f7855c99a1b0e8f4f90f3b4edd12df08d967b9ccad18f0b35ef3f3',
+    ('hat --t1 ex4_t1 --t2 ex4_t2', 'dot'): 'ac9bc7ea0d96f0ecea5b2fc0f85ebd84aec0aeea042398f01906dc8a18e03ce9',
+    ('product --t1 ex4_t1 --t2 ex4_t2', 'text'): 'b8c2db302d4af6e9b91aab4e6b997558e71e3d92dbbd732d13aebd14d4d72abf',
+    ('product --t1 ex4_t1 --t2 ex4_t2', 'json'): 'fbe826dc5312218f25f7291962ace1e1edb411a221ba3e1c309ad266c6a6a53e',
+    ('product --t1 ex4_t1 --t2 ex4_t2', 'dot'): '58ecf3dc2a390ff172752c9a20cf799697b3c6fb303cfbe8c82b2bf10d1a4365',
+    ('build-m --t1 ex4_t1 --t2 ex4_t2', 'text'): '5bdfd44737ef202244f78742782658f3f5c3940aea0014c2fa4925b1a1248a68',
+    ('build-m --t1 ex4_t1 --t2 ex4_t2', 'json'): '55c590ba2d2ee76adee7bd3f4eac4fb3c3772e6a9b81322aa86fc297e8ba8cff',
+    ('build-m --t1 ex4_t1 --t2 ex4_t2', 'dot'): 'd4c335bbdea8377283a38b28f49c9fcf1f495b4213469cc121ec5ba730856aec',
+    ('decompose-la --machine quadratic_la', 'text'): 'd73f06fbb20d5b3269b06b367c924fe136998ec4373a1e5e1333cf5ef1fc926a',
+    ('decompose-la --machine quadratic_la', 'json'): '51eaf0ec253c4d8a734af71cb18adcb5a6c78744a4cf8ac6d483b6657076b581',
+    ('decompose-la --machine quadratic_la', 'dot'): '1c4d6675370efb326cfc2692d07fd67b38df4e31d723f577f3a8b93322cdc2e1',
+    ('fuse --t1 quadratic --t2 quad_out_id', 'text'): '2b40fab35baa49ab186c1006ff61a3b87d728cde09dc654354be380e3032d212',
+    ('fuse --t1 quadratic --t2 quad_out_id', 'json'): '4c99efe054559b45e18100f49455e94b197b81a98ce2aca01085c4e553b68a15',
+    ('fuse --t1 quadratic --t2 quad_out_id', 'dot'): '099cea10bd30b837d4827a75c4e65d1fa8a1450b1638ed770b60718234248957',
+    ('--seed 1 reduce --chain rnd_chain3', 'text'): 'a38dcd14321219c08efc8e50bcf901d36274f3877e58b921f9718a145c9a346c',
+    ('--seed 1 reduce --chain rnd_chain3', 'json'): '5ec2b155761e73bae574c0aed3fdfed7622de55b012f2878754d3660341b1fef',
+    ('--seed 1 reduce --chain rnd_chain3', 'dot'): 'b46c884f46300c97041d51554311d457ec6e31dc9e864a3bf2b889b8ffe012c2',
+    ('check --chain worked', 'text'): 'a320572ac85c8e56b5c0cf7a1c22bcbf65668016c1a83c46002b168f8d20462f',
+    ('check --chain worked', 'json'): 'ef62396dc66d09e130a19602ae65e673b15d1b25a3a9740e99085ca530563a17',
+    ('check --chain worked', 'dot'): 'c58cf1803058537a26ba6be9cd44dbcd07f31fd6fc135c205a5d31c7a77a02b7',
+    ('--seed 1 check --chain rnd_pair', 'text'): '0ab23e3f2e9cc33a1a53141f08c5a98726148c45b7aa2a49cb34e7153bdd7550',
+    ('--seed 1 check --chain rnd_pair', 'json'): '57f07085d66ed6aadd760fbe6a6250599e7104c24a148aa0d5a2e696061025f0',
+    ('--seed 1 check --chain rnd_pair', 'dot'): 'c5d4ac847f9b1c185d5f6fbdf748ac9301e4883069eba3c57756045442ae1949',
+    ('check --machine quadratic_la', 'text'): '7d39754add38630d5545468ea2dc02749fa2d6cc856e7400c9e5219eedc01be6',
+    ('check --machine quadratic_la', 'json'): '8fd11b19cfe0de55f700c887ffa44d158a07d2f5cbf43d65e503669fe5321a88',
+    ('check --machine quadratic_la', 'dot'): 'c58cf1803058537a26ba6be9cd44dbcd07f31fd6fc135c205a5d31c7a77a02b7',
+    ('trace --machine quadratic --input a(a(e))', 'text'): '376774b3de36d7c528f0dcdd8e85f7a9fec8e3ae727aa98fbb1c7714208d97a3',
+    ('trace --machine quadratic --input a(a(e))', 'json'): 'd09786c26c0857978f8011780cb5f3363aad15314be7c5c4c84553f31f03ee2e',
+    ('trace --machine quadratic --input a(a(e))', 'dot'): '16b7e22f8eba67daaf2ecbb6f3b2398e69b30b910c8141ea4cad7f7b63d3e297',
+}
+
+
+def masked(text):
+    """text with every report time, "(1.234 ms)" or "elapsed_ms": 1.234, masked."""
+    text = re.sub(r"\(\d+\.\d{3} ms\)", "(x.xxx ms)", text)
+    return re.sub(r'"elapsed_ms": [^,\n]+', '"elapsed_ms": 0', text)
+
+
+def test_every_command_prints_its_pinned_bytes(capsys):
+    got = {}
+    for argv, formats in CLI_CALLS:
+        for fmt in formats:
+            status, out, _ = run_cli(capsys, "-w", FIXTURES, *argv, "--format", fmt)
+            got[" ".join(argv), fmt] = hashlib.sha256(("%d\n%s" % (status, masked(out))).encode()).hexdigest()
+    assert got == PINNED_OUTPUT

@@ -1,9 +1,11 @@
 import gc
+import hashlib
 import inspect
 import pickle
 import time
 import tracemalloc
 import types
+from itertools import islice
 
 import pytest
 
@@ -1275,6 +1277,24 @@ class TestTrace:
         assert not trace.complete
         with pytest.raises(AlphabetMismatch, match="is not ground"):
             check_ground_over(trace.final, t1.output_alphabet)
+
+    def test_first_branches_of_every_fixture_machine_are_pinned(self, workspace):
+        """The first 200 branches of every plain fixture machine on every
+        input up to size 6: each step's address, rule and form, each final
+        form, and whether branch 0 is complete, as one digest."""
+        digest = hashlib.sha256()
+        branches = 0
+        for name, machine in sorted(workspace.machines.items()):
+            if not isinstance(machine, Transducer):
+                continue
+            for tree in all_trees(machine.input_alphabet, 6):
+                for steps, final in islice(derivations(machine, tree), 200):
+                    steps = [(s.node.path, s.rule_index, s.form.text) for s in steps]
+                    digest.update(repr((name, tree.text, steps, final.text)).encode())
+                    branches += 1
+                digest.update(repr(trace_derivation(machine, tree).complete).encode())
+        assert branches == 1919
+        assert digest.hexdigest() == "8a833baf8eff7634dc66bdf9ca36df98dccea947f8c28267d712477e04cbe222"
 
     def test_final_is_a_translation_member(self, copy_pair):
         t1, _ = copy_pair
