@@ -120,9 +120,8 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
     plus the vectors merged so far (`merge_vectors`), before any rule is
     built.  An intermediate merge can be larger than the final one, so the
     cap limits the memory, not only the output.  The ResourceLimit of
-    either cap names the automaton: dom(t), or the name given.  Rules are emitted sorted by
-    child-state names; each is given its child states, read off its vector,
-    instead of walking its rhs.
+    either cap names the automaton: dom(t), or the name given.  Rules are
+    emitted sorted by child-state names.
     """
     _require(Transducer, "domain_automaton", t)
     name = name or "dom(%s)" % t.name
@@ -133,13 +132,11 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
     order = sorted(t.states.union(*ordered_seeds), key=lambda s: s.name)
     bit = {q.name: 1 << i for i, q in enumerate(order)}
     ids = {0: EMPTY_SET_STATE}
-    alone = {0: frozenset((EMPTY_SET_STATE,))}  # mask -> {its StateId}
 
     def state_of(mask: int) -> StateId:
         sid = ids.get(mask)
         if sid is None:
             sid = ids[mask] = StateId.of_set(q for i, q in enumerate(order) if mask >> i & 1)
-            alone[mask] = frozenset((sid,))
         return sid
 
     # (state name, symbol) -> the distinct unions of the child-state vectors
@@ -160,22 +157,21 @@ def domain_automaton(t: Transducer, seeds: Iterable[frozenset[StateId]] = (), na
         return sigs
 
     # trees are immutable, so every rule with the same symbol and child sets
-    # shares one rhs, built from one leaf per (set, position), and one tuple
-    # of child states, read off the vector: the rhs is never walked
+    # shares one rhs, built from one leaf per (set, position)
     leaves: dict[tuple[int, int], Tree] = {}
-    made: dict[tuple[object, tuple[int, ...]], tuple[Tree, tuple]] = {}
+    made: dict[tuple[object, tuple[int, ...]], Tree] = {}
 
     def rule_of(state: StateId, sym, vec: tuple[int, ...]) -> Rule:
-        got = made.get((sym, vec))
-        if got is None:
+        rhs = made.get((sym, vec))
+        if rhs is None:
             kids = []
             for i, c in enumerate(vec, start=1):
                 leaf = leaves.get((c, i))
                 if leaf is None:
                     leaf = leaves[c, i] = Tree(StateOverVariable(state_of(c), i))
                 kids.append(leaf)
-            got = made[sym, vec] = (Tree(sym, kids), tuple([alone[c] for c in vec]))
-        return Rule(state, sym, len(vec), got[0], child_states=got[1])
+            rhs = made[sym, vec] = Tree(sym, kids)
+        return Rule(state, sym, len(vec), rhs)
 
     rules: list[Rule] = []
     for sym, k in sigma.items():
@@ -253,10 +249,10 @@ def p_construction(
     # construction.  A marker's text never equals a ground subtree's: t1's
     # state names may not be symbols of its output alphabet.  Each distinct
     # (result, variable count) is instantiated once (`made`), with one leaf
-    # or veto per marker (`leaves`), and the new rules share its tree and
-    # child states.  A pair is dequeued once and its results per rule are
-    # distinct, so a rule made twice comes from two source rules: `rules`
-    # lists it once, `sources` twice.
+    # or veto per marker (`leaves`), and the new rules share its tree.  A
+    # pair is dequeued once and its results per rule are distinct, so a rule
+    # made twice comes from two source rules: `rules` lists it once,
+    # `sources` twice.
     cl = _Classes(t2, None)
     leaves: dict[str, tuple] = {}
     made: dict[tuple[str, int], tuple] = {}
@@ -272,14 +268,14 @@ def p_construction(
             for psi in sorted(results, key=attrgetter("text")):
                 got = made.get((psi.text, src.variables))
                 if got is None:
-                    buckets, demanded = [set() for _ in range(src.variables)], []
-                    gamma = _replace_leaves(psi, make_state, pair_filter, leaves, buckets, demanded)
+                    demanded = []
+                    gamma = _replace_leaves(psi, make_state, pair_filter, leaves, demanded)
                     # a veto is memoised as (), not None, so it is not redone
-                    got = made[psi.text, src.variables] = () if gamma is None else (gamma, tuple(map(frozenset, buckets)), demanded)
+                    got = made[psi.text, src.variables] = () if gamma is None else (gamma, demanded)
                 if not got:
                     continue
-                gamma, child_states, demanded = got
-                rule = Rule(head, src.symbol, src.variables, gamma, child_states=child_states)
+                gamma, demanded = got
+                rule = Rule(head, src.symbol, src.variables, gamma)
                 sources.append((rule, src))
                 rules[rule] = None
                 if len(sources) > RULE_CAP:
@@ -302,13 +298,12 @@ def p_construction(
     return machine, sources
 
 
-def _replace_leaves(node: Tree, make_state, pair_filter, leaves: dict, buckets: list, demanded: list) -> Tree | None:
+def _replace_leaves(node: Tree, make_state, pair_filter, leaves: dict, demanded: list) -> Tree | None:
     """node with each leaf q2(q1(xi)), where q2 met the marker q1(xi),
     replaced by (q1,q2)(xi), walked left to right, or None if pair_filter
     vetoes one.  Every leaf is visited either way; each replacement adds its
-    state to buckets[i - 1] and its pair to `demanded`.  `leaves` maps a
-    leaf's text to its replacement and pair, or to None and the pair for a
-    veto, for the whole construction."""
+    pair to `demanded`.  `leaves` maps a leaf's text to its replacement and
+    pair, or to None and the pair for a veto, for the whole construction."""
     lab = node.label
     if isinstance(lab, StateOverNode):
         got = leaves.get(node.text)
@@ -321,12 +316,11 @@ def _replace_leaves(node: Tree, make_state, pair_filter, leaves: dict, buckets: 
             got = leaves[node.text] = (leaf, pair)
         leaf, pair = got
         if leaf is not None:
-            buckets[leaf.label.index - 1].add(leaf.label.state)
             demanded.append(pair)
         return leaf
     if not node.children:
         return node
-    kids = [_replace_leaves(c, make_state, pair_filter, leaves, buckets, demanded) for c in node.children]
+    kids = [_replace_leaves(c, make_state, pair_filter, leaves, demanded) for c in node.children]
     return None if any(k is None for k in kids) else Tree(lab, kids)
 
 
@@ -391,7 +385,7 @@ def _annotated_base(t1: Transducer, t2: Transducer, reports: list) -> tuple[Tran
     for rule, src in sources:
         annots = tuple(StateId.of_set(req) for req in src.child_states)
         guard = tuple([frozenset([q.name for q in req]) for req in src.child_states])
-        annotated_rules[Rule(rule.state, rule.symbol, rule.variables, rule.rhs, annots, rule.child_states, guard)] = None
+        annotated_rules[Rule(rule.state, rule.symbol, rule.variables, rule.rhs, annots, guard)] = None
     base = Transducer(
         "M(%s,%s)" % (t1.name, t2.name),
         n_machine.input_alphabet,
@@ -413,7 +407,7 @@ def _over_la_automaton(t1: Transducer, t2: Transducer, hat: Transducer, base: Tr
 
     t0 = time.perf_counter()
     # each annotation is now a state of la: its guard is its own name
-    rules = [Rule(r.state, r.symbol, r.variables, r.rhs, r.lookahead, r.child_states) for r in base.rules]
+    rules = [Rule(r.state, r.symbol, r.variables, r.rhs, r.lookahead) for r in base.rules]
     base = Transducer(base.name, base.input_alphabet, base.output_alphabet, rules, base.initial, states=base.states)
     before = len(base.states) + len(la.states)
     m = LookaheadTransducer.trimmed(base, la)
@@ -482,7 +476,7 @@ def decompose_la(m: LookaheadTransducer) -> tuple[Transducer, Transducer]:
         for variant in product(*(covering[l] for l in rule.lookahead)):
             sym = ann_symbols.get((rule.symbol, tuple(variant)))
             if sym is not None:
-                t_rules[Rule(rule.state, sym, rule.variables, rule.rhs, child_states=rule.child_states)] = None
+                t_rules[Rule(rule.state, sym, rule.variables, rule.rhs)] = None
 
     reader = Transducer(
         "T(%s)" % m.name,
@@ -560,7 +554,7 @@ def _check_step(chain: CompositionChain, reports: list) -> CompositionChain | Lo
     rules: dict[Rule, None] = {}
     for r in base.rules:
         # rules that differ only in their annotations are one plain rule
-        rules[Rule(r.state, r.symbol, r.variables, r.rhs, child_states=r.child_states)] = None
+        rules[Rule(r.state, r.symbol, r.variables, r.rhs)] = None
     plain = Transducer(base.name, base.input_alphabet, base.output_alphabet, rules, base.initial, states=base.states)
     _report(reports, "look-ahead-dropped", plain, before, {s: "triple (q,S,q')" for s in plain.states}, t0)
     return CompositionChain(stages[:-2] + (plain,))

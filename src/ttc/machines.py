@@ -89,33 +89,13 @@ class StateId:
 EMPTY_SET_STATE = StateId.of_set(())
 
 
-def _child_states(rule: Rule) -> tuple[frozenset[StateId], ...]:
-    """For each variable x_i, the set of states q with q(x_i) in the rhs."""
-    k = rule.variables
-    buckets = [set() for _ in range(k)]
-    stack = [rule.rhs]
-    while stack:
-        node = stack.pop()
-        lab = node.label
-        if isinstance(lab, StateOverVariable):
-            if not 1 <= lab.index <= k:
-                raise ValidationError(
-                    "rule %s: variable x%d out of range [%d]" % (rule.lhs_text(), lab.index, k)
-                )
-            buckets[lab.index - 1].add(lab.state)
-        else:
-            stack.extend(node.children)
-    return tuple(map(frozenset, buckets))
-
-
 @dataclass(frozen=True)
 class Rule:
     """One rewrite rule q(a(x1,...,xk)) -> rhs, optionally with look-ahead.
 
     `child_states` is, for each variable x_i, the set of states q with q(x_i)
-    in the rhs.  A construction that knows it passes it in; otherwise the rhs
-    is walked here, which also rejects a variable outside x1..xk.  Either way
-    `Transducer` checks the range when it validates the rule.
+    in the rhs.  It is None until a `Transducer` that holds the rule is
+    built, whose validation reads it off the rhs (`_check_rhs`).
 
     `guard` is, for each variable x_i of a look-ahead rule, the names of the
     look-ahead states whose domains must all hold child i: by default the
@@ -127,12 +107,10 @@ class Rule:
     variables: int
     rhs: Tree
     lookahead: tuple[StateId, ...] | None = None
-    child_states: tuple[frozenset[StateId], ...] | None = field(default=None, compare=False, repr=False)
+    child_states: tuple[frozenset[StateId], ...] | None = field(default=None, init=False, compare=False, repr=False)
     guard: tuple[frozenset[str], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.child_states is None:
-            object.__setattr__(self, "child_states", _child_states(self))
         if self.guard is None and self.lookahead is not None:
             object.__setattr__(self, "guard", tuple([frozenset((l.name,)) for l in self.lookahead]))
 
@@ -149,10 +127,11 @@ class Rule:
         return "%s -> %s" % (self.lhs_text(), self.rhs)
 
 
-def _check_rhs(rhs: Tree, variables: int, state_names: Collection[str], output_ranks: dict) -> str | None:
-    """What is wrong with a right-hand side over x1..x<variables>, or None: it
-    depends only on the rhs, its variable count and the machine, so a machine
-    walks each distinct pair once."""
+def _check_rhs(rhs: Tree, variables: int, state_names: Collection[str], output_ranks: dict) -> tuple[frozenset[StateId], ...] | str:
+    """What is wrong with a right-hand side over x1..x<variables>, or else its
+    child states (`Rule.child_states`): both depend only on the rhs, its
+    variable count and the machine, so a machine walks each distinct pair once."""
+    calls = [set() for _ in range(variables)]
     stack = [rhs]
     while stack:
         node = stack.pop()
@@ -162,6 +141,7 @@ def _check_rhs(rhs: Tree, variables: int, state_names: Collection[str], output_r
                 return "variable x%d out of range [%d]" % (lab.index, variables)
             if not isinstance(lab.state, StateId) or lab.state.name not in state_names:
                 return "rhs uses undeclared state %s" % lab.state
+            calls[lab.index - 1].add(lab.state)
             continue
         if isinstance(lab, MARKER_TYPES):
             return "unexpected marker %s in rhs" % lab
@@ -171,7 +151,7 @@ def _check_rhs(rhs: Tree, variables: int, state_names: Collection[str], output_r
         if rank != len(node.children):
             return "symbol %s has rank %d but %d children" % (lab, rank, len(node.children))
         stack.extend(reversed(node.children))
-    return None
+    return tuple(map(frozenset, calls))
 
 
 def _require(kind: type, what: str, *machines) -> None:
@@ -515,7 +495,8 @@ class Transducer:
         self._by_head = {key: tuple(rs) for key, rs in by_head.items()}
 
     def _validate(self):
-        """Check every rule; the text of a failing rule is built only then."""
+        """Check every rule and give each without child states those of its rhs;
+        the text of a failing rule is built only when it fails."""
         if self.initial not in self.states:
             raise ValidationError("initial state %s not among the states" % self.initial)
         state_names = {s.name for s in self.states}
@@ -527,19 +508,24 @@ class Transducer:
                 raise ValidationError("alphabet symbols clash with state names: %s" % sorted(clash))
         input_ranks = dict(self.input_alphabet.items())
         output_ranks = dict(self.output_alphabet.items())
-        walked = set()  # (id, variable count) of the right-hand sides checked so far
+        walked = {}  # (id, variable count) of each right-hand side checked -> its child states
+        shared = {}  # one object per distinct tuple of child states
         for r in self.rules:
             if r.symbol not in input_ranks:
                 problem = "symbol not in the input alphabet"
             elif input_ranks[r.symbol] != r.variables:
                 problem = "symbol rank differs from variable count"
-            elif (id(r.rhs), r.variables) in walked:
-                continue
             else:
-                walked.add((id(r.rhs), r.variables))
-                problem = _check_rhs(r.rhs, r.variables, state_names, output_ranks)
-            if problem is not None:
-                raise ValidationError("rule %s: %s" % (r.lhs_text(), problem))
+                key = (id(r.rhs), r.variables)
+                if (calls := walked.get(key)) is None:
+                    calls = _check_rhs(r.rhs, r.variables, state_names, output_ranks)
+                    calls = walked[key] = shared.setdefault(calls, calls)
+                if type(calls) is tuple:
+                    if r.child_states is None:
+                        object.__setattr__(r, "child_states", calls)
+                    continue
+                problem = calls
+            raise ValidationError("rule %s: %s" % (r.lhs_text(), problem))
 
     def __repr__(self):
         return "Transducer(%s: %d states, %d rules%s)" % (self.name, len(self.states), len(self.rules), ", annotated" if self.annotated else "")

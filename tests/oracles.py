@@ -13,7 +13,9 @@ every tree up to the bound, where the package counts most sizes by subtree
 class, the emptiness of a state set by exploring requirement sets one rule
 choice per member, and domain membership and single outputs by top-down
 recursive tests that decide each look-ahead guard by membership in the
-look-ahead automaton, where the package reads subtree classes.
+look-ahead automaton, where the package reads subtree classes, and a
+rule's child states by a recursive walk of its right-hand side, where the
+package reads them in the walk that validates the machine.
 """
 
 from itertools import combinations, product
@@ -86,6 +88,23 @@ def _replace(form, path, replacement):
     kids = list(form.children)
     kids[i - 1] = _replace(kids[i - 1], path[1:], replacement)
     return Tree(form.label, kids)
+
+
+def reference_child_states(rule):
+    """For each variable x_i of the rule, the states q with q(x_i) in its
+    right-hand side, found by recursion over the rhs."""
+    found = [set() for _ in range(rule.variables)]
+
+    def go(node):
+        lab = node.label
+        if isinstance(lab, StateOverVariable):
+            assert 1 <= lab.index <= rule.variables, str(rule)
+            found[lab.index - 1].add(lab.state)
+        for child in node.children:
+            go(child)
+
+    go(rule.rhs)
+    return tuple(frozenset(states) for states in found)
 
 
 def _member(base: Transducer, la: Transducer | None, q: StateId, s: Tree, memo: dict, la_memo: dict | None) -> bool:

@@ -40,6 +40,7 @@ from .oracles import (
     domain_automaton_by_subsets,
     identity_automaton,
     p_construction_by_rewriting,
+    reference_child_states,
     set_productive,
     trim_lookahead_by_rebuild,
     wrap_trivial_lookahead,
@@ -431,46 +432,69 @@ def built_machines(workspace):
     return built
 
 
+def walked_once(walks) -> bool:
+    """True iff each machine in walks validated each distinct (rhs,
+    variable count) of its rules with exactly one walk."""
+    return all(sorted(walked) == sorted({(id(r.rhs), r.variables) for r in m.rules}) for m, walked in walks)
+
+
 class TestGivenChildStates:
-    """Constructions give their rules the child states they already know,
-    instead of walking each rhs again; the result must equal the walk."""
+    """Each machine gives its rules their child states in the one walk per
+    distinct right-hand side that validates it; no construction passes any,
+    and the result must equal the oracles' walk."""
 
     def test_every_built_rule_matches_the_walk(self, workspace):
-        for label, machine in built_machines(workspace):
+        parsed = [(name, m) for name, m in workspace.machines.items() if isinstance(m, Transducer)]
+        parsed += [(name, part) for name, m in workspace.machines.items() if isinstance(m, LookaheadTransducer) for part in (m.base, m.la)]
+        for label, machine in parsed + built_machines(workspace):
             for r in machine.rules:
-                assert r.child_states == machines._child_states(r), (label, machine.name, str(r))
+                assert r.child_states == reference_child_states(r), (label, machine.name, str(r))
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The rules whose rhs is walked."""
-        walked = []
-        walk = machines._child_states
-        monkeypatch.setattr(machines, "_child_states", lambda rule: walked.append(rule) or walk(rule))
-        return walked
+        """Each machine validated, with the (rhs id, variable count) of each
+        right-hand side its validation walks, in order."""
+        built = []
+        check_rhs, validate = machines._check_rhs, Transducer._validate
 
-    def test_domain_automaton_walks_no_rhs(self, workspace, walks):
+        def counting(rhs, variables, *args):
+            built[-1][1].append((id(rhs), variables))
+            return check_rhs(rhs, variables, *args)
+
+        def validating(machine):
+            built.append((machine, []))
+            validate(machine)
+
+        monkeypatch.setattr(machines, "_check_rhs", counting)
+        monkeypatch.setattr(Transducer, "_validate", validating)
+        return built
+
+    def test_domain_automaton_walks_each_rhs_once(self, workspace, walks):
         for t1, t2 in reference_pairs(workspace):
             hat = build_hat_t1(t1, t2)
             seeds = [frozenset(req) for r in hat.rules for req in r.child_states]
             walks.clear()
             aut = domain_automaton(t2)
             la = domain_automaton(hat, seeds=seeds)
-            assert walks == [], (t1.name, t2.name)
-            assert aut.rules and la.rules
+            assert [m for m, _ in walks] == [aut, la], (t1.name, t2.name)
+            assert walked_once(walks), (t1.name, t2.name)
+            assert len(walks[0][1]) <= len(aut.rules) and len(walks[1][1]) <= len(la.rules)
 
-    def test_build_m_walks_no_rhs(self, workspace, walks):
-        """The p-constructions of hat and N hand each new rule the child
-        states that instantiating its rhs collected, so neither they nor the
-        rest of build_m walk a rhs."""
+    def test_build_m_walks_each_rhs_once_per_machine(self, workspace, walks):
+        """Every machine that build_m builds, the trimmed ones too, walks
+        each of its distinct right-hand sides once, however many rules share
+        it, and holds what that walk found."""
         for pair in reference_pairs(workspace):
             walks.clear()
-            build_m(*pair)
-            assert walks == [], [str(r) for r in walks]
+            m, _ = build_m(*pair)
+            assert len(walks) == 8 and walked_once(walks), (pair[0].name, pair[1].name)
+            assert all(r.child_states == reference_child_states(r) for r in m.base.rules + m.la.rules)
 
     def test_rotation_check_walk_count(self, monkeypatch, walks):
         """One benchmark rotation-check operation (parse, then decide) walks
-        68 right-hand sides, those of the parsed rules.  It walked 1,717 when
-        every rule did, and 291 when each p-construction's new rules did."""
+        54 right-hand sides, each distinct one of each parsed machine once.
+        It walked 108 when `Rule` read its child states in a walk of its
+        own."""
         spec = importlib.util.spec_from_file_location("bench_workspaces", PERFBENCH / "workspaces.py")
         bench = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, bench)
@@ -478,7 +502,8 @@ class TestGivenChildStates:
         for ws in bench.rotation(1):
             verdict, _ = decide_functionality(parse_workspace(ws.text).chains[ws.chain], ws.bound)
             assert verdict.status == "not-functional"
-        assert len(walks) <= 68
+        assert walked_once(walks)
+        assert sum(len(walked) for _, walked in walks) == 54
 
 
 ERASING_CHAIN = """

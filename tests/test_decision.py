@@ -41,6 +41,7 @@ from .oracles import (
     first_counterexample,
     identity_automaton,
     reference_check,
+    reference_child_states,
     rewrite_translate,
     staged_compose,
     translate_la_eager,
@@ -1002,7 +1003,7 @@ class TestDroppedLookahead:
         keys = [(r.state.name, r.symbol, r.rhs.text) for r in plain.rules]
         assert len(keys) == len(set(keys)) == len(m.base.rules) - 1
         assert set(keys) == {(r.state.name, r.symbol, r.rhs.text) for r in m.base.rules}
-        assert all(r.lookahead is None and r.child_states == machines._child_states(r) for r in plain.rules)
+        assert all(r.lookahead is None and r.child_states == reference_child_states(r) for r in plain.rules)
         for s in all_trees(plain.input_alphabet, 5):
             assert plain.translate(s) == m.translate_la(s), s.text
         # the final pair is the first stage and the plain base

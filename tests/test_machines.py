@@ -446,28 +446,53 @@ GOOD = Rule(Q, "e", 0, Tree("e"))
 
 
 class TestRuleVariables:
+    """A variable outside x1..xk is the fault of the rule's machine, found
+    when it is built, in the walk that reads the rule's child states."""
+
     def test_variable_beyond_the_rank(self):
-        with pytest.raises(ValidationError, match=re.escape("rule q(a(x1)): variable x2 out of range [1]")):
-            Rule(Q, "a", 1, Tree("f", (var(Q, 1), var(Q, 2))))
+        rule = Rule(Q, "a", 1, Tree("f", (var(Q, 1), var(Q, 2))))
+        with pytest.raises(ValidationError, match="^%s$" % re.escape("rule q(a(x1)): variable x2 out of range [1]")):
+            Transducer("m", IN, OUT, [GOOD, rule], Q, states=[Q])
 
     def test_variable_zero(self):
-        with pytest.raises(ValidationError, match=re.escape("rule q(a(x1)): variable x0 out of range [1]")):
-            Rule(Q, "a", 1, var(Q, 0))
+        rule = Rule(Q, "a", 1, var(Q, 0))
+        with pytest.raises(ValidationError, match="^%s$" % re.escape("rule q(a(x1)): variable x0 out of range [1]")):
+            Transducer("m", IN, OUT, [GOOD, rule], Q, states=[Q])
 
-    def test_given_child_states_skip_the_walk_but_not_the_check(self):
-        # a rule given its child states is made without looking at its rhs;
-        # the machine that holds it still rejects x3 under a rank-2 symbol
-        rule = Rule(Q, "f", 2, Tree("f", (var(Q, 1), var(Q, 3))), child_states=(frozenset({Q}), frozenset()))
-        assert rule == Rule(Q, "f", 2, rule.rhs, child_states=())
-        assert "child_states" not in repr(rule)
+    def test_a_rule_holds_no_child_states_until_a_machine_is_built(self):
+        # the machine that holds it rejects x3 under a rank-2 symbol, and the
+        # child states take no part in a rule's equality or its repr
+        rule = Rule(Q, "f", 2, Tree("f", (var(Q, 1), var(Q, 3))))
+        assert rule.child_states is None and "child_states" not in repr(rule)
         with pytest.raises(ValidationError, match="^%s$" % re.escape("rule q(f(x1,x2)): variable x3 out of range [2]")):
             Transducer("m", OUT, OUT, [GOOD, rule], Q, states=[Q])
+        assert rule.child_states is None
+        good = Rule(Q, "f", 2, Tree("f", (var(Q, 1), var(Q, 1))))
+        Transducer("m", OUT, OUT, [GOOD, good], Q, states=[Q])
+        assert good.child_states == (frozenset({Q}), frozenset())
+        assert good == Rule(Q, "f", 2, good.rhs) and "child_states" not in repr(good)
 
     def test_shared_rhs_is_checked_per_variable_count(self):
         rhs = Tree("f", (var(Q, 1), Tree("e")))
-        rules = [Rule(Q, "a", 1, rhs), Rule(Q, "e", 0, rhs, child_states=())]
+        rules = [Rule(Q, "a", 1, rhs), Rule(Q, "e", 0, rhs)]
         with pytest.raises(ValidationError, match="^%s$" % re.escape("rule q(e): variable x1 out of range [0]")):
             Transducer("m", IN, OUT, rules, Q, states=[Q])
+
+
+def test_child_states_are_read_off_the_rhs_never_given():
+    """A rule's maker cannot give it child states: given ({q},) for
+    f(q(x1),p(x1)), the machine translated a(e) to f(b,b) and f(b,c), while
+    the check, which read the missing p as absent, answered functional."""
+    rhs = Tree("f", (var(Q, 1), var(P, 1)))
+    with pytest.raises(TypeError):
+        Rule(Q, "a", 1, rhs, child_states=(frozenset({Q}),))
+    rules = [Rule(Q, "a", 1, rhs), Rule(Q, "e", 0, Tree("b")), Rule(P, "e", 0, Tree("b")), Rule(P, "e", 0, Tree("c"))]
+    m = Transducer("m", IN, RankedAlphabet({"f": 2, "b": 0, "c": 0}), rules, Q, states=[Q, P])
+    verdict = check_functional_bounded(m, 3)
+    assert verdict.status == "not-functional"
+    assert verdict.counterexample.input == t("a(e)")
+    assert outs(verdict.counterexample.outputs) == outs(m.translate(t("a(e)"))) == ["f(b,b)", "f(b,c)"]
+    assert m.rules[0].child_states == (frozenset({Q, P}),)
 
 
 class TestValidate:
