@@ -36,7 +36,7 @@ from .machines import (
     _require,
     universal_states,
 )
-from .trees import AnnotatedSymbol, RankedAlphabet, StateOverNode, StateOverVariable, Tree
+from .trees import AnnotatedSymbol, RankedAlphabet, StateOverVariable, Tree, replace_markers
 
 STATE_CAP = 5000
 RULE_CAP = 60000
@@ -268,8 +268,7 @@ def p_construction(
             for psi in sorted(results, key=attrgetter("text")):
                 got = made.get((psi.text, src.variables))
                 if got is None:
-                    demanded = []
-                    gamma = _replace_leaves(psi, make_state, pair_filter, leaves, demanded)
+                    gamma, demanded = _replace_leaves(psi, make_state, pair_filter, leaves)
                     # a veto is memoised as (), not None, so it is not redone
                     got = made[psi.text, src.variables] = () if gamma is None else (gamma, demanded)
                 if not got:
@@ -298,30 +297,24 @@ def p_construction(
     return machine, sources
 
 
-def _replace_leaves(node: Tree, make_state, pair_filter, leaves: dict, demanded: list) -> Tree | None:
-    """node with each leaf q2(q1(xi)), where q2 met the marker q1(xi),
-    replaced by (q1,q2)(xi), walked left to right, or None if pair_filter
-    vetoes one.  Every leaf is visited either way; each replacement adds its
-    pair to `demanded`.  `leaves` maps a leaf's text to its replacement and
-    pair, or to None and the pair for a veto, for the whole construction."""
-    lab = node.label
-    if isinstance(lab, StateOverNode):
+def _replace_leaves(psi: Tree, make_state, pair_filter, leaves: dict) -> tuple[Tree | None, list]:
+    """psi with each leaf q2(q1(xi)), where q2 met the marker q1(xi),
+    replaced by (q1,q2)(xi), or None if pair_filter vetoes one, and the
+    pairs of its leaves, left to right.  `leaves` maps a leaf's text to its
+    replacement, or None for a veto, and its pair, for the whole construction."""
+    demanded = []
+
+    def leaf(node: Tree) -> Tree | None:
         got = leaves.get(node.text)
         if got is None:
-            marker = lab.node
-            pair = (marker.state, lab.state)
-            leaf = None
-            if pair_filter is None or pair_filter(*pair):
-                leaf = Tree(StateOverVariable(make_state(*pair), marker.index))
-            got = leaves[node.text] = (leaf, pair)
-        leaf, pair = got
-        if leaf is not None:
-            demanded.append(pair)
-        return leaf
-    if not node.children:
-        return node
-    kids = [_replace_leaves(c, make_state, pair_filter, leaves, demanded) for c in node.children]
-    return None if any(k is None for k in kids) else Tree(lab, kids)
+            marker = node.label.node
+            pair = (marker.state, node.label.state)
+            vetoed = pair_filter is not None and not pair_filter(*pair)
+            got = leaves[node.text] = (None if vetoed else Tree(StateOverVariable(make_state(*pair), marker.index)), pair)
+        demanded.append(got[1])
+        return got[0]
+
+    return replace_markers(psi, leaf), demanded
 
 
 def build_hat_t1(t1: Transducer, t2: Transducer) -> Transducer:

@@ -28,7 +28,7 @@ from itertools import islice
 from .constructions import BuildReport, CompositionChain, _check_step
 from .errors import ResourceLimit, ValidationError
 from .machines import DEFAULT_OUTPUT_CAP, LookaheadTransducer, Rule, Transducer, _Classes, _domain_sizes, _domain_trees, _evaluate, _label, _require, check_positive
-from .trees import ROOT, NodeAddress, StateOverNode, StateOverVariable, Tree, check_ground_over, sort_trees
+from .trees import ROOT, NodeAddress, StateOverNode, Tree, check_ground_over, replace_markers, sort_trees
 
 FUNCTIONAL = "functional-up-to-bound"
 NOT_FUNCTIONAL = "not-functional"
@@ -316,22 +316,8 @@ def _replace_at(form: Tree, addr: NodeAddress, replacement: Tree) -> Tree:
 
 
 def _instantiate_rhs(rhs: Tree, input_addr: NodeAddress) -> Tree:
-    """rhs with each q(xi) made q(v.i), v the input address: rebuilt bottom
-    up with an explicit stack, so any depth instantiates."""
-    built = []  # the rebuilt subtrees not yet taken by their parent
-    stack = [(rhs, False)]
-    while stack:
-        node, kids_built = stack.pop()
-        lab = node.label
-        if isinstance(lab, StateOverVariable):
-            built.append(Tree(StateOverNode(lab.state, input_addr.child(lab.index))))
-        elif kids_built:
-            k = len(built) - len(node.children)
-            built[k:] = [Tree(lab, built[k:])]
-        else:
-            stack.append((node, True))
-            stack.extend([(c, False) for c in reversed(node.children)])
-    return built[0]
+    """rhs with each q(xi) made q(v.i), v the input address, at any depth."""
+    return replace_markers(rhs, lambda m: Tree(StateOverNode(m.label.state, input_addr.child(m.label.index))))
 
 
 def derivations(t: Transducer, tree: Tree):

@@ -126,6 +126,26 @@ class Tree:
         return "Tree(%s)" % self.text
 
 
+def replace_markers(tree: Tree, leaf) -> Tree | None:
+    """tree with each marker leaf m replaced by leaf(m), or None if leaf
+    returns None for one; leaf is called on every marker, left to right,
+    either way.  Rebuilt bottom up with an explicit stack: any depth works."""
+    built, vetoed = [], False  # the rebuilt subtrees not yet taken by their parent
+    stack = [(tree, False)]
+    while stack:
+        node, kids_built = stack.pop()
+        if kids_built:
+            k = len(built) - len(node.children)
+            built[k:] = [None if vetoed else Tree(node.label, built[k:])]
+        elif node.children:
+            stack.append((node, True))
+            stack.extend([(c, False) for c in reversed(node.children)])
+        else:
+            built.append(leaf(node) if isinstance(node.label, MARKER_TYPES) else node)
+            vetoed = vetoed or built[-1] is None
+    return None if vetoed else built[0]
+
+
 def sort_trees(trees: Iterable[Tree]) -> list[Tree]:
     """Canonical output order: by size, then lexicographically on the rendering."""
     return sorted(trees, key=lambda t: (t.size, t.text))

@@ -492,9 +492,7 @@ class TestGivenChildStates:
 
     def test_rotation_check_walk_count(self, monkeypatch, walks):
         """One benchmark rotation-check operation (parse, then decide) walks
-        54 right-hand sides, each distinct one of each parsed machine once.
-        It walked 108 when `Rule` read its child states in a walk of its
-        own."""
+        54 right-hand sides, each distinct one of each parsed machine once."""
         spec = importlib.util.spec_from_file_location("bench_workspaces", PERFBENCH / "workspaces.py")
         bench = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, bench)

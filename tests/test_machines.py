@@ -480,9 +480,9 @@ class TestRuleVariables:
 
 
 def test_child_states_are_read_off_the_rhs_never_given():
-    """A rule's maker cannot give it child states: given ({q},) for
-    f(q(x1),p(x1)), the machine translated a(e) to f(b,b) and f(b,c), while
-    the check, which read the missing p as absent, answered functional."""
+    """A rule's maker cannot give it child states.  Given ({q},) for
+    f(q(x1),p(x1)), the check would read p as absent and call the machine
+    functional, though a(e) has two outputs."""
     rhs = Tree("f", (var(Q, 1), var(P, 1)))
     with pytest.raises(TypeError):
         Rule(Q, "a", 1, rhs, child_states=(frozenset({Q}),))

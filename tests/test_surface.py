@@ -10,6 +10,7 @@ import contextlib
 import importlib
 import io
 import pathlib
+import re
 import sys
 from collections import Counter
 
@@ -164,7 +165,6 @@ RECURSIVE = {
     "_expand",
     "_label",
     "_random_rhs",
-    "_replace_leaves",
 }
 
 
@@ -205,3 +205,53 @@ def test_no_private_parameters():
                 params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
                 private += ["%s: %s(%s)" % (path.name, getattr(node, "name", "lambda"), p.arg) for p in params if p.arg.startswith("_")]
     assert private == []
+
+
+def readme_identifiers() -> list[str]:
+    """The inline code spans of README.md outside fenced blocks that are a
+    dotted or underscored identifier: `name`, `module.name`, `Class.name`,
+    any of them with `()`."""
+    lines, fenced = [], False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            lines.append(line)
+    spans = [span.strip() for span in re.findall(r"`([^`]+)`", "\n".join(lines))]
+    identifier = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*(\(\))?")
+    return [span for span in spans if identifier.fullmatch(span) and ("." in span or "_" in span)]
+
+
+def code_identifiers() -> set[str]:
+    """Every identifier of the code in `src/ttc`, `tests/` and
+    `perfbench/`: module and package names and the names defined or read
+    there, keyword and attribute names, and the string constants that are
+    identifiers, such as the keys of a report's stats."""
+    paths = [*(ROOT / "src" / "ttc").glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    found = {"ttc", *(path.stem for path in paths)}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.add(node.name)
+            elif isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+                found.add(node.arg)
+            elif isinstance(node, ast.alias):
+                found.update((node.asname or node.name).split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                found.add(node.value)
+    return found
+
+
+def test_readme_names_only_code_that_exists():
+    """Each part of each identifier the README quotes names an identifier
+    of the code, so a renamed or deleted function, memo or stat does not
+    live on in the documentation."""
+    spans = readme_identifiers()
+    assert len(spans) > 80  # not vacuous
+    known = code_identifiers()
+    missing = sorted({span for span in spans if not all(part in known for part in span.removesuffix("()").split("."))})
+    assert missing == []
